@@ -23,6 +23,17 @@ sector orthogonality and the cross-sector projector identities hold to
 quadrature precision.  Weights carry a factor 1/2 so integer-harmonic
 integrands keep their single-cover value.
 
+Function values on the node grid factor as
+
+    f(l_i, phi_k) = sum_j a_j E_l[i, j] e^(i*j*phi_k),
+    E_l[i, j] = e^(j*l_i - j^2/2),
+
+and on the uniform double-cover nodes e^(i*j*phi_k) =
+e^(2*pi*i*(2j mod n_phi)*k/n_phi) is an exact DFT, so the angular sum is
+one inverse FFT per l node.  The nodes, weights, E_l and the DFT bins
+are built on first use and held read-only in bounded caches keyed by
+the quadrature orders (and sector and window for the factors).
+
 Reproducing kernels are evaluated in closed form as Gaussian lattice
 sums K(eta*, xi) = sum_n e^(-n^2) (eta* xi)^(-n) over the sector
 lattice, never as truncated sums of basis products.
@@ -30,6 +41,7 @@ lattice, never as truncated sums of basis products.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -106,15 +118,55 @@ class Quadrature:
             raise DomainError("n_phi must be an even integer >= 4")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(l nodes, phi nodes, combined weights W[i, k]).
+        """(l nodes, phi nodes, combined weights W[i, k]), cached and read-only.
 
         sum_{i,k} W[i,k] h(l_i, phi_k) approximates the inner-product
         measure (1/(2 pi^(3/2))) Int_0^{2pi} dphi Int dl e^(-l^2) h.
         """
-        lv, lw = np.polynomial.hermite.hermgauss(self.n_l)
-        phi = 4.0 * math.pi * np.arange(self.n_phi) / self.n_phi
-        weights = np.outer(lw, np.full(self.n_phi, 1.0 / (self.n_phi * math.sqrt(math.pi))))
-        return lv, phi, weights
+        return _rule(self.n_l, self.n_phi)
+
+    def factors(self, sector: Sector, two_jmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """(E_l, bins) for the window |2j| <= two_jmax, cached and read-only.
+
+        E_l[i, j] = e^(j*l_i - j^2/2) is the radial factor of the monomial
+        j; its angular factor e^(i*j*phi_k) is DFT bin (2j mod n_phi).
+        """
+        return _factors(self.n_l, self.n_phi, sector, two_jmax)
+
+    def grid_values(self, sector: Sector, two_jmax: int, coeffs: np.ndarray) -> np.ndarray:
+        """sum_j a_j e^(-j^2/2) xi*^(-j) on the node grid, shape (n_l, n_phi)."""
+        e_l, bins = self.factors(sector, two_jmax)
+        coeffs = np.asarray(coeffs)
+        if coeffs.shape != e_l.shape[1:]:
+            raise DomainError(f"expected {e_l.shape[1]} coefficients, got shape {coeffs.shape}")
+        spectrum = np.zeros((self.n_l, self.n_phi), dtype=np.complex128)
+        np.add.at(spectrum, (slice(None), bins), e_l * coeffs)
+        return self.n_phi * np.fft.ifft(spectrum, axis=1)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _rule(n_l: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    lv, lw = np.polynomial.hermite.hermgauss(n_l)
+    phi = 4.0 * math.pi * np.arange(n_phi) / n_phi
+    weights = np.outer(lw, np.full(n_phi, 1.0 / (n_phi * math.sqrt(math.pi))))
+    return _read_only(lv, phi, weights)
+
+
+@functools.lru_cache(maxsize=16)
+def _factors(
+    n_l: int, n_phi: int, sector: Sector, two_jmax: int
+) -> tuple[np.ndarray, np.ndarray]:
+    lv, _, _ = _rule(n_l, n_phi)
+    two_j = Truncation(two_jmax).two_j_values(sector)
+    j = two_j / 2.0
+    e_l = np.exp(np.multiply.outer(lv, j) - 0.5 * j * j)
+    return _read_only(e_l, two_j % n_phi)
 
 
 def to_bargmann(s: StateVector) -> BargmannFunction:
@@ -190,12 +242,9 @@ def apply_op_bargmann(kind: str, f: BargmannFunction) -> BargmannFunction:
     return BargmannFunction(f.sector, f.trunc, out, f.leakage + dropped)
 
 
-def _grid_values(f: BargmannFunction, lv: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _grid_values(f: BargmannFunction, quad: Quadrature) -> np.ndarray:
     """Function values on the (l, phi) node grid, shape (n_l, n_phi)."""
-    j = f.j_values()
-    z = lv[:, None] + 1j * phi[None, :]
-    monomials = np.exp(np.multiply.outer(j, z) - 0.5 * (j * j)[:, None, None])
-    return np.tensordot(f.coeffs, monomials, axes=(0, 0))
+    return quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
 
 
 def inner_quadrature(
@@ -204,9 +253,9 @@ def inner_quadrature(
     """Quadrature realization of <f|g> (conjugate-linear in f)."""
     if f.sector is not g.sector:
         raise DomainError("inner product requires matching sectors")
-    lv, phi, weights = quad.nodes()
-    vf = _grid_values(f, lv, phi)
-    vg = _grid_values(g, lv, phi)
+    _, _, weights = quad.nodes()
+    vf = _grid_values(f, quad)
+    vg = _grid_values(g, quad)
     return complex(np.sum(weights * np.conj(vf) * vg))
 
 
@@ -245,7 +294,7 @@ def reproducing_apply(
     """
     lv, phi, weights = quad.nodes()
     kernel = _kernel_on_grid(p, lv, phi, sector, conjugate_point=True, ctl=ctl)
-    values = _grid_values(f, lv, phi)
+    values = _grid_values(f, quad)
     return complex(np.sum(weights * kernel * values))
 
 

@@ -22,6 +22,7 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -48,6 +49,7 @@ from .verify import load_config, run_verify
 __all__ = ["main"]
 
 CONFIG_ENV = "CIRCLE_CS_CONFIG"
+MAX_DIGITS = 17
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -139,6 +141,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ConfigError("--n must be at least 2")
+    if not (math.isfinite(args.l_min) and math.isfinite(args.l_max)):
+        raise ConfigError("--l-min and --l-max must be finite")
     if not args.l_max > args.l_min:
         raise ConfigError("--l-max must exceed --l-min")
     sector = Sector.from_name(args.sector)
@@ -243,15 +247,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads -1e-05 as a number, not as an option.
+
+    argparse only recognizes plain negative decimals such as -1 or -0.5
+    as values; an exponent makes it take the token for an unknown flag.
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circle-cs",
         description="Coherent states on the circle: evaluation and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_digits(sp):
-        sp.add_argument("--digits", type=int, default=9, help="significant digits in output")
+        sp.add_argument(
+            "--digits", type=int, default=9, help=f"significant digits in output (1..{MAX_DIGITS})"
+        )
 
     sp = sub.add_parser("theta", help="evaluate a lattice theta function")
     sp.add_argument("--kind", type=int, choices=(2, 3, 4), required=True)
@@ -318,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        digits = getattr(args, "digits", None)
+        if digits is not None and not 1 <= digits <= MAX_DIGITS:
+            raise ConfigError(f"--digits must lie in 1..{MAX_DIGITS}, got {digits}")
         return args.func(args)
     except CircleError as exc:
         print(f"error: {exc}", file=sys.stderr)

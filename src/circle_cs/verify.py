@@ -93,6 +93,12 @@ DEFAULT_CONFIG = {
     "random_cases": 50,
 }
 
+# Upper bounds on the config.  Dense window matrices grow as two_jmax^2
+# and their products overflow double range past two_jmax ~ 700;
+# Gauss-Hermite weights turn to NaN past n_l ~ 370; node grids grow as
+# n_l * n_phi.  The largest allowed battery peaks near 85 MB.
+CONFIG_CAPS = {"two_jmax": 600, "n_l": 300, "n_phi": 1024, "random_cases": 10_000}
+
 SECTORS = (Sector.BOSON, Sector.FERMION)
 
 
@@ -164,6 +170,9 @@ def validate_config(overrides: dict) -> dict:
         raise ConfigError("seed must be nonnegative")
     if config["random_cases"] < 1:
         raise ConfigError("random_cases must be >= 1")
+    for key, cap in CONFIG_CAPS.items():
+        if config[key] > cap:
+            raise ConfigError(f"{key} must be <= {cap}, got {config[key]}")
     tol = config["series_tol"]
     if not isinstance(tol, (int, float)) or not 0.0 < float(tol) < 1.0:
         raise ConfigError("series_tol must lie in (0, 1)")
@@ -863,27 +872,23 @@ def _check_kernel_cross_sector(ctx: _Context):
 
 
 def _node_values(ctx: _Context, sector: Sector, coeffs: np.ndarray):
-    lv, phi, _ = ctx.quad.nodes()
-    j = ctx.trunc.j_values(sector)
-    z = lv[:, None] + 1j * phi[None, :]
-    monomials = np.exp(np.multiply.outer(j, z) - 0.5 * (j * j)[:, None, None])
-    return np.tensordot(coeffs, monomials, axes=(0, 0))
+    return ctx.quad.grid_values(sector, ctx.trunc.two_jmax, coeffs)
 
 
-def _apply_kernel_grid(ctx: _Context, sector: Sector, values: np.ndarray) -> np.ndarray:
-    """Factorized kernel action on node values: exact same quadrature."""
-    lv, phi, weights = ctx.quad.nodes()
-    n_cut = int(math.ceil(float(np.max(np.abs(lv))))) + 12
-    if sector is Sector.BOSON:
-        lattice = np.arange(-n_cut, n_cut + 1, dtype=float)
-    else:
-        lattice = np.arange(-n_cut, n_cut) + 0.5
-    z = lv[:, None] + 1j * phi[None, :]
-    half_gauss = np.exp(-0.5 * lattice * lattice)
-    a = half_gauss[:, None, None] * np.exp(np.multiply.outer(lattice, z))
-    b = half_gauss[:, None, None] * np.exp(np.multiply.outer(lattice, np.conj(z)))
-    projected = np.tensordot(b, weights * values, axes=([1, 2], [0, 1]))
-    return np.tensordot(projected, a, axes=(0, 0))
+def _apply_kernel_grid(quad: Quadrature, sector: Sector, values: np.ndarray) -> np.ndarray:
+    """Kernel action on node values through its lattice expansion.
+
+    K(eta*, xi) = sum_n e^(-n^2) (eta* xi)^(-n) splits into monomials n
+    over the lattice |n| <= n_cut, so the action projects the weighted
+    values onto each monomial (a forward DFT in phi, then a sum over the
+    l nodes) and evaluates the projections on the grid: exactly the
+    same quadrature.
+    """
+    lv, _, weights = quad.nodes()
+    two_cut = 2 * (int(math.ceil(float(np.max(np.abs(lv))))) + 12)
+    e_l, bins = quad.factors(sector, two_cut)
+    projected = np.sum(e_l * np.fft.fft(weights * values, axis=1)[:, bins], axis=0)
+    return quad.grid_values(sector, two_cut, projected)
 
 
 def _band_limited(ctx: _Context, sector: Sector, rng, j_bound: float) -> np.ndarray:
@@ -906,8 +911,8 @@ def _check_kernel_idempotency(ctx: _Context):
     for sector in SECTORS:
         coeffs = _band_limited(ctx, sector, rng, 4.0)
         values = _node_values(ctx, sector, coeffs)
-        once = _apply_kernel_grid(ctx, sector, values)
-        twice = _apply_kernel_grid(ctx, sector, once)
+        once = _apply_kernel_grid(ctx.quad, sector, values)
+        twice = _apply_kernel_grid(ctx.quad, sector, once)
         scale = float(np.max(np.abs(once)))
         errs.append(float(np.max(np.abs(twice - once))) / scale)
         count += once.size
@@ -921,8 +926,8 @@ def _check_kernel_parity_projection(ctx: _Context):
     vb = _node_values(ctx, Sector.BOSON, cb)
     vf = _node_values(ctx, Sector.FERMION, cf)
     mixed = vb + vf
-    even = _apply_kernel_grid(ctx, Sector.BOSON, mixed)
-    odd = _apply_kernel_grid(ctx, Sector.FERMION, mixed)
+    even = _apply_kernel_grid(ctx.quad, Sector.BOSON, mixed)
+    odd = _apply_kernel_grid(ctx.quad, Sector.FERMION, mixed)
     scale = float(np.max(np.abs(mixed)))
     errs = [
         float(np.max(np.abs(even - vb))) / scale,

@@ -65,6 +65,7 @@ from circle_cs.theta import (
     theta,
     theta2_via_half_period_shift,
 )
+from circle_cs.verify import _apply_kernel_grid
 
 TR = Truncation(40)
 QUAD = Quadrature(40, 64)
@@ -247,22 +248,6 @@ def test_criterion_07_quadrature_orthonormality():
     assert ok
 
 
-def _kernel_grid_map(sector: Sector, values: np.ndarray) -> np.ndarray:
-    # factorized kernel action on node values through the lattice expansion
-    lv, phi, weights = QUAD.nodes()
-    n_cut = int(math.ceil(float(np.max(np.abs(lv))))) + 12
-    if sector is Sector.BOSON:
-        lattice = np.arange(-n_cut, n_cut + 1, dtype=float)
-    else:
-        lattice = np.arange(-n_cut, n_cut) + 0.5
-    z = lv[:, None] + 1j * phi[None, :]
-    half_gauss = np.exp(-0.5 * lattice * lattice)
-    a = half_gauss[:, None, None] * np.exp(np.multiply.outer(lattice, z))
-    b = half_gauss[:, None, None] * np.exp(np.multiply.outer(lattice, np.conj(z)))
-    projected = np.tensordot(b, weights * values, axes=([1, 2], [0, 1]))
-    return np.tensordot(projected, a, axes=(0, 0))
-
-
 def _band_limited_values(sector: Sector, rng) -> np.ndarray:
     j = TR.j_values(sector)
     coeffs = rng.normal(size=j.size) + 1j * rng.normal(size=j.size)
@@ -285,8 +270,8 @@ def test_criterion_08_reproducing_kernel():
     worst_idem = 0.0
     for sector in SECTORS:
         values = _band_limited_values(sector, rng)
-        once = _kernel_grid_map(sector, values)
-        twice = _kernel_grid_map(sector, once)
+        once = _apply_kernel_grid(QUAD, sector, values)
+        twice = _apply_kernel_grid(QUAD, sector, once)
         worst_idem = max(worst_idem, float(np.max(np.abs(twice - once)) / np.max(np.abs(once))))
     worst_cross = 0.0
     for sector, other in ((Sector.BOSON, Sector.FERMION), (Sector.FERMION, Sector.BOSON)):

@@ -71,6 +71,40 @@ def test_quadrature_validation():
         Quadrature(40, 63)
     with pytest.raises(DomainError):
         Quadrature(40, 2)
+    with pytest.raises(DomainError):
+        QUAD.grid_values(Sector.BOSON, 40, np.ones(40))
+    with pytest.raises(DomainError):
+        QUAD.factors(Sector.BOSON, 1)
+
+
+@pytest.mark.parametrize(
+    "quad", [QUAD] + [Quadrature(n_l, 8) for n_l in (2, 4, 8, 16)], ids=str
+)
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_engine_grid_values_match_direct_tensor(quad, sector):
+    rng = np.random.default_rng([quad.n_l, quad.n_phi, sector.parity])
+    j = TR.j_values(sector)
+    coeffs = rng.normal(size=j.size) + 1j * rng.normal(size=j.size)
+    lv, _ = np.polynomial.hermite.hermgauss(quad.n_l)
+    phi = 4.0 * math.pi * np.arange(quad.n_phi) / quad.n_phi
+    z = lv[:, None] + 1j * phi[None, :]
+    monomials = np.exp(np.multiply.outer(j, z) - 0.5 * (j * j)[:, None, None])
+    direct = np.tensordot(coeffs, monomials, axes=(0, 0))
+    got = quad.grid_values(sector, TR.two_jmax, coeffs)
+    assert got.shape == (quad.n_l, quad.n_phi)
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_nodes_are_cached_read_only_hermite_rule():
+    lv, phi, weights = QUAD.nodes()
+    ref_l, ref_w = np.polynomial.hermite.hermgauss(QUAD.n_l)
+    assert np.array_equal(lv, ref_l)
+    assert np.array_equal(phi, 4.0 * math.pi * np.arange(QUAD.n_phi) / QUAD.n_phi)
+    assert np.array_equal(weights, np.outer(ref_w, np.full(64, 1.0 / (64 * math.sqrt(math.pi)))))
+    assert Quadrature(40, 64).nodes() is QUAD.nodes()
+    for array in (lv, phi, weights, *QUAD.factors(Sector.FERMION, TR.two_jmax)):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_orthonormality_small_indices():

@@ -7,7 +7,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from circle_cs.errors import ConfigError
 from circle_cs.hilbert import state_from_json
+from circle_cs.verify import CONFIG_CAPS, validate_config
 
 
 def run_cli(*args: str, env_extra: dict | None = None):
@@ -57,6 +61,24 @@ def test_expect_output_is_deterministic():
     assert a.returncode == 0
 
 
+def test_expect_accepts_negative_exponent():
+    res = run_cli("expect", "--l", "-2.5e-1", "--obs", "J")
+    assert res.returncode == 0
+    payload = json.loads(res.stdout)
+    assert payload["l"] == -0.25
+    assert payload["exact"] == -0.249675014
+
+
+def test_digits_outside_range_is_config_error():
+    for digits in ("-1", "0", "18"):
+        res = run_cli("expect", "--l", "0.25", "--obs", "J", "--digits", digits)
+        assert res.returncode == 2
+        assert "--digits" in res.stderr
+        assert "Traceback" not in res.stderr
+    res = run_cli("expect", "--l", "0.25", "--obs", "J", "--digits", "17")
+    assert res.returncode == 0
+
+
 def test_expect_qp_reports_saturation():
     res = run_cli("expect", "--l", "0.0", "--obs", "QP")
     payload = json.loads(res.stdout)
@@ -88,6 +110,20 @@ def test_scan_needs_at_least_two_points():
 def test_scan_rejects_inverted_range():
     res = run_cli("scan", "--obs", "U", "--l-min", "1", "--l-max", "0", "--n", "5", "--out", "-")
     assert res.returncode == 2
+
+
+def test_scan_accepts_negative_exponent_bound():
+    res = run_cli("scan", "--obs", "J", "--l-min", "-1", "--l-max", "-3.66e-05", "--n", "3",
+                  "--out", "-")
+    assert res.returncode == 0
+    assert res.stdout.strip().split("\n")[-1].startswith("-3.66e-05,")
+
+
+def test_scan_rejects_infinite_bound():
+    res = run_cli("scan", "--obs", "J", "--l-min", "0", "--l-max", "inf", "--n", "3", "--out", "-")
+    assert res.returncode == 2
+    assert "finite" in res.stderr
+    assert "Warning" not in res.stderr
 
 
 def test_scan_writes_file(tmp_path):
@@ -153,6 +189,24 @@ def test_verify_rejects_unknown_config_key(tmp_path):
     res = run_cli("verify", "--config", str(cfg))
     assert res.returncode == 2
     assert "unknown config keys" in res.stderr
+
+
+def test_verify_rejects_oversized_window(tmp_path):
+    # rejected while validating, before any matrix is built
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"two_jmax": 30000}')
+    res = run_cli("verify", "--config", str(cfg))
+    assert res.returncode == 2
+    assert "two_jmax must be <= 600" in res.stderr
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_CAPS))
+def test_verify_config_caps(key):
+    # validation only: the capped battery is never run here
+    cap = CONFIG_CAPS[key]
+    assert validate_config({key: cap})[key] == cap
+    with pytest.raises(ConfigError, match=key):
+        validate_config({key: cap + 2})
 
 
 def test_verify_honors_environment_config(tmp_path):
