@@ -72,18 +72,12 @@ from .coherent import (
     uncertainty_QP,
 )
 from .bargmann import (
-    BARGMANN_OPERATOR_KINDS,
-    BargmannFunction,
     Quadrature,
-    apply_op_bargmann,
-    basis_function,
     covariant_symbol,
     evaluate,
-    from_bargmann,
     inner_quadrature,
     kernel_identity_check,
     reproducing_apply,
-    to_bargmann,
 )
 
 __version__ = "0.1.0"
@@ -148,16 +142,10 @@ __all__ = [
     "required_two_jmax",
     "uncertainty_QP",
     # bargmann
-    "BARGMANN_OPERATOR_KINDS",
-    "BargmannFunction",
     "Quadrature",
-    "apply_op_bargmann",
-    "basis_function",
     "covariant_symbol",
     "evaluate",
-    "from_bargmann",
     "inner_quadrature",
     "kernel_identity_check",
     "reproducing_apply",
-    "to_bargmann",
 ]

@@ -1,8 +1,8 @@
 """Functional (Bargmann-type) representation over the cylinder.
 
-A state with coefficients a_j is represented by the function
+A StateVector with coefficients c_j is represented by the function
 
-    f(xi*) = sum_j a_j e^(-j^2/2) xi*^(-j),
+    f(xi*) = sum_j c_j e^(-j^2/2) xi*^(-j) = <xi|f>,
 
 a finite Laurent-type sum with integer (boson) or half-integer
 (fermion) exponents.  Powers xi*^(-j) = e^((l + i*phi)*j) are always
@@ -25,7 +25,7 @@ integrands keep their single-cover value.
 
 Function values on the node grid factor as
 
-    f(l_i, phi_k) = sum_j a_j E_l[i, j] e^(i*j*phi_k),
+    f(l_i, phi_k) = sum_j c_j E_l[i, j] e^(i*j*phi_k),
     E_l[i, j] = e^(j*l_i - j^2/2),
 
 and on the uniform double-cover nodes e^(i*j*phi_k) =
@@ -33,6 +33,17 @@ e^(2*pi*i*(2j mod n_phi)*k/n_phi) is an exact DFT, so the angular sum is
 one inverse FFT per l node.  The nodes, weights, E_l and the DFT bins
 are built on first use and held read-only in bounded caches keyed by
 the quadrature orders (and sector and window for the factors).
+
+Operators act on f through the state: hilbert.apply_operator and
+apply_time_reversal realize J, U, Udag, X, Xdag and T, whose functional
+forms (D_s the dilation (D_s f)(xi*) = f(e^s xi*)) are
+
+    J     -xi* d/dxi* f
+    U     (D_1 f)/(sqrt(e) xi*)
+    Udag  e^(-1/2) xi* (D_{-1} f)
+    X     (D_2 f)/(e xi*)
+    Xdag  multiplication by xi*
+    T     f -> conj(f) at the time-reversed point (-l, phi)
 
 Reproducing kernels are evaluated in closed form as Gaussian lattice
 sums K(eta*, xi) = sum_n e^(-n^2) (eta* xi)^(-n) over the sector
@@ -49,52 +60,22 @@ import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
-from .coherent import PhasePoint, norm_sq
-from .theta import DEFAULT_CONTROL, SeriesControl, gaussian_lattice_sum
+from .coherent import PhasePoint, _coherent_coeffs, norm_sq
+from .theta import _EXP_LIMIT, DEFAULT_CONTROL, SeriesControl, gaussian_lattice_sum
 
 __all__ = [
-    "BargmannFunction",
     "Quadrature",
-    "BARGMANN_OPERATOR_KINDS",
-    "to_bargmann",
-    "from_bargmann",
-    "basis_function",
     "evaluate",
-    "apply_op_bargmann",
     "inner_quadrature",
     "reproducing_apply",
     "kernel_identity_check",
     "covariant_symbol",
 ]
 
-BARGMANN_OPERATOR_KINDS = ("J", "U", "Udag", "X", "Xdag", "T")
-
-_EXP_LIMIT = 700.0
-
-
-@dataclass(frozen=True)
-class BargmannFunction:
-    """Coefficients a_j of f(xi*) = sum a_j e^(-j^2/2) xi*^(-j)."""
-
-    sector: Sector
-    trunc: Truncation
-    coeffs: np.ndarray
-    leakage: float = 0.0
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.ndim != 1 or len(coeffs) != self.trunc.size(self.sector):
-            raise DomainError(
-                f"expected {self.trunc.size(self.sector)} coefficients, got shape {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise DomainError("function coefficients must be finite")
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def j_values(self) -> np.ndarray:
-        return self.trunc.j_values(self.sector)
+# Largest quadrature orders: numpy's hermgauss gives NaN weights from 371
+# nodes on, and node grids and their kernel sums grow as n_l * n_phi.
+MAX_N_L = 300
+MAX_N_PHI = 1024
 
 
 @dataclass(frozen=True)
@@ -112,10 +93,10 @@ class Quadrature:
     n_phi: int = 64
 
     def __post_init__(self) -> None:
-        if self.n_l < 2:
-            raise DomainError("n_l must be at least 2")
-        if self.n_phi < 4 or self.n_phi % 2 != 0:
-            raise DomainError("n_phi must be an even integer >= 4")
+        if not 2 <= self.n_l <= MAX_N_L:
+            raise DomainError(f"n_l must lie in [2, {MAX_N_L}], got {self.n_l}")
+        if not 4 <= self.n_phi <= MAX_N_PHI or self.n_phi % 2 != 0:
+            raise DomainError(f"n_phi must be even and in [4, {MAX_N_PHI}], got {self.n_phi}")
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(l nodes, phi nodes, combined weights W[i, k]), cached and read-only.
@@ -134,7 +115,7 @@ class Quadrature:
         return _factors(self.n_l, self.n_phi, sector, two_jmax)
 
     def grid_values(self, sector: Sector, two_jmax: int, coeffs: np.ndarray) -> np.ndarray:
-        """sum_j a_j e^(-j^2/2) xi*^(-j) on the node grid, shape (n_l, n_phi)."""
+        """sum_j c_j e^(-j^2/2) xi*^(-j) on the node grid, shape (n_l, n_phi)."""
         e_l, bins = self.factors(sector, two_jmax)
         coeffs = np.asarray(coeffs)
         if coeffs.shape != e_l.shape[1:]:
@@ -169,93 +150,27 @@ def _factors(
     return _read_only(e_l, two_j % n_phi)
 
 
-def to_bargmann(s: StateVector) -> BargmannFunction:
-    """Identify state coefficients c_j with function coefficients a_j."""
-    return BargmannFunction(s.sector, s.trunc, s.coeffs, s.leakage)
+def evaluate(f: StateVector, p: PhasePoint) -> complex:
+    """f(xi*) at xi = e^(-l + i*phi); equals <xi|f> as a state overlap.
 
-
-def from_bargmann(f: BargmannFunction) -> StateVector:
-    return StateVector(f.sector, f.trunc, f.coeffs, f.leakage)
-
-
-def basis_function(sector: Sector, j: float, trunc: Truncation) -> BargmannFunction:
-    """e_j(xi*) = e^(-j^2/2) xi*^(-j), the image of the basis vector |j>."""
-    two_j = int(round(2.0 * j))
-    idx = trunc.index_of(sector, two_j)
-    coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
-    coeffs[idx] = 1.0
-    return BargmannFunction(sector, trunc, coeffs)
-
-
-def _power_exponents(j: np.ndarray, p: PhasePoint) -> np.ndarray:
-    """Exponents of e^(-j^2/2) xi*^(-j) through the canonical chart."""
-    return j * complex(p.l, p.phi) - 0.5 * j * j
-
-
-def evaluate(f: BargmannFunction, p: PhasePoint) -> complex:
-    """f(xi*) at xi = e^(-l + i*phi); equals <xi|f> as a state overlap."""
+    The monomials e^(-j^2/2) xi*^(-j) are taken through the canonical
+    chart and built here, independently of coherent_state.
+    """
     j = f.j_values()
-    exponents = _power_exponents(j, p)
+    exponents = j * complex(p.l, p.phi) - 0.5 * j * j
     occupied = np.abs(f.coeffs) > 0.0
     if np.any(occupied) and float(np.max(exponents.real[occupied])) > _EXP_LIMIT:
         raise RangeOverflowError(f"evaluation at l = {p.l} overflows the basis monomials")
     return complex(np.sum(f.coeffs * np.exp(exponents)))
 
 
-def apply_op_bargmann(kind: str, f: BargmannFunction) -> BargmannFunction:
-    """Operator action on the function side, as coefficient arithmetic.
-
-    Functional forms (D_s is the dilation (D_s f)(xi*) = f(e^s xi*)):
-
-        J     -xi* d/dxi* f          ->  a_j -> j a_j
-        U     (D_1 f)/(sqrt(e) xi*)  ->  a_j -> a_{j-1}
-        Udag  e^(-1/2) xi* (D_{-1} f) -> a_j -> a_{j+1}
-        X     (D_2 f)/(e xi*)        ->  a_j -> e^(1/2-j) a_{j-1}
-        Xdag  multiplication by xi*  ->  a_j -> e^(-1/2-j) a_{j+1}
-        T     antiunitary reversal   ->  a_j -> conj(a_{-j})
-
-    Shifted-off coefficients accumulate in leakage, as in hilbert.
-    """
-    if kind not in BARGMANN_OPERATOR_KINDS:
-        raise DomainError(
-            f"unknown operator kind {kind!r}; expected one of {BARGMANN_OPERATOR_KINDS}"
-        )
-    j = f.j_values()
-    a = f.coeffs
-    dropped = 0.0
-    if kind == "J":
-        out = a * j
-    elif kind == "T":
-        out = np.conj(a[::-1])
-    elif kind in ("U", "X"):
-        dropped = float(abs(a[-1]))
-        out = np.zeros_like(a)
-        out[1:] = a[:-1]
-        if kind == "X":
-            out = out * np.exp(0.5 - j)
-    else:  # Udag, Xdag
-        dropped = float(abs(a[0]))
-        out = np.zeros_like(a)
-        out[:-1] = a[1:]
-        if kind == "Xdag":
-            out = out * np.exp(-0.5 - j)
-    return BargmannFunction(f.sector, f.trunc, out, f.leakage + dropped)
-
-
-def _grid_values(f: BargmannFunction, quad: Quadrature) -> np.ndarray:
-    """Function values on the (l, phi) node grid, shape (n_l, n_phi)."""
-    return quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
-
-
-def inner_quadrature(
-    f: BargmannFunction, g: BargmannFunction, quad: Quadrature
-) -> complex:
+def inner_quadrature(f: StateVector, g: StateVector, quad: Quadrature) -> complex:
     """Quadrature realization of <f|g> (conjugate-linear in f)."""
     if f.sector is not g.sector:
         raise DomainError("inner product requires matching sectors")
     _, _, weights = quad.nodes()
-    vf = _grid_values(f, quad)
-    vg = _grid_values(g, quad)
+    vf = quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
+    vg = quad.grid_values(g.sector, g.trunc.two_jmax, g.coeffs)
     return complex(np.sum(weights * np.conj(vf) * vg))
 
 
@@ -280,7 +195,7 @@ def _kernel_on_grid(
 
 
 def reproducing_apply(
-    f: BargmannFunction,
+    f: StateVector,
     p: PhasePoint,
     sector: Sector,
     quad: Quadrature,
@@ -294,7 +209,7 @@ def reproducing_apply(
     """
     lv, phi, weights = quad.nodes()
     kernel = _kernel_on_grid(p, lv, phi, sector, conjugate_point=True, ctl=ctl)
-    values = _grid_values(f, quad)
+    values = quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
     return complex(np.sum(weights * kernel * values))
 
 
@@ -342,6 +257,6 @@ def covariant_symbol(
     a = np.asarray(op_matrix, dtype=np.complex128)
     trunc = _window_for_matrix(a, sector)
     j = trunc.j_values(sector)
-    c = np.exp(j * complex(p.l, -p.phi) - 0.5 * j * j)
+    c = _coherent_coeffs(j, p)
     kernel = complex(np.vdot(c, a @ c))
     return {"kernel": kernel, "symbol": kernel / norm_sq(p, sector, ctl)}

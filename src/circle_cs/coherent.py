@@ -139,9 +139,12 @@ def coherent_state(
             f"two_jmax = {trunc.two_jmax} too small for l = {p.l}: "
             f"tails exceed {window_tol} (need two_jmax >= {needed})"
         )
-    j = trunc.j_values(sector)
-    coeffs = np.exp(j * complex(p.l, -p.phi) - 0.5 * j * j)
-    return StateVector(sector, trunc, coeffs)
+    return StateVector(sector, trunc, _coherent_coeffs(trunc.j_values(sector), p))
+
+
+def _coherent_coeffs(j: np.ndarray, p: PhasePoint) -> np.ndarray:
+    """c_j = exp(j*(l - i*phi) - j^2/2), unguarded and unnormalized."""
+    return np.exp(j * complex(p.l, -p.phi) - 0.5 * j * j)
 
 
 def overlap_closed(
@@ -229,16 +232,27 @@ def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
     """Schroedinger evolution e^(-iHt) for H = J^2/2 or H = omega*J.
 
     Pure phases per basis slot: every |c_j| and hence the norm is
-    preserved exactly; leakage is carried through unchanged.
+    preserved exactly; leakage is carried through unchanged.  The
+    largest phase, at the window edge, must be finite.
     """
     j = state.j_values()
+    j_edge = float(j[-1])  # the window is symmetric, so this is the largest |j|
     if isinstance(hamiltonian, FreeRotor):
+        _require_finite_phase(t, 0.5 * t * j_edge * j_edge, j_edge)
         phases = np.exp(-0.5j * t * j * j)
     elif isinstance(hamiltonian, Linear):
+        _require_finite_phase(t, t * hamiltonian.omega * j_edge, j_edge)
         phases = np.exp(-1j * t * hamiltonian.omega * j)
     else:
         raise DomainError(f"unsupported hamiltonian {hamiltonian!r}")
     return replace(state, coeffs=state.coeffs * phases)
+
+
+def _require_finite_phase(t: float, edge_phase: float, j_edge: float) -> None:
+    if not math.isfinite(edge_phase):
+        raise DomainError(
+            f"evolution time t = {t} gives a non-finite phase at the window edge |j| = {j_edge}"
+        )
 
 
 def heisenberg_expectations(

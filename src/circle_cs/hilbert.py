@@ -27,6 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError, WindowError
+from .theta import _EXP_LIMIT
 
 __all__ = [
     "Sector",
@@ -49,8 +50,6 @@ __all__ = [
 N_CONST = 0.5 * math.log(2.0 * math.sinh(1.0))
 
 OPERATOR_KINDS = ("J", "U", "Udag", "X", "Xdag", "N")
-
-_EXP_LIMIT = 700.0
 
 
 class Sector(enum.Enum):

@@ -26,7 +26,6 @@ import pytest
 
 from circle_cs.bargmann import (
     Quadrature,
-    basis_function,
     inner_quadrature,
     kernel_identity_check,
     reproducing_apply,
@@ -231,7 +230,7 @@ def test_criterion_07_quadrature_orthonormality():
     pairs = 0
     for sector in SECTORS:
         js = np.arange(-3.0, 3.5, 1.0) if sector is Sector.BOSON else np.arange(-2.5, 3.0, 1.0)
-        funcs = [basis_function(sector, float(j), TR) for j in js]
+        funcs = [basis_state(sector, float(j), TR) for j in js]
         for a, ja in zip(funcs, js):
             for b, jb in zip(funcs, js):
                 val = inner_quadrature(a, b, QUAD)
@@ -276,7 +275,7 @@ def test_criterion_08_reproducing_kernel():
     worst_cross = 0.0
     for sector, other in ((Sector.BOSON, Sector.FERMION), (Sector.FERMION, Sector.BOSON)):
         j0 = 0.5 if other is Sector.FERMION else 1.0
-        f = basis_function(other, j0, TR)
+        f = basis_state(other, j0, TR)
         for p in (PhasePoint(0.2, 0.9), PhasePoint(-0.5, 3.7)):
             worst_cross = max(worst_cross, abs(reproducing_apply(f, p, sector, QUAD)))
     ok = worst_pairs < 1e-5 and worst_idem < 1e-6 and worst_cross < 1e-6

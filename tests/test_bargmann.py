@@ -9,17 +9,14 @@ import numpy as np
 import pytest
 
 from circle_cs.bargmann import (
-    BARGMANN_OPERATOR_KINDS,
+    MAX_N_L,
+    MAX_N_PHI,
     Quadrature,
-    apply_op_bargmann,
-    basis_function,
     covariant_symbol,
     evaluate,
-    from_bargmann,
     inner_quadrature,
     kernel_identity_check,
     reproducing_apply,
-    to_bargmann,
 )
 from circle_cs.coherent import PhasePoint, coherent_state
 from circle_cs.errors import DomainError, ParityError
@@ -27,7 +24,7 @@ from circle_cs.hilbert import (
     Sector,
     Truncation,
     apply_operator,
-    apply_time_reversal,
+    basis_state,
     inner,
     make_state,
     operator_matrix,
@@ -43,25 +40,17 @@ def _random_state(sector, seed):
     return make_state(sector, TR, rng.normal(size=size) + 1j * rng.normal(size=size))
 
 
-def test_round_trip_preserves_everything():
-    s = _random_state(Sector.FERMION, 1)
-    back = from_bargmann(to_bargmann(s))
-    assert back.sector is s.sector
-    assert np.array_equal(back.coeffs, s.coeffs)
-
-
 def test_basis_function_point_value():
-    f = basis_function(Sector.BOSON, 1.0, Truncation(8))
-    val = evaluate(f, PhasePoint(0.3, 0.9))
+    s = basis_state(Sector.BOSON, 1.0, Truncation(8))
+    val = evaluate(s, PhasePoint(0.3, 0.9))
     assert val == pytest.approx(cmath.exp(complex(0.3, 0.9) - 0.5), rel=1e-14)
 
 
 def test_evaluate_agrees_with_coherent_overlap():
     for sector in (Sector.BOSON, Sector.FERMION):
         s = _random_state(sector, 2)
-        f = to_bargmann(s)
         p = PhasePoint(-0.4, 2.2)
-        assert abs(evaluate(f, p) - inner(coherent_state(p, sector, TR), s)) < 1e-12
+        assert abs(evaluate(s, p) - inner(coherent_state(p, sector, TR), s)) < 1e-12
 
 
 def test_quadrature_validation():
@@ -71,6 +60,12 @@ def test_quadrature_validation():
         Quadrature(40, 63)
     with pytest.raises(DomainError):
         Quadrature(40, 2)
+    with pytest.raises(DomainError):
+        Quadrature(MAX_N_L + 1, 64)
+    with pytest.raises(DomainError):
+        Quadrature(40, MAX_N_PHI + 2)
+    assert (MAX_N_L, MAX_N_PHI) == (300, 1024)
+    Quadrature(MAX_N_L, MAX_N_PHI)  # construction is lazy: no nodes are built
     with pytest.raises(DomainError):
         QUAD.grid_values(Sector.BOSON, 40, np.ones(40))
     with pytest.raises(DomainError):
@@ -113,48 +108,24 @@ def test_orthonormality_small_indices():
         for j in js:
             for k in js:
                 val = inner_quadrature(
-                    basis_function(sector, j, TR), basis_function(sector, k, TR), QUAD
+                    basis_state(sector, j, TR), basis_state(sector, k, TR), QUAD
                 )
                 target = 1.0 if j == k else 0.0
                 assert abs(val - target) < 1e-8
 
 
 def test_inner_quadrature_requires_matching_sector():
-    f = basis_function(Sector.BOSON, 0.0, TR)
-    g = basis_function(Sector.FERMION, 0.5, TR)
+    f = basis_state(Sector.BOSON, 0.0, TR)
+    g = basis_state(Sector.FERMION, 0.5, TR)
     with pytest.raises(DomainError):
         inner_quadrature(f, g, QUAD)
 
 
-def test_operator_table_matches_state_actions():
-    for sector in (Sector.BOSON, Sector.FERMION):
-        s = _random_state(sector, 3)
-        for kind in BARGMANN_OPERATOR_KINDS:
-            if kind == "T":
-                expected = to_bargmann(apply_time_reversal(s))
-            else:
-                expected = to_bargmann(apply_operator(kind, s))
-            got = apply_op_bargmann(kind, to_bargmann(s))
-            assert np.max(np.abs(got.coeffs - expected.coeffs)) < 1e-13
-
-
-def test_unknown_bargmann_operator():
-    f = basis_function(Sector.BOSON, 0.0, TR)
-    with pytest.raises(DomainError):
-        apply_op_bargmann("N", f)
-
-
-def test_shift_leakage_is_tracked():
-    f = basis_function(Sector.BOSON, float(TR.j_values(Sector.BOSON)[-1]), TR)
-    shifted = apply_op_bargmann("U", f)
-    assert shifted.leakage == 1.0
-
-
 def test_functional_form_of_U():
     # (U f)(xi*) = f(xi* / e) / (sqrt(e) xi*)
-    f = to_bargmann(_random_state(Sector.BOSON, 4))
+    f = _random_state(Sector.BOSON, 4)
     p = PhasePoint(0.2, 1.0)
-    lhs = evaluate(apply_op_bargmann("U", f), p)
+    lhs = evaluate(apply_operator("U", f), p)
     rhs = (
         evaluate(f, PhasePoint(p.l - 1.0, p.phi))
         * cmath.exp(complex(p.l, p.phi))
@@ -164,9 +135,9 @@ def test_functional_form_of_U():
 
 
 def test_functional_form_of_Xdag_is_multiplication():
-    f = to_bargmann(_random_state(Sector.FERMION, 5))
+    f = _random_state(Sector.FERMION, 5)
     p = PhasePoint(-0.3, 2.6)
-    lhs = evaluate(apply_op_bargmann("Xdag", f), p)
+    lhs = evaluate(apply_operator("Xdag", f), p)
     rhs = evaluate(f, p) * cmath.exp(complex(-p.l, -p.phi))
     assert abs(lhs - rhs) < 1e-12
 
@@ -193,17 +164,17 @@ def test_kernel_identity_generic_points():
 def test_reproducing_property_on_basis_functions():
     for sector in (Sector.BOSON, Sector.FERMION):
         j = 1.0 if sector is Sector.BOSON else 1.5
-        f = basis_function(sector, j, TR)
+        f = basis_state(sector, j, TR)
         p = PhasePoint(0.3, 1.1)
         got = reproducing_apply(f, p, sector, QUAD)
         assert abs(got - evaluate(f, p)) < 1e-7
 
 
 def test_kernel_annihilates_the_opposite_sector():
-    f = basis_function(Sector.FERMION, 0.5, TR)
+    f = basis_state(Sector.FERMION, 0.5, TR)
     val = reproducing_apply(f, PhasePoint(0.2, 0.9), Sector.BOSON, QUAD)
     assert abs(val) < 1e-7
-    g = basis_function(Sector.BOSON, 1.0, TR)
+    g = basis_state(Sector.BOSON, 1.0, TR)
     val = reproducing_apply(g, PhasePoint(0.2, 0.9), Sector.FERMION, QUAD)
     assert abs(val) < 1e-7
 

@@ -167,6 +167,14 @@ def test_evolve_window_too_small_is_domain_error():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("hamiltonian", ["free", "linear"])
+def test_evolve_non_finite_phase_is_domain_error(hamiltonian):
+    res = run_cli("evolve", "--l", "0.1", "--t", "1e308", "--hamiltonian", hamiltonian)
+    assert res.returncode == 2
+    assert "t = 1e+308" in res.stderr
+    assert "Warning" not in res.stderr
+
+
 def test_distribution_stdout():
     res = run_cli("distribution", "--l", "0.8", "--jmax", "3")
     assert res.returncode == 0

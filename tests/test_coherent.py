@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,26 @@ def test_evolve_rejects_unknown_hamiltonian():
     s = coherent_state(PhasePoint(0.0, 0.0), Sector.BOSON, TR)
     with pytest.raises(DomainError):
         evolve(s, "free", 1.0)
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, t",
+    [
+        (FreeRotor(), 1e308),
+        (FreeRotor(), math.inf),
+        (FreeRotor(), math.nan),
+        (Linear(0.1), 1e308),
+        (Linear(0.1), -math.inf),
+        (Linear(0.0), math.inf),
+    ],
+    ids=repr,
+)
+def test_evolve_rejects_non_finite_phase(hamiltonian, t):
+    s = coherent_state(PhasePoint(0.1, 0.0), Sector.BOSON, TR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="t = "):
+            evolve(s, hamiltonian, t)
 
 
 def test_eigenstate_relation_on_interior():

@@ -61,6 +61,8 @@ def test_index_parity_and_window_errors():
     with pytest.raises(WindowError):
         t.index_of(Sector.BOSON, 10)
     assert t.index_of(Sector.FERMION, 1) == 3
+    with pytest.raises(ParityError):
+        basis_state(Sector.BOSON, 0.25, t)
 
 
 def test_basis_state_is_unit():
