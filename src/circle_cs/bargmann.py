@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
-from .coherent import PhasePoint, _coherent_coeffs, norm_sq
+from .coherent import PhasePoint, _coherent_coeffs, _single, norm_sq
 from .theta import _EXP_LIMIT, DEFAULT_CONTROL, SeriesControl, gaussian_lattice_sum
 
 __all__ = [
@@ -156,6 +156,7 @@ def evaluate(f: StateVector, p: PhasePoint) -> complex:
     The monomials e^(-j^2/2) xi*^(-j) are taken through the canonical
     chart and built here, independently of coherent_state.
     """
+    _single(p)
     j = f.j_values()
     exponents = j * complex(p.l, p.phi) - 0.5 * j * j
     occupied = np.abs(f.coeffs) > 0.0
@@ -207,6 +208,7 @@ def reproducing_apply(
     (to quadrature accuracy) when f lies in the opposite sector: the
     kernel acts as the projector onto its own sector.
     """
+    _single(p)
     lv, phi, weights = quad.nodes()
     kernel = _kernel_on_grid(p, lv, phi, sector, conjugate_point=True, ctl=ctl)
     values = quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
@@ -226,6 +228,7 @@ def kernel_identity_check(
     K(xi_1*, xi) K(xi*, xi_2) over xi.  The two agree to quadrature
     accuracy because the kernel reproduces itself.
     """
+    _single(p1, p2)
     w = complex(-(p1.l + p2.l), p2.phi - p1.phi)
     lhs = complex(gaussian_lattice_sum(w, half=(sector is Sector.FERMION), ctl=ctl))
     lv, phi, weights = quad.nodes()
@@ -254,6 +257,7 @@ def covariant_symbol(
     The symbol is the normalized diagonal matrix element of A between
     coherent states; for A the matrix of X it equals the eigenvalue xi.
     """
+    _single(p)
     a = np.asarray(op_matrix, dtype=np.complex128)
     trunc = _window_for_matrix(a, sector)
     j = trunc.j_values(sector)

@@ -42,7 +42,7 @@ from .coherent import (
     uncertainty_QP,
 )
 from .errors import CircleError, ConfigError, DomainError
-from .hilbert import Sector, Truncation, state_to_json
+from .hilbert import Sector, Truncation, apply_operator, state_to_json
 from .theta import SeriesControl, ThetaArg, theta
 from .verify import load_config, run_verify
 
@@ -146,21 +146,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if not args.l_max > args.l_min:
         raise ConfigError("--l-max must exceed --l-min")
     sector = Sector.from_name(args.sector)
+    l = np.linspace(args.l_min, args.l_max, args.n)
+    p = PhasePoint(l, 0.0)
+    if args.obs == "J":
+        exact = expect_J(p, sector)
+        approx = approx_expect_J(l, sector)
+        deviation = np.abs(exact - l)
+    else:  # U
+        exact = np.abs(expect_U(p, sector))
+        approx = np.full_like(l, math.exp(-0.25))
+        deviation = np.abs(exact - approx)
     rows = ["l,exact,approx,deviation"]
-    for l in np.linspace(args.l_min, args.l_max, args.n):
-        l = float(l)
-        p = PhasePoint(l, 0.0)
-        if args.obs == "J":
-            exact = expect_J(p, sector)
-            approx = approx_expect_J(l, sector)
-            deviation = abs(exact - l)
-        else:  # U
-            exact = abs(expect_U(p, sector))
-            approx = math.exp(-0.25)
-            deviation = abs(exact - approx)
-        rows.append(
-            ",".join(_fmt(x, args.digits) for x in (l, exact, approx, deviation))
-        )
+    for row in np.stack([l, exact, approx, deviation], axis=1).tolist():
+        rows.append(",".join(_fmt(x, args.digits) for x in row))
     _write_text(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -170,9 +168,7 @@ def _windowed_expectations(state) -> tuple[float, complex]:
     weights = np.abs(state.coeffs) ** 2
     norm_sq = float(np.sum(weights))
     mean_j = float(np.sum(j * weights) / norm_sq)
-    shifted = np.zeros_like(state.coeffs)
-    shifted[1:] = state.coeffs[:-1]
-    mean_u = complex(np.vdot(state.coeffs, shifted) / norm_sq)
+    mean_u = complex(np.vdot(state.coeffs, apply_operator("U", state).coeffs) / norm_sq)
     return mean_j, mean_u
 
 

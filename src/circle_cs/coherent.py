@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,24 +74,42 @@ class PhasePoint:
 
     xi and log(xi) = -l + i*phi are always derived from the stored
     pair, so half-integer powers xi^(-j) never hit a branch ambiguity.
+
+    l and phi may be arrays that broadcast together; the point then
+    stands for a grid of points of the broadcast shape, and expect_J,
+    expect_U, expect_expJ and heisenberg_expectations evaluate all of
+    it in one call.  Scalars are stored as floats, arrays as float
+    ndarrays.
     """
 
-    l: float
-    phi: float
+    l: float | np.ndarray
+    phi: float | np.ndarray
+    # broadcast shape of l and phi; () for a single point
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.l) and math.isfinite(self.phi)):
+        l = np.asarray(self.l, dtype=float)
+        phi = np.asarray(self.phi, dtype=float)
+        try:
+            shape = np.broadcast(l, phi).shape
+        except ValueError:
+            raise DomainError(
+                f"l of shape {l.shape} and phi of shape {phi.shape} do not broadcast"
+            ) from None
+        if not (np.isfinite(l).all() and np.isfinite(phi).all()):
             raise DomainError("phase-space coordinates must be finite")
-        object.__setattr__(self, "l", float(self.l))
-        object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
+        phi = phi % _TWO_PI
+        object.__setattr__(self, "l", float(l) if l.ndim == 0 else l)
+        object.__setattr__(self, "phi", float(phi) if phi.ndim == 0 else phi)
+        object.__setattr__(self, "shape", shape)
 
     @property
-    def xi(self) -> complex:
-        return cmath.exp(complex(-self.l, self.phi))
+    def xi(self) -> complex | np.ndarray:
+        return _shaped(np.exp(self.log_xi), self.shape, complex)
 
     @property
-    def log_xi(self) -> complex:
-        return complex(-self.l, self.phi)
+    def log_xi(self) -> complex | np.ndarray:
+        return _shaped(-self.l + 1j * self.phi, self.shape, complex)
 
 
 @dataclass(frozen=True)
@@ -108,6 +126,20 @@ class Linear:
 
 def _half(sector: Sector) -> bool:
     return sector is Sector.FERMION
+
+
+def _shaped(value, shape: tuple[int, ...], kind: type):
+    """value as a Python kind for shape (), else broadcast to shape as a new array."""
+    return kind(value) if shape == () else np.broadcast_to(value, shape).astype(kind)
+
+
+def _single(*points: PhasePoint) -> None:
+    """Raise DomainError unless every point is one point, not a grid."""
+    for p in points:
+        if p.shape != ():
+            raise DomainError(
+                f"expected a single phase-space point, got a grid of shape {p.shape}"
+            )
 
 
 def required_two_jmax(l: float, tol: float = 1e-12) -> int:
@@ -133,6 +165,7 @@ def coherent_state(
     TruncationError when the window cannot hold the Gaussian envelope
     down to window_tol.
     """
+    _single(p)
     needed = required_two_jmax(p.l, window_tol)
     if trunc.two_jmax < needed:
         raise TruncationError(
@@ -156,45 +189,54 @@ def overlap_closed(
     (i/2pi)*w with modulus i/pi; w is assembled from the stored (l, phi)
     pairs, never from a recomputed complex logarithm.
     """
+    _single(p1, p2)
     w = complex(-(p1.l + p2.l), p2.phi - p1.phi)
     return complex(gaussian_lattice_sum(w, half=_half(sector), ctl=ctl))
 
 
 def norm_sq(p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """<xi|xi> = S(2l); positive, independent of phi."""
+    _single(p)
     return complex(gaussian_lattice_sum(2.0 * p.l, half=_half(sector), ctl=ctl)).real
 
 
-def expect_J(p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def expect_J(
+    p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
+) -> float | np.ndarray:
     """<J> = l + (1/2) (d/dv) ln theta_{3|4}(v|i*pi) at v = l.
 
-    Exactly l when 2l is an even (boson) or odd (fermion) integer.
+    Exactly l when 2l is an even (boson) or odd (fermion) integer.  A
+    grid point gives an array of its shape in one log-derivative call.
     """
     kind = 3 if sector is Sector.BOSON else 4
     derivative = theta_log_derivative(kind, ThetaArg(p.l, 1j * math.pi), ctl)
-    return p.l + 0.5 * derivative.real
+    return _shaped(p.l + 0.5 * np.real(derivative), p.shape, float)
 
 
-def approx_expect_J(l: float, sector: Sector) -> float:
-    """l -+ 2 pi e^(-pi^2) sin(2 pi l): boson minus, fermion plus."""
+def approx_expect_J(l: float | np.ndarray, sector: Sector) -> float | np.ndarray:
+    """l -+ 2 pi e^(-pi^2) sin(2 pi l): boson minus, fermion plus; elementwise in l."""
     sign = -1.0 if sector is Sector.BOSON else 1.0
-    return l + sign * J_DEVIATION_AMPLITUDE * math.sin(_TWO_PI * l)
+    return _shaped(l + sign * J_DEVIATION_AMPLITUDE * np.sin(_TWO_PI * l), np.shape(l), float)
 
 
-def expect_U(p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def expect_U(
+    p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
+) -> complex | np.ndarray:
     """<U> = e^(-1/4) e^(i phi) S_opp(2l)/S(2l).
 
     S_opp runs over the opposite lattice (half-integers for bosons and
     vice versa); the ratio is a positive theta quotient, so the phase
-    of <U> is exactly phi.
+    of <U> is exactly phi.  A grid point takes one lattice-sum call per
+    lattice and gives an array of its shape.
     """
-    num = complex(gaussian_lattice_sum(2.0 * p.l, half=not _half(sector), ctl=ctl)).real
-    den = complex(gaussian_lattice_sum(2.0 * p.l, half=_half(sector), ctl=ctl)).real
-    return math.exp(-0.25) * (num / den) * cmath.exp(1j * p.phi)
+    num = np.real(gaussian_lattice_sum(2.0 * p.l, half=not _half(sector), ctl=ctl))
+    den = np.real(gaussian_lattice_sum(2.0 * p.l, half=_half(sector), ctl=ctl))
+    return _shaped(math.exp(-0.25) * (num / den) * np.exp(1j * p.phi), p.shape, complex)
 
 
 def approx_expect_U(p: PhasePoint) -> complex:
     """e^(-1/4) e^(i phi), the flat-modulus approximation of <U>."""
+    _single(p)
     return cmath.exp(complex(-0.25, p.phi))
 
 
@@ -202,6 +244,7 @@ def relative_expect_U(
     p: PhasePoint, ref: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> complex:
     """expect_U(p)/expect_U(ref); with ref = (0, 0) approximately e^(i phi)."""
+    _single(ref)
     reference = expect_U(ref, sector, ctl)
     if abs(reference) < 1e-12:
         raise SingularityError("reference expectation of U is too close to zero")
@@ -209,23 +252,27 @@ def relative_expect_U(
 
 
 def expect_expJ(
-    s: float, p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
-) -> tuple[float, float]:
+    s: float | np.ndarray, p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(exact, approx) for <e^(sJ)> = S(2l+s)/S(2l) vs e^(s^2/4 + s*l).
 
     The case s = -2 is exact in closed form: e^(1-2l), which is
-    <Xdag X>/<xi|xi> times e.
+    <Xdag X>/<xi|xi> times e.  s may be an array broadcasting with the
+    point; both results then have the broadcast shape.
     """
     half = _half(sector)
+    shape = np.broadcast_shapes(np.shape(s), p.shape)
     exact = (
-        complex(gaussian_lattice_sum(2.0 * p.l + s, half=half, ctl=ctl)).real
-        / complex(gaussian_lattice_sum(2.0 * p.l, half=half, ctl=ctl)).real
+        np.real(gaussian_lattice_sum(2.0 * p.l + s, half=half, ctl=ctl))
+        / np.real(gaussian_lattice_sum(2.0 * p.l, half=half, ctl=ctl))
     )
-    return exact, approx_expJ(s, p.l)
+    return _shaped(exact, shape, float), _shaped(approx_expJ(s, p.l), shape, float)
 
 
-def approx_expJ(s: float, l: float) -> float:
-    return math.exp(0.25 * s * s + s * l)
+def approx_expJ(s: float | np.ndarray, l: float | np.ndarray) -> float | np.ndarray:
+    """e^(s^2/4 + s*l), elementwise over broadcasting s and l."""
+    value = np.exp(0.25 * s * s + s * l)
+    return _shaped(value, np.shape(value), float)
 
 
 def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
@@ -256,8 +303,8 @@ def _require_finite_phase(t: float, edge_phase: float, j_edge: float) -> None:
 
 
 def heisenberg_expectations(
-    p: PhasePoint, t: float, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
-) -> dict[str, complex]:
+    p: PhasePoint, t: float | np.ndarray, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
+) -> dict[str, complex | np.ndarray]:
     """Exact <U(t)> and <X(t)> under free motion, normalized by <xi|xi>.
 
     With U(t) = U e^(it(J+1/2)) and X(t) = e^(it(J-1/2)) X, the series
@@ -265,23 +312,32 @@ def heisenberg_expectations(
 
         <U(t)> = e^(-1/4) e^(i phi) S_opp(w) / S(2l)
         <X(t)> = xi e^(-it/2) S(w) / S(2l)
+
+    t may be an array broadcasting with the point; both values then
+    have the broadcast shape, from three lattice-sum calls in all.
     """
     half = _half(sector)
-    w = complex(2.0 * p.l, t)
-    den = complex(gaussian_lattice_sum(2.0 * p.l, half=half, ctl=ctl)).real
-    num_u = complex(gaussian_lattice_sum(w, half=not half, ctl=ctl))
-    num_x = complex(gaussian_lattice_sum(w, half=half, ctl=ctl))
-    u_t = math.exp(-0.25) * cmath.exp(1j * p.phi) * num_u / den
-    x_t = p.xi * cmath.exp(-0.5j * t) * num_x / den
-    return {"U_t": u_t, "X_t": x_t}
+    shape = np.broadcast_shapes(np.shape(t), p.shape)
+    w = 2.0 * p.l + 1j * t
+    den = np.real(gaussian_lattice_sum(2.0 * p.l, half=half, ctl=ctl))
+    num_u = gaussian_lattice_sum(w, half=not half, ctl=ctl)
+    num_x = gaussian_lattice_sum(w, half=half, ctl=ctl)
+    # real factors first, so each value takes one complex product: numpy
+    # rounds complex products of arrays and of scalars differently
+    u_t = (math.exp(-0.25) / den) * np.exp(1j * p.phi) * num_u
+    x_t = (np.exp(-p.l) / den) * np.exp(1j * (p.phi - 0.5 * t)) * num_x
+    return {"U_t": _shaped(u_t, shape, complex), "X_t": _shaped(x_t, shape, complex)}
 
 
-def heisenberg_approximation(p: PhasePoint, t: float) -> dict[str, complex]:
-    """Gaussian-envelope approximations of <U(t)> and <X(t)>."""
+def heisenberg_approximation(
+    p: PhasePoint, t: float | np.ndarray
+) -> dict[str, complex | np.ndarray]:
+    """Gaussian-envelope approximations of <U(t)> and <X(t)>, elementwise in p and t."""
+    shape = np.broadcast_shapes(np.shape(t), p.shape)
     damp = -0.25 * t * t
-    u_t = cmath.exp(complex(damp - 0.25, p.phi + t * p.l))
-    x_t = cmath.exp(complex(damp - p.l, p.phi + t * (p.l - 0.5)))
-    return {"U_t": u_t, "X_t": x_t}
+    u_t = np.exp((damp - 0.25) + 1j * (p.phi + t * p.l))
+    x_t = np.exp((damp - p.l) + 1j * (p.phi + t * (p.l - 0.5)))
+    return {"U_t": _shaped(u_t, shape, complex), "X_t": _shaped(x_t, shape, complex)}
 
 
 def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float]:
@@ -292,6 +348,7 @@ def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float]:
     product Delta Q * Delta P sits exactly on the bound --- for every
     (l, phi) and in both sectors.
     """
+    _single(p)
     spread = 0.5 * math.exp(-p.l) * math.sqrt(math.exp(2.0) - 1.0)
     bound = 0.25 * (math.exp(2.0) - 1.0) * math.exp(-2.0 * p.l)
     return {"dQ": spread, "dP": spread, "bound": bound}
@@ -314,6 +371,7 @@ def energy_distribution(
         raise DomainError("energy_distribution defaults to bosons; pass allow_fermion=True")
     if jmax < 1:
         raise DomainError("jmax must be at least 1")
+    _single(p)
     norm = complex(gaussian_lattice_sum(2.0 * p.l, half=_half(sector), ctl=ctl)).real
     trunc = Truncation(max(2, int(math.floor(2.0 * jmax))))
     j = trunc.j_values(sector)

@@ -46,15 +46,20 @@ _EXP_LIMIT = 700.0
 
 @dataclass(frozen=True)
 class ThetaArg:
-    """Argument pair (v, tau) with tau restricted to the upper half-plane."""
+    """Argument pair (v, tau) with tau restricted to the upper half-plane.
 
-    v: complex
+    v may be an array of arguments sharing one tau; it is stored as a
+    complex scalar, or as a complex ndarray when it has dimensions.
+    """
+
+    v: complex | np.ndarray
     tau: complex
 
     def __post_init__(self) -> None:
-        v = complex(self.v)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        v = np.asarray(self.v, dtype=np.complex128)
+        if not np.isfinite(v).all():
             raise DomainError("theta argument v must be finite")
+        object.__setattr__(self, "v", complex(v) if v.ndim == 0 else v)
         tau = complex(self.tau)
         if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
             raise DomainError("theta modulus tau must be finite")
@@ -115,7 +120,12 @@ def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesC
     lin_arr = np.asarray(lin, dtype=np.complex128)
     scalar = lin_arr.ndim == 0
     decay = -complex(curv).real
-    drift = float(np.max(np.abs(lin_arr.real))) if lin_arr.size else 0.0
+    drift = float(np.abs(lin_arr.real).max(initial=0.0))
+    # an infinite real part is an overflow, caught by the pair count
+    if math.isnan(drift) or not np.isfinite(lin_arr.imag).all():
+        raise DomainError(
+            "lattice-sum argument is not finite (NaN, or overflowed from a huge input)"
+        )
     pairs = _pair_count(decay, drift, ctl, half)
 
     acc = np.zeros_like(lin_arr)
@@ -130,9 +140,12 @@ def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesC
     return complex(acc) if scalar else acc
 
 
-def theta(kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL) -> complex:
+def theta(
+    kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL
+) -> complex | np.ndarray:
     """Evaluate theta_kind(v | tau) for kind in {2, 3, 4}.
 
+    Returns a complex, or an array of v's shape when arg.v is an array.
     Every term omitted from the defining series is bounded in modulus by
     ctl.tol.  Raises DomainError for tau outside the upper half-plane,
     ConvergenceError if the tolerance needs more than ctl.n_max term
@@ -144,7 +157,7 @@ def theta(kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL) -> com
     if tau.imag <= 0.0:
         raise DomainError(f"tau = {tau} is not in the upper half-plane")
     curv = 1j * math.pi * tau
-    lin = 2j * math.pi * complex(arg.v)
+    lin = 2j * math.pi * arg.v
     return _lattice_sum(curv, lin, half=(kind == 2), alternating=(kind == 4), ctl=ctl)
 
 
@@ -159,34 +172,42 @@ def gaussian_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CON
 
 def theta_log_derivative(
     kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex:
+) -> complex | np.ndarray:
     """(d/dv) log theta_kind(v | tau) for kind in {3, 4}.
 
-    Uses the product form of the theta function, whose v-derivative is a
-    rapidly converging series in q^(2n-1):
+    Uses the product form of the theta function (DLMF 20.5), whose
+    v-derivative is a rapidly converging series in q^(2n-1):
 
         kind 3:  pi * sum_{n>=1} [ 2i y x / (1 + y x) - 2i y / x / (1 + y / x) ]
         kind 4:  pi * sum_{n>=1} [ 2i y / x / (1 - y / x) - 2i y x / (1 - y x) ]
 
-    with y = q^(2n-1) and x = exp(2 i pi v).  Raises SingularityError when
-    v is too close to a zero of theta_kind, where the derivative diverges.
+    with y = q^(2n-1) and x = exp(2 i pi v).  arg.v may be an array: the
+    series then runs over all of it at once, until the omitted tail is
+    below ctl.tol at every element, and the result has v's shape (a
+    complex for a scalar v).  Raises SingularityError when some v is
+    too close to a zero of theta_kind, where the derivative diverges.
     """
     if kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
     value = theta(kind, arg, ctl)
     origin = theta(kind, ThetaArg(0.0 + 0.0j, arg.tau), ctl)
-    if abs(value) < 1e-10 * abs(origin):
+    near_zero = np.abs(value) < 1e-10 * abs(origin)
+    if near_zero.any():
+        v = complex(np.ravel(arg.v)[np.argmax(near_zero)])
         raise SingularityError(
-            f"theta_{kind}({arg.v!r} | {arg.tau!r}) is within 1e-10 of a zero"
+            f"theta_{kind}({v!r} | {arg.tau!r}) is within 1e-10 of a zero"
         )
 
     tau = complex(arg.tau)
     q = cmath.exp(1j * math.pi * tau)
-    x_plus = cmath.exp(2j * math.pi * complex(arg.v))
-    x_minus = cmath.exp(-2j * math.pi * complex(arg.v))
-    x_norm = max(abs(x_plus), abs(x_minus))
+    x_plus = np.exp(2j * math.pi * arg.v)
+    x_minus = np.exp(-2j * math.pi * arg.v)
+    # the tail bound of the largest |x| bounds the tail of every element
+    size_plus, size_minus = np.abs(x_plus), np.abs(x_minus)
+    x_norm = float(np.maximum(size_plus, size_minus).max(initial=0.0))
+    x_reach = float((size_plus + size_minus).max(initial=0.0))
 
-    total = 0.0 + 0.0j
+    total = np.zeros_like(x_plus)
     for n in range(1, ctl.n_max + 1):
         y = q ** (2 * n - 1)
         yn = abs(y)
@@ -195,16 +216,17 @@ def theta_log_derivative(
             # once yn*x_norm < 1, so just keep going.
             bound = math.inf
         else:
-            bound = 2.0 * math.pi * yn * (abs(x_plus) + abs(x_minus)) / (1.0 - yn * x_norm)
+            bound = 2.0 * math.pi * yn * x_reach / (1.0 - yn * x_norm)
         tp = y * x_plus
         tm = y * x_minus
         if kind == 3:
             term = 2j * (tp / (1.0 + tp) - tm / (1.0 + tm))
         else:
             term = 2j * (tm / (1.0 - tm) - tp / (1.0 - tp))
-        total += term
+        total = total + term
         if bound <= ctl.tol:
-            return math.pi * total
+            result = math.pi * total
+            return complex(result) if result.ndim == 0 else result
     raise ConvergenceError(
         f"log-derivative series did not reach tol={ctl.tol} within {ctl.n_max} terms"
     )

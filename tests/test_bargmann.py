@@ -219,3 +219,17 @@ def test_kernel_symmetry_under_argument_swap():
         k12 = complex(gaussian_lattice_sum(complex(-(p1.l + p2.l), p2.phi - p1.phi), half=half))
         k21 = complex(gaussian_lattice_sum(complex(-(p1.l + p2.l), p1.phi - p2.phi), half=half))
         assert k12 == k21.conjugate()
+
+
+def test_point_functions_reject_grids():
+    grid = PhasePoint(np.array([0.1, 0.2]), 0.0)
+    origin = PhasePoint(0.0, 0.0)
+    s = basis_state(Sector.BOSON, 0.0, TR)
+    for call in (
+        lambda: evaluate(s, grid),
+        lambda: reproducing_apply(s, grid, Sector.BOSON, QUAD),
+        lambda: kernel_identity_check(origin, grid, Sector.BOSON, QUAD),
+        lambda: covariant_symbol(operator_matrix("X", Sector.BOSON, TR), grid, Sector.BOSON),
+    ):
+        with pytest.raises(DomainError, match="single phase-space point"):
+            call()

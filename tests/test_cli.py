@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from circle_cs.bargmann import MAX_N_L, MAX_N_PHI
 from circle_cs.errors import ConfigError
 from circle_cs.hilbert import state_from_json
 from circle_cs.verify import CONFIG_CAPS, validate_config
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(*args: str, env_extra: dict | None = None):
@@ -126,6 +130,23 @@ def test_scan_rejects_infinite_bound():
     assert "Warning" not in res.stderr
 
 
+def test_readme_scan_matches_golden_csv():
+    # scan.csv of the README command, as written by the per-point scan loop
+    res = run_cli("scan", "--obs", "J", "--l-min", "0", "--l-max", "1", "--n", "101",
+                  "--sector", "boson", "--out", "-")
+    assert res.returncode == 0
+    assert res.stdout == (DATA / "scan_J_boson_0_1_101.csv").read_text()
+
+
+@pytest.mark.parametrize("sector", ["boson", "fermion"])
+def test_scan_past_the_range_is_overflow_error(sector):
+    res = run_cli("scan", "--obs", "U", "--l-min", "-27", "--l-max", "27", "--n", "101",
+                  "--sector", sector, "--out", "-")
+    assert res.returncode == 2
+    assert "exceeds the floating-point range" in res.stderr
+    assert "Warning" not in res.stderr
+
+
 def test_scan_writes_file(tmp_path):
     out = tmp_path / "scan.csv"
     res = run_cli("scan", "--obs", "U", "--l-min", "-1", "--l-max", "1", "--n", "9", "--out", str(out))
@@ -160,6 +181,27 @@ def test_evolve_free_conserves_j():
     payload = json.loads(res.stdout)
     assert payload["residual"] < 1e-13
     assert payload["hamiltonian"] == "free"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (
+        ["--l", "0.5", "--phi", "0.0", "--hamiltonian", "linear", "--omega", "0.3", "--t", "2.0"],
+        '{"expect_J": 0.5, "expect_U_im": 0.439834989691203, "expect_U_re": 0.6429050218147704, '
+        '"hamiltonian": "linear", "l": 0.5, "leakage": 0.0, "norm": 1.5085225763553423, '
+        '"omega": 0.3, "phi": 0.0, "residual": 0.0, "sector": "boson", "t": 2.0, "two_jmax": 40}\n',
+    ),
+    (
+        ["--l", "-0.7", "--phi", "2.5", "--sector", "fermion", "--t", "1.3"],
+        '{"expect_J": -0.6996909294811552, "expect_U_im": 0.5098645670316452, '
+        '"expect_U_re": -0.008301533935735956, "hamiltonian": "free", "l": -0.7, "leakage": 0.0, '
+        '"norm": 1.700969622344789, "phi": 2.5, "residual": 0.0, "sector": "fermion", "t": 1.3, '
+        '"two_jmax": 40}\n',
+    ),
+], ids=["linear", "free"])
+def test_evolve_summary_is_pinned_to_17_digits(argv, expected):
+    res = run_cli("evolve", *argv, "--digits", "17")
+    assert res.returncode == 0
+    assert res.stdout == expected
 
 
 def test_evolve_window_too_small_is_domain_error():
@@ -208,13 +250,28 @@ def test_verify_rejects_oversized_window(tmp_path):
     assert "two_jmax must be <= 600" in res.stderr
 
 
-@pytest.mark.parametrize("key", sorted(CONFIG_CAPS))
+# the quadrature orders are capped by Quadrature, the rest by CONFIG_CAPS
+ALL_CAPS = {**CONFIG_CAPS, "n_l": MAX_N_L, "n_phi": MAX_N_PHI}
+
+
+@pytest.mark.parametrize("key", sorted(ALL_CAPS))
 def test_verify_config_caps(key):
     # validation only: the capped battery is never run here
-    cap = CONFIG_CAPS[key]
+    cap = ALL_CAPS[key]
     assert validate_config({key: cap})[key] == cap
     with pytest.raises(ConfigError, match=key):
         validate_config({key: cap + 2})
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"n_l": 1}, "n_l must lie in [2, 300], got 1"),
+    ({"n_phi": 63}, "n_phi must be even and in [4, 1024], got 63"),
+    ({"n_phi": 2}, "n_phi must be even and in [4, 1024], got 2"),
+])
+def test_verify_config_quadrature_orders(overrides, message):
+    with pytest.raises(ConfigError) as info:
+        validate_config(overrides)
+    assert str(info.value) == message
 
 
 def test_verify_honors_environment_config(tmp_path):

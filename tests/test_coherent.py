@@ -31,7 +31,7 @@ from circle_cs.coherent import (
     required_two_jmax,
     uncertainty_QP,
 )
-from circle_cs.errors import DomainError, TruncationError
+from circle_cs.errors import DomainError, RangeOverflowError, TruncationError
 from circle_cs.hilbert import (
     Sector,
     Truncation,
@@ -357,3 +357,141 @@ def test_time_reversal_flips_l():
         flipped = apply_time_reversal(state)
         target = coherent_state(PhasePoint(-l, phi), sector, TR)
         assert np.max(np.abs(flipped.coeffs - target.coeffs)) == 0.0
+
+
+# ------------------------------------------------------- batched evaluation
+
+
+def _within_ulps(batch, scalars, ulps=2.0):
+    """Every element within `ulps` units in the last place of its scalar value's modulus."""
+    batch, scalars = np.asarray(batch), np.asarray(scalars)
+    return bool(np.all(np.abs(batch - scalars) <= ulps * np.spacing(np.abs(scalars))))
+
+
+SCAN_NARROW = np.linspace(-2.0, 2.0, 101)
+SCAN_WIDE = np.linspace(-20.0, 20.0, 101)
+PHIS = np.array([0.0, 1.234, math.pi, 5.0])
+VERIFY_L = np.linspace(-1.0, 1.0, 21)
+MOMENT_GRID = np.linspace(-2.0, 2.0, 21)
+
+# name -> (batched call, l, phi, extra argument s or t); the verify
+# grids are those of the expectU, momentgen and heisenberg checks
+BATCHED = {
+    "J-scan-narrow": (expect_J, SCAN_NARROW, 0.0, None),
+    "J-scan-wide": (expect_J, SCAN_WIDE, 0.0, None),
+    "J-verify-deviation": (expect_J, np.linspace(0.0, 1.0, 101), 0.0, None),
+    "U-scan-narrow": (expect_U, SCAN_NARROW, 0.0, None),
+    "U-scan-wide": (expect_U, SCAN_WIDE, 0.0, None),
+    "U-verify-phase": (expect_U, VERIFY_L[:, None], PHIS, None),
+    "U-verify-modulus": (expect_U, np.linspace(-1.0, 1.0, 81), 0.0, None),
+    "expJ-verify-s-minus-2": (expect_expJ, np.linspace(-2.0, 2.0, 41), 0.0, -2.0),
+    "expJ-verify-ratio": (expect_expJ, MOMENT_GRID, 0.0, MOMENT_GRID[:, None]),
+    "heisenberg-verify": (
+        heisenberg_expectations, VERIFY_L[:, None], 0.7, np.linspace(-2.0, 2.0, 21)
+    ),
+}
+
+
+def _call(fn, p, extra, sector):
+    if fn is expect_expJ:
+        return fn(extra, p, sector)
+    if fn is heisenberg_expectations:
+        return fn(p, extra, sector)
+    return fn(p, sector)
+
+
+def _parts(result):
+    """The numbers of one result, in a fixed order."""
+    if isinstance(result, dict):
+        return [result["U_t"], result["X_t"]]
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_batched_expectations_match_scalar_calls(name, sector):
+    fn, l, phi, extra = BATCHED[name]
+    batch = _parts(_call(fn, PhasePoint(l, phi), extra, sector))
+    shape = np.broadcast_shapes(np.shape(l), np.shape(phi), np.shape(extra))
+    cases = np.broadcast(l, phi, np.zeros(()) if extra is None else extra)
+    scalars = [
+        _parts(_call(fn, PhasePoint(float(a), float(b)), float(c), sector)) for a, b, c in cases
+    ]
+    for k, part in enumerate(batch):
+        assert isinstance(part, np.ndarray) and part.shape == shape
+        assert _within_ulps(part, np.reshape([s[k] for s in scalars], shape))
+
+
+def test_scalar_expectations_return_python_numbers():
+    p = PhasePoint(0.3, 1.2)
+    assert type(p.l) is float and type(p.phi) is float
+    assert type(expect_J(p, Sector.BOSON)) is float
+    assert type(expect_U(p, Sector.FERMION)) is complex
+    assert [type(v) for v in expect_expJ(0.5, p, Sector.BOSON)] == [float, float]
+    assert {type(v) for v in heisenberg_expectations(p, 0.4, Sector.BOSON).values()} == {complex}
+    assert type(p.xi) is complex and type(approx_expect_J(0.3, Sector.BOSON)) is float
+
+
+def test_phase_point_grid_is_validated_and_normalized():
+    p = PhasePoint(np.linspace(-1.0, 1.0, 3)[:, None], np.array([7.0, -0.5]))
+    assert p.shape == (3, 2)
+    assert np.array_equal(p.phi, [7.0 - 2.0 * math.pi, 2.0 * math.pi - 0.5])
+    assert np.array_equal(p.xi, np.exp(-p.l + 1j * p.phi))
+    with pytest.raises(DomainError, match="broadcast"):
+        PhasePoint(np.zeros(3), np.zeros(4))
+
+
+def test_one_non_finite_element_is_domain_error():
+    grid = np.array([0.1, 0.2, math.nan])
+    with pytest.raises(DomainError):
+        PhasePoint(grid, 0.0)
+    with pytest.raises(DomainError):
+        PhasePoint(0.1, np.array([0.0, math.inf]))
+    p = PhasePoint(np.array([0.1, 0.2, 0.3]), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError):
+            heisenberg_expectations(p, grid, Sector.BOSON)
+        with pytest.raises(DomainError):
+            expect_expJ(grid, p, Sector.FERMION)
+
+
+def test_wide_grid_past_the_range_overflows_without_warnings():
+    # S(2l) peaks at e^(l^2), past the double range once |l| > 26.45
+    p = PhasePoint(np.linspace(-27.0, 27.0, 101), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sector in (Sector.BOSON, Sector.FERMION):
+            for call in (
+                lambda: expect_U(p, sector),
+                lambda: expect_expJ(0.5, p, sector),
+                lambda: heisenberg_expectations(p, 1.0, sector),
+            ):
+                with pytest.raises(RangeOverflowError):
+                    call()
+            # <J> goes through theta_3/theta_4 at v = l, which stay in range
+            assert np.all(np.isfinite(expect_J(p, sector)))
+
+
+def test_empty_and_single_point_grids():
+    empty = PhasePoint(np.array([]), 0.0)
+    assert expect_J(empty, Sector.BOSON).shape == (0,)
+    assert expect_U(empty, Sector.FERMION).shape == (0,)
+    assert heisenberg_expectations(empty, 0.5, Sector.BOSON)["X_t"].shape == (0,)
+    single = PhasePoint(np.array([0.4]), 1.0)
+    assert expect_J(single, Sector.FERMION)[0] == expect_J(PhasePoint(0.4, 1.0), Sector.FERMION)
+    assert expect_U(single, Sector.BOSON)[0] == expect_U(PhasePoint(0.4, 1.0), Sector.BOSON)
+
+
+def test_single_point_functions_reject_grids():
+    grid = PhasePoint(np.array([0.1, 0.2]), 0.0)
+    for call in (
+        lambda: coherent_state(grid, Sector.BOSON, TR),
+        lambda: norm_sq(grid, Sector.BOSON),
+        lambda: overlap_closed(grid, PhasePoint(0.0, 0.0), Sector.BOSON),
+        lambda: uncertainty_QP(grid, Sector.BOSON),
+        lambda: energy_distribution(grid, Sector.BOSON),
+        lambda: relative_expect_U(PhasePoint(0.0, 0.0), grid, Sector.BOSON),
+    ):
+        with pytest.raises(DomainError, match="single phase-space point"):
+            call()

@@ -194,3 +194,85 @@ def test_tight_tolerance_still_converges():
     loose = complex(gaussian_lattice_sum(3.0))
     tight = complex(gaussian_lattice_sum(3.0, ctl=SeriesControl(tol=1e-30, n_max=100)))
     assert abs(loose - tight) <= 1e-14 * abs(tight)
+
+
+# ---------------------------------------------------------------- arrays
+
+
+def _within_ulps(batch, scalars, ulps=2.0):
+    """Every element within `ulps` units in the last place of its scalar value's modulus."""
+    batch, scalars = np.asarray(batch), np.asarray(scalars)
+    return bool(np.all(np.abs(batch - scalars) <= ulps * np.spacing(np.abs(scalars))))
+
+
+LOG_DERIVATIVE_GRIDS = {
+    # the v = l grids of expect_J: scan narrow and wide, the verify deviation grid
+    "scan-narrow": np.linspace(-2.0, 2.0, 101),
+    "scan-wide": np.linspace(-20.0, 20.0, 101),
+    "verify-deviation": np.linspace(0.0, 1.0, 101),
+    # the theta-logderiv-fd grid
+    "verify-fd": np.linspace(-0.45, 0.45, 19),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(LOG_DERIVATIVE_GRIDS))
+@pytest.mark.parametrize("tau", [I_PI, I_OVER_PI], ids=["i*pi", "i/pi"])
+@pytest.mark.parametrize("kind", [3, 4])
+def test_log_derivative_array_matches_scalar_calls(kind, tau, grid):
+    v = LOG_DERIVATIVE_GRIDS[grid]
+    batch = theta_log_derivative(kind, ThetaArg(v, tau))
+    assert isinstance(batch, np.ndarray) and batch.shape == v.shape
+    scalars = np.array([theta_log_derivative(kind, ThetaArg(x, tau)) for x in v.ravel()])
+    assert _within_ulps(batch, scalars.reshape(v.shape))
+
+
+@pytest.mark.parametrize("tau", [I_PI, I_OVER_PI], ids=["i*pi", "i/pi"])
+def test_log_derivative_complex_array_within_series_tolerance(tau):
+    # off the real line |x| varies, and the batch runs until the element
+    # with the largest |x| converges: it may keep terms a scalar call drops
+    v = np.linspace(-0.4, 0.4, 9)[:, None] + 1j * np.linspace(-0.2, 0.2, 5)
+    batch = theta_log_derivative(3, ThetaArg(v, tau))
+    scalars = np.array([theta_log_derivative(3, ThetaArg(x, tau)) for x in v.ravel()])
+    assert np.max(np.abs(batch - scalars.reshape(v.shape))) <= 1e-13
+
+
+def test_theta_array_matches_scalar_calls():
+    v = np.linspace(-1.0, 1.0, 21) + 0.3j
+    batch = theta(3, ThetaArg(v, I_PI))
+    assert _within_ulps(batch, [theta(3, ThetaArg(x, I_PI)) for x in v])
+
+
+def test_scalar_calls_return_python_numbers():
+    assert type(theta_log_derivative(3, ThetaArg(0.2, I_PI))) is complex
+    assert type(theta(3, ThetaArg(0.2, I_PI))) is complex
+    assert type(ThetaArg(0.2, I_PI).v) is complex
+
+
+def test_log_derivative_empty_and_single_element_grids():
+    empty = theta_log_derivative(3, ThetaArg(np.array([]), I_PI))
+    assert empty.shape == (0,)
+    single = theta_log_derivative(4, ThetaArg(np.array([0.3]), I_PI))
+    assert single.shape == (1,)
+    assert single[0] == theta_log_derivative(4, ThetaArg(0.3, I_PI))
+
+
+def test_log_derivative_array_with_one_singular_element():
+    v = np.array([0.1, 0.5 + 0.5j * math.pi, 0.2])
+    with pytest.raises(SingularityError, match="1.5707963267948966"):
+        theta_log_derivative(3, ThetaArg(v, I_PI))
+
+
+def test_one_non_finite_element_is_domain_error():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ThetaArg(np.array([0.1, bad, 0.3]), I_PI)
+        with pytest.raises(DomainError):
+            gaussian_lattice_sum(np.array([0.1j, complex(0.0, bad), 0.3j]))
+    with pytest.raises(DomainError):
+        gaussian_lattice_sum(np.array([0.1, math.nan]))
+    # an infinite real part is still an overflow
+    with pytest.raises(RangeOverflowError):
+        gaussian_lattice_sum(np.array([0.1, math.inf]))
+    # 2*pi*v overflows: a typed error, not a NaN value
+    with pytest.raises(DomainError, match="overflowed"):
+        theta(3, ThetaArg(1e308, I_PI))

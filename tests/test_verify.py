@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -87,3 +88,18 @@ def test_nan_case_fails_its_check_wherever_it_sits(monkeypatch):
         assert not check.passed
         assert math.isnan(check.max_abs_error)
         assert check.n_cases == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_nan_error_is_written_as_null(monkeypatch):
+    monkeypatch.setattr(verify, "_CHECKS", (
+        ("nan-last", 1e-12, lambda ctx: [1e-16, math.nan]),
+        ("finite", 1e-12, lambda ctx: [1e-16, 2e-16]),
+    ))
+    text = verify.run_verify(verify.load_config(None)).to_json()
+    checks = json.loads(text, parse_constant=_reject_constant)["checks"]
+    assert checks[0]["max_abs_error"] is None and checks[0]["passed"] is False
+    assert checks[1]["max_abs_error"] == 2e-16 and checks[1]["passed"] is True
