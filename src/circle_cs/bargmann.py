@@ -45,9 +45,18 @@ forms (D_s the dilation (D_s f)(xi*) = f(e^s xi*)) are
     Xdag  multiplication by xi*
     T     f -> conj(f) at the time-reversed point (-l, phi)
 
-Reproducing kernels are evaluated in closed form as Gaussian lattice
-sums K(eta*, xi) = sum_n e^(-n^2) (eta* xi)^(-n) over the sector
-lattice, never as truncated sums of basis products.
+The reproducing kernel K(eta*, xi) = sum_n e^(-n^2) (eta* xi)^(-n) over
+the sector lattice is cut at the pair count P (theta._pair_count with
+drift |l_eta| + max |l_node|) that bounds every omitted term by the
+series tolerance at every node.  The kept terms are the function of a
+coherent state, so on the grid
+
+    K(xi*, gamma) = grid_values(sector, 2P, c(gamma)),
+    K(eta*, xi)   = conj(grid_values(sector, 2P, c(eta))),
+
+with c_j(p) = e^(j*(l - i*phi) - j^2/2) on the window |2j| <= 2P: one
+engine call per point.  Single kernel values (the lhs of
+kernel_identity_check) stay closed-form gaussian_lattice_sum calls.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ import numpy as np
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
 from .coherent import PhasePoint, _coherent_coeffs, _single, norm_sq
-from .theta import _EXP_LIMIT, DEFAULT_CONTROL, SeriesControl, gaussian_lattice_sum
+from .theta import _EXP_LIMIT, DEFAULT_CONTROL, SeriesControl, _pair_count, gaussian_lattice_sum
 
 __all__ = [
     "Quadrature",
@@ -175,24 +184,20 @@ def inner_quadrature(f: StateVector, g: StateVector, quad: Quadrature) -> comple
     return complex(np.sum(weights * np.conj(vf) * vg))
 
 
-def _kernel_on_grid(
-    p: PhasePoint,
-    lv: np.ndarray,
-    phi: np.ndarray,
-    sector: Sector,
-    conjugate_point: bool,
-    ctl: SeriesControl,
+def _kernel_values(
+    p: PhasePoint, sector: Sector, quad: Quadrature, ctl: SeriesControl
 ) -> np.ndarray:
-    """K(eta*, xi_grid) (conjugate_point=True) or K(xi_grid*, gamma).
+    """K(xi*, gamma) at the nodes xi, gamma = p; its conjugate is K(gamma*, xi).
 
-    Both reduce to S(w) with w = log of the conjugated product; the
-    lattice sum is even in w, so only the argument assembly differs.
+    The lattice sum is cut at the pair count P that bounds every omitted
+    term by ctl.tol over the whole node span, and the kept terms are the
+    function of the coherent state at p on the window |2j| <= 2P (for
+    fermions that window holds |2j| <= 2P - 1).
     """
-    if conjugate_point:
-        w = complex(-p.l, -p.phi) + (-lv[:, None] + 1j * phi[None, :])
-    else:
-        w = (-lv[:, None] - 1j * phi[None, :]) + complex(-p.l, p.phi)
-    return gaussian_lattice_sum(w, half=(sector is Sector.FERMION), ctl=ctl)
+    lv, _, _ = quad.nodes()
+    drift = abs(p.l) + float(np.abs(lv).max())
+    trunc = Truncation(2 * _pair_count(1.0, drift, ctl, sector is Sector.FERMION))
+    return quad.grid_values(sector, trunc.two_jmax, _coherent_coeffs(trunc.j_values(sector), p))
 
 
 def reproducing_apply(
@@ -207,10 +212,19 @@ def reproducing_apply(
     Reproduces f(eta*) when f lies in the kernel's sector and yields 0
     (to quadrature accuracy) when f lies in the opposite sector: the
     kernel acts as the projector onto its own sector.
+
+    Accuracy domain: for a basis state |j> the integrand reaches about
+    e^((l-j)^2/3 + j^2/2) times the value f(eta*), so rounding sets a
+    relative error of up to about 1e-16 times that, whatever the
+    quadrature orders.  For |l| <= 3 and |j| <= 3 it is below 1e-11; for
+    j = 1 at 40 x 64 it is 2e-13 at l = 6, 3e-10 at 8, 9e-6 at 10, and
+    the result is meaningless by l = 15.  No error marks that loss;
+    RangeOverflowError comes only past |l| ~ 37.4, where the kernel's
+    coefficients overflow.
     """
     _single(p)
-    lv, phi, weights = quad.nodes()
-    kernel = _kernel_on_grid(p, lv, phi, sector, conjugate_point=True, ctl=ctl)
+    _, _, weights = quad.nodes()
+    kernel = np.conj(_kernel_values(p, sector, quad, ctl))
     values = quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
     return complex(np.sum(weights * kernel * values))
 
@@ -227,13 +241,18 @@ def kernel_identity_check(
     lhs = K(xi_1*, xi_2) in closed form; rhs = the quadrature of
     K(xi_1*, xi) K(xi*, xi_2) over xi.  The two agree to quadrature
     accuracy because the kernel reproduces itself.
+
+    Accuracy domain: at 40 x 64 the relative gap is below 1e-10 for
+    |l_1|, |l_2| <= 2, and grows to about 4e-9 at 3 and 1e-6 at 4;
+    finer orders extend the range (at 100 x 128 it stays near 1e-13
+    up to 4).  No error marks that loss.
     """
     _single(p1, p2)
     w = complex(-(p1.l + p2.l), p2.phi - p1.phi)
     lhs = complex(gaussian_lattice_sum(w, half=(sector is Sector.FERMION), ctl=ctl))
-    lv, phi, weights = quad.nodes()
-    k1 = _kernel_on_grid(p1, lv, phi, sector, conjugate_point=True, ctl=ctl)
-    k2 = _kernel_on_grid(p2, lv, phi, sector, conjugate_point=False, ctl=ctl)
+    _, _, weights = quad.nodes()
+    k1 = np.conj(_kernel_values(p1, sector, quad, ctl))
+    k2 = _kernel_values(p2, sector, quad, ctl)
     rhs = complex(np.sum(weights * k1 * k2))
     return {"lhs": lhs, "rhs": rhs}
 

@@ -29,9 +29,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, TruncationError
+from .errors import DomainError, RangeOverflowError, SingularityError, TruncationError
 from .hilbert import Sector, StateVector, Truncation
 from .theta import (
+    _EXP_LIMIT,
     DEFAULT_CONTROL,
     SeriesControl,
     ThetaArg,
@@ -176,7 +177,19 @@ def coherent_state(
 
 
 def _coherent_coeffs(j: np.ndarray, p: PhasePoint) -> np.ndarray:
-    """c_j = exp(j*(l - i*phi) - j^2/2), unguarded and unnormalized."""
+    """c_j = exp(j*(l - i*phi) - j^2/2) over a symmetric window, unnormalized.
+
+    The largest exponent over the window (at j = l, or at the edge when
+    |l| lies beyond it) is checked with scalar math before np.exp, so a
+    coefficient that would overflow raises RangeOverflowError.
+    """
+    j_edge = float(j[-1])  # the window is symmetric, so this is the largest |j|
+    j_peak = min(abs(p.l), j_edge)
+    peak = j_peak * (abs(p.l) - 0.5 * j_peak)
+    if peak > _EXP_LIMIT:
+        raise RangeOverflowError(
+            f"coherent coefficients at l = {p.l} overflow: the largest is exp({peak:.3g})"
+        )
     return np.exp(j * complex(p.l, -p.phi) - 0.5 * j * j)
 
 

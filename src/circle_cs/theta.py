@@ -84,6 +84,11 @@ class SeriesControl:
 DEFAULT_CONTROL = SeriesControl()
 
 
+def _as_complex(value) -> complex | np.ndarray:
+    """A 0-d result as a Python complex; an array result unchanged."""
+    return complex(value) if np.ndim(value) == 0 else value
+
+
 def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> int:
     """Number of symmetric term pairs needed so every omitted term <= tol.
 
@@ -118,7 +123,6 @@ def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesC
     from the largest |m| inward, adding each +-m pair together first.
     """
     lin_arr = np.asarray(lin, dtype=np.complex128)
-    scalar = lin_arr.ndim == 0
     decay = -complex(curv).real
     drift = float(np.abs(lin_arr.real).max(initial=0.0))
     # an infinite real part is an overflow, caught by the pair count
@@ -137,7 +141,7 @@ def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesC
         acc = acc + sign * pair
     if not half:
         acc = acc + 1.0
-    return complex(acc) if scalar else acc
+    return _as_complex(acc)
 
 
 def theta(
@@ -225,44 +229,52 @@ def theta_log_derivative(
             term = 2j * (tm / (1.0 - tm) - tp / (1.0 - tp))
         total = total + term
         if bound <= ctl.tol:
-            result = math.pi * total
-            return complex(result) if result.ndim == 0 else result
+            return _as_complex(math.pi * total)
     raise ConvergenceError(
         f"log-derivative series did not reach tol={ctl.tol} within {ctl.n_max} terms"
     )
 
 
-def _inversion_prefactor(v: complex, tau: complex) -> complex:
-    """sqrt(tau/i) * exp(i pi v^2 / tau) on the principal branch."""
-    return cmath.sqrt(tau / 1j) * cmath.exp(1j * math.pi * v * v / tau)
+def _inversion_image(kind: int, v, tau, ctl: SeriesControl) -> complex | np.ndarray:
+    """sqrt(tau/i) * exp(i pi v^2 / tau) * theta_kind(v | tau), principal branch."""
+    arg = ThetaArg(v, tau)
+    tau = complex(tau)
+    prefactor = cmath.sqrt(tau / 1j) * np.exp(1j * math.pi * arg.v * arg.v / tau)
+    return _as_complex(prefactor * theta(kind, arg, ctl))
 
 
 def modular_image_theta3(
-    v: complex, tau: complex, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex:
+    v: complex | np.ndarray, tau: complex, ctl: SeriesControl = DEFAULT_CONTROL
+) -> complex | np.ndarray:
     """theta_3(v/tau | -1/tau) computed through the tau -> -1/tau law.
 
     Equals sqrt(tau/i) * exp(i pi v^2 / tau) * theta_3(v | tau); useful
     when -1/tau has a much larger imaginary part than tau or vice versa.
+    v may be an array; the result then has its shape.
     """
-    return _inversion_prefactor(complex(v), complex(tau)) * theta(3, ThetaArg(v, tau), ctl)
+    return _inversion_image(3, v, tau, ctl)
 
 
 def modular_image_theta2(
-    v: complex, tau: complex, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex:
+    v: complex | np.ndarray, tau: complex, ctl: SeriesControl = DEFAULT_CONTROL
+) -> complex | np.ndarray:
     """theta_2(v/tau | -1/tau) via the inversion law, which lands on theta_4:
 
     theta_2(v/tau | -1/tau) = sqrt(tau/i) * exp(i pi v^2 / tau) * theta_4(v | tau).
+
+    v may be an array; the result then has its shape.
     """
-    return _inversion_prefactor(complex(v), complex(tau)) * theta(4, ThetaArg(v, tau), ctl)
+    return _inversion_image(4, v, tau, ctl)
 
 
 def theta2_via_half_period_shift(
-    v: complex, tau: complex, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex:
-    """theta_2(v | tau) computed as exp(i pi (tau/4 + v)) * theta_3(v + tau/2 | tau)."""
-    v = complex(v)
+    v: complex | np.ndarray, tau: complex, ctl: SeriesControl = DEFAULT_CONTROL
+) -> complex | np.ndarray:
+    """theta_2(v | tau) computed as exp(i pi (tau/4 + v)) * theta_3(v + tau/2 | tau).
+
+    v may be an array; the result then has its shape.
+    """
+    v = np.asarray(v, dtype=np.complex128)
     tau = complex(tau)
-    shift = cmath.exp(1j * math.pi * (tau / 4.0 + v))
-    return shift * theta(3, ThetaArg(v + tau / 2.0, tau), ctl)
+    shifted = theta(3, ThetaArg(v + tau / 2.0, tau), ctl)  # validates v before np.exp
+    return _as_complex(np.exp(1j * math.pi * (tau / 4.0 + v)) * shifted)

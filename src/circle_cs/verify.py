@@ -100,7 +100,7 @@ DEFAULT_CONFIG = {
 # Upper bounds on the config.  Dense window matrices grow as two_jmax^2
 # and their products overflow double range past two_jmax ~ 700.  The
 # quadrature orders n_l and n_phi are checked by Quadrature itself.  The
-# largest allowed battery peaks near 85 MB.
+# largest allowed battery peaks near 90 MB.
 CONFIG_CAPS = {"two_jmax": 600, "random_cases": 10_000}
 
 SECTORS = (Sector.BOSON, Sector.FERMION)
@@ -241,57 +241,55 @@ def _random_point(rng: np.random.Generator, l_max: float) -> PhasePoint:
 
 
 def _inversion_gaps(ctx: _Context, kind: int, image):
-    def gap(l):
-        direct = theta(kind, ThetaArg(1j * l / math.pi, 1j / math.pi), ctx.ctl)
-        return _rel_gap(direct, image(l, 1j * math.pi, ctx.ctl))
+    ls = np.linspace(-2.0, 2.0, 81)
+    direct = theta(kind, ThetaArg(1j * ls / math.pi, 1j / math.pi), ctx.ctl)
+    return _rel_gap(direct, image(ls, 1j * math.pi, ctx.ctl))
 
-    return [gap(l) for l in np.linspace(-2.0, 2.0, 81)]
+
+def _random_v(rng: np.random.Generator, re_max: float, im_max: float) -> np.ndarray:
+    """Two rows of 100 complex v, real and imaginary parts drawn alternately."""
+    parts = rng.uniform([-re_max, -im_max], [re_max, im_max], size=(2, 100, 2))
+    return parts[..., 0] + 1j * parts[..., 1]
 
 
 def _check_theta2_shift(ctx: _Context):
-    rng = ctx.rng(3)
+    v = _random_v(ctx.rng(3), 1.0, 0.5)
 
-    def gap(tau):
-        v = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
-        direct = theta(2, ThetaArg(v, tau), ctx.ctl)
-        return _rel_gap(theta2_via_half_period_shift(v, tau, ctx.ctl), direct)
+    def gaps(tau, vs):
+        direct = theta(2, ThetaArg(vs, tau), ctx.ctl)
+        return _rel_gap(theta2_via_half_period_shift(vs, tau, ctx.ctl), direct)
 
-    return [gap(tau) for tau in (1j * math.pi, 1j / math.pi) for _ in range(100)]
+    return [gaps(tau, vs) for tau, vs in zip((1j * math.pi, 1j / math.pi), v)]
 
 
 def _check_theta3_general_inversion(ctx: _Context):
     tau = 1j * math.pi
-
-    def gap(v):
-        return _rel_gap(theta(3, ThetaArg(v / tau, -1.0 / tau), ctx.ctl),
-                        modular_image_theta3(v, tau, ctx.ctl))
-
-    return [gap(v) for v in np.linspace(-1.0, 1.0, 41)]
+    v = np.linspace(-1.0, 1.0, 41)
+    return _rel_gap(theta(3, ThetaArg(v / tau, -1.0 / tau), ctx.ctl),
+                    modular_image_theta3(v, tau, ctx.ctl))
 
 
 def _check_theta_evenness(ctx: _Context):
-    rng = ctx.rng(5)
+    v = _random_v(ctx.rng(5), 2.0, 1.0)
 
-    def gap(kind):
-        v = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
-        plus = theta(kind, ThetaArg(v, 1j * math.pi), ctx.ctl)
-        return _rel_gap(theta(kind, ThetaArg(-v, 1j * math.pi), ctx.ctl), plus)
+    def gaps(kind, vs):
+        plus = theta(kind, ThetaArg(vs, 1j * math.pi), ctx.ctl)
+        return _rel_gap(theta(kind, ThetaArg(-vs, 1j * math.pi), ctx.ctl), plus)
 
-    return [gap(kind) for kind in (2, 3) for _ in range(100)]
+    return [gaps(kind, vs) for kind, vs in zip((2, 3), v)]
 
 
 def _check_logderiv_fd(ctx: _Context):
     h = 1e-5
+    vs = np.linspace(-0.45, 0.45, 19)
+    stencil = vs + np.array([[h], [-h], [0.0]])
 
-    def gap(kind, tau, v):
-        analytic = theta_log_derivative(kind, ThetaArg(v, tau), ctx.ctl)
-        up = theta(kind, ThetaArg(v + h, tau), ctx.ctl)
-        down = theta(kind, ThetaArg(v - h, tau), ctx.ctl)
-        mid = theta(kind, ThetaArg(v, tau), ctx.ctl)
-        return abs(analytic - (up - down) / (2.0 * h * mid))
+    def gaps(kind, tau):
+        analytic = theta_log_derivative(kind, ThetaArg(vs, tau), ctx.ctl)
+        up, down, mid = theta(kind, ThetaArg(stencil, tau), ctx.ctl)
+        return np.abs(analytic - (up - down) / (2.0 * h * mid))
 
-    taus, vs = (1j * math.pi, 1j / math.pi), np.linspace(-0.45, 0.45, 19)
-    return [gap(kind, tau, v) for kind in (3, 4) for tau in taus for v in vs]
+    return [gaps(kind, tau) for kind in (3, 4) for tau in (1j * math.pi, 1j / math.pi)]
 
 
 # --------------------------------------------------------------------------

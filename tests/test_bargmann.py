@@ -12,14 +12,15 @@ from circle_cs.bargmann import (
     MAX_N_L,
     MAX_N_PHI,
     Quadrature,
+    _kernel_values,
     covariant_symbol,
     evaluate,
     inner_quadrature,
     kernel_identity_check,
     reproducing_apply,
 )
-from circle_cs.coherent import PhasePoint, coherent_state
-from circle_cs.errors import DomainError, ParityError
+from circle_cs.coherent import PhasePoint, coherent_state, required_two_jmax
+from circle_cs.errors import DomainError, ParityError, RangeOverflowError
 from circle_cs.hilbert import (
     Sector,
     Truncation,
@@ -29,6 +30,7 @@ from circle_cs.hilbert import (
     make_state,
     operator_matrix,
 )
+from circle_cs.theta import DEFAULT_CONTROL, gaussian_lattice_sum
 
 TR = Truncation(40)
 QUAD = Quadrature(40, 64)
@@ -211,8 +213,6 @@ def test_covariant_symbol_window_parity():
 
 
 def test_kernel_symmetry_under_argument_swap():
-    from circle_cs.theta import gaussian_lattice_sum
-
     p1 = PhasePoint(0.7, 1.9)
     p2 = PhasePoint(-0.2, 5.1)
     for half in (False, True):
@@ -233,3 +233,76 @@ def test_point_functions_reject_grids():
     ):
         with pytest.raises(DomainError, match="single phase-space point"):
             call()
+
+
+def _kernel_on_grid_reference(p, quad, sector, conjugate_point):
+    """The closed-form lattice sum at every node, independent of the engine.
+
+    K(eta*, xi_grid) (conjugate_point=True) or K(xi_grid*, gamma); both
+    reduce to S(w) with w = log of the conjugated product.
+    """
+    lv, phi, _ = quad.nodes()
+    if conjugate_point:
+        w = complex(-p.l, -p.phi) + (-lv[:, None] + 1j * phi[None, :])
+    else:
+        w = (-lv[:, None] - 1j * phi[None, :]) + complex(-p.l, p.phi)
+    return gaussian_lattice_sum(w, half=(sector is Sector.FERMION))
+
+
+def _engine_kernel(p, quad, sector, conjugate_point):
+    values = _kernel_values(p, sector, quad, DEFAULT_CONTROL)
+    return np.conj(values) if conjugate_point else values
+
+
+@pytest.mark.parametrize("conjugate_point", [True, False])
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_engine_kernel_matches_per_node_lattice_sum(sector, conjugate_point):
+    for p in (PhasePoint(0.7, 1.9), PhasePoint(-1.0, 5.1)):
+        ref = _kernel_on_grid_reference(p, QUAD, sector, conjugate_point)
+        got = _engine_kernel(p, QUAD, sector, conjugate_point)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "sector, conjugate_point", [(Sector.BOSON, True), (Sector.FERMION, False)]
+)
+def test_engine_kernel_matches_per_node_lattice_sum_at_largest_quadrature(
+    sector, conjugate_point
+):
+    # one per-node grid costs about 0.8 s here, so each sector takes one direction
+    quad = Quadrature(MAX_N_L, MAX_N_PHI)
+    p = PhasePoint(0.4, 2.3)
+    ref = _kernel_on_grid_reference(p, quad, sector, conjugate_point)
+    got = _engine_kernel(p, quad, sector, conjugate_point)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("l", [38.0, 40.0, 45.0])
+def test_overflowing_kernel_and_state_are_typed(l):
+    # the pyproject filter turns any numpy RuntimeWarning into a failure
+    s = basis_state(Sector.BOSON, 1.0, TR)
+    with pytest.raises(RangeOverflowError):
+        reproducing_apply(s, PhasePoint(l, 0.3), Sector.BOSON, QUAD)
+    with pytest.raises(RangeOverflowError):
+        kernel_identity_check(PhasePoint(0.0, 0.0), PhasePoint(-l, 1.0), Sector.FERMION, QUAD)
+    with pytest.raises(RangeOverflowError):
+        coherent_state(PhasePoint(l, 0.0), Sector.BOSON, Truncation(required_two_jmax(l)))
+
+
+def test_reproducing_accuracy_domain():
+    # documented: relative error below 1e-11 for |l| <= 3 and |j| <= 3
+    for sector in (Sector.BOSON, Sector.FERMION):
+        for j in TR.j_values(sector)[np.abs(TR.j_values(sector)) <= 3.0]:
+            f = basis_state(sector, float(j), TR)
+            for l in np.linspace(-3.0, 3.0, 7):
+                p = PhasePoint(l, 1.1)
+                ref = evaluate(f, p)
+                assert abs(reproducing_apply(f, p, sector, QUAD) - ref) <= 1e-11 * abs(ref)
+
+
+def test_kernel_identity_accuracy_domain():
+    # documented: relative gap below 1e-10 for |l_1|, |l_2| <= 2 at 40 x 64
+    for sector in (Sector.BOSON, Sector.FERMION):
+        for l1, l2 in ((2.0, 2.0), (-2.0, -2.0), (2.0, -2.0), (1.3, -0.4)):
+            res = kernel_identity_check(PhasePoint(l1, 0.3), PhasePoint(l2, 2.0), sector, QUAD)
+            assert abs(res["rhs"] - res["lhs"]) <= 1e-10 * abs(res["lhs"])

@@ -276,3 +276,18 @@ def test_one_non_finite_element_is_domain_error():
     # 2*pi*v overflows: a typed error, not a NaN value
     with pytest.raises(DomainError, match="overflowed"):
         theta(3, ThetaArg(1e308, I_PI))
+
+
+@pytest.mark.parametrize(
+    "image", [modular_image_theta3, modular_image_theta2, theta2_via_half_period_shift]
+)
+def test_transformation_helpers_take_arrays(image):
+    # the batch may keep terms below the tolerance that a scalar call drops
+    v = np.linspace(-2.0, 2.0, 9)[:, None] + 1j * np.array([0.0, 0.3, -0.5])
+    batch = image(v, I_PI)
+    assert isinstance(batch, np.ndarray) and batch.shape == v.shape
+    scalars = np.array([image(x, I_PI) for x in v.ravel()]).reshape(v.shape)
+    assert np.all(np.abs(batch - scalars) <= 1e-14 * np.abs(scalars))
+    assert type(image(0.3, I_PI)) is complex
+    assert type(image(0.3 + 0.1j, I_OVER_PI)) is complex
+    assert image(np.array([]), I_PI).shape == (0,)

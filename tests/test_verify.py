@@ -6,6 +6,8 @@ import json
 import math
 import warnings
 
+import numpy as np
+
 from circle_cs import verify
 
 EXPECTED_CASES = (
@@ -103,3 +105,17 @@ def test_nan_error_is_written_as_null(monkeypatch):
     checks = json.loads(text, parse_constant=_reject_constant)["checks"]
     assert checks[0]["max_abs_error"] is None and checks[0]["passed"] is False
     assert checks[1]["max_abs_error"] == 2e-16 and checks[1]["passed"] is True
+
+
+def test_batched_theta_checks_draw_the_scalar_sample():
+    # theta2-half-period-shift and theta-evenness draw their v in one call;
+    # the points must be those of the per-case draws, real part first
+    for index, re_max, im_max in ((3, 1.0, 0.5), (5, 2.0, 1.0)):
+        rng = np.random.default_rng([20260817, index])
+        scalar = [
+            complex(rng.uniform(-re_max, re_max), rng.uniform(-im_max, im_max))
+            for _ in range(200)
+        ]
+        batch = verify._random_v(np.random.default_rng([20260817, index]), re_max, im_max)
+        assert batch.shape == (2, 100)
+        assert batch.ravel().tolist() == scalar
