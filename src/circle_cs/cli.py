@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -66,6 +67,16 @@ def _print_complex(value: complex, digits: int) -> None:
     else:
         sign = "+" if value.imag >= 0 else "-"
         print(f"{_fmt(value.real, digits)}{sign}{_fmt(abs(value.imag), digits)}j")
+
+
+def _csv(header: str, rows, digits: int) -> str:
+    """The header, then one line per 4-tuple of floats, each rounded to `digits`.
+
+    One %-template per table formats a whole row at once; %.Ng and
+    format(x, ".Ng") give the same string for every double.
+    """
+    template = ",".join([f"%.{digits}g"] * 4)
+    return "\n".join([header, *(template % row for row in rows)]) + "\n"
 
 
 def _json_line(payload: dict, digits: int) -> str:
@@ -156,10 +167,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         exact = np.abs(expect_U(p, sector))
         approx = np.full_like(l, math.exp(-0.25))
         deviation = np.abs(exact - approx)
-    rows = ["l,exact,approx,deviation"]
-    for row in np.stack([l, exact, approx, deviation], axis=1).tolist():
-        rows.append(",".join(_fmt(x, args.digits) for x in row))
-    _write_text(args.out, "\n".join(rows) + "\n")
+    rows = zip(l.tolist(), exact.tolist(), approx.tolist(), deviation.tolist())
+    _write_text(args.out, _csv("l,exact,approx,deviation", rows, args.digits))
     return 0
 
 
@@ -218,13 +227,11 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
         raise DomainError("half-integer levels need --allow-fermion")
     p = PhasePoint(args.l, 0.0)
     dist = energy_distribution(p, sector, jmax=args.jmax, allow_fermion=args.allow_fermion)
-    rows = ["j,prob,approx,deviation"]
+    rows = []
     for j, prob in dist:
         approx = gaussian_energy_profile(j, args.l)
-        rows.append(
-            ",".join(_fmt(x, args.digits) for x in (j, prob, approx, abs(prob - approx)))
-        )
-    _write_text(args.out, "\n".join(rows) + "\n")
+        rows.append((j, prob, approx, abs(prob - approx)))
+    _write_text(args.out, _csv("j,prob,approx,deviation", rows, args.digits))
     return 0
 
 
@@ -329,9 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call, then reused: parse_args keeps no state
+# between calls and returns a fresh Namespace with the defaults filled in.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         digits = getattr(args, "digits", None)
         if digits is not None and not 1 <= digits <= MAX_DIGITS:

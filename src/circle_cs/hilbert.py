@@ -86,9 +86,12 @@ class Truncation:
         if not isinstance(self.two_jmax, int) or self.two_jmax < 2:
             raise DomainError(f"two_jmax must be an integer >= 2, got {self.two_jmax!r}")
 
+    def _start(self, sector: Sector) -> int:
+        """The lowest 2j of the window; the highest is its negative."""
+        return -self.two_jmax + ((self.two_jmax + sector.parity) % 2)
+
     def two_j_values(self, sector: Sector) -> np.ndarray:
-        start = -self.two_jmax + ((self.two_jmax + sector.parity) % 2)
-        return np.arange(start, self.two_jmax + 1, 2)
+        return np.arange(self._start(sector), self.two_jmax + 1, 2)
 
     def j_values(self, sector: Sector) -> np.ndarray:
         return self.two_j_values(sector) / 2.0
@@ -96,13 +99,24 @@ class Truncation:
     def size(self, sector: Sector) -> int:
         return len(self.two_j_values(sector))
 
-    def index_of(self, sector: Sector, two_j: int) -> int:
-        values = self.two_j_values(sector)
-        if two_j % 2 != sector.parity:
-            raise ParityError(f"2j = {two_j} does not match the {sector.value} sector")
-        if two_j < values[0] or two_j > values[-1]:
-            raise WindowError(f"2j = {two_j} outside window |2j| <= {self.two_jmax}")
-        return int((two_j - values[0]) // 2)
+    def index_of(self, sector: Sector, two_j):
+        """Slot of 2j in the window, or an array of slots for an array of 2j.
+
+        Raises ParityError or WindowError for the first offending entry,
+        the parity test first.
+        """
+        start = self._start(sector)
+        keys = np.asarray(two_j)
+        wrong_parity = keys % 2 != sector.parity
+        bad = wrong_parity | (keys < start) | (keys > -start)
+        if bad.any():
+            first = int(np.argmax(bad))
+            key = int(keys.flat[first])
+            if wrong_parity.flat[first]:
+                raise ParityError(f"2j = {key} does not match the {sector.value} sector")
+            raise WindowError(f"2j = {key} outside window |2j| <= {self.two_jmax}")
+        slots = (keys - start) // 2
+        return int(slots) if slots.ndim == 0 else slots.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -271,8 +285,10 @@ def state_to_json(s: StateVector) -> str:
         "two_jmax": s.trunc.two_jmax,
         "leakage": s.leakage,
         "coeffs": [
-            {"two_j": int(t), "re": float(c.real), "im": float(c.imag)}
-            for t, c in zip(s.two_j_values(), s.coeffs)
+            {"two_j": t, "re": re, "im": im}
+            for t, re, im in zip(
+                s.two_j_values().tolist(), s.coeffs.real.tolist(), s.coeffs.imag.tolist()
+            )
         ],
     }
     return json.dumps(payload, sort_keys=True)
@@ -284,10 +300,16 @@ def state_from_json(text: str) -> StateVector:
         sector = Sector.from_name(payload["sector"])
         trunc = Truncation(int(payload["two_jmax"]))
         leakage = float(payload.get("leakage", 0.0))
-        entries = {int(e["two_j"]): complex(e["re"], e["im"]) for e in payload["coeffs"]}
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        entries = [(int(e["two_j"]), complex(e["re"], e["im"])) for e in payload["coeffs"]]
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc
+    keys = [two_j for two_j, _ in entries]
+    try:
+        keys = np.array(keys, dtype=np.int64)
+    except OverflowError:  # a 2j beyond int64 lies outside every window
+        keys = np.array(keys, dtype=object)
+    slots = trunc.index_of(sector, keys)
     coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
-    for two_j, value in entries.items():
-        coeffs[trunc.index_of(sector, two_j)] = value
+    # a repeated 2j is assigned in document order, so its last value stays
+    coeffs[slots] = np.array([value for _, value in entries], dtype=np.complex128)
     return StateVector(sector, trunc, coeffs, leakage)

@@ -77,6 +77,7 @@ from .hilbert import (
 from .theta import (
     SeriesControl,
     ThetaArg,
+    _pair_count,
     gaussian_lattice_sum,
     modular_image_theta2,
     modular_image_theta3,
@@ -269,12 +270,28 @@ def _check_theta3_general_inversion(ctx: _Context):
                     modular_image_theta3(v, tau, ctx.ctl))
 
 
+def _unpaired_lattice_sum(curv: complex, lin, half: bool, ctl: SeriesControl) -> np.ndarray:
+    """sum of exp(curv*m^2 + lin*m) over m in [-M, M] on Z (or Z+1/2), by one exp.
+
+    theta._lattice_sum adds each +-m pair before summing, which makes it
+    bitwise even in lin and bitwise conjugate-symmetric whether or not
+    its terms are right; this sum pairs nothing and shares no code with
+    it.  M is the same a-priori pair count.
+    """
+    lin = np.asarray(lin, dtype=np.complex128)
+    pairs = _pair_count(-curv.real, float(np.abs(lin.real).max()), ctl, half)
+    m = np.arange(-pairs, pairs) + 0.5 if half else np.arange(-pairs, pairs + 1.0)
+    return np.exp(curv * m * m + lin[..., None] * m).sum(axis=-1)
+
+
 def _check_theta_evenness(ctx: _Context):
     v = _random_v(ctx.rng(5), 2.0, 1.0)
+    tau = 1j * math.pi
 
     def gaps(kind, vs):
-        plus = theta(kind, ThetaArg(vs, 1j * math.pi), ctx.ctl)
-        return _rel_gap(theta(kind, ThetaArg(-vs, 1j * math.pi), ctx.ctl), plus)
+        # theta(-v) by the unpaired sum against theta(v) from the library
+        minus = _unpaired_lattice_sum(1j * math.pi * tau, -2j * math.pi * vs, kind == 2, ctx.ctl)
+        return _rel_gap(minus, theta(kind, ThetaArg(vs, tau), ctx.ctl))
 
     return [gaps(kind, vs) for kind, vs in zip((2, 3), v)]
 
@@ -821,7 +838,7 @@ def _check_kernel_symmetry(ctx: _Context):
         w12 = complex(-(p1.l + p2.l), p2.phi - p1.phi)
         w21 = complex(-(p1.l + p2.l), p1.phi - p2.phi)
         k12 = complex(gaussian_lattice_sum(w12, half=half, ctl=ctx.ctl))
-        k21 = complex(gaussian_lattice_sum(w21, half=half, ctl=ctx.ctl))
+        k21 = complex(_unpaired_lattice_sum(-1.0 + 0.0j, w21, half, ctx.ctl))
         return _rel_gap(k21.conjugate(), k12)
 
     return [gap(sector) for sector in SECTORS for _ in range(10)]

@@ -8,11 +8,14 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from circle_cs import cli
 from circle_cs.bargmann import MAX_N_L, MAX_N_PHI
+from circle_cs.coherent import PhasePoint, coherent_state
 from circle_cs.errors import ConfigError
-from circle_cs.hilbert import state_from_json
+from circle_cs.hilbert import Sector, Truncation, state_from_json, state_to_json
 from circle_cs.verify import CONFIG_CAPS, validate_config
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -136,6 +139,70 @@ def test_readme_scan_matches_golden_csv():
                   "--sector", "boson", "--out", "-")
     assert res.returncode == 0
     assert res.stdout == (DATA / "scan_J_boson_0_1_101.csv").read_text()
+
+
+def main_stdout(capsys, *args: str) -> str:
+    """Stdout of one in-process cli.main call, which must exit 0."""
+    assert cli.main(list(args)) == 0
+    return capsys.readouterr().out
+
+
+def test_wide_fermion_u_scan_matches_golden_csv(capsys):
+    out = main_stdout(capsys, "scan", "--obs", "U", "--l-min", "-20", "--l-max", "20",
+                      "--n", "101", "--sector", "fermion", "--digits", "17", "--out", "-")
+    assert out == (DATA / "scan_U_fermion_m20_20_101_digits17.csv").read_text()
+
+
+def test_distribution_matches_golden_csv(capsys):
+    out = main_stdout(capsys, "distribution", "--l", "0.7", "--digits", "17")
+    assert out == (DATA / "distribution_l0.7_digits17.csv").read_text()
+
+
+def test_state_json_matches_golden_text():
+    state = coherent_state(PhasePoint(0.37, 1.1), Sector.FERMION, Truncation(21))
+    golden = (DATA / "state_fermion_l0.37_phi1.1_w21.json").read_text()
+    assert state_to_json(state) + "\n" == golden
+    assert np.array_equal(state_from_json(golden).coeffs, state.coeffs)
+
+
+def test_main_builds_its_parser_once():
+    cli._shared_parser.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+    assert cli._shared_parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "from circle_cs import cli; print(cli._shared_parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert res.stdout == "0\n"
+
+
+def test_reused_parser_carries_no_sector_over(capsys):
+    args = ("expect", "--l", "0.3", "--phi", "0.4", "--obs", "U")
+    boson = main_stdout(capsys, *args)
+    fermion = main_stdout(capsys, *args, "--sector", "fermion")
+    assert json.loads(fermion)["sector"] == "fermion"
+    assert main_stdout(capsys, *args) == boson
+    assert json.loads(boson)["sector"] == "boson"
+
+
+def test_reused_parser_carries_no_digits_over(capsys):
+    assert main_stdout(capsys, "theta", "--kind", "3", "--digits", "17") == "1.0001034463724077\n"
+    assert main_stdout(capsys, "theta", "--kind", "3") == "1.00010345\n"
+
+
+def test_reused_parser_recovers_after_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["expect", "--l", "0.1", "--obs", "Z"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main_stdout(capsys, "theta", "--kind", "3") == "1.00010345\n"
 
 
 @pytest.mark.parametrize("sector", ["boson", "fermion"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -63,6 +64,20 @@ def test_index_parity_and_window_errors():
     assert t.index_of(Sector.FERMION, 1) == 3
     with pytest.raises(ParityError):
         basis_state(Sector.BOSON, 0.25, t)
+
+
+def test_index_of_an_array_matches_the_scalar_slots():
+    t = Truncation(7)
+    for sector in Sector:
+        two_j = t.two_j_values(sector)
+        slots = t.index_of(sector, two_j[::-1])
+        assert slots.tolist() == [t.index_of(sector, int(k)) for k in two_j[::-1]]
+        assert slots.tolist() == list(range(len(two_j)))[::-1]
+    # the first offending entry raises, parity before window
+    with pytest.raises(ParityError, match="2j = 3 does"):
+        t.index_of(Sector.BOSON, np.array([0, 3, 10]))
+    with pytest.raises(WindowError, match="2j = 10 outside"):
+        t.index_of(Sector.BOSON, np.array([0, 10, 3]))
 
 
 def test_basis_state_is_unit():
@@ -267,6 +282,56 @@ def test_json_rejects_malformed_payloads():
     good = state_to_json(basis_state(Sector.BOSON, 0.0, Truncation(2)))
     with pytest.raises(DomainError):
         state_from_json(good.replace('"boson"', '"anyon"'))
+
+
+def _loop_from_json(text: str) -> StateVector:
+    """The per-entry decoder state_from_json replaced: a dict, then index_of per 2j."""
+    payload = json.loads(text)
+    sector = Sector.from_name(payload["sector"])
+    trunc = Truncation(int(payload["two_jmax"]))
+    entries = {int(e["two_j"]): complex(e["re"], e["im"]) for e in payload["coeffs"]}
+    coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
+    for two_j, value in entries.items():
+        coeffs[trunc.index_of(sector, two_j)] = value
+    return StateVector(sector, trunc, coeffs, float(payload.get("leakage", 0.0)))
+
+
+def _state_text(sector: str, two_jmax: int, entries) -> str:
+    coeffs = [{"two_j": t, "re": re, "im": im} for t, re, im in entries]
+    return json.dumps({"sector": sector, "two_jmax": two_jmax, "coeffs": coeffs})
+
+
+@pytest.mark.parametrize("text", [
+    _state_text("boson", 4, [(2, 0.5, -1.0), (0, 1.0, 0.0)]),
+    _state_text("boson", 4, [(0, 1.0, 0.0), (2, 0.5, 0.0), (0, 2.0, 3.0)]),
+    _state_text("fermion", 5, [(-5, 1.0, 0.0), (5, 2.0, 2.0), (5, 3.0, 3.0), (-5, 9.0, 9.0)]),
+    _state_text("boson", 4, []),
+    _state_text("boson", 4, [(0, 1.0, 0.0), (3, 2.0, 3.0), (6, 1.0, 1.0)]),
+    _state_text("boson", 4, [(0, 1.0, 0.0), (6, 2.0, 3.0), (3, 1.0, 1.0)]),
+    _state_text("boson", 4, [(1, 1.0, 0.0), (-6, 2.0, 3.0)]),
+    _state_text("fermion", 4, [(-5, 1.0, 0.0), (4, 1.0, 0.0)]),
+    _state_text("boson", 4, [(2, 1.0, 0.0), (2**63 + 1, 1.0, 0.0), (-1, 1.0, 1.0)]),
+    _state_text("boson", 4, [(-1, 1.0, 1.0), (10**30, 1.0, 0.0)]),
+], ids=["plain", "repeat-boson", "repeat-fermion", "empty", "parity-first", "window-first",
+        "parity-then-window", "fermion-window", "beyond-int64", "parity-before-huge"])
+def test_json_decoding_matches_the_per_entry_loop(text):
+    try:
+        expected = _loop_from_json(text)
+    except (ParityError, WindowError) as exc:
+        with pytest.raises(type(exc)) as info:
+            state_from_json(text)
+        assert str(info.value) == str(exc)
+    else:
+        back = state_from_json(text)
+        assert back.sector is expected.sector and back.trunc == expected.trunc
+        assert np.array_equal(back.coeffs, expected.coeffs)
+
+
+def test_json_non_finite_index_is_domain_error():
+    for token in ("Infinity", "NaN"):
+        text = '{"sector": "boson", "two_jmax": 4, "coeffs": [{"two_j": %s, "re": 1, "im": 0}]}'
+        with pytest.raises(DomainError, match="malformed state JSON"):
+            state_from_json(text % token)
 
 
 def test_tail_mass_sees_outermost_slots():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import warnings
@@ -119,3 +120,20 @@ def test_batched_theta_checks_draw_the_scalar_sample():
         batch = verify._random_v(np.random.default_rng([20260817, index]), re_max, im_max)
         assert batch.shape == (2, 100)
         assert batch.ravel().tolist() == scalar
+
+
+def test_evenness_and_symmetry_checks_see_a_wrong_lattice_sum(monkeypatch):
+    # theta._lattice_sum pairs +-m, so it stays exactly even and conjugate
+    # symmetric even when its terms are wrong; both checks must still fail
+    theta_module = importlib.import_module("circle_cs.theta")  # the package exports theta()
+    lattice_sum = theta_module._lattice_sum
+
+    def skewed(curv, lin, half, alternating, ctl):
+        return lattice_sum(0.9 * curv, lin, half, alternating, ctl)
+
+    monkeypatch.setattr(theta_module, "_lattice_sum", skewed)
+    ctx = verify._Context(verify.load_config(None))
+    for name, tolerance, fn in verify._CHECKS:
+        if name in ("theta-evenness", "kernel-symmetry"):
+            max_err, _ = verify._tally(fn(ctx))
+            assert max_err > tolerance, name
