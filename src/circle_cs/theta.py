@@ -21,6 +21,7 @@ a fixed order, so repeated evaluations are bit-for-bit reproducible.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ __all__ = [
     "theta",
     "theta_log_derivative",
     "gaussian_lattice_sum",
+    "centred_lattice_sum",
     "modular_image_theta3",
     "modular_image_theta2",
     "theta2_via_half_period_shift",
@@ -114,6 +116,16 @@ def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> i
     return max(pairs, 0)
 
 
+def _drift(lin_arr: np.ndarray) -> float:
+    """Largest |Re lin|; DomainError if some element is NaN or has an infinite imaginary part."""
+    drift = float(np.abs(lin_arr.real).max(initial=0.0))
+    if math.isnan(drift) or not np.isfinite(lin_arr.imag).all():
+        raise DomainError(
+            "lattice-sum argument is not finite (NaN, or overflowed from a huge input)"
+        )
+    return drift
+
+
 def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesControl):
     """sum over the index lattice of sign(m) * exp(curv*m^2 + lin*m).
 
@@ -124,13 +136,8 @@ def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesC
     """
     lin_arr = np.asarray(lin, dtype=np.complex128)
     decay = -complex(curv).real
-    drift = float(np.abs(lin_arr.real).max(initial=0.0))
     # an infinite real part is an overflow, caught by the pair count
-    if math.isnan(drift) or not np.isfinite(lin_arr.imag).all():
-        raise DomainError(
-            "lattice-sum argument is not finite (NaN, or overflowed from a huge input)"
-        )
-    pairs = _pair_count(decay, drift, ctl, half)
+    pairs = _pair_count(decay, _drift(lin_arr), ctl, half)
 
     acc = np.zeros_like(lin_arr)
     for k in range(pairs, 0, -1):
@@ -174,6 +181,36 @@ def gaussian_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CON
     return _lattice_sum(-1.0 + 0.0j, w, half=half, alternating=False, ctl=ctl)
 
 
+def centred_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CONTROL):
+    """(c, S(w - 2c)) with c = round(Re w / 2) per element, S as in gaussian_lattice_sum.
+
+    The shift m -> m + c maps Z and Z + 1/2 onto themselves, so
+
+        S(w) = exp(c*w - c^2) * S(w - 2c) = exp(w^2/4 - r^2/4) * S(r),   r = w - 2c,
+
+    and |Re r| <= 1: the reduced sum takes the same few term pairs and
+    stays of order one whatever Re w is, while S(w) itself peaks near
+    e^(w^2/4).  Ratios of sums can then cancel their prefactors as
+    exponents before any exp (Deconinck et al., "Computing Riemann theta
+    functions", Math. Comp. 73 (2004); DLMF 20.2).  c is an
+    integer-valued float, or float array of w's shape; the sum is a
+    complex, or complex array.  Raises DomainError for a NaN argument
+    and RangeOverflowError for an infinite one.
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    if math.isinf(_drift(w)):
+        raise RangeOverflowError("lattice-sum argument overflowed the floating-point range")
+    c = np.round(0.5 * w.real)
+    reduced = _lattice_sum(-1.0 + 0.0j, w - 2.0 * c, half=half, alternating=False, ctl=ctl)
+    return (float(c) if c.ndim == 0 else c), reduced
+
+
+@functools.lru_cache(maxsize=32)
+def _origin_modulus(kind: int, tau: complex, ctl: SeriesControl) -> float:
+    """|theta_kind(0 | tau)|, the scale of theta_log_derivative's near-zero test."""
+    return abs(theta(kind, ThetaArg(0.0 + 0.0j, tau), ctl))
+
+
 def theta_log_derivative(
     kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> complex | np.ndarray:
@@ -194,8 +231,7 @@ def theta_log_derivative(
     if kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
     value = theta(kind, arg, ctl)
-    origin = theta(kind, ThetaArg(0.0 + 0.0j, arg.tau), ctl)
-    near_zero = np.abs(value) < 1e-10 * abs(origin)
+    near_zero = np.abs(value) < 1e-10 * _origin_modulus(kind, complex(arg.tau), ctl)
     if near_zero.any():
         v = complex(np.ravel(arg.v)[np.argmax(near_zero)])
         raise SingularityError(

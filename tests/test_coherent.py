@@ -456,21 +456,75 @@ def test_one_non_finite_element_is_domain_error():
             expect_expJ(grid, p, Sector.FERMION)
 
 
-def test_wide_grid_past_the_range_overflows_without_warnings():
-    # S(2l) peaks at e^(l^2), past the double range once |l| > 26.45
+def test_wide_grid_overflows_only_where_the_value_does():
+    # the raw sums S(2l) peak at e^(l^2), past the double range once
+    # |l| > 26.45; the ratio observables cancel that peak, the others
+    # carry it in their values
     p = PhasePoint(np.linspace(-27.0, 27.0, 101), 0.0)
+    edge = PhasePoint(27.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for sector in (Sector.BOSON, Sector.FERMION):
+            assert np.all(np.isfinite(expect_U(p, sector)))
+            assert np.all(np.isfinite(expect_expJ(0.5, p, sector)[0]))
+            moments = heisenberg_expectations(p, 1.0, sector)
+            assert all(np.all(np.isfinite(v)) for v in moments.values())
+            # <J> goes through theta_3/theta_4 at v = l, which stay in range
+            assert np.all(np.isfinite(expect_J(p, sector)))
             for call in (
-                lambda: expect_U(p, sector),
-                lambda: expect_expJ(0.5, p, sector),
-                lambda: heisenberg_expectations(p, 1.0, sector),
+                lambda: norm_sq(edge, sector),
+                lambda: overlap_closed(edge, edge, sector),
+                lambda: energy_distribution(edge, sector, allow_fermion=True),
             ):
                 with pytest.raises(RangeOverflowError):
                     call()
-            # <J> goes through theta_3/theta_4 at v = l, which stay in range
-            assert np.all(np.isfinite(expect_J(p, sector)))
+
+
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_expect_expJ_overflows_where_its_value_does(sector):
+    # <e^(sJ)> is about e^(s*l + s^2/4); the typed limit is e^700
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        edge = PhasePoint(np.array([699.0, -699.0]), 0.0)
+        inside, _ = expect_expJ(np.array([1.0, -1.0]), edge, sector)
+        assert np.all(np.isfinite(inside)) and np.all(inside > 1e303)
+        for s, l in ((1.0, 1000.0), (-1.0, -1000.0), (30.0, 27.0), ([0.5, 1e200], 0.0)):
+            with pytest.raises(RangeOverflowError):
+                expect_expJ(np.array(s), PhasePoint(np.array([l]), 0.0), sector)
+        # far below the range the value underflows to zero, as e^(s*l) does
+        tiny, approx = expect_expJ(-1.0, PhasePoint(1000.0, 0.0), sector)
+        assert tiny == 0.0 and approx == 0.0
+
+
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_heisenberg_overflows_only_with_xi(sector):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = heisenberg_expectations(PhasePoint(-699.0, 0.3), 0.5, sector)
+        assert all(cmath.isfinite(v) for v in values.values())
+        with pytest.raises(RangeOverflowError, match="xi"):
+            heisenberg_expectations(PhasePoint(np.array([0.0, -701.0]), 0.3), 0.5, sector)
+        far = heisenberg_expectations(PhasePoint(1e6, 0.3), 0.5, sector)
+        assert abs(far["U_t"]) > 0.5 and far["X_t"] == 0.0
+        # the phase c*t would overflow
+        with pytest.raises(RangeOverflowError):
+            heisenberg_expectations(PhasePoint(np.array([1e299]), 0.3), np.array([1e10]), sector)
+
+
+def test_ratio_observables_at_the_largest_l():
+    # l is an integer this far out, so the ratio is that at l = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for sector in (Sector.BOSON, Sector.FERMION):
+            far = expect_U(PhasePoint(np.array([-1e300, 1e300]), 0.0), sector)
+            assert np.array_equal(far, np.full(2, expect_U(PhasePoint(0.0, 0.0), sector)))
+            for call in (
+                lambda: expect_U(PhasePoint(np.array([1e308]), 0.0), sector),
+                lambda: expect_expJ(0.0, PhasePoint(np.array([-1e308]), 0.0), sector),
+                lambda: heisenberg_expectations(PhasePoint(np.array([1e308]), 0.0), 0.0, sector),
+            ):
+                with pytest.raises(RangeOverflowError):
+                    call()
 
 
 def test_empty_and_single_point_grids():

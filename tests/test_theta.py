@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from circle_cs.errors import (
 from circle_cs.theta import (
     SeriesControl,
     ThetaArg,
+    centred_lattice_sum,
     gaussian_lattice_sum,
     modular_image_theta2,
     modular_image_theta3,
@@ -26,6 +28,8 @@ from circle_cs.theta import (
 
 I_PI = 1j * math.pi
 I_OVER_PI = 1j / math.pi
+# the package binds the name `theta` to the function of that name
+theta_module = importlib.import_module("circle_cs.theta")
 
 
 def test_theta3_narrow_lattice_value():
@@ -291,3 +295,53 @@ def test_transformation_helpers_take_arrays(image):
     assert type(image(0.3, I_PI)) is complex
     assert type(image(0.3 + 0.1j, I_OVER_PI)) is complex
     assert image(np.array([]), I_PI).shape == (0,)
+
+
+# ------------------------------------------------------ re-centred sums
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_centred_sum_reproduces_the_raw_sum(half):
+    w = np.array([-20.3, -7.0, -1.2 + 0.4j, 0.0, 0.9, 3.5 - 2.0j, 11.0, 25.0 + 1.0j])
+    c, reduced = centred_lattice_sum(w, half=half)
+    assert np.array_equal(c, np.round(w.real / 2.0))
+    assert np.all(np.abs((w - 2.0 * c).real) <= 1.0)
+    rebuilt = np.exp(c * w - c * c) * reduced
+    raw = gaussian_lattice_sum(w, half=half)
+    assert np.all(np.abs(rebuilt - raw) <= 1e-13 * np.abs(raw))
+
+
+def test_centred_sum_is_plain_sum_near_the_origin():
+    w = np.linspace(-0.9, 0.9, 7)
+    c, reduced = centred_lattice_sum(w, half=True)
+    assert not c.any()
+    assert np.array_equal(reduced, gaussian_lattice_sum(w, half=True))
+    c, reduced = centred_lattice_sum(0.3)
+    assert type(c) is float and type(reduced) is complex
+
+
+def test_centred_sum_takes_the_same_pairs_far_out():
+    # the raw sum would overflow here; the reduced one is of order one
+    c, reduced = centred_lattice_sum(np.array([2e4 + 0.5, -3e6]))
+    assert np.array_equal(c, [1e4, -1.5e6])
+    assert np.array_equal(reduced, gaussian_lattice_sum(np.array([0.5, 0.0])))
+
+
+def test_centred_sum_rejects_non_finite_arguments():
+    with pytest.raises(RangeOverflowError):
+        centred_lattice_sum(np.array([1.0, math.inf]))
+    with pytest.raises(DomainError):
+        centred_lattice_sum(np.array([1.0, math.nan]))
+    with pytest.raises(DomainError):
+        centred_lattice_sum(complex(0.0, math.inf))
+
+
+def test_log_derivative_computes_the_origin_value_once():
+    theta_module._origin_modulus.cache_clear()
+    ctl = SeriesControl(tol=1e-13)
+    first = theta_log_derivative(4, ThetaArg(np.array([0.1, 0.3]), I_PI), ctl)
+    again = theta_log_derivative(4, ThetaArg(0.3, I_PI), ctl)
+    assert again == first[1]
+    info = theta_module._origin_modulus.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert theta_module._origin_modulus(4, I_PI, ctl) == abs(theta(4, ThetaArg(0.0, I_PI), ctl))
