@@ -45,7 +45,7 @@ from .coherent import (
 from .errors import CircleError, ConfigError, DomainError
 from .hilbert import Sector, Truncation, apply_operator, state_to_json
 from .theta import SeriesControl, ThetaArg, theta
-from .verify import load_config, run_verify
+from .verify import CONFIG_CAPS, load_config, run_verify
 
 __all__ = ["main"]
 
@@ -156,6 +156,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise ConfigError("--l-min and --l-max must be finite")
     if not args.l_max > args.l_min:
         raise ConfigError("--l-max must exceed --l-min")
+    if not math.isfinite(args.l_max - args.l_min):
+        raise ConfigError("--l-max - --l-min overflows the floating-point range")
     sector = Sector.from_name(args.sector)
     l = np.linspace(args.l_min, args.l_max, args.n)
     p = PhasePoint(l, 0.0)
@@ -182,6 +184,9 @@ def _windowed_expectations(state) -> tuple[float, complex]:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    # the window is allocated, so it keeps to the battery's window cap
+    if args.two_jmax > CONFIG_CAPS["two_jmax"]:
+        raise ConfigError(f"--two-jmax must be <= {CONFIG_CAPS['two_jmax']}, got {args.two_jmax}")
     sector = Sector.from_name(args.sector)
     trunc = Truncation(args.two_jmax)
     p = PhasePoint(args.l, args.phi)
@@ -222,6 +227,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
+    # the levels |j| <= jmax form a window |2j| <= 2*jmax, capped like evolve's
+    if 2 * args.jmax > CONFIG_CAPS["two_jmax"]:
+        raise ConfigError(f"--jmax must be <= {CONFIG_CAPS['two_jmax'] // 2}, got {args.jmax}")
     sector = Sector.from_name(args.sector)
     if sector is Sector.FERMION and not args.allow_fermion:
         raise DomainError("half-integer levels need --allow-fermion")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +71,9 @@ J_DEVIATION_AMPLITUDE = 2.0 * math.pi * math.exp(-math.pi * math.pi)
 
 _TWO_PI = 2.0 * math.pi
 
+# Python and NumPy real scalars, which PhasePoint validates with math.isfinite
+_SCALARS = (float, int, np.floating, np.integer)
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -92,6 +95,16 @@ class PhasePoint:
     shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.l, _SCALARS) and isinstance(self.phi, _SCALARS):
+            # the 0-d case of the array code below, without numpy's per-call cost:
+            # float % and np.remainder round alike
+            l, phi = float(self.l), float(self.phi)
+            if not (math.isfinite(l) and math.isfinite(phi)):
+                raise DomainError("phase-space coordinates must be finite")
+            object.__setattr__(self, "l", l)
+            object.__setattr__(self, "phi", phi % _TWO_PI)
+            object.__setattr__(self, "shape", ())
+            return
         l = np.asarray(self.l, dtype=float)
         phi = np.asarray(self.phi, dtype=float)
         try:
@@ -202,8 +215,9 @@ def overlap_closed(
     """<xi_1|xi_2> = S(w) with w = log(conj(xi_1)*xi_2), lattice per sector.
 
     Equivalently theta_3 (boson) or theta_2 (fermion) at argument
-    (i/2pi)*w with modulus i/pi; w is assembled from the stored (l, phi)
-    pairs, never from a recomputed complex logarithm.
+    (i/2pi)*w with modulus i/pi, and as accurate as theta states; w is
+    assembled from the stored (l, phi) pairs, never from a recomputed
+    complex logarithm.
     """
     _single(p1, p2)
     w = complex(-(p1.l + p2.l), p2.phi - p1.phi)
@@ -221,8 +235,10 @@ def expect_J(
 ) -> float | np.ndarray:
     """<J> = l + (1/2) (d/dv) ln theta_{3|4}(v|i*pi) at v = l.
 
-    Exactly l when 2l is an even (boson) or odd (fermion) integer.  A
-    grid point gives an array of its shape in one log-derivative call.
+    Exactly l when 2l is an even (boson) or odd (fermion) integer;
+    elsewhere within half the theta_log_derivative bound, plus one
+    rounding of <J>.  A grid point gives an array of its shape in one
+    log-derivative call.
     """
     kind = 3 if sector is Sector.BOSON else 4
     derivative = theta_log_derivative(kind, ThetaArg(p.l, 1j * math.pi), ctl)
@@ -350,7 +366,7 @@ def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
         phases = np.exp(-1j * t * hamiltonian.omega * j)
     else:
         raise DomainError(f"unsupported hamiltonian {hamiltonian!r}")
-    return replace(state, coeffs=state.coeffs * phases)
+    return StateVector(state.sector, state.trunc, state.coeffs * phases, state.leakage)
 
 
 def _require_finite_phase(t: float, edge_phase: float, j_edge: float) -> None:

@@ -18,10 +18,12 @@ in StateVector.leakage so truncation artifacts stay auditable.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -76,6 +78,21 @@ class Sector(enum.Enum):
             raise DomainError(f"unknown sector {name!r}; expected 'boson' or 'fermion'") from None
 
 
+def _lowest_two_j(two_jmax: int, parity: int) -> int:
+    """The lowest 2j of a window; the highest is its negative."""
+    return -two_jmax + ((two_jmax + parity) % 2)
+
+
+@functools.lru_cache(maxsize=32)
+def _window(two_jmax: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2j, j) over one window, built once and handed read-only to every caller."""
+    two_j = np.arange(_lowest_two_j(two_jmax, parity), two_jmax + 1, 2)
+    j = two_j / 2.0
+    two_j.flags.writeable = False
+    j.flags.writeable = False
+    return two_j, j
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Symmetric window |2j| <= two_jmax (indices keep the sector parity)."""
@@ -86,15 +103,13 @@ class Truncation:
         if not isinstance(self.two_jmax, int) or self.two_jmax < 2:
             raise DomainError(f"two_jmax must be an integer >= 2, got {self.two_jmax!r}")
 
-    def _start(self, sector: Sector) -> int:
-        """The lowest 2j of the window; the highest is its negative."""
-        return -self.two_jmax + ((self.two_jmax + sector.parity) % 2)
-
     def two_j_values(self, sector: Sector) -> np.ndarray:
-        return np.arange(self._start(sector), self.two_jmax + 1, 2)
+        """The 2j of the window in ascending order: a shared, read-only array."""
+        return _window(self.two_jmax, sector.parity)[0]
 
     def j_values(self, sector: Sector) -> np.ndarray:
-        return self.two_j_values(sector) / 2.0
+        """The j of the window in ascending order: a shared, read-only array."""
+        return _window(self.two_jmax, sector.parity)[1]
 
     def size(self, sector: Sector) -> int:
         return len(self.two_j_values(sector))
@@ -105,7 +120,7 @@ class Truncation:
         Raises ParityError or WindowError for the first offending entry,
         the parity test first.
         """
-        start = self._start(sector)
+        start = _lowest_two_j(self.two_jmax, sector.parity)
         keys = np.asarray(two_j)
         wrong_parity = keys % 2 != sector.parity
         bad = wrong_parity | (keys < start) | (keys > -start)
@@ -133,14 +148,13 @@ class StateVector:
     leakage: float = 0.0
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        coeffs = np.array(self.coeffs, dtype=np.complex128)  # always a private copy
         if coeffs.ndim != 1 or len(coeffs) != self.trunc.size(self.sector):
             raise DomainError(
                 f"expected {self.trunc.size(self.sector)} coefficients, got shape {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise DomainError("state coefficients must be finite")
-        coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -177,15 +191,17 @@ def basis_state(sector: Sector, j: float, trunc: Truncation) -> StateVector:
 
 
 def _guard_factors(coeffs: np.ndarray, log_factors: np.ndarray, kind: str) -> np.ndarray:
-    """exp(log_factors)*coeffs with an explicit range check in log space."""
-    occupied = np.abs(coeffs) > 0.0
-    if np.any(occupied):
-        worst = np.max(np.log(np.abs(coeffs[occupied])) + log_factors[occupied].real)
-        if worst > _EXP_LIMIT:
-            raise RangeOverflowError(
-                f"{kind} produces a coefficient of magnitude exp({worst:.3g}), "
-                "outside the floating-point range"
-            )
+    """exp(log_factors)*coeffs with an explicit range check in log space.
+
+    A zero coefficient has log 0 = -inf, so it never sets the maximum.
+    """
+    with np.errstate(divide="ignore"):
+        worst = np.max(np.log(np.abs(coeffs)) + log_factors.real)
+    if worst > _EXP_LIMIT:
+        raise RangeOverflowError(
+            f"{kind} produces a coefficient of magnitude exp({worst:.3g}), "
+            "outside the floating-point range"
+        )
     return coeffs * np.exp(log_factors)
 
 
@@ -238,15 +254,25 @@ def apply_exp_j(s: StateVector, eta: complex) -> StateVector:
 
     Acting on a coherent state at (l, phi) with real eta moves it to
     (l + eta, phi); purely imaginary eta = -i*omega*t rotates phi.
+    Raises DomainError for a non-finite eta, and RangeOverflowError when
+    eta*j leaves the double range at the window edge or a coefficient
+    would overflow.
     """
     j = s.j_values()
+    # checked with scalar math, so the range check below sees finite log factors
+    if not cmath.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta!r}")
+    if not cmath.isfinite(complex(eta) * float(j[-1])):
+        raise RangeOverflowError(
+            f"exp_j with eta = {eta!r} leaves the floating-point range at |j| = {j[-1]}"
+        )
     out = _guard_factors(s.coeffs, np.asarray(eta) * j, "exp_j")
     return StateVector(s.sector, s.trunc, out, s.leakage)
 
 
 def apply_time_reversal(s: StateVector) -> StateVector:
     """Antiunitary time reversal: c_j -> conj(c_{-j})."""
-    return replace(s, coeffs=np.conj(s.coeffs[::-1]))
+    return StateVector(s.sector, s.trunc, np.conj(s.coeffs[::-1]), s.leakage)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -280,18 +306,19 @@ def operator_matrix(kind: str, sector: Sector, trunc: Truncation) -> np.ndarray:
 
 def state_to_json(s: StateVector) -> str:
     """Serialize to JSON: sector tag, window, leakage, {two_j, re, im} array."""
+    # keys in sorted order, so the text is that of json.dumps(..., sort_keys=True)
     payload = {
-        "sector": s.sector.value,
-        "two_jmax": s.trunc.two_jmax,
-        "leakage": s.leakage,
         "coeffs": [
-            {"two_j": t, "re": re, "im": im}
+            {"im": im, "re": re, "two_j": t}
             for t, re, im in zip(
                 s.two_j_values().tolist(), s.coeffs.real.tolist(), s.coeffs.imag.tolist()
             )
         ],
+        "leakage": s.leakage,
+        "sector": s.sector.value,
+        "two_jmax": s.trunc.two_jmax,
     }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload)
 
 
 def state_from_json(text: str) -> StateVector:

@@ -158,9 +158,13 @@ def theta(
 
     Returns a complex, or an array of v's shape when arg.v is an array.
     Every term omitted from the defining series is bounded in modulus by
-    ctl.tol.  Raises DomainError for tau outside the upper half-plane,
-    ConvergenceError if the tolerance needs more than ctl.n_max term
-    pairs, and RangeOverflowError if the peak term overflows a double.
+    ctl.tol, so the omitted tail stays below 3*tol; with the rounding of
+    each term's exponent E_m and of the sum, the result is within
+    3*tol + 32*eps*sum_m |t_m| (1 + |E_m|) of the exact value (t_m the
+    terms, |E_m| taken as |curv| m^2 + |lin m|).  Raises DomainError
+    for tau outside the upper half-plane, ConvergenceError if the
+    tolerance needs more than ctl.n_max term pairs, and
+    RangeOverflowError if the peak term overflows a double.
     """
     if kind not in (2, 3, 4):
         raise DomainError(f"theta kind must be 2, 3 or 4, got {kind!r}")
@@ -225,8 +229,11 @@ def theta_log_derivative(
     with y = q^(2n-1) and x = exp(2 i pi v).  arg.v may be an array: the
     series then runs over all of it at once, until the omitted tail is
     below ctl.tol at every element, and the result has v's shape (a
-    complex for a scalar v).  Raises SingularityError when some v is
-    too close to a zero of theta_kind, where the derivative diverges.
+    complex for a scalar v).  The result is within tol + 32*eps*(1 +
+    2*pi*|v|) * pi*sum_n |term_n| of the exact value: the omitted tail
+    plus the rounding of x and of each term.  Raises SingularityError
+    when some v is too close to a zero of theta_kind, where the
+    derivative diverges.
     """
     if kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")

@@ -155,6 +155,15 @@ def test_scan_rejects_infinite_bound(run):
     assert "Warning" not in res.stderr
 
 
+@pytest.mark.parametrize("obs", ["J", "U"])
+def test_scan_rejects_a_span_that_overflows(obs, run):
+    # both bounds are finite, but l_max - l_min is not: linspace would warn
+    res = run("scan", "--obs", obs, "--l-min=-1e308", "--l-max=1e308", "--n", "5", "--out", "-")
+    assert res.returncode == 2
+    assert "overflows" in res.stderr
+    assert "Warning" not in res.stderr
+
+
 def test_readme_scan_matches_golden_csv(run):
     # scan.csv of the README command, as written by the per-point scan loop
     res = run("scan", "--obs", "J", "--l-min", "0", "--l-max", "1", "--n", "101",
@@ -287,6 +296,36 @@ def test_evolve_summary_is_pinned_to_17_digits(argv, expected, run):
 def test_evolve_window_too_small_is_domain_error(run):
     res = run("evolve", "--l", "3.0", "--t", "1.0", "--two-jmax", "12")
     assert res.returncode == 2
+
+
+@pytest.fixture
+def no_window(monkeypatch):
+    """Make building any CLI window fail the test, so a cap is checked before allocation."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(cli, "Truncation", refuse)
+    monkeypatch.setattr(cli, "energy_distribution", refuse)
+
+
+@pytest.mark.parametrize("two_jmax", [CONFIG_CAPS["two_jmax"] + 1, 10**12])
+def test_evolve_window_above_the_cap_is_config_error(two_jmax, run, no_window):
+    res = run("evolve", "--l", "0.3", "--t", "1", "--two-jmax", str(two_jmax))
+    assert res.returncode == 2
+    assert res.stderr == f"error: --two-jmax must be <= 600, got {two_jmax}\n"
+
+
+@pytest.mark.parametrize("jmax", [CONFIG_CAPS["two_jmax"] // 2 + 1, 10**12])
+def test_distribution_window_above_the_cap_is_config_error(jmax, run, no_window):
+    res = run("distribution", "--l", "0.3", "--jmax", str(jmax))
+    assert res.returncode == 2
+    assert res.stderr == f"error: --jmax must be <= 300, got {jmax}\n"
+
+
+def test_windows_at_the_cap_are_accepted(run):
+    assert run("evolve", "--l", "0.3", "--t", "1", "--two-jmax", "600").returncode == 0
+    assert run("distribution", "--l", "0.3", "--jmax", "300").returncode == 0
 
 
 @pytest.mark.parametrize("hamiltonian", ["free", "linear"])

@@ -61,6 +61,38 @@ def test_phase_point_rejects_nonfinite():
         PhasePoint(float("inf"), 0.0)
 
 
+_TWO_PI = 2.0 * math.pi
+SCALAR_COORDINATES = [
+    -0.0, 0.0, -1e-300, 1e-300, 5e-324, 1e300, -1e300, 0.3, -2.75, 7.0,
+    *(k * _TWO_PI for k in (-3, -1, 1, 2, 7)),
+    0, 3, -5, 10**15, True,
+    np.float64(-0.0), np.float64(1.1), np.float32(0.1), np.float16(-2.5),
+    np.int64(-4), np.longdouble(0.1),
+]
+
+
+@pytest.mark.parametrize("value", SCALAR_COORDINATES, ids=repr)
+def test_scalar_phase_point_matches_the_0d_array_route(value):
+    """A scalar stores bit for bit what the same value as a 0-d array stores."""
+    # the 0-d array path is the reference; it stores floats too
+    for l, phi in ((value, 0.5), (0.5, value), (value, value)):
+        scalar = PhasePoint(l, phi)
+        array = PhasePoint(np.asarray(l, dtype=float), np.asarray(phi, dtype=float))
+        assert type(scalar.l) is float and type(scalar.phi) is float
+        assert scalar.shape == array.shape == ()
+        assert np.float64(scalar.l).tobytes() == np.float64(array.l).tobytes()
+        assert np.float64(scalar.phi).tobytes() == np.float64(array.phi).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.nan)])
+def test_scalar_phase_point_rejects_nonfinite_with_the_array_message(bad):
+    for l, phi in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(DomainError, match="phase-space coordinates must be finite"):
+            PhasePoint(l, phi)
+        with pytest.raises(DomainError, match="phase-space coordinates must be finite"):
+            PhasePoint(np.asarray(l), np.asarray(phi))
+
+
 def test_coefficients_center_slot_is_one():
     s = coherent_state(PhasePoint(0.7, 2.0), Sector.BOSON, TR)
     mid = TR.index_of(Sector.BOSON, 0)

@@ -99,6 +99,35 @@ def test_coeffs_are_frozen():
         s.coeffs[0] = 1.0
 
 
+def test_state_vector_errors_keep_their_messages():
+    with pytest.raises(DomainError, match=r"^expected 5 coefficients, got shape \(2,\)$"):
+        StateVector(Sector.BOSON, Truncation(4), np.ones(2))
+    with pytest.raises(DomainError, match=r"^expected 5 coefficients, got shape \(5, 1\)$"):
+        StateVector(Sector.BOSON, Truncation(4), np.ones((5, 1)))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(DomainError, match="^state coefficients must be finite$"):
+            StateVector(Sector.BOSON, Truncation(4), [1.0, bad, 0.0, 0.0, 0.0])
+
+
+def test_state_vector_keeps_a_private_copy():
+    c = np.arange(5, dtype=np.complex128)
+    s = StateVector(Sector.BOSON, Truncation(4), c)
+    c[0] = 9.0
+    assert s.coeffs[0] == 0.0
+    # a shared read-only window array as input is copied too, and stays untouched
+    j = Truncation(4).j_values(Sector.BOSON)
+    from_window = StateVector(Sector.BOSON, Truncation(4), j)
+    assert from_window.coeffs is not j and not from_window.coeffs.flags.writeable
+    assert j.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
+def test_window_grids_are_shared():
+    # read-only and right for any window: tests/test_properties.py
+    t = Truncation(7)
+    assert t.j_values(Sector.FERMION) is Truncation(7).j_values(Sector.FERMION)
+    assert t.two_j_values(Sector.BOSON) is Truncation(7).two_j_values(Sector.BOSON)
+
+
 def test_u_shifts_up():
     s = basis_state(Sector.BOSON, 2.0, TR)
     up = apply_operator("U", s)
@@ -207,6 +236,37 @@ def test_x_overflow_guard():
     s = basis_state(Sector.BOSON, -900.0, t)
     with pytest.raises(RangeOverflowError):
         apply_operator("X", s)
+
+
+@pytest.mark.parametrize("kind, j", [("Xdag", -900.0), ("exp_j", 900.0), ("exp_j", -900.0)])
+def test_weight_overflow_on_a_state_with_zeros_is_typed(kind, j):
+    # every other coefficient is 0 (log 0 = -inf); pyproject turns numpy warnings into errors
+    s = basis_state(Sector.FERMION, j + 0.5, Truncation(2001))
+    with pytest.raises(RangeOverflowError, match="outside the floating-point range"):
+        if kind == "exp_j":
+            apply_exp_j(s, math.copysign(1.0, j))
+        else:
+            apply_operator(kind, s)
+
+
+@pytest.mark.parametrize("eta", [1e308, -1e308, complex(0.0, 1e308), 1e200 + 1e200j])
+def test_apply_exp_j_past_the_double_range_is_typed(eta):
+    # eta*j or the coefficient overflows; pyproject turns numpy warnings into errors
+    s = basis_state(Sector.BOSON, 2.0, TR)
+    with pytest.raises(RangeOverflowError, match="floating-point range"):
+        apply_exp_j(s, eta)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_apply_exp_j_rejects_a_non_finite_eta(eta):
+    with pytest.raises(DomainError, match="eta must be finite"):
+        apply_exp_j(basis_state(Sector.BOSON, 2.0, TR), eta)
+
+
+def test_weights_of_the_zero_state_stay_zero():
+    zero = make_state(Sector.BOSON, TR, np.zeros(TR.size(Sector.BOSON)))
+    for out in (apply_operator("X", zero), apply_operator("Xdag", zero), apply_exp_j(zero, 3.0)):
+        assert not out.coeffs.any() and out.leakage == 0.0
 
 
 def test_time_reversal_swaps_sign_of_j():

@@ -1,10 +1,13 @@
-"""Ratio observables against an independent 50-digit reference.
+"""Theta functions and the observables built on them against 50-digit mpmath.
 
-The reference sums S(w) = sum_m exp(w*m - m^2) term by term with
-mpmath at 50 digits over the window |m - Re(w)/2| <= 12 (the omitted
-terms are below e^(-144) of the largest), at the exact double inputs.
-It never calls circle_cs.theta.  Each test asserts the accuracy the
-docstring of the function under test claims.
+The ratio observables are checked against sums of S(w) = sum_m
+exp(w*m - m^2) taken term by term with mpmath at 50 digits over the
+window |m - Re(w)/2| <= 12 (the omitted terms are below e^(-144) of the
+largest), at the exact double inputs.  The theta functions, their log
+derivative and overlap_closed are checked against mpmath's own
+mp.jtheta, <J> against its defining lattice average.  No reference
+calls circle_cs.theta.  Each test asserts the accuracy the docstring of
+the function under test, or the README, claims.
 """
 
 from __future__ import annotations
@@ -16,8 +19,16 @@ import numpy as np
 import pytest
 
 from circle_cs import cli
-from circle_cs.coherent import PhasePoint, expect_expJ, expect_U, heisenberg_expectations
+from circle_cs.coherent import (
+    PhasePoint,
+    expect_expJ,
+    expect_J,
+    expect_U,
+    heisenberg_expectations,
+    overlap_closed,
+)
 from circle_cs.hilbert import Sector
+from circle_cs.theta import DEFAULT_CONTROL, ThetaArg, theta, theta_log_derivative
 
 mp.mp.dps = 50
 
@@ -133,3 +144,116 @@ def test_scan_past_the_old_range_matches_mpmath(sector, capsys):
     for bound in ("27", "1000"):
         rows = scan_u_rows(sector.name.lower(), f"-{bound}", bound, capsys)
         assert_scan_rows_match_reference(rows, sector)
+
+
+# ---------------------------------------------------------------------------
+# theta functions, their log derivative, <J> and overlap_closed (mp.jtheta)
+
+EPS = float(np.finfo(float).eps)
+TOL = DEFAULT_CONTROL.tol
+TAUS = [1j / math.pi, 1j * math.pi, 0.3 + 0.8j]
+# real and complex arguments, a few periods out and off the real line
+V_GRID = np.array([
+    0.0, 0.1, 0.25, -0.37, 0.5, 1.3, -2.2, 7.9,
+    0.2 + 0.1j, -0.3 - 0.25j, 0.45 + 0.6j, 3.7 - 0.4j, -1.1 + 0.9j,
+])
+
+
+def nome(tau: complex) -> mp.mpc:
+    return mp.exp(1j * mp.pi * mp.mpc(tau))
+
+
+def theta_terms(kind: int, v: complex, tau: complex) -> list[tuple[mp.mpc, mp.mpf]]:
+    """(t_m, |curv| m^2 + |lin| |m|) for the terms t_m = +-exp(curv m^2 + lin m) of theta_kind."""
+    curv, lin = 1j * mp.pi * mp.mpc(tau), 2j * mp.pi * mp.mpc(v)
+    offset = mp.mpf(0.5) if kind == 2 else 0
+    out = []
+    for n in range(-40, 41):  # every point here has its terms below e^(-1000) by |m| = 40
+        m = n + offset
+        sign = -1 if kind == 4 and n % 2 else 1
+        out.append((sign * mp.exp(curv * m * m + lin * m), abs(curv) * m * m + abs(lin) * abs(m)))
+    return out
+
+
+def lattice_sum_bound(kind: int, v: complex, tau: complex) -> float:
+    """3 tol + 32 eps sum_m |t_m| (1 + |E_m|), the claim of the README accuracy table."""
+    weighted = mp.fsum(abs(t) * (1 + size) for t, size in theta_terms(kind, v, tau))
+    return 3.0 * TOL + 32.0 * EPS * float(weighted)
+
+
+def log_derivative_bound(kind: int, v: complex, tau: complex) -> float:
+    """tol + 32 eps (1 + 2 pi |v|) pi sum_n |term_n| over the product series."""
+    q, x = nome(tau), mp.exp(2j * mp.pi * mp.mpc(v))
+    total, n = mp.mpf(0), 0
+    while True:
+        n += 1
+        y = q ** (2 * n - 1)
+        tp, tm = y * x, y / x
+        if abs(tp) + abs(tm) < mp.mpf(10) ** -40:  # the rest is far below the doubles
+            break
+        if kind == 3:
+            total += abs(2j * (tp / (1 + tp) - tm / (1 + tm)))
+        else:
+            total += abs(2j * (tm / (1 - tm) - tp / (1 - tp)))
+    return TOL + 32.0 * EPS * (1.0 + 2.0 * math.pi * abs(v)) * float(mp.pi * total)
+
+
+@pytest.mark.parametrize("tau", TAUS, ids=["i/pi", "i*pi", "0.3+0.8i"])
+@pytest.mark.parametrize("kind", [2, 3, 4])
+def test_theta_matches_jtheta(kind, tau):
+    # theta_kind(v | tau) = jtheta(kind, pi v, e^(i pi tau)), q^(1/4) on the principal branch
+    values = theta(kind, ThetaArg(V_GRID, tau))
+    for v, value in zip(V_GRID, values):
+        reference = mp.jtheta(kind, mp.pi * mp.mpc(v), nome(tau))
+        assert float(abs(mp.mpc(value) - reference)) <= lattice_sum_bound(kind, v, tau), v
+
+
+@pytest.mark.parametrize("tau", TAUS, ids=["i/pi", "i*pi", "0.3+0.8i"])
+@pytest.mark.parametrize("kind", [3, 4])
+def test_theta_log_derivative_matches_jtheta(kind, tau):
+    values = theta_log_derivative(kind, ThetaArg(V_GRID, tau))
+    for v, value in zip(V_GRID, values):
+        z, q = mp.pi * mp.mpc(v), nome(tau)
+        reference = mp.pi * mp.jtheta(kind, z, q, 1) / mp.jtheta(kind, z, q)
+        assert float(abs(mp.mpc(value) - reference)) <= log_derivative_bound(kind, v, tau), v
+
+
+J_GRID = np.concatenate([np.linspace(-20.0, 20.0, 81), [1e-3, 0.25, -0.37, 3.3, -7.77]])
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=["boson", "fermion"])
+def test_expect_J_matches_the_lattice_average(sector):
+    """<J> = sum_j j e^(2lj - j^2) / sum_j e^(2lj - j^2), within half the log-derivative claim."""
+    offset = mp.mpf(0.5) if sector is Sector.FERMION else 0
+    kind = 3 if sector is Sector.BOSON else 4
+    values = expect_J(PhasePoint(J_GRID, 0.0), sector)
+    for l, value in zip(J_GRID, values):
+        big_l, centre = mp.mpf(l), int(round(l))
+        j = [n + offset for n in range(centre - 15, centre + 16)]
+        weights = [mp.exp(2 * big_l * jv - jv * jv) for jv in j]
+        reference = mp.fsum(jv * wv for jv, wv in zip(j, weights)) / mp.fsum(weights)
+        # the derivative enters halved; adding it to l rounds once more
+        bound = 0.5 * log_derivative_bound(kind, l, 1j * math.pi) + EPS * float(abs(reference))
+        assert float(abs(value - reference)) <= bound, l
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=["boson", "fermion"])
+def test_expect_J_is_exactly_l_on_the_lattice(sector):
+    # the docstring's exactness claim: 2l an even (boson) or odd (fermion) integer
+    l = np.arange(-20.0, 21.0) + (0.5 if sector is Sector.FERMION else 0.0)
+    assert np.array_equal(expect_J(PhasePoint(l, 0.0), sector), l)
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=["boson", "fermion"])
+def test_overlap_closed_matches_jtheta(sector):
+    # <xi_1|xi_2> = S(w) = theta_{3|2}(w / (2 pi i) | i/pi) = jtheta(3|2, -i w/2, e^(-1))
+    kind = 3 if sector is Sector.BOSON else 2
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        p1 = PhasePoint(rng.uniform(-5.0, 5.0), rng.uniform(0.0, 2.0 * math.pi))
+        p2 = PhasePoint(rng.uniform(-5.0, 5.0), rng.uniform(0.0, 2.0 * math.pi))
+        value = overlap_closed(p1, p2, sector)
+        w = complex(-(p1.l + p2.l), p2.phi - p1.phi)
+        reference = mp.jtheta(kind, -0.5j * mp.mpc(w), mp.exp(-1))
+        bound = lattice_sum_bound(kind, w / (2j * math.pi), 1j / math.pi)
+        assert float(abs(mp.mpc(value) - reference)) <= bound, (p1, p2)
