@@ -43,9 +43,9 @@ from .coherent import (
     uncertainty_QP,
 )
 from .errors import CircleError, ConfigError, DomainError
-from .hilbert import Sector, Truncation, apply_operator, state_to_json
+from .hilbert import MAX_TWO_JMAX, Sector, Truncation, apply_operator, state_to_json
 from .theta import SeriesControl, ThetaArg, theta
-from .verify import CONFIG_CAPS, load_config, run_verify
+from .verify import load_config, run_verify
 
 __all__ = ["main"]
 
@@ -184,9 +184,9 @@ def _windowed_expectations(state) -> tuple[float, complex]:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    # the window is allocated, so it keeps to the battery's window cap
-    if args.two_jmax > CONFIG_CAPS["two_jmax"]:
-        raise ConfigError(f"--two-jmax must be <= {CONFIG_CAPS['two_jmax']}, got {args.two_jmax}")
+    # the window is allocated, so it keeps to the window cap
+    if args.two_jmax > MAX_TWO_JMAX:
+        raise ConfigError(f"--two-jmax must be <= {MAX_TWO_JMAX}, got {args.two_jmax}")
     sector = Sector.from_name(args.sector)
     trunc = Truncation(args.two_jmax)
     p = PhasePoint(args.l, args.phi)
@@ -228,8 +228,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
     # the levels |j| <= jmax form a window |2j| <= 2*jmax, capped like evolve's
-    if 2 * args.jmax > CONFIG_CAPS["two_jmax"]:
-        raise ConfigError(f"--jmax must be <= {CONFIG_CAPS['two_jmax'] // 2}, got {args.jmax}")
+    if 2 * args.jmax > MAX_TWO_JMAX:
+        raise ConfigError(f"--jmax must be <= {MAX_TWO_JMAX // 2}, got {args.jmax}")
     sector = Sector.from_name(args.sector)
     if sector is Sector.FERMION and not args.allow_fermion:
         raise DomainError("half-integer levels need --allow-fermion")

@@ -44,6 +44,7 @@ from .theta import (
 )
 
 __all__ = [
+    "J_DEVIATION_AMPLITUDE",
     "PhasePoint",
     "FreeRotor",
     "Linear",
@@ -73,6 +74,7 @@ _TWO_PI = 2.0 * math.pi
 
 # Python and NumPy real scalars, which PhasePoint validates with math.isfinite
 _SCALARS = (float, int, np.floating, np.integer)
+_NOT_FINITE = "phase-space coordinates must be finite"
 
 
 @dataclass(frozen=True)
@@ -98,15 +100,24 @@ class PhasePoint:
         if isinstance(self.l, _SCALARS) and isinstance(self.phi, _SCALARS):
             # the 0-d case of the array code below, without numpy's per-call cost:
             # float % and np.remainder round alike
-            l, phi = float(self.l), float(self.phi)
+            try:
+                l, phi = float(self.l), float(self.phi)
+            except OverflowError:  # an int past the double range
+                raise DomainError(_NOT_FINITE) from None
             if not (math.isfinite(l) and math.isfinite(phi)):
-                raise DomainError("phase-space coordinates must be finite")
+                raise DomainError(_NOT_FINITE)
+            phi %= _TWO_PI
             object.__setattr__(self, "l", l)
-            object.__setattr__(self, "phi", phi % _TWO_PI)
+            # the remainder of a negative phi above -4.4e-16 rounds up to 2*pi;
+            # 0 is the nearest angle in [0, 2*pi)
+            object.__setattr__(self, "phi", 0.0 if phi == _TWO_PI else phi)
             object.__setattr__(self, "shape", ())
             return
-        l = np.asarray(self.l, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
+        try:
+            l = np.asarray(self.l, dtype=float)
+            phi = np.asarray(self.phi, dtype=float)
+        except OverflowError:
+            raise DomainError(_NOT_FINITE) from None
         try:
             shape = np.broadcast(l, phi).shape
         except ValueError:
@@ -114,8 +125,9 @@ class PhasePoint:
                 f"l of shape {l.shape} and phi of shape {phi.shape} do not broadcast"
             ) from None
         if not (np.isfinite(l).all() and np.isfinite(phi).all()):
-            raise DomainError("phase-space coordinates must be finite")
+            raise DomainError(_NOT_FINITE)
         phi = phi % _TWO_PI
+        phi = np.where(phi == _TWO_PI, 0.0, phi)
         object.__setattr__(self, "l", float(l) if l.ndim == 0 else l)
         object.__setattr__(self, "phi", float(phi) if phi.ndim == 0 else phi)
         object.__setattr__(self, "shape", shape)

@@ -7,6 +7,18 @@ catches any library-level problem without swallowing programming errors.
 
 from __future__ import annotations
 
+__all__ = [
+    "CircleError",
+    "ConfigError",
+    "ConvergenceError",
+    "DomainError",
+    "ParityError",
+    "RangeOverflowError",
+    "SingularityError",
+    "TruncationError",
+    "WindowError",
+]
+
 
 class CircleError(Exception):
     """Base class for all circle_cs errors."""

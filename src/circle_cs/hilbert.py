@@ -93,6 +93,12 @@ def _window(two_jmax: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     return two_j, j
 
 
+# Largest window a state file, a command or the verify config may build.
+# Dense window matrices grow as two_jmax^2 and their products overflow
+# double range past two_jmax ~ 700.
+MAX_TWO_JMAX = 600
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Symmetric window |2j| <= two_jmax (indices keep the sector parity)."""
@@ -330,6 +336,8 @@ def state_from_json(text: str) -> StateVector:
         entries = [(int(e["two_j"]), complex(e["re"], e["im"])) for e in payload["coeffs"]]
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc
+    if trunc.two_jmax > MAX_TWO_JMAX:
+        raise DomainError(f"state window two_jmax must be <= {MAX_TWO_JMAX}, got {trunc.two_jmax}")
     keys = [two_j for two_j, _ in entries]
     try:
         keys = np.array(keys, dtype=np.int64)

@@ -58,11 +58,17 @@ class ThetaArg:
     tau: complex
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=np.complex128)
+        try:
+            v = np.asarray(self.v, dtype=np.complex128)
+        except OverflowError:  # an int past the double range
+            raise DomainError("theta argument v must be finite") from None
         if not np.isfinite(v).all():
             raise DomainError("theta argument v must be finite")
         object.__setattr__(self, "v", complex(v) if v.ndim == 0 else v)
-        tau = complex(self.tau)
+        try:
+            tau = complex(self.tau)
+        except OverflowError:
+            raise DomainError("theta modulus tau must be finite") from None
         if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
             raise DomainError("theta modulus tau must be finite")
         if tau.imag <= 0.0:

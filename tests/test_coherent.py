@@ -63,7 +63,7 @@ def test_phase_point_rejects_nonfinite():
 
 _TWO_PI = 2.0 * math.pi
 SCALAR_COORDINATES = [
-    -0.0, 0.0, -1e-300, 1e-300, 5e-324, 1e300, -1e300, 0.3, -2.75, 7.0,
+    -0.0, 0.0, -1e-300, 1e-300, 5e-324, 1e300, -1e300, 1e308, -1e308, 0.3, -2.75, 7.0,
     *(k * _TWO_PI for k in (-3, -1, 1, 2, 7)),
     0, 3, -5, 10**15, True,
     np.float64(-0.0), np.float64(1.1), np.float32(0.1), np.float16(-2.5),
@@ -91,6 +91,35 @@ def test_scalar_phase_point_rejects_nonfinite_with_the_array_message(bad):
             PhasePoint(l, phi)
         with pytest.raises(DomainError, match="phase-space coordinates must be finite"):
             PhasePoint(np.asarray(l), np.asarray(phi))
+
+
+@pytest.mark.parametrize("l, phi", [
+    (10**400, 0.0), (0.0, -10**400), ([10**400], 0.0), (0.0, [1.0, -10**400]),
+    (np.array([10**400], dtype=object), 0.0),
+], ids=["l", "phi", "l-list", "phi-list", "object-array"])
+def test_ints_past_the_double_range_are_domain_errors(l, phi):
+    with pytest.raises(DomainError, match="phase-space coordinates must be finite"):
+        PhasePoint(l, phi)
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, 5e-324, -0.0])
+def test_extreme_finite_coordinates_keep_their_bits(value):
+    # l is stored as given; phi is its remainder, which lies in [0, 2*pi) already
+    remainder = np.remainder(value, _TWO_PI)
+    assert 0.0 <= remainder < _TWO_PI
+    for p in (PhasePoint(value, value), PhasePoint(np.array([value]), np.array([value]))):
+        assert np.float64(np.ravel(p.l)[0]).tobytes() == np.float64(value).tobytes()
+        assert np.float64(np.ravel(p.phi)[0]).tobytes() == remainder.tobytes()
+
+
+@pytest.mark.parametrize("phi", [-1e-300, -4e-16, -5e-324])
+def test_phi_just_below_zero_maps_into_the_half_open_range(phi):
+    # 2*pi - abs(phi) rounds up to 2*pi itself; the nearest angle in range is 0
+    assert np.remainder(phi, _TWO_PI) == _TWO_PI
+    assert PhasePoint(0.0, phi).phi == 0.0
+    assert PhasePoint(0.0, np.array(phi)).phi == 0.0
+    grid = PhasePoint(0.0, np.array([phi, -0.5, 1.0])).phi
+    assert grid.tolist() == [0.0, np.remainder(-0.5, _TWO_PI), 1.0]
 
 
 def test_coefficients_center_slot_is_one():

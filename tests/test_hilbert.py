@@ -14,7 +14,9 @@ from circle_cs.errors import (
     RangeOverflowError,
     WindowError,
 )
+from circle_cs import hilbert
 from circle_cs.hilbert import (
+    MAX_TWO_JMAX,
     N_CONST,
     OPERATOR_KINDS,
     Sector,
@@ -392,6 +394,24 @@ def test_json_non_finite_index_is_domain_error():
         text = '{"sector": "boson", "two_jmax": 4, "coeffs": [{"two_j": %s, "re": 1, "im": 0}]}'
         with pytest.raises(DomainError, match="malformed state JSON"):
             state_from_json(text % token)
+
+
+@pytest.mark.parametrize("two_jmax", [MAX_TWO_JMAX + 1, 10**12, 2**62])
+def test_json_window_past_the_cap_is_domain_error(two_jmax, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(hilbert, "_window", refuse)
+    text = _state_text("boson", two_jmax, [(0, 1.0, 0.0)])
+    message = f"^state window two_jmax must be <= 600, got {two_jmax}$"
+    with pytest.raises(DomainError, match=message):
+        state_from_json(text)
+
+
+def test_json_window_at_the_cap_round_trips():
+    s = basis_state(Sector.FERMION, 0.5, Truncation(MAX_TWO_JMAX))
+    back = state_from_json(state_to_json(s))
+    assert back.trunc == s.trunc and np.array_equal(back.coeffs, s.coeffs)
 
 
 def test_tail_mass_sees_outermost_slots():

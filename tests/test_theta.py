@@ -173,6 +173,15 @@ def test_theta_rejects_nonfinite_argument():
         ThetaArg(complex(0.0, float("inf")), I_PI)
 
 
+@pytest.mark.parametrize("v, tau, what", [
+    (10**400, I_PI, "argument v"), ([0.1, -10**400], I_PI, "argument v"),
+    (0.1, 10**400, "modulus tau"),
+], ids=["v", "v-list", "tau"])
+def test_theta_rejects_ints_past_the_double_range(v, tau, what):
+    with pytest.raises(DomainError, match=f"theta {what} must be finite"):
+        ThetaArg(v, tau)
+
+
 def test_peak_overflow_raises():
     # drift^2 / (4 decay) beyond exp range must refuse, not return inf
     with pytest.raises(RangeOverflowError):

@@ -8,6 +8,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
 from circle_cs import verify
 
@@ -122,6 +123,17 @@ def test_batched_theta_checks_draw_the_scalar_sample():
         assert batch.ravel().tolist() == scalar
 
 
+def test_a_context_keeps_one_generator_per_index():
+    # a per-sector check asks twice; its fermion cases continue the boson stream
+    ctx = verify._Context(verify.load_config(None))
+    stream = ctx.rng(13)
+    assert ctx.rng(13) is stream and ctx.rng(15) is not stream
+    drawn = [stream.uniform() for _ in range(3)]
+    assert drawn == np.random.default_rng([20260817, 13]).uniform(size=3).tolist()
+    fresh = verify._Context(verify.load_config(None)).rng(13)
+    assert fresh.uniform() == drawn[0]
+
+
 def test_evenness_and_symmetry_checks_see_a_wrong_lattice_sum(monkeypatch):
     # theta._lattice_sum pairs +-m, so it stays exactly even and conjugate
     # symmetric even when its terms are wrong; both checks must still fail
@@ -137,3 +149,21 @@ def test_evenness_and_symmetry_checks_see_a_wrong_lattice_sum(monkeypatch):
         if name in ("theta-evenness", "kernel-symmetry"):
             max_err, _ = verify._tally(fn(ctx))
             assert max_err > tolerance, name
+
+
+# At n_phi = 64 both projector checks pass from n_l = 27, where the node
+# range first resolves the band-limited states, until n_l outruns the phi
+# grid and the kernel lattice aliases: idempotency from n_l = 83, parity
+# projection from n_l = 91 (README, verify).
+@pytest.mark.parametrize(
+    "name, onset", [("kernel-idempotency", 83), ("kernel-parity-projection", 91)]
+)
+def test_kernel_projector_checks_alias_from_a_pinned_n_l(name, onset):
+    [(tolerance, fn)] = [(tol, fn) for check, tol, fn in verify._CHECKS if check == name]
+
+    def passes(n_l):
+        ctx = verify._Context(verify.validate_config({"n_l": n_l, "n_phi": 64}))
+        max_err, _ = verify._tally(fn(ctx))
+        return max_err <= tolerance
+
+    assert [passes(n_l) for n_l in (26, 27, onset - 1, onset)] == [False, True, True, False]
