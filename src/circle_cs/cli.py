@@ -51,6 +51,9 @@ __all__ = ["main"]
 
 CONFIG_ENV = "CIRCLE_CS_CONFIG"
 MAX_DIGITS = 17
+# Largest scan --n.  A scan holds its table as arrays, Python floats and
+# text at once, about 300 bytes a point: some 0.3 GB at this cap.
+MAX_SCAN_POINTS = 1_000_000
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -69,14 +72,17 @@ def _print_complex(value: complex, digits: int) -> None:
         print(f"{_fmt(value.real, digits)}{sign}{_fmt(abs(value.imag), digits)}j")
 
 
-def _csv(header: str, rows, digits: int) -> str:
-    """The header, then one line per 4-tuple of floats, each rounded to `digits`.
+def _csv(header: str, columns, digits: int) -> str:
+    """The header, then one line per row of the equal-length columns of floats.
 
-    One %-template per table formats a whole row at once; %.Ng and
-    format(x, ".Ng") give the same string for every double.
+    One % formats the whole table: the row template, one %.Ng per
+    column, repeated once per row and applied to the values flattened
+    row by row.  %.Ng and format(x, ".Ng") give the same string for
+    every double.  The header holds no %.
     """
-    template = ",".join([f"%.{digits}g"] * 4)
-    return "\n".join([header, *(template % row for row in rows)]) + "\n"
+    values = tuple(np.column_stack(columns).ravel().tolist())
+    row = ",".join([f"%.{digits}g"] * len(columns))
+    return "\n".join([header, *[row] * len(columns[0])]) % values + "\n"
 
 
 def _json_line(payload: dict, digits: int) -> str:
@@ -150,8 +156,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise ConfigError("--n must be at least 2")
+    if not 2 <= args.n <= MAX_SCAN_POINTS:
+        raise ConfigError(f"--n must lie in 2..{MAX_SCAN_POINTS}, got {args.n}")
     if not (math.isfinite(args.l_min) and math.isfinite(args.l_max)):
         raise ConfigError("--l-min and --l-max must be finite")
     if not args.l_max > args.l_min:
@@ -169,8 +175,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         exact = np.abs(expect_U(p, sector))
         approx = np.full_like(l, math.exp(-0.25))
         deviation = np.abs(exact - approx)
-    rows = zip(l.tolist(), exact.tolist(), approx.tolist(), deviation.tolist())
-    _write_text(args.out, _csv("l,exact,approx,deviation", rows, args.digits))
+    columns = (l, exact, approx, deviation)
+    _write_text(args.out, _csv("l,exact,approx,deviation", columns, args.digits))
     return 0
 
 
@@ -235,11 +241,11 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
         raise DomainError("half-integer levels need --allow-fermion")
     p = PhasePoint(args.l, 0.0)
     dist = energy_distribution(p, sector, jmax=args.jmax, allow_fermion=args.allow_fermion)
-    rows = []
-    for j, prob in dist:
-        approx = gaussian_energy_profile(j, args.l)
-        rows.append((j, prob, approx, abs(prob - approx)))
-    _write_text(args.out, _csv("j,prob,approx,deviation", rows, args.digits))
+    j, prob = zip(*dist)
+    approx = [gaussian_energy_profile(jv, args.l) for jv in j]
+    deviation = [abs(pv - av) for pv, av in zip(prob, approx)]
+    columns = (j, prob, approx, deviation)
+    _write_text(args.out, _csv("j,prob,approx,deviation", columns, args.digits))
     return 0
 
 

@@ -343,10 +343,7 @@ def expect_expJ(
     r0, r1 = w0 - 2.0 * c0, w1 - 2.0 * c1
     exponent = _expJ_exponent(s, p.l)
     log_scale = exponent - 0.25 * (r1 * r1 - r0 * r0)
-    peak = float(np.max(log_scale, initial=-math.inf))
-    if peak > _EXP_LIMIT:
-        raise RangeOverflowError(f"<e^(sJ)> = exp({peak:.3g}) exceeds the floating-point range")
-    exact = np.exp(log_scale) * (np.real(num) / np.real(den))
+    exact = _limited_exp(log_scale, "<e^(sJ)>") * (np.real(num) / np.real(den))
     return _shaped(exact, shape, float), _shaped(np.exp(exponent), shape, float)
 
 
@@ -355,9 +352,22 @@ def _expJ_exponent(s, l):
     return 0.25 * s * s + s * l
 
 
+def _limited_exp(exponent, what: str):
+    """np.exp(exponent); RangeOverflowError if some exponent passes _EXP_LIMIT."""
+    peak = float(np.max(exponent, initial=-math.inf))
+    if peak > _EXP_LIMIT:
+        raise RangeOverflowError(f"{what} = exp({peak:.3g}) exceeds the floating-point range")
+    return np.exp(exponent)
+
+
 def approx_expJ(s: float | np.ndarray, l: float | np.ndarray) -> float | np.ndarray:
-    """e^(s^2/4 + s*l), elementwise over broadcasting s and l."""
-    value = np.exp(_expJ_exponent(s, l))
+    """e^(s^2/4 + s*l), elementwise over broadcasting s and l.
+
+    Raises RangeOverflowError where expect_expJ does: when the value
+    exceeds e^700, or when |l| or |s|(|l| + |s| + 1) exceeds 1e300.
+    """
+    _require_reach(l, s)
+    value = _limited_exp(_expJ_exponent(s, l), "e^(s^2/4 + s*l)")
     return _shaped(value, np.shape(value), float)
 
 
@@ -442,9 +452,14 @@ def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float]:
     Both spreads equal (1/2) e^(-l) sqrt(e^2 - 1); the commutator bound
     (1/2)|<[Q,P]>|/<xi|xi> equals (1/4)(e^2 - 1) e^(-2l), so the
     product Delta Q * Delta P sits exactly on the bound --- for every
-    (l, phi) and in both sectors.
+    (l, phi) and in both sectors.  Raises RangeOverflowError for
+    l < -350, where e^(-2l) passes e^700.
     """
     _single(p)
+    if -2.0 * p.l > _EXP_LIMIT:
+        raise RangeOverflowError(
+            f"uncertainty bound at l = {p.l} exceeds the floating-point range"
+        )
     spread = 0.5 * math.exp(-p.l) * math.sqrt(math.exp(2.0) - 1.0)
     bound = 0.25 * (math.exp(2.0) - 1.0) * math.exp(-2.0 * p.l)
     return {"dQ": spread, "dP": spread, "bound": bound}
@@ -476,5 +491,11 @@ def energy_distribution(
 
 
 def gaussian_energy_profile(j: float, l: float) -> float:
-    """Continuous companion pi^(-1/2) e^(-(j-l)^2) of the distribution."""
-    return math.exp(-((j - l) ** 2)) / math.sqrt(math.pi)
+    """Continuous companion pi^(-1/2) e^(-(j-l)^2) of the distribution.
+
+    (j - l)^2 overflows only where the profile underflows to 0.0.
+    """
+    try:
+        return math.exp(-((j - l) ** 2)) / math.sqrt(math.pi)
+    except OverflowError:
+        return 0.0

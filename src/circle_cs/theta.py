@@ -45,6 +45,9 @@ __all__ = [
 # Largest exponent handed to exp(); beyond this a double overflows.
 _EXP_LIMIT = 700.0
 
+# Python and NumPy numbers, which ThetaArg validates with math.isfinite
+_SCALARS = (complex, float, int, np.number)
+
 
 @dataclass(frozen=True)
 class ThetaArg:
@@ -59,12 +62,20 @@ class ThetaArg:
 
     def __post_init__(self) -> None:
         try:
-            v = np.asarray(self.v, dtype=np.complex128)
+            if isinstance(self.v, _SCALARS):
+                # the 0-d case of the array code, without numpy's per-call cost
+                v = complex(self.v)
+                finite = math.isfinite(v.real) and math.isfinite(v.imag)
+            else:
+                v = np.asarray(self.v, dtype=np.complex128)
+                finite = np.isfinite(v).all()
+                if v.ndim == 0:
+                    v = complex(v)
         except OverflowError:  # an int past the double range
             raise DomainError("theta argument v must be finite") from None
-        if not np.isfinite(v).all():
+        if not finite:
             raise DomainError("theta argument v must be finite")
-        object.__setattr__(self, "v", complex(v) if v.ndim == 0 else v)
+        object.__setattr__(self, "v", v)
         try:
             tau = complex(self.tau)
         except OverflowError:
@@ -132,29 +143,69 @@ def _drift(lin_arr: np.ndarray) -> float:
     return drift
 
 
+# Points per block of _lattice_sum times its term pairs stays at or
+# below this, so one block's temporaries (two arrays of terms, 16 bytes
+# a term) take about 2 MB whatever the size of the input.
+_BLOCK_TERMS = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder(pairs: int, half: bool, alternating: bool):
+    """Read-only columns (m, m^2, sign) over the term pairs, largest |m| first.
+
+    Each is complex with imaginary part 0, the operand numpy makes of a
+    float in a complex product, and has shape (pairs, 1), to broadcast
+    against a row of points.
+    """
+    k = np.arange(pairs, 0, -1, dtype=np.float64)
+    m = k - 0.5 if half else k
+    odd = (k % 2.0 == 1.0) & (alternating and not half)
+    columns = tuple(
+        column.astype(np.complex128)[:, None] for column in (m, m * m, np.where(odd, -1.0, 1.0))
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesControl):
     """sum over the index lattice of sign(m) * exp(curv*m^2 + lin*m).
 
     The lattice is Z (half=False) or Z+1/2 (half=True); alternating
     applies (-1)^m on the integer lattice.  ``lin`` may be a complex
-    scalar or an ndarray; the return type matches.  Accumulation runs
-    from the largest |m| inward, adding each +-m pair together first.
+    scalar or an ndarray; the return type matches.
+
+    Each term pair is sign * (exp(curv*m^2 + lin*m) + exp(curv*m^2 -
+    lin*m)), formed for all pairs of a block of points by one broadcast
+    over the _ladder columns.  The pairs are added in a fixed order:
+    from 0, then from the largest |m| inward.  np.add.accumulate along
+    the pair axis is sequential (np.sum would add pairwise, in another
+    order).  1, the m = 0 term, is added last on Z.  The points go
+    through in blocks of _BLOCK_TERMS // pairs, so the temporaries stay
+    bounded whatever the size of ``lin``.
     """
     lin_arr = np.asarray(lin, dtype=np.complex128)
     decay = -complex(curv).real
     # an infinite real part is an overflow, caught by the pair count
     pairs = _pair_count(decay, _drift(lin_arr), ctl, half)
 
-    acc = np.zeros_like(lin_arr)
-    for k in range(pairs, 0, -1):
-        m = (k - 0.5) if half else float(k)
-        sign = -1.0 if (alternating and not half and k % 2 == 1) else 1.0
-        base = curv * (m * m)
-        pair = np.exp(base + lin_arr * m) + np.exp(base - lin_arr * m)
-        acc = acc + sign * pair
+    m, m_sq, sign = _ladder(pairs, half, alternating)
+    base = np.multiply(curv, m_sq)
+    flat = lin_arr.reshape(-1)
+    acc = np.empty(flat.shape, dtype=np.complex128)
+    block = max(_BLOCK_TERMS // max(pairs, 1), 1)
+    for start in range(0, flat.size, block):
+        step = np.multiply(m, flat[start : start + block])
+        # row 0 stays 0, where the sum starts
+        terms = np.zeros((pairs + 1, step.shape[1]), dtype=np.complex128)
+        pair = terms[1:]
+        np.exp(np.add(base, step, out=pair), out=pair)
+        pair += np.exp(np.subtract(base, step, out=step), out=step)
+        pair *= sign
+        acc[start : start + block] = np.add.accumulate(terms, axis=0, out=terms)[-1]
     if not half:
-        acc = acc + 1.0
-    return _as_complex(acc)
+        acc += 1.0
+    return _as_complex(acc.reshape(lin_arr.shape))
 
 
 def theta(

@@ -421,3 +421,55 @@ def test_verify_small_config_report(tmp_path):
 def test_missing_subcommand_exits_2(run):
     res = run()
     assert res.returncode == 2
+
+
+# ------------------------------------------------------------ one % per table
+
+
+def _per_value_csv(header, columns, digits):
+    rows = (",".join(format(x, f".{digits}g") for x in row) for row in zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("digits", range(1, 18))
+def test_csv_matches_per_value_format(digits):
+    rng = np.random.default_rng(digits)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 0.1, 1.0, -1.5]
+    values = np.concatenate([special, rng.standard_normal(30) * 10.0 ** rng.integers(-300, 300, 30)])
+    columns = (values, values[::-1], np.roll(values, 3), -values)
+    expected = _per_value_csv("a,b,c,d", columns, digits)
+    assert cli._csv("a,b,c,d", columns, digits) == expected
+    assert cli._csv("a,b", columns[:2], digits) == _per_value_csv("a,b", columns[:2], digits)
+
+
+class _Allocated(Exception):
+    pass
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Make building the scan grid raise _Allocated, so --n is checked before allocation."""
+
+    def refuse(*args, **kwargs):
+        raise _Allocated
+
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+
+
+@pytest.mark.parametrize("n", [cli.MAX_SCAN_POINTS + 1, 10**12, 1, -5])
+def test_scan_points_outside_the_cap_are_config_error(n, run, no_grid):
+    res = run("scan", "--obs", "U", "--l-min", "0", "--l-max", "1", "--n", str(n), "--out", "-")
+    assert res.returncode == 2
+    assert res.stderr == f"error: --n must lie in 2..1000000, got {n}\n"
+
+
+@pytest.mark.parametrize("n", [2, cli.MAX_SCAN_POINTS])
+def test_scan_points_inside_the_cap_reach_the_grid(n, run, no_grid):
+    with pytest.raises(_Allocated):
+        run("scan", "--obs", "J", "--l-min", "0", "--l-max", "1", "--n", str(n), "--out", "-")
+
+
+def test_uncertainty_past_the_double_range_exits_2(run):
+    res = run("expect", "--l", "-1000", "--obs", "QP")
+    assert res.returncode == 2
+    assert res.stderr == "error: uncertainty bound at l = -1000.0 exceeds the floating-point range\n"

@@ -610,3 +610,40 @@ def test_single_point_functions_reject_grids():
     ):
         with pytest.raises(DomainError, match="single phase-space point"):
             call()
+
+
+# ------------------------------------------------ finite inputs, typed overflow
+
+
+def test_uncertainty_overflows_only_where_its_bound_does():
+    # e^(-2l) passes e^700 below l = -350; no bare OverflowError from math.exp
+    for l in (-351.0, -1000.0, -1e300):
+        with pytest.raises(RangeOverflowError, match="uncertainty bound"):
+            uncertainty_QP(PhasePoint(l, 0.0), Sector.BOSON)
+    vals = uncertainty_QP(PhasePoint(-350.0, 0.0), Sector.FERMION)
+    assert math.isfinite(vals["bound"]) and math.isfinite(vals["dQ"] * vals["dP"])
+    assert uncertainty_QP(PhasePoint(1e300, 0.0), Sector.BOSON)["bound"] == 0.0
+
+
+@pytest.mark.parametrize("j, l", [(1e300, 0.0), (0.0, -1e300), (1e308, -1e308), (-1e200, 1e200)])
+def test_energy_profile_underflows_where_the_square_overflows(j, l):
+    assert gaussian_energy_profile(j, l) == 0.0
+
+
+@pytest.mark.parametrize("s, l", [
+    (1e200, 1e200),
+    (30.0, 700.0),
+    (np.array([1.0, 30.0]), 700.0),
+    (1.0, np.array([0.0, 1e301])),
+])
+def test_approx_expJ_overflow_is_typed(s, l):
+    # the same reach and e^700 limit as expect_expJ, no inf and no warning
+    with pytest.raises(RangeOverflowError):
+        approx_expJ(s, l)
+
+
+def test_approx_expJ_keeps_its_bits_inside_the_range():
+    s = np.array([-2.0, 0.5, 1.2, 3.0])
+    l = np.array([0.3, -20.0, 699.0 / 1.2, 2.5])
+    assert np.array_equal(approx_expJ(s, l), np.exp(0.25 * s * s + s * l))
+    assert approx_expJ(-1.0, 1000.0) == 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,17 @@ def test_theta_rejects_ints_past_the_double_range(v, tau, what):
         ThetaArg(v, tau)
 
 
+@pytest.mark.parametrize("v", [
+    0.3, -0.0, 5e-324, -5e-324, 1e308, -1e308, complex(-0.0, -0.0), complex(1e308, -5e-324),
+    3, -7, True, 2**60 + 1, np.float32(0.1), np.float16(-0.5), np.int64(-3), np.uint8(200),
+    np.longdouble(0.1), np.complex64(0.1 - 0.2j), np.clongdouble(0.1 + 0.3j),
+], ids=repr)
+def test_scalar_argument_stores_the_bits_of_the_array_route(v):
+    scalar, array = ThetaArg(v, I_PI).v, ThetaArg(np.asarray(v), I_PI).v
+    assert type(scalar) is complex and type(array) is complex
+    assert np.asarray(scalar).tobytes() == np.asarray(array).tobytes()
+
+
 def test_peak_overflow_raises():
     # drift^2 / (4 decay) beyond exp range must refuse, not return inf
     with pytest.raises(RangeOverflowError):
@@ -354,3 +366,109 @@ def test_log_derivative_computes_the_origin_value_once():
     info = theta_module._origin_modulus.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert theta_module._origin_modulus(4, I_PI, ctl) == abs(theta(4, ThetaArg(0.0, I_PI), ctl))
+
+
+# ------------------------------------------------------ the broadcast kernel
+
+
+def _pair_loop(curv, lin, half, alternating, pairs):
+    """The lattice sum as one numpy pass per term pair, largest |m| first (the reference)."""
+    lin_arr = np.asarray(lin, dtype=np.complex128)
+    acc = np.zeros_like(lin_arr)
+    for k in range(pairs, 0, -1):
+        m = (k - 0.5) if half else float(k)
+        sign = -1.0 if (alternating and not half and k % 2 == 1) else 1.0
+        base = curv * (m * m)
+        pair = np.exp(base + lin_arr * m) + np.exp(base - lin_arr * m)
+        acc = acc + sign * pair
+    if not half:
+        acc = acc + 1.0
+    return complex(acc) if acc.ndim == 0 else acc
+
+
+def _same_bits(got, want):
+    return (
+        type(got) is type(want)
+        and np.shape(got) == np.shape(want)
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    )
+
+
+def _kernel_case(rng, shape):
+    curv = complex(-rng.uniform(0.05, 3.0), rng.uniform(-3.0, 3.0)) if rng.integers(2) else -1.0 + 0j
+    lin = rng.choice([0.1, 1.0, 5.0]) * rng.standard_normal(shape)
+    if rng.integers(2):
+        lin = lin + 1j * rng.standard_normal(shape)
+    # a 0-d lin is handed over as a Python number, as theta hands a scalar v
+    return curv, (complex(lin) if shape == () else lin), bool(rng.integers(2)), bool(rng.integers(2))
+
+
+def _pairs_of(curv, lin, half, ctl):
+    return theta_module._pair_count(
+        -curv.real, float(np.abs(np.asarray(lin).real).max(initial=0.0)), ctl, half
+    )
+
+
+@pytest.mark.parametrize("seed, shape", enumerate([(), (0,), (1,), (101,), (7, 3)]))
+def test_kernel_matches_the_pair_loop_bitwise(seed, shape):
+    rng = np.random.default_rng(seed)
+    for _ in range(160):
+        curv, lin, half, alternating = _kernel_case(rng, shape)
+        ctl = SeriesControl(tol=float(10.0 ** -rng.uniform(3.0, 15.0)), n_max=1000)
+        try:
+            pairs = _pairs_of(curv, lin, half, ctl)
+        except RangeOverflowError:
+            continue
+        got = theta_module._lattice_sum(curv, lin, half, alternating, ctl)
+        assert _same_bits(got, _pair_loop(curv, lin, half, alternating, pairs))
+
+
+def test_kernel_matches_the_pair_loop_across_blocks():
+    # 7 pairs a point: 9362 points a block, so three blocks, the last one short
+    rng = np.random.default_rng(11)
+    lin = 1.5 * rng.standard_normal(20_000) + 0.5j * rng.standard_normal(20_000)
+    ctl = SeriesControl()
+    for half in (False, True):
+        pairs = _pairs_of(-1.0 + 0j, lin, half, ctl)
+        assert pairs * lin.size > 2 * theta_module._BLOCK_TERMS
+        got = theta_module._lattice_sum(-1.0 + 0j, lin, half, False, ctl)
+        assert _same_bits(got, _pair_loop(-1.0 + 0j, lin, half, False, pairs))
+
+
+@pytest.mark.parametrize("pairs", range(0, 33))
+def test_kernel_matches_the_pair_loop_at_every_pair_count(pairs, monkeypatch):
+    rng = np.random.default_rng(pairs)
+    monkeypatch.setattr(theta_module, "_pair_count", lambda *args: pairs)
+    # a block of 3 points at most, so the 7 points take several blocks
+    monkeypatch.setattr(theta_module, "_BLOCK_TERMS", 3 * max(pairs, 1))
+    curv = complex(-0.02, 0.7)
+    for half, alternating in ((False, False), (False, True), (True, False)):
+        lin = 0.3 * rng.standard_normal(7) + 0.3j * rng.standard_normal(7)
+        got = theta_module._lattice_sum(curv, lin, half, alternating, SeriesControl())
+        assert _same_bits(got, _pair_loop(curv, lin, half, alternating, pairs))
+
+
+def test_kernel_ladder_is_cached_and_read_only():
+    m, m_sq, sign = theta_module._ladder(4, False, True)
+    assert theta_module._ladder(4, False, True)[0] is m
+    assert m.ravel().tolist() == [4, 3, 2, 1]
+    assert m_sq.ravel().tolist() == [16, 9, 4, 1]
+    assert sign.ravel().tolist() == [1, -1, 1, -1]
+    assert theta_module._ladder(2, True, True)[0].ravel().tolist() == [1.5, 0.5]
+    assert theta_module._ladder(2, True, True)[2].ravel().tolist() == [1, 1]
+    for column in (m, m_sq, sign):
+        assert column.shape == (4, 1) and not column.flags.writeable
+
+
+def test_kernel_memory_stays_bounded_on_a_long_grid():
+    # one numpy pass per pair peaked at 19.8 MiB here; unblocked, the broadcast
+    # temporaries would grow as the pair count times the input
+    w = np.linspace(-40.0, 40.0, 200_000) + 0j
+    centred_lattice_sum(w[:10])
+    tracemalloc.start()
+    try:
+        centred_lattice_sum(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.8 * 2**20
