@@ -67,10 +67,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParityError, RangeOverflowError
+from .errors import DomainError, ParityError
 from .hilbert import Sector, StateVector, Truncation
-from .coherent import PhasePoint, _coherent_coeffs, _single, norm_sq
-from .theta import _EXP_LIMIT, DEFAULT_CONTROL, SeriesControl, _pair_count, gaussian_lattice_sum
+from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq
+from .theta import DEFAULT_CONTROL, SeriesControl, _exp, _pair_count, gaussian_lattice_sum
 
 __all__ = [
     "Quadrature",
@@ -163,15 +163,17 @@ def evaluate(f: StateVector, p: PhasePoint) -> complex:
     """f(xi*) at xi = e^(-l + i*phi); equals <xi|f> as a state overlap.
 
     The monomials e^(-j^2/2) xi*^(-j) are taken through the canonical
-    chart and built here, independently of coherent_state.
+    chart and built here, independently of coherent_state.  Raises
+    RangeOverflowError where a term c_j e^(-j^2/2) xi*^(-j) passes e^700
+    (an unoccupied slot gives 0, whatever its monomial), or where |l|
+    exceeds 1e300.
     """
     _single(p)
+    _require_reach(p.l)
     j = f.j_values()
     exponents = j * complex(p.l, p.phi) - 0.5 * j * j
-    occupied = np.abs(f.coeffs) > 0.0
-    if np.any(occupied) and float(np.max(exponents.real[occupied])) > _EXP_LIMIT:
-        raise RangeOverflowError(f"evaluation at l = {p.l} overflows the basis monomials")
-    return complex(np.sum(f.coeffs * np.exp(exponents)))
+    message = f"evaluation at l = {p.l} overflows the basis monomials"
+    return complex(np.sum(_exp(exponents, message, f.coeffs)))
 
 
 def inner_quadrature(f: StateVector, g: StateVector, quad: Quadrature) -> complex:
@@ -219,7 +221,7 @@ def reproducing_apply(
     quadrature orders.  For |l| <= 3 and |j| <= 3 it is below 1e-11; for
     j = 1 at 40 x 64 it is 2e-13 at l = 6, 3e-10 at 8, 9e-6 at 10, and
     the result is meaningless by l = 15.  No error marks that loss;
-    RangeOverflowError comes only past |l| ~ 37.4, where the kernel's
+    RangeOverflowError comes only past |l| ~ 37.42, where the kernel's
     coefficients overflow.
     """
     _single(p)
@@ -277,9 +279,9 @@ def covariant_symbol(
     coherent states; for A the matrix of X it equals the eigenvalue xi.
     """
     _single(p)
+    norm = norm_sq(p, sector, ctl)  # raises past |l| ~ 26.45, so j*l below stays finite
     a = np.asarray(op_matrix, dtype=np.complex128)
     trunc = _window_for_matrix(a, sector)
-    j = trunc.j_values(sector)
-    c = _coherent_coeffs(j, p)
+    c = _coherent_coeffs(trunc.j_values(sector), p)
     kernel = complex(np.vdot(c, a @ c))
-    return {"kernel": kernel, "symbol": kernel / norm_sq(p, sector, ctl)}
+    return {"kernel": kernel, "symbol": kernel / norm}

@@ -127,30 +127,18 @@ def _cmd_expect(args: argparse.Namespace) -> int:
         )
     elif args.obs == "U":
         value = expect_U(p, sector)
-        payload.update(
-            abs=abs(value), arg=cmath.phase(value), im=value.imag, re=value.real
-        )
+        payload.update(abs=abs(value), arg=cmath.phase(value), im=value.imag, re=value.real)
     elif args.obs == "relU":
-        ref = PhasePoint(args.ref_l, args.ref_phi)
-        value = relative_expect_U(p, ref, sector)
-        payload.update(
-            abs=abs(value),
-            arg=cmath.phase(value),
-            im=value.imag,
-            re=value.real,
-            ref_l=args.ref_l,
-            ref_phi=args.ref_phi,
-        )
+        value = relative_expect_U(p, PhasePoint(args.ref_l, args.ref_phi), sector)
+        payload.update(abs=abs(value), arg=cmath.phase(value), im=value.imag, re=value.real)
+        payload.update(ref_l=args.ref_l, ref_phi=args.ref_phi)
     else:  # QP
         result = uncertainty_QP(p, sector)
         product = result["dQ"] * result["dP"]
-        payload.update(
-            bound=result["bound"],
-            dP=result["dP"],
-            dQ=result["dQ"],
-            product=product,
-            saturated=bool(abs(product - result["bound"]) <= 1e-12),
-        )
+        # relative, as both are of size e^(-2l); absolute where they are subnormal
+        tiny = sys.float_info.min
+        saturated = math.isclose(product, result["bound"], rel_tol=1e-12, abs_tol=tiny)
+        payload.update(result, product=product, saturated=saturated)
     print(_json_line(payload, args.digits))
     return 0
 
@@ -197,10 +185,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     trunc = Truncation(args.two_jmax)
     p = PhasePoint(args.l, args.phi)
     state = coherent_state(p, sector, trunc)
-    if args.hamiltonian == "free":
-        hamiltonian = FreeRotor()
-    else:
-        hamiltonian = Linear(args.omega)
+    hamiltonian = FreeRotor() if args.hamiltonian == "free" else Linear(args.omega)
     evolved = evolve(state, hamiltonian, args.t)
     j_before, _ = _windowed_expectations(state)
     j_after, u_after = _windowed_expectations(evolved)

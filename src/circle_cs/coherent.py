@@ -34,10 +34,10 @@ import numpy as np
 from .errors import DomainError, RangeOverflowError, SingularityError, TruncationError
 from .hilbert import Sector, StateVector, Truncation
 from .theta import (
-    _EXP_LIMIT,
     DEFAULT_CONTROL,
     SeriesControl,
     ThetaArg,
+    _exp,
     centred_lattice_sum,
     gaussian_lattice_sum,
     theta_log_derivative,
@@ -134,7 +134,9 @@ class PhasePoint:
 
     @property
     def xi(self) -> complex | np.ndarray:
-        return _shaped(np.exp(self.log_xi), self.shape, complex)
+        """e^(-l + i*phi); RangeOverflowError where l < -700."""
+        xi = _exp(self.log_xi, "xi = exp({peak:.3g}) exceeds the floating-point range")
+        return _shaped(xi, self.shape, complex)
 
     @property
     def log_xi(self) -> complex | np.ndarray:
@@ -207,18 +209,11 @@ def coherent_state(
 def _coherent_coeffs(j: np.ndarray, p: PhasePoint) -> np.ndarray:
     """c_j = exp(j*(l - i*phi) - j^2/2) over a symmetric window, unnormalized.
 
-    The largest exponent over the window (at j = l, or at the edge when
-    |l| lies beyond it) is checked with scalar math before np.exp, so a
-    coefficient that would overflow raises RangeOverflowError.
+    RangeOverflowError where a coefficient passes e^700, from |l| of
+    about 37.42 on; j*l must be finite.
     """
-    j_edge = float(j[-1])  # the window is symmetric, so this is the largest |j|
-    j_peak = min(abs(p.l), j_edge)
-    peak = j_peak * (abs(p.l) - 0.5 * j_peak)
-    if peak > _EXP_LIMIT:
-        raise RangeOverflowError(
-            f"coherent coefficients at l = {p.l} overflow: the largest is exp({peak:.3g})"
-        )
-    return np.exp(j * complex(p.l, -p.phi) - 0.5 * j * j)
+    message = "coherent coefficients overflow: the largest is exp({peak:.3g})"
+    return _exp(j * complex(p.l, -p.phi) - 0.5 * j * j, message)
 
 
 def overlap_closed(
@@ -258,7 +253,11 @@ def expect_J(
 
 
 def approx_expect_J(l: float | np.ndarray, sector: Sector) -> float | np.ndarray:
-    """l -+ 2 pi e^(-pi^2) sin(2 pi l): boson minus, fermion plus; elementwise in l."""
+    """l -+ 2 pi e^(-pi^2) sin(2 pi l): boson minus, fermion plus; elementwise in l.
+
+    Raises RangeOverflowError when |l| exceeds 1e300, as approx_expJ does.
+    """
+    _require_reach(l)
     sign = -1.0 if sector is Sector.BOSON else 1.0
     return _shaped(l + sign * J_DEVIATION_AMPLITUDE * np.sin(_TWO_PI * l), np.shape(l), float)
 
@@ -343,21 +342,14 @@ def expect_expJ(
     r0, r1 = w0 - 2.0 * c0, w1 - 2.0 * c1
     exponent = _expJ_exponent(s, p.l)
     log_scale = exponent - 0.25 * (r1 * r1 - r0 * r0)
-    exact = _limited_exp(log_scale, "<e^(sJ)>") * (np.real(num) / np.real(den))
+    growth = _exp(log_scale, "<e^(sJ)> = exp({peak:.3g}) exceeds the floating-point range")
+    exact = growth * (np.real(num) / np.real(den))
     return _shaped(exact, shape, float), _shaped(np.exp(exponent), shape, float)
 
 
 def _expJ_exponent(s, l):
     """s^2/4 + s*l, the exponent of the approximation e^(s^2/4 + s*l)."""
     return 0.25 * s * s + s * l
-
-
-def _limited_exp(exponent, what: str):
-    """np.exp(exponent); RangeOverflowError if some exponent passes _EXP_LIMIT."""
-    peak = float(np.max(exponent, initial=-math.inf))
-    if peak > _EXP_LIMIT:
-        raise RangeOverflowError(f"{what} = exp({peak:.3g}) exceeds the floating-point range")
-    return np.exp(exponent)
 
 
 def approx_expJ(s: float | np.ndarray, l: float | np.ndarray) -> float | np.ndarray:
@@ -367,7 +359,8 @@ def approx_expJ(s: float | np.ndarray, l: float | np.ndarray) -> float | np.ndar
     exceeds e^700, or when |l| or |s|(|l| + |s| + 1) exceeds 1e300.
     """
     _require_reach(l, s)
-    value = _limited_exp(_expJ_exponent(s, l), "e^(s^2/4 + s*l)")
+    message = "e^(s^2/4 + s*l) = exp({peak:.3g}) exceeds the floating-point range"
+    value = _exp(_expJ_exponent(s, l), message)
     return _shaped(value, np.shape(value), float)
 
 
@@ -420,9 +413,6 @@ def heisenberg_expectations(
     _require_reach(p.l, t)
     half = _half(sector)
     shape = np.broadcast_shapes(np.shape(t), p.shape)
-    l_min = float(np.min(p.l, initial=math.inf))
-    if -l_min > _EXP_LIMIT:
-        raise RangeOverflowError(f"<X(t)> at l = {l_min:.6g} overflows: |xi| = exp({-l_min:.6g})")
     w = 2.0 * p.l + 1j * t
     c, den = centred_lattice_sum(2.0 * p.l, half=half, ctl=ctl)
     _, num_u = centred_lattice_sum(w, half=not half, ctl=ctl)
@@ -431,18 +421,25 @@ def heisenberg_expectations(
     # real factors first, so each value takes one complex product: numpy
     # rounds complex products of arrays and of scalars differently
     u_t = (math.exp(-0.25) / den) * np.exp(1j * (p.phi + c * t)) * num_u
-    x_t = (np.exp(-p.l) / den) * np.exp(1j * (p.phi + (c - 0.5) * t)) * num_x
+    xi_size = _exp(-p.l, "<X(t)> overflows: |xi| = exp({peak:.6g})")
+    x_t = (xi_size / den) * np.exp(1j * (p.phi + (c - 0.5) * t)) * num_x
     return {"U_t": _shaped(u_t, shape, complex), "X_t": _shaped(x_t, shape, complex)}
 
 
 def heisenberg_approximation(
     p: PhasePoint, t: float | np.ndarray
 ) -> dict[str, complex | np.ndarray]:
-    """Gaussian-envelope approximations of <U(t)> and <X(t)>, elementwise in p and t."""
+    """Gaussian-envelope approximations of <U(t)> and <X(t)>, elementwise in p and t.
+
+    Raises RangeOverflowError where heisenberg_expectations does: when
+    |l| or |t|(|l| + |t| + 1) exceeds 1e300, or <X(t)> passes e^700.
+    """
+    _require_reach(p.l, t)
     shape = np.broadcast_shapes(np.shape(t), p.shape)
     damp = -0.25 * t * t
     u_t = np.exp((damp - 0.25) + 1j * (p.phi + t * p.l))
-    x_t = np.exp((damp - p.l) + 1j * (p.phi + t * (p.l - 0.5)))
+    message = "X(t) approximation exp({peak:.3g}) exceeds the floating-point range"
+    x_t = _exp((damp - p.l) + 1j * (p.phi + t * (p.l - 0.5)), message)
     return {"U_t": _shaped(u_t, shape, complex), "X_t": _shaped(x_t, shape, complex)}
 
 
@@ -456,12 +453,10 @@ def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float]:
     l < -350, where e^(-2l) passes e^700.
     """
     _single(p)
-    if -2.0 * p.l > _EXP_LIMIT:
-        raise RangeOverflowError(
-            f"uncertainty bound at l = {p.l} exceeds the floating-point range"
-        )
+    message = f"uncertainty bound at l = {p.l} exceeds the floating-point range"
+    growth = _exp(-2.0 * p.l, message, exp=math.exp)
     spread = 0.5 * math.exp(-p.l) * math.sqrt(math.exp(2.0) - 1.0)
-    bound = 0.25 * (math.exp(2.0) - 1.0) * math.exp(-2.0 * p.l)
+    bound = 0.25 * (math.exp(2.0) - 1.0) * growth
     return {"dQ": spread, "dP": spread, "bound": bound}
 
 

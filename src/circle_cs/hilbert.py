@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError, WindowError
-from .theta import _EXP_LIMIT
+from .theta import _exp
 
 __all__ = [
     "Sector",
@@ -196,19 +196,11 @@ def basis_state(sector: Sector, j: float, trunc: Truncation) -> StateVector:
     return StateVector(sector, trunc, coeffs)
 
 
-def _guard_factors(coeffs: np.ndarray, log_factors: np.ndarray, kind: str) -> np.ndarray:
-    """exp(log_factors)*coeffs with an explicit range check in log space.
-
-    A zero coefficient has log 0 = -inf, so it never sets the maximum.
-    """
-    with np.errstate(divide="ignore"):
-        worst = np.max(np.log(np.abs(coeffs)) + log_factors.real)
-    if worst > _EXP_LIMIT:
-        raise RangeOverflowError(
-            f"{kind} produces a coefficient of magnitude exp({worst:.3g}), "
-            "outside the floating-point range"
-        )
-    return coeffs * np.exp(log_factors)
+# _exp's messages, after the operator's name
+_COEFF_OVERFLOW = (
+    " produces a coefficient of magnitude exp({peak:.3g}), outside the floating-point range"
+)
+_MATRIX_OVERFLOW = " matrix weight exp({peak:.3g}) is outside the floating-point range"
 
 
 def _shift_up(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -228,8 +220,9 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
 
     Shift operators (U, Udag, X, Xdag) drop the coefficient pushed past
     the window edge and add its magnitude to the returned state's
-    leakage.  X and Xdag check their exponential factors in log space
-    and raise RangeOverflowError instead of overflowing.
+    leakage.  X and Xdag raise RangeOverflowError where a weighted
+    coefficient would pass e^700; a weight past the range on a zero
+    coefficient gives 0.
     """
     if kind not in OPERATOR_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
@@ -245,13 +238,9 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
     elif kind == "Udag":
         out, dropped = _shift_down(c)
     elif kind == "X":
-        scaled = _guard_factors(c, -j - 0.5, "X")
-        out, dropped_amp = _shift_up(scaled)
-        dropped = dropped_amp
+        out, dropped = _shift_up(_exp(-j - 0.5, "X" + _COEFF_OVERFLOW, c))
     else:  # Xdag
-        scaled = _guard_factors(c, -j + 0.5, "Xdag")
-        out, dropped_amp = _shift_down(scaled)
-        dropped = dropped_amp
+        out, dropped = _shift_down(_exp(-j + 0.5, "Xdag" + _COEFF_OVERFLOW, c))
     return StateVector(s.sector, s.trunc, out, s.leakage + dropped)
 
 
@@ -262,17 +251,18 @@ def apply_exp_j(s: StateVector, eta: complex) -> StateVector:
     (l + eta, phi); purely imaginary eta = -i*omega*t rotates phi.
     Raises DomainError for a non-finite eta, and RangeOverflowError when
     eta*j leaves the double range at the window edge or a coefficient
-    would overflow.
+    would pass e^700.  A factor e^(eta*j) past the range still gives the
+    right coefficient when c_j is small enough, and 0 when c_j is 0.
     """
     j = s.j_values()
-    # checked with scalar math, so the range check below sees finite log factors
+    # checked with scalar math, so _exp sees finite exponents
     if not cmath.isfinite(eta):
         raise DomainError(f"eta must be finite, got {eta!r}")
     if not cmath.isfinite(complex(eta) * float(j[-1])):
         raise RangeOverflowError(
             f"exp_j with eta = {eta!r} leaves the floating-point range at |j| = {j[-1]}"
         )
-    out = _guard_factors(s.coeffs, np.asarray(eta) * j, "exp_j")
+    out = _exp(np.asarray(eta) * j, "exp_j" + _COEFF_OVERFLOW, s.coeffs)
     return StateVector(s.sector, s.trunc, out, s.leakage)
 
 
@@ -289,24 +279,31 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 def operator_matrix(kind: str, sector: Sector, trunc: Truncation) -> np.ndarray:
-    """Dense window matrix M with M[row, col] = <j_row| Op |j_col>."""
+    """Dense window matrix M with M[row, col] = <j_row| Op |j_col>.
+
+    X and Xdag raise RangeOverflowError, before the matrix is allocated,
+    where a weight passes e^700: from windows reaching |j| = 701 on.
+    """
     if kind not in OPERATOR_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
     j = trunc.j_values(sector)
     n = len(j)
-    m = np.zeros((n, n), dtype=np.complex128)
+    # the one nonzero band: row - col = offset
     if kind == "J":
-        np.fill_diagonal(m, j)
+        offset, band = 0, j
     elif kind == "N":
-        np.fill_diagonal(m, -j + N_CONST)
+        offset, band = 0, -j + N_CONST
     elif kind == "U":
-        m[np.arange(1, n), np.arange(n - 1)] = 1.0
+        offset, band = 1, 1.0
     elif kind == "Udag":
-        m[np.arange(n - 1), np.arange(1, n)] = 1.0
+        offset, band = -1, 1.0
     elif kind == "X":
-        m[np.arange(1, n), np.arange(n - 1)] = np.exp(-j[:-1] - 0.5)
+        offset, band = 1, _exp(-j[:-1] - 0.5, "X" + _MATRIX_OVERFLOW)
     else:  # Xdag
-        m[np.arange(n - 1), np.arange(1, n)] = np.exp(-j[1:] + 0.5)
+        offset, band = -1, _exp(-j[1:] + 0.5, "Xdag" + _MATRIX_OVERFLOW)
+    m = np.zeros((n, n), dtype=np.complex128)
+    k = np.arange(n - abs(offset))
+    m[k + max(offset, 0), k + max(-offset, 0)] = band
     return m
 
 

@@ -42,7 +42,8 @@ __all__ = [
     "theta2_via_half_period_shift",
 ]
 
-# Largest exponent handed to exp(); beyond this a double overflows.
+# Largest log-magnitude of a computed exponential, with headroom below the
+# double range (e^709.78): _exp checks it, _pair_count bounds lattice terms by it.
 _EXP_LIMIT = 700.0
 
 # Python and NumPy numbers, which ThetaArg validates with math.isfinite
@@ -101,6 +102,37 @@ class SeriesControl:
 
 
 DEFAULT_CONTROL = SeriesControl()
+
+
+def _exp(exponent, message: str, scale=None, exp=np.exp):
+    """scale * exp(exponent) elementwise, or exp(exponent): the package's one overflow check.
+
+    RangeOverflowError(message.format(peak=...)) where the result's largest
+    log-magnitude, Re(exponent) + log|scale| over nonzero scale, passes
+    _EXP_LIMIT or is NaN.  Else the bits of scale * exp(exponent), unless a
+    factor overflows alone: 0 where its scale is 0, log space elsewhere.
+    exp is np.exp, or math.exp for a caller that has always used it.
+    """
+    real = exponent.real
+    top = float(real.max(initial=-math.inf)) if isinstance(real, np.ndarray) else float(real)
+    peak = top
+    if scale is not None:
+        size = np.abs(scale)
+        largest = float(size.max(initial=0.0))
+        peak = -math.inf if largest == 0.0 else top + math.log(largest)
+        if not peak <= _EXP_LIMIT:  # that bound fails: the exact peak
+            log_size = np.log(size, out=np.full(size.shape, -math.inf), where=size > 0.0)
+            peak = float((real + log_size).max(initial=-math.inf))
+    if not peak <= _EXP_LIMIT:
+        raise RangeOverflowError(message.format(peak=peak))
+    if top <= _EXP_LIMIT:
+        return exp(exponent) if scale is None else scale * exp(exponent)
+    exponent, scale = np.broadcast_arrays(exponent, scale)
+    size = np.abs(scale)
+    kept = size > 0.0
+    value = np.zeros(exponent.shape, np.result_type(exponent, scale))
+    value[kept] = scale[kept] / size[kept] * np.exp(exponent[kept] + np.log(size[kept]))
+    return value
 
 
 def _as_complex(value) -> complex | np.ndarray:
@@ -225,10 +257,7 @@ def theta(
     """
     if kind not in (2, 3, 4):
         raise DomainError(f"theta kind must be 2, 3 or 4, got {kind!r}")
-    tau = complex(arg.tau)
-    if tau.imag <= 0.0:
-        raise DomainError(f"tau = {tau} is not in the upper half-plane")
-    curv = 1j * math.pi * tau
+    curv = 1j * math.pi * complex(arg.tau)
     lin = 2j * math.pi * arg.v
     return _lattice_sum(curv, lin, half=(kind == 2), alternating=(kind == 4), ctl=ctl)
 
@@ -290,7 +319,7 @@ def theta_log_derivative(
     2*pi*|v|) * pi*sum_n |term_n| of the exact value: the omitted tail
     plus the rounding of x and of each term.  Raises SingularityError
     when some v is too close to a zero of theta_kind, where the
-    derivative diverges.
+    derivative diverges, and RangeOverflowError where |x| passes e^700.
     """
     if kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
@@ -304,8 +333,9 @@ def theta_log_derivative(
 
     tau = complex(arg.tau)
     q = cmath.exp(1j * math.pi * tau)
-    x_plus = np.exp(2j * math.pi * arg.v)
-    x_minus = np.exp(-2j * math.pi * arg.v)
+    message = "log-derivative factor exp({peak:.3g}) exceeds the floating-point range"
+    x_plus = _exp(2j * math.pi * arg.v, message)
+    x_minus = _exp(-2j * math.pi * arg.v, message)
     # the tail bound of the largest |x| bounds the tail of every element
     size_plus, size_minus = np.abs(x_plus), np.abs(x_minus)
     x_norm = float(np.maximum(size_plus, size_minus).max(initial=0.0))
@@ -339,8 +369,11 @@ def _inversion_image(kind: int, v, tau, ctl: SeriesControl) -> complex | np.ndar
     """sqrt(tau/i) * exp(i pi v^2 / tau) * theta_kind(v | tau), principal branch."""
     arg = ThetaArg(v, tau)
     tau = complex(tau)
-    prefactor = cmath.sqrt(tau / 1j) * np.exp(1j * math.pi * arg.v * arg.v / tau)
-    return _as_complex(prefactor * theta(kind, arg, ctl))
+    value = theta(kind, arg, ctl)
+    with np.errstate(over="ignore", invalid="ignore"):  # _exp rejects an overflowed v^2
+        exponent = 1j * math.pi * arg.v * arg.v / tau
+    message = "theta inversion prefactor exp({peak:.3g}) exceeds the floating-point range"
+    return _as_complex(_exp(exponent, message, cmath.sqrt(tau / 1j)) * value)
 
 
 def modular_image_theta3(
@@ -350,7 +383,8 @@ def modular_image_theta3(
 
     Equals sqrt(tau/i) * exp(i pi v^2 / tau) * theta_3(v | tau); useful
     when -1/tau has a much larger imaginary part than tau or vice versa.
-    v may be an array; the result then has its shape.
+    v may be an array; the result then has its shape.  RangeOverflowError
+    where the prefactor passes e^700.
     """
     return _inversion_image(3, v, tau, ctl)
 
@@ -362,7 +396,8 @@ def modular_image_theta2(
 
     theta_2(v/tau | -1/tau) = sqrt(tau/i) * exp(i pi v^2 / tau) * theta_4(v | tau).
 
-    v may be an array; the result then has its shape.
+    v may be an array; the result then has its shape.  RangeOverflowError
+    where the prefactor passes e^700.
     """
     return _inversion_image(4, v, tau, ctl)
 
@@ -372,9 +407,11 @@ def theta2_via_half_period_shift(
 ) -> complex | np.ndarray:
     """theta_2(v | tau) computed as exp(i pi (tau/4 + v)) * theta_3(v + tau/2 | tau).
 
-    v may be an array; the result then has its shape.
+    v may be an array; the result then has its shape.  RangeOverflowError
+    where the factor exp(i pi (tau/4 + v)) passes e^700.
     """
     v = np.asarray(v, dtype=np.complex128)
     tau = complex(tau)
-    shifted = theta(3, ThetaArg(v + tau / 2.0, tau), ctl)  # validates v before np.exp
-    return _as_complex(np.exp(1j * math.pi * (tau / 4.0 + v)) * shifted)
+    shifted = theta(3, ThetaArg(v + tau / 2.0, tau), ctl)  # validates v before the exp
+    message = "theta_2 half-period factor exp({peak:.3g}) exceeds the floating-point range"
+    return _as_complex(_exp(1j * math.pi * (tau / 4.0 + v), message) * shifted)

@@ -169,18 +169,13 @@ def validate_config(overrides: dict) -> dict:
     # the battery draws coherent states with |l| <= 1.5, which needs a
     # window of 24; smaller quadrature orders are allowed and simply
     # fail the resolution-sensitive checks honestly
-    if config["two_jmax"] < 24:
-        raise ConfigError("two_jmax must be >= 24")
+    for key, low in (("two_jmax", 24), ("series_n_max", 1), ("seed", 0), ("random_cases", 1)):
+        if config[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {config[key]}")
     try:
         Quadrature(config["n_l"], config["n_phi"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
-    if config["series_n_max"] < 1:
-        raise ConfigError("series_n_max must be >= 1")
-    if config["seed"] < 0:
-        raise ConfigError("seed must be nonnegative")
-    if config["random_cases"] < 1:
-        raise ConfigError("random_cases must be >= 1")
     for key, cap in CONFIG_CAPS.items():
         if config[key] > cap:
             raise ConfigError(f"{key} must be <= {cap}, got {config[key]}")
@@ -355,9 +350,7 @@ def _check_x_factorization(ctx: _Context, sector: Sector):
 
 
 def _matrices(ctx: _Context, sector: Sector):
-    x = operator_matrix("X", sector, ctx.trunc)
-    xd = operator_matrix("Xdag", sector, ctx.trunc)
-    return x, xd
+    return operator_matrix("X", sector, ctx.trunc), operator_matrix("Xdag", sector, ctx.trunc)
 
 
 def _check_xxdag_ratio(ctx: _Context, sector: Sector):
@@ -407,8 +400,7 @@ def _check_u_unitarity(ctx: _Context, sector: Sector):
     for _ in range(5):
         a = _random_coeffs(rng, size)
         b = _random_coeffs(rng, size)
-        a[-1] = 0.0
-        b[-1] = 0.0
+        a[-1] = b[-1] = 0.0
         sa = StateVector(sector, ctx.trunc, a)
         sb = StateVector(sector, ctx.trunc, b)
         errors.append(
@@ -905,15 +897,7 @@ def run_verify(config: dict) -> VerifyReport:
     results = []
     for name, tolerance, fn in _CHECKS:
         max_err, n_cases = _tally(fn(ctx))
-        results.append(
-            CheckResult(
-                name=name,
-                max_abs_error=max_err,
-                tolerance=tolerance,
-                passed=bool(max_err <= tolerance),
-                n_cases=n_cases,
-            )
-        )
+        results.append(CheckResult(name, max_err, tolerance, bool(max_err <= tolerance), n_cases))
     return VerifyReport(
         version=__version__,
         config=dict(sorted(config.items())),

@@ -115,6 +115,15 @@ def test_expect_qp_reports_saturation(run):
     assert payload["bound"] == 1.59726402
 
 
+@pytest.mark.parametrize("sector", ["boson", "fermion"])
+@pytest.mark.parametrize("l", ["0", "-5", "-10", "-12", "-15", "-20"])
+def test_expect_qp_is_saturated_at_every_scale(l, sector, run):
+    # product and bound grow as e^(-2l) and sit one rounding apart, which passes 1e-12 from l = -5
+    res = run("expect", f"--l={l}", "--obs", "QP", "--sector", sector)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["saturated"] is True
+
+
 def test_expect_rejects_unknown_observable(run):
     res = run("expect", "--l", "0.1", "--obs", "Z")
     assert res.returncode == 2

@@ -1,8 +1,10 @@
-"""The package namespace is the union of the five layers' __all__ lists."""
+"""The package namespace is the union of the five layers' __all__ lists,
+and the one overflow limit is named in one layer."""
 
 from __future__ import annotations
 
 import importlib
+import pathlib
 
 import circle_cs
 
@@ -20,3 +22,12 @@ def test_package_exports_each_layer_list_once():
         for name in layer.__all__:
             assert getattr(circle_cs, name) is getattr(layer, name), name
     assert circle_cs.theta is layers[1].theta
+
+
+def test_the_overflow_limit_is_named_in_theta_alone():
+    # every other layer goes through theta._exp, so the e^700 decision cannot split again
+    source = pathlib.Path(circle_cs.__file__).parent
+    readers = sorted(
+        path.name for path in source.glob("*.py") if "_EXP_LIMIT" in path.read_text("utf-8")
+    )
+    assert readers == ["theta.py"]
