@@ -242,10 +242,10 @@ def expect_J(
 ) -> float | np.ndarray:
     """<J> = l + (1/2) (d/dv) ln theta_{3|4}(v|i*pi) at v = l.
 
-    Exactly l when 2l is an even (boson) or odd (fermion) integer;
-    elsewhere within half the theta_log_derivative bound, plus one
-    rounding of <J>.  A grid point gives an array of its shape in one
-    log-derivative call.
+    The log-derivative is 2 pi i M / Theta from one theta lattice-sum pass
+    (M its first moment).  Exactly l when 2l is an even (boson) or odd
+    (fermion) integer; elsewhere within half the theta_log_derivative bound,
+    plus one rounding of <J>.  A grid point gives an array of its shape.
     """
     kind = 3 if sector is Sector.BOSON else 4
     derivative = theta_log_derivative(kind, ThetaArg(p.l, 1j * math.pi), ctl)

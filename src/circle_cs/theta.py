@@ -1,9 +1,9 @@
 """Jacobi theta functions with a-priori truncation control.
 
 Evaluates theta_2, theta_3, theta_4 as two-sided Gaussian lattice sums,
-together with the logarithmic v-derivatives of theta_3 / theta_4 in
-product-series form and the modular transformations that exchange a
-slowly converging nome for a fast one.
+the logarithmic v-derivatives of theta_3 / theta_4 as the ratio of the
+first moment of the same sum to the sum, and the modular
+transformations that exchange a slowly converging nome for a fast one.
 
 Conventions (q = exp(i pi tau), Im tau > 0):
 
@@ -176,8 +176,8 @@ def _drift(lin_arr: np.ndarray) -> float:
 
 
 # Points per block of _lattice_sum times its term pairs stays at or
-# below this, so one block's temporaries (two arrays of terms, 16 bytes
-# a term) take about 2 MB whatever the size of the input.
+# below this, so one block's temporaries (two arrays of terms, three with
+# the moment, 16 bytes a term) take 2 to 3 MB whatever the input's size.
 _BLOCK_TERMS = 1 << 16
 
 
@@ -200,21 +200,24 @@ def _ladder(pairs: int, half: bool, alternating: bool):
     return columns
 
 
-def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesControl):
+def _lattice_sum(curv, lin, half: bool, alternating: bool, ctl: SeriesControl, moment=False):
     """sum over the index lattice of sign(m) * exp(curv*m^2 + lin*m).
 
     The lattice is Z (half=False) or Z+1/2 (half=True); alternating
     applies (-1)^m on the integer lattice.  ``lin`` may be a complex
-    scalar or an ndarray; the return type matches.
+    scalar or an ndarray; the return type matches.  moment=True returns
+    (sum, first moment), the moment being the sum of sign(m) * m *
+    exp(curv*m^2 + lin*m); the sum keeps its bits.
 
     Each term pair is sign * (exp(curv*m^2 + lin*m) + exp(curv*m^2 -
-    lin*m)), formed for all pairs of a block of points by one broadcast
-    over the _ladder columns.  The pairs are added in a fixed order:
-    from 0, then from the largest |m| inward.  np.add.accumulate along
-    the pair axis is sequential (np.sum would add pairwise, in another
-    order).  1, the m = 0 term, is added last on Z.  The points go
-    through in blocks of _BLOCK_TERMS // pairs, so the temporaries stay
-    bounded whatever the size of ``lin``.
+    lin*m)), its moment sign * m * (their difference), formed for all
+    pairs of a block of points by one broadcast over the _ladder
+    columns.  The pairs are added in a fixed order: from 0, then from
+    the largest |m| inward.  np.add.accumulate along the pair axis is
+    sequential (np.sum would add pairwise, in another order).  1, the
+    m = 0 term, is added last to the sum on Z.  The points go through in
+    blocks of _BLOCK_TERMS // pairs, so the temporaries stay bounded
+    whatever the size of ``lin``.
     """
     lin_arr = np.asarray(lin, dtype=np.complex128)
     decay = -complex(curv).real
@@ -225,6 +228,7 @@ def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesC
     base = np.multiply(curv, m_sq)
     flat = lin_arr.reshape(-1)
     acc = np.empty(flat.shape, dtype=np.complex128)
+    acc_moment = np.empty_like(acc) if moment else None
     block = max(_BLOCK_TERMS // max(pairs, 1), 1)
     for start in range(0, flat.size, block):
         step = np.multiply(m, flat[start : start + block])
@@ -232,12 +236,24 @@ def _lattice_sum(curv: complex, lin, half: bool, alternating: bool, ctl: SeriesC
         terms = np.zeros((pairs + 1, step.shape[1]), dtype=np.complex128)
         pair = terms[1:]
         np.exp(np.add(base, step, out=pair), out=pair)
-        pair += np.exp(np.subtract(base, step, out=step), out=step)
+        np.exp(np.subtract(base, step, out=step), out=step)
+        if moment:
+            moments = np.zeros_like(terms)
+            np.multiply(np.subtract(pair, step, out=moments[1:]), m * sign, out=moments[1:])
+            acc_moment[start : start + block] = np.add.accumulate(moments, axis=0, out=moments)[-1]
+        pair += step
         pair *= sign
         acc[start : start + block] = np.add.accumulate(terms, axis=0, out=terms)[-1]
     if not half:
         acc += 1.0
-    return _as_complex(acc.reshape(lin_arr.shape))
+    value = _as_complex(acc.reshape(lin_arr.shape))
+    return (value, _as_complex(acc_moment.reshape(lin_arr.shape))) if moment else value
+
+
+def _phase(v) -> complex | np.ndarray:
+    """lin = 2 pi i v of the theta series; _drift types an element that overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2j * math.pi * v
 
 
 def theta(
@@ -258,8 +274,7 @@ def theta(
     if kind not in (2, 3, 4):
         raise DomainError(f"theta kind must be 2, 3 or 4, got {kind!r}")
     curv = 1j * math.pi * complex(arg.tau)
-    lin = 2j * math.pi * arg.v
-    return _lattice_sum(curv, lin, half=(kind == 2), alternating=(kind == 4), ctl=ctl)
+    return _lattice_sum(curv, _phase(arg.v), half=(kind == 2), alternating=(kind == 4), ctl=ctl)
 
 
 def gaussian_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CONTROL):
@@ -296,73 +311,54 @@ def centred_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CONT
 
 
 @functools.lru_cache(maxsize=32)
-def _origin_modulus(kind: int, tau: complex, ctl: SeriesControl) -> float:
-    """|theta_kind(0 | tau)|, the scale of theta_log_derivative's near-zero test."""
-    return abs(theta(kind, ThetaArg(0.0 + 0.0j, tau), ctl))
+def _origin_modulus(imag_tau: float, ctl: SeriesControl) -> float:
+    """theta_3(0 | i Im tau), the sum of the theta terms' moduli at real v."""
+    return abs(theta(3, ThetaArg(0.0 + 0.0j, 1j * imag_tau), ctl))
 
 
 def theta_log_derivative(
     kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> complex | np.ndarray:
-    """(d/dv) log theta_kind(v | tau) for kind in {3, 4}.
+    """(d/dv) log theta_kind(v | tau) for kind in {3, 4}, as R = 2 pi i M / Theta.
 
-    Uses the product form of the theta function (DLMF 20.5), whose
-    v-derivative is a rapidly converging series in q^(2n-1):
+    Theta = sum_m s_m exp(curv m^2 + lin m), lin = 2 pi i v, s_m = 1 or
+    (-1)^m (kind 4); M = sum_m s_m m exp(...) is its first moment, from
+    the same lattice-sum pass, and Theta has the bits of theta(kind, arg).
+    An array v gives its scalar calls' bits where it keeps their term
+    pairs (always on real v; the pairs follow the largest |Im v|).  With
+    theta's bound B_0 on Theta and the same bound weighted by |m| on M,
+    B_1 = 3*(m* + 2)*tol + 32*eps*sum_m |m t_m| (1 + |E_m|), every term
+    past m* = (x + sqrt(x^2 + 4 d ln(1/tol))) / (2 d) being below tol
+    (x = 2 pi |Im v|, d = pi Im tau), R is within
 
-        kind 3:  pi * sum_{n>=1} [ 2i y x / (1 + y x) - 2i y / x / (1 + y / x) ]
-        kind 4:  pi * sum_{n>=1} [ 2i y / x / (1 - y / x) - 2i y x / (1 - y x) ]
+        (2*pi*B_1 + |R|*B_0) / (|Theta| - B_0) + 8*eps*|R|   where |Theta| > B_0:
 
-    with y = q^(2n-1) and x = exp(2 i pi v).  arg.v may be an array: the
-    series then runs over all of it at once, until the omitted tail is
-    below ctl.tol at every element, and the result has v's shape (a
-    complex for a scalar v).  The result is within tol + 32*eps*(1 +
-    2*pi*|v|) * pi*sum_n |term_n| of the exact value: the omitted tail
-    plus the rounding of x and of each term.  Raises SingularityError
-    when some v is too close to a zero of theta_kind, where the
-    derivative diverges, and RangeOverflowError where |x| passes e^700.
+    the conditioning 1/|Theta| of the ratio, plus the rounding of product
+    and quotient.  Raises SingularityError where |Theta| < 1e-10
+    theta_3(i Im v | i Im tau), the sum of the terms' moduli: near a zero,
+    where the derivative diverges, or where the terms cancel to rounding
+    (theta_4 at small Im tau).  Otherwise what theta raises.
     """
     if kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
-    value = theta(kind, arg, ctl)
-    near_zero = np.abs(value) < 1e-10 * _origin_modulus(kind, complex(arg.tau), ctl)
+    tau = complex(arg.tau)
+    curv = 1j * math.pi * tau
+    value, moment = _lattice_sum(
+        curv, _phase(arg.v), half=False, alternating=(kind == 4), ctl=ctl, moment=True
+    )
+    # below 1e-10 of theta_3(i Im v | i Im tau), the sum of the moduli of
+    # Theta's terms, Theta is near a zero or lost to cancellation
+    imag_v = np.imag(arg.v)
+    if np.any(imag_v):
+        moduli = _lattice_sum(curv.real, 2.0 * math.pi * imag_v, False, False, ctl).real
+    else:
+        moduli = _origin_modulus(tau.imag, ctl)
+    near_zero = np.abs(value) < 1e-10 * moduli
     if near_zero.any():
         v = complex(np.ravel(arg.v)[np.argmax(near_zero)])
-        raise SingularityError(
-            f"theta_{kind}({v!r} | {arg.tau!r}) is within 1e-10 of a zero"
-        )
-
-    tau = complex(arg.tau)
-    q = cmath.exp(1j * math.pi * tau)
-    message = "log-derivative factor exp({peak:.3g}) exceeds the floating-point range"
-    x_plus = _exp(2j * math.pi * arg.v, message)
-    x_minus = _exp(-2j * math.pi * arg.v, message)
-    # the tail bound of the largest |x| bounds the tail of every element
-    size_plus, size_minus = np.abs(x_plus), np.abs(x_minus)
-    x_norm = float(np.maximum(size_plus, size_minus).max(initial=0.0))
-    x_reach = float((size_plus + size_minus).max(initial=0.0))
-
-    total = np.zeros_like(x_plus)
-    for n in range(1, ctl.n_max + 1):
-        y = q ** (2 * n - 1)
-        yn = abs(y)
-        if yn * x_norm >= 1.0:
-            # Terms do not decay yet; the product form still converges
-            # once yn*x_norm < 1, so just keep going.
-            bound = math.inf
-        else:
-            bound = 2.0 * math.pi * yn * x_reach / (1.0 - yn * x_norm)
-        tp = y * x_plus
-        tm = y * x_minus
-        if kind == 3:
-            term = 2j * (tp / (1.0 + tp) - tm / (1.0 + tm))
-        else:
-            term = 2j * (tm / (1.0 - tm) - tp / (1.0 - tp))
-        total = total + term
-        if bound <= ctl.tol:
-            return _as_complex(math.pi * total)
-    raise ConvergenceError(
-        f"log-derivative series did not reach tol={ctl.tol} within {ctl.n_max} terms"
-    )
+        raise SingularityError(f"theta_{kind}({v!r} | {arg.tau!r}) is within 1e-10 of a zero")
+    # numpy divides a scalar as it divides an array (Python's complex division differs)
+    return _as_complex(np.divide(2j * math.pi * moment, value))
 
 
 def _inversion_image(kind: int, v, tau, ctl: SeriesControl) -> complex | np.ndarray:

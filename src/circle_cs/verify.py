@@ -320,7 +320,9 @@ def _check_logderiv_fd(ctx: _Context):
 
     def gaps(kind, tau):
         analytic = theta_log_derivative(kind, ThetaArg(vs, tau), ctx.ctl)
-        up, down, mid = theta(kind, ThetaArg(stencil, tau), ctx.ctl)
+        # theta by the unpaired sum; i pi in lin gives theta_4 its (-1)^m
+        lin = 2j * math.pi * stencil + (1j * math.pi if kind == 4 else 0.0)
+        up, down, mid = _unpaired_lattice_sum(1j * math.pi * tau, lin, False, ctx.ctl)
         return np.abs(analytic - (up - down) / (2.0 * h * mid))
 
     return [gaps(kind, tau) for kind in (3, 4) for tau in (1j * math.pi, 1j / math.pi)]

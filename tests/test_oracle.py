@@ -5,13 +5,15 @@ exp(w*m - m^2) taken term by term with mpmath at 50 digits over the
 window |m - Re(w)/2| <= 12 (the omitted terms are below e^(-144) of the
 largest), at the exact double inputs.  The theta functions, their log
 derivative and overlap_closed are checked against mpmath's own
-mp.jtheta, <J> against its defining lattice average.  No reference
-calls circle_cs.theta.  Each test asserts the accuracy the docstring of
-the function under test, or the README, claims.
+mp.jtheta, <J> against its defining lattice average, and reproducing
+kernel node values against mp.nsum over the whole lattice.  No
+reference calls circle_cs.theta.  Each test asserts the accuracy the
+docstring of the function under test, or the README, claims.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath as mp
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from circle_cs import cli
+from circle_cs.bargmann import Quadrature, _kernel_values
 from circle_cs.coherent import (
     PhasePoint,
     expect_expJ,
@@ -163,26 +166,54 @@ def nome(tau: complex) -> mp.mpc:
     return mp.exp(1j * mp.pi * mp.mpc(tau))
 
 
-def theta_terms(kind: int, v: complex, tau: complex) -> list[tuple[mp.mpc, mp.mpf]]:
-    """(t_m, |curv| m^2 + |lin| |m|) for the terms t_m = +-exp(curv m^2 + lin m) of theta_kind."""
+def theta_terms(kind: int, v: complex, tau: complex) -> list[tuple[mp.mpf, mp.mpc, mp.mpf]]:
+    """(m, t_m, |E_m|) for the terms t_m = +-exp(E_m), E_m = curv m^2 + lin m, of theta_kind.
+
+    |E_m| is taken as |curv| m^2 + |lin| |m|.
+    """
     curv, lin = 1j * mp.pi * mp.mpc(tau), 2j * mp.pi * mp.mpc(v)
     offset = mp.mpf(0.5) if kind == 2 else 0
     out = []
     for n in range(-40, 41):  # every point here has its terms below e^(-1000) by |m| = 40
         m = n + offset
         sign = -1 if kind == 4 and n % 2 else 1
-        out.append((sign * mp.exp(curv * m * m + lin * m), abs(curv) * m * m + abs(lin) * abs(m)))
+        size = abs(curv) * m * m + abs(lin) * abs(m)
+        out.append((m, sign * mp.exp(curv * m * m + lin * m), size))
     return out
 
 
 def lattice_sum_bound(kind: int, v: complex, tau: complex) -> float:
     """3 tol + 32 eps sum_m |t_m| (1 + |E_m|), the claim of the README accuracy table."""
-    weighted = mp.fsum(abs(t) * (1 + size) for t, size in theta_terms(kind, v, tau))
+    weighted = mp.fsum(abs(t) * (1 + size) for _, t, size in theta_terms(kind, v, tau))
     return 3.0 * TOL + 32.0 * EPS * float(weighted)
 
 
+def moment_ratio_bound(kind: int, v: complex, tau: complex) -> float:
+    """(2 pi B_1 + |R| B_0) / (|Theta| - B_0) + 8 eps |R|, the theta_log_derivative claim."""
+    terms = theta_terms(kind, v, tau)
+    value = mp.fsum(t for _, t, _ in terms)
+    ratio = abs(2 * mp.pi * mp.fsum(m * t for m, t, _ in terms) / value)
+    x, d = 2.0 * math.pi * abs(complex(v).imag), math.pi * complex(tau).imag
+    m_star = (x + math.sqrt(x * x + 4.0 * d * math.log(1.0 / TOL))) / (2.0 * d)
+    b_0 = lattice_sum_bound(kind, v, tau)
+    b_1 = 3.0 * (m_star + 2.0) * TOL + 32.0 * EPS * float(
+        mp.fsum(abs(m * t) * (1 + size) for m, t, size in terms)
+    )
+    return float((2 * mp.pi * b_1 + ratio * b_0) / (abs(value) - b_0) + 8 * EPS * ratio)
+
+
+def jtheta_log_derivative(kind: int, v: complex, tau: complex) -> mp.mpc:
+    """(d/dv) log theta_kind(v | tau) = pi jtheta'(pi v) / jtheta(pi v)."""
+    z, q = mp.pi * mp.mpc(v), nome(tau)
+    return mp.pi * mp.jtheta(kind, z, q, 1) / mp.jtheta(kind, z, q)
+
+
 def log_derivative_bound(kind: int, v: complex, tau: complex) -> float:
-    """tol + 32 eps (1 + 2 pi |v|) pi sum_n |term_n| over the product series."""
+    """tol + 32 eps (1 + 2 pi |v|) pi sum_n |term_n| over the product series.
+
+    The claim of the product-series route (DLMF 20.5) that the moment
+    ratio replaced, kept as a non-regression bound.
+    """
     q, x = nome(tau), mp.exp(2j * mp.pi * mp.mpc(v))
     total, n = mp.mpf(0), 0
     while True:
@@ -216,6 +247,35 @@ def test_theta_log_derivative_matches_jtheta(kind, tau):
         z, q = mp.pi * mp.mpc(v), nome(tau)
         reference = mp.pi * mp.jtheta(kind, z, q, 1) / mp.jtheta(kind, z, q)
         assert float(abs(mp.mpc(value) - reference)) <= log_derivative_bound(kind, v, tau), v
+
+
+@pytest.mark.parametrize("tau", TAUS, ids=["i/pi", "i*pi", "0.3+0.8i"])
+@pytest.mark.parametrize("kind", [3, 4])
+def test_theta_log_derivative_within_the_moment_ratio_bound(kind, tau):
+    values = theta_log_derivative(kind, ThetaArg(V_GRID, tau))
+    for v, value in zip(V_GRID, values):
+        error = abs(mp.mpc(value) - jtheta_log_derivative(kind, v, tau))
+        assert float(error) <= moment_ratio_bound(kind, v, tau), v
+
+
+@pytest.mark.parametrize("tau", TAUS, ids=["i/pi", "i*pi", "0.3+0.8i"])
+def test_theta_log_derivative_near_a_zero_within_the_moment_ratio_bound(tau):
+    # theta_3 vanishes at 1/2 + tau/2, where 1/|Theta| conditions the ratio
+    offsets = np.array([10.0 ** -k for k in range(1, 10)])
+    v = 0.5 + 0.5 * tau + np.concatenate([offsets, -offsets])
+    values = theta_log_derivative(3, ThetaArg(v, tau))
+    for vk, value in zip(v, values):
+        error = abs(mp.mpc(value) - jtheta_log_derivative(3, vk, tau))
+        assert float(error) <= moment_ratio_bound(3, vk, tau), vk
+
+
+def test_log_derivative_where_exp_2_pi_i_v_passes_the_range():
+    # exp(2 i pi v) = e^(240 pi) is past the double range, theta_3 about 1
+    v, tau = -120j, 1000j
+    value = theta_log_derivative(3, ThetaArg(v, tau))
+    assert type(value) is complex and cmath.isfinite(value)
+    error = abs(mp.mpc(value) - jtheta_log_derivative(3, v, tau))
+    assert float(error) <= moment_ratio_bound(3, v, tau)
 
 
 J_GRID = np.concatenate([np.linspace(-20.0, 20.0, 81), [1e-3, 0.25, -0.37, 3.3, -7.77]])
@@ -257,3 +317,26 @@ def test_overlap_closed_matches_jtheta(sector):
         reference = mp.jtheta(kind, -0.5j * mp.mpc(w), mp.exp(-1))
         bound = lattice_sum_bound(kind, w / (2j * math.pi), 1j / math.pi)
         assert float(abs(mp.mpc(value) - reference)) <= bound, (p1, p2)
+
+
+@pytest.mark.parametrize("sector", SECTORS, ids=["boson", "fermion"])
+def test_kernel_node_values_match_nsum(sector):
+    # K(xi*, gamma) = sum_j exp(j w - j^2), w = l_gamma + l_xi + i (phi_xi - phi_gamma)
+    quad, p = Quadrature(40, 64), PhasePoint(0.4, 1.1)
+    offset = mp.mpf(0.5) if sector is Sector.FERMION else 0
+    values = _kernel_values(p, sector, quad, DEFAULT_CONTROL)
+    l_nodes, phi_nodes, _ = quad.nodes()
+    for i, k in ((27, 13), (39, 3)):  # an inner node and the outermost one, l = 8.1
+        w = mp.mpf(p.l) + mp.mpf(l_nodes[i]) + 1j * (mp.mpf(phi_nodes[k]) - mp.mpf(p.phi))
+
+        def term(n, w=w):
+            return mp.exp((n + offset) * w - (n + offset) ** 2)
+
+        reference = mp.nsum(term, [-mp.inf, mp.inf])
+        # the lattice-sum claim, 3 tol + 32 eps sum_j |t_j| (1 + |E_j|)
+        weighted = mp.nsum(
+            lambda n: abs(term(n)) * (1 + abs((n + offset) * w) + (n + offset) ** 2),
+            [-mp.inf, mp.inf],
+        )
+        bound = 3.0 * TOL + 32.0 * EPS * float(weighted)
+        assert float(abs(mp.mpc(values[i, k]) - reference)) <= bound, (i, k)

@@ -27,6 +27,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from circle_cs import (
     CircleError,
+    DomainError,
     PhasePoint,
     Quadrature,
     RangeOverflowError,
@@ -50,10 +51,12 @@ from circle_cs import (
     operator_matrix,
     reproducing_apply,
     required_two_jmax,
+    theta,
     theta2_via_half_period_shift,
     theta_log_derivative,
     uncertainty_QP,
 )
+from circle_cs import cli
 from circle_cs.hilbert import MAX_TWO_JMAX
 from circle_cs.theta import _exp
 
@@ -154,10 +157,16 @@ def test_half_period_factor_past_the_range_is_typed():
         theta2_via_half_period_shift(-480j, 1000j)
 
 
-def test_log_derivative_factor_past_the_range_is_typed():
-    # theta_3 is about 1 there, but exp(2 i pi v) = e^(240 pi)
-    with pytest.raises(RangeOverflowError, match="log-derivative"):
-        theta_log_derivative(3, ThetaArg(-120j, 1000j))
+@pytest.mark.parametrize("function", [theta, theta_log_derivative])
+def test_phase_past_the_range_is_typed_without_a_warning(function):
+    # 2 pi i v overflows at the second element; the lattice sum types it
+    with pytest.raises(DomainError, match="not finite"):
+        function(3, ThetaArg(np.array([0.1, 3e307]), I_PI))
+
+
+def test_scan_whose_phase_overflows_exits_2():
+    argv = ["scan", "--obs", "J", "--l-min", "1e307", "--l-max", "1e308", "--n", "3", "--out", "-"]
+    assert cli.main(argv) == 2
 
 
 def test_evaluate_ignores_monomials_of_empty_slots():
