@@ -56,7 +56,7 @@ coherent state, so on the grid
 
 with c_j(p) = e^(j*(l - i*phi) - j^2/2) on the window |2j| <= 2P: one
 engine call per point.  Single kernel values (the lhs of
-kernel_identity_check) stay closed-form gaussian_lattice_sum calls.
+kernel_identity_check) are the closed-form overlap_closed.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParityError
+from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
-from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq
-from .theta import DEFAULT_CONTROL, SeriesControl, _exp, _pair_count, gaussian_lattice_sum
+from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq, overlap_closed
+from .theta import DEFAULT_CONTROL, SeriesControl, _exp, _pair_count
 
 __all__ = [
     "Quadrature",
@@ -124,14 +124,33 @@ class Quadrature:
         return _factors(self.n_l, self.n_phi, sector, two_jmax)
 
     def grid_values(self, sector: Sector, two_jmax: int, coeffs: np.ndarray) -> np.ndarray:
-        """sum_j c_j e^(-j^2/2) xi*^(-j) on the node grid, shape (n_l, n_phi)."""
+        """sum_j c_j e^(-j^2/2) xi*^(-j) on the node grid, shape (n_l, n_phi).
+
+        RangeOverflowError where a node value leaves the double range.
+        """
         e_l, bins = self.factors(sector, two_jmax)
         coeffs = np.asarray(coeffs)
         if coeffs.shape != e_l.shape[1:]:
             raise DomainError(f"expected {e_l.shape[1]} coefficients, got shape {coeffs.shape}")
         spectrum = np.zeros((self.n_l, self.n_phi), dtype=np.complex128)
-        np.add.at(spectrum, (slice(None), bins), e_l * coeffs)
-        return self.n_phi * np.fft.ifft(spectrum, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # typed below
+            np.add.at(spectrum, (slice(None), bins), e_l * coeffs)
+            values = self.n_phi * np.fft.ifft(spectrum, axis=1)
+        if not np.isfinite(values).all():
+            raise RangeOverflowError("quadrature node values leave the floating-point range")
+        return values
+
+    def integrate(self, a: np.ndarray, b: np.ndarray) -> complex:
+        """sum_{i,k} W[i,k] a[i,k] b[i,k], the quadrature of a*b over node-grid values.
+
+        RangeOverflowError where a product or the sum leaves the double range.
+        """
+        _, _, weights = self.nodes()
+        with np.errstate(over="ignore", invalid="ignore"):  # typed below
+            total = np.sum(weights * a * b)
+        if not np.isfinite(total):
+            raise RangeOverflowError("quadrature sum leaves the floating-point range")
+        return complex(total)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -180,10 +199,9 @@ def inner_quadrature(f: StateVector, g: StateVector, quad: Quadrature) -> comple
     """Quadrature realization of <f|g> (conjugate-linear in f)."""
     if f.sector is not g.sector:
         raise DomainError("inner product requires matching sectors")
-    _, _, weights = quad.nodes()
     vf = quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
     vg = quad.grid_values(g.sector, g.trunc.two_jmax, g.coeffs)
-    return complex(np.sum(weights * np.conj(vf) * vg))
+    return quad.integrate(np.conj(vf), vg)
 
 
 def _kernel_values(
@@ -220,15 +238,13 @@ def reproducing_apply(
     relative error of up to about 1e-16 times that, whatever the
     quadrature orders.  For |l| <= 3 and |j| <= 3 it is below 1e-11; for
     j = 1 at 40 x 64 it is 2e-13 at l = 6, 3e-10 at 8, 9e-6 at 10, and
-    the result is meaningless by l = 15.  No error marks that loss;
-    RangeOverflowError comes only past |l| ~ 37.42, where the kernel's
-    coefficients overflow.
+    the result is meaningless by l = 15.  No error marks that loss; only
+    an overflow raises RangeOverflowError (the kernel's, past |l| ~ 37.42).
     """
     _single(p)
-    _, _, weights = quad.nodes()
     kernel = np.conj(_kernel_values(p, sector, quad, ctl))
     values = quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
-    return complex(np.sum(weights * kernel * values))
+    return quad.integrate(kernel, values)
 
 
 def kernel_identity_check(
@@ -240,7 +256,7 @@ def kernel_identity_check(
 ) -> dict[str, complex]:
     """Self-consistency of the kernel under its own integral action.
 
-    lhs = K(xi_1*, xi_2) in closed form; rhs = the quadrature of
+    lhs = K(xi_1*, xi_2) = overlap_closed(p1, p2); rhs = the quadrature of
     K(xi_1*, xi) K(xi*, xi_2) over xi.  The two agree to quadrature
     accuracy because the kernel reproduces itself.
 
@@ -249,25 +265,21 @@ def kernel_identity_check(
     finer orders extend the range (at 100 x 128 it stays near 1e-13
     up to 4).  No error marks that loss.
     """
-    _single(p1, p2)
-    w = complex(-(p1.l + p2.l), p2.phi - p1.phi)
-    lhs = complex(gaussian_lattice_sum(w, half=(sector is Sector.FERMION), ctl=ctl))
-    _, _, weights = quad.nodes()
+    lhs = overlap_closed(p1, p2, sector, ctl)
     k1 = np.conj(_kernel_values(p1, sector, quad, ctl))
     k2 = _kernel_values(p2, sector, quad, ctl)
-    rhs = complex(np.sum(weights * k1 * k2))
-    return {"lhs": lhs, "rhs": rhs}
+    return {"lhs": lhs, "rhs": quad.integrate(k1, k2)}
 
 
-def _window_for_matrix(a: np.ndarray, sector: Sector) -> Truncation:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"operator matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
+def _window_for_matrix(shape: tuple[int, ...], sector: Sector) -> Truncation:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DomainError(f"operator matrix must be square, got shape {shape}")
+    n = shape[0]
     if sector is Sector.BOSON and n % 2 == 0:
         raise ParityError(f"boson windows have odd size, got {n}")
     if sector is Sector.FERMION and n % 2 == 1:
         raise ParityError(f"fermion windows have even size, got {n}")
-    return Truncation(max(2, n - 1))
+    return Truncation(n - 1 + sector.parity)
 
 
 def covariant_symbol(
@@ -279,9 +291,9 @@ def covariant_symbol(
     coherent states; for A the matrix of X it equals the eigenvalue xi.
     """
     _single(p)
+    trunc = _window_for_matrix(np.shape(op_matrix), sector)  # before the complex copy
     norm = norm_sq(p, sector, ctl)  # raises past |l| ~ 26.45, so j*l below stays finite
     a = np.asarray(op_matrix, dtype=np.complex128)
-    trunc = _window_for_matrix(a, sector)
     c = _coherent_coeffs(trunc.j_values(sector), p)
     kernel = complex(np.vdot(c, a @ c))
     return {"kernel": kernel, "symbol": kernel / norm}

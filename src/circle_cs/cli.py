@@ -43,7 +43,7 @@ from .coherent import (
     uncertainty_QP,
 )
 from .errors import CircleError, ConfigError, DomainError
-from .hilbert import MAX_TWO_JMAX, Sector, Truncation, apply_operator, state_to_json
+from .hilbert import Sector, Truncation, apply_operator, state_to_json
 from .theta import SeriesControl, ThetaArg, theta
 from .verify import load_config, run_verify
 
@@ -106,8 +106,6 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
-    if args.tau_im <= 0:
-        raise ConfigError("--tau-im must be positive")
     arg = ThetaArg(complex(args.v, args.v_im), complex(0.0, args.tau_im))
     value = theta(args.kind, arg, SeriesControl())
     _print_complex(value, args.digits)
@@ -178,9 +176,6 @@ def _windowed_expectations(state) -> tuple[float, complex]:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    # the window is allocated, so it keeps to the window cap
-    if args.two_jmax > MAX_TWO_JMAX:
-        raise ConfigError(f"--two-jmax must be <= {MAX_TWO_JMAX}, got {args.two_jmax}")
     sector = Sector.from_name(args.sector)
     trunc = Truncation(args.two_jmax)
     p = PhasePoint(args.l, args.phi)
@@ -218,9 +213,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
-    # the levels |j| <= jmax form a window |2j| <= 2*jmax, capped like evolve's
-    if 2 * args.jmax > MAX_TWO_JMAX:
-        raise ConfigError(f"--jmax must be <= {MAX_TWO_JMAX // 2}, got {args.jmax}")
     sector = Sector.from_name(args.sector)
     if sector is Sector.FERMION and not args.allow_fermion:
         raise DomainError("half-integer levels need --allow-fermion")

@@ -471,15 +471,16 @@ def energy_distribution(
 
     Defined for the boson sector; pass allow_fermion=True to evaluate
     the same formula on the half-integer lattice.  The returned
-    probabilities sum to 1 up to the mass beyond |j| > jmax.
+    probabilities sum to 1 up to the mass beyond |j| > jmax.  The levels
+    form the window |2j| <= floor(2 jmax), so Truncation caps jmax.
     """
     if sector is Sector.FERMION and not allow_fermion:
         raise DomainError("energy_distribution defaults to bosons; pass allow_fermion=True")
-    if jmax < 1:
-        raise DomainError("jmax must be at least 1")
+    if not 1 <= jmax < math.inf:
+        raise DomainError(f"jmax must be finite and at least 1, got {jmax!r}")
+    trunc = Truncation(math.floor(2 * jmax))
     _single(p)
     norm = complex(gaussian_lattice_sum(2.0 * p.l, half=_half(sector), ctl=ctl)).real
-    trunc = Truncation(max(2, int(math.floor(2.0 * jmax))))
     j = trunc.j_values(sector)
     probs = np.exp(2.0 * p.l * j - j * j) / norm
     return [(float(jv), float(pv)) for jv, pv in zip(j, probs)]

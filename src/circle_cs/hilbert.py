@@ -93,21 +93,22 @@ def _window(two_jmax: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     return two_j, j
 
 
-# Largest window a state file, a command or the verify config may build.
-# Dense window matrices grow as two_jmax^2 and their products overflow
-# double range past two_jmax ~ 700.
+# Largest window.  Dense window matrices grow as two_jmax^2 and their
+# products overflow double range past two_jmax ~ 700.
 MAX_TWO_JMAX = 600
 
 
 @dataclass(frozen=True)
 class Truncation:
-    """Symmetric window |2j| <= two_jmax (indices keep the sector parity)."""
+    """Symmetric window |2j| <= two_jmax, 2 <= two_jmax <= MAX_TWO_JMAX (2j keeps the parity)."""
 
     two_jmax: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.two_jmax, int) or self.two_jmax < 2:
-            raise DomainError(f"two_jmax must be an integer >= 2, got {self.two_jmax!r}")
+        if not isinstance(self.two_jmax, int) or not 2 <= self.two_jmax <= MAX_TWO_JMAX:
+            raise DomainError(
+                f"two_jmax must be an integer in [2, {MAX_TWO_JMAX}], got {self.two_jmax!r}"
+            )
 
     def two_j_values(self, sector: Sector) -> np.ndarray:
         """The 2j of the window in ascending order: a shared, read-only array."""
@@ -279,11 +280,7 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 def operator_matrix(kind: str, sector: Sector, trunc: Truncation) -> np.ndarray:
-    """Dense window matrix M with M[row, col] = <j_row| Op |j_col>.
-
-    X and Xdag raise RangeOverflowError, before the matrix is allocated,
-    where a weight passes e^700: from windows reaching |j| = 701 on.
-    """
+    """Dense window matrix M with M[row, col] = <j_row| Op |j_col>."""
     if kind not in OPERATOR_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
     j = trunc.j_values(sector)
@@ -328,13 +325,12 @@ def state_from_json(text: str) -> StateVector:
     try:
         payload = json.loads(text)
         sector = Sector.from_name(payload["sector"])
-        trunc = Truncation(int(payload["two_jmax"]))
+        two_jmax = int(payload["two_jmax"])
         leakage = float(payload.get("leakage", 0.0))
         entries = [(int(e["two_j"]), complex(e["re"], e["im"])) for e in payload["coeffs"]]
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc
-    if trunc.two_jmax > MAX_TWO_JMAX:
-        raise DomainError(f"state window two_jmax must be <= {MAX_TWO_JMAX}, got {trunc.two_jmax}")
+    trunc = Truncation(two_jmax)
     keys = [two_j for two_j, _ in entries]
     try:
         keys = np.array(keys, dtype=np.int64)

@@ -87,18 +87,25 @@ class ThetaArg:
             raise DomainError(f"tau = {tau} is not in the upper half-plane")
 
 
+# Points per block of _lattice_sum times its term pairs stays at or
+# below this, so one block's temporaries (two arrays of terms, three with
+# the moment, 16 bytes a term) take 2 to 3 MB whatever the input's size.
+# It caps SeriesControl.n_max, so a block always holds a point.
+_BLOCK_TERMS = 1 << 16
+
+
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy: absolute bound on every omitted term, term cap."""
+    """Truncation policy: absolute bound on every omitted term, term-pair cap."""
 
     tol: float = 1e-14
     n_max: int = 200
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tol < 1.0):
-            raise DomainError("series tolerance must lie in (0, 1)")
-        if self.n_max < 1:
-            raise DomainError("series term cap must be at least 1")
+        if not 0.0 < self.tol < 1.0:
+            raise DomainError(f"series_tol must lie in (0, 1), got {self.tol!r}")
+        if not 1 <= self.n_max <= _BLOCK_TERMS:
+            raise DomainError(f"series_n_max must lie in [1, {_BLOCK_TERMS}], got {self.n_max!r}")
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -143,13 +150,11 @@ def _as_complex(value) -> complex | np.ndarray:
 def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> int:
     """Number of symmetric term pairs needed so every omitted term <= tol.
 
-    Terms have modulus exp(-decay*m^2 + drift*|m|) over the index lattice.
+    Terms have modulus exp(-decay*m^2 + drift*|m|) over the index lattice, decay > 0.
     The positive root m* of decay*m^2 - drift*m + ln(1/tol) = 0 marks the
     point past which every term is below tol (the exponent is decreasing
     there because m* >= drift/decay).  Everything with |m| <= m* is kept.
     """
-    if decay <= 0.0:
-        raise DomainError("tau is not in the upper half-plane")
     peak = drift * drift / (4.0 * decay)
     if peak > _EXP_LIMIT:
         raise RangeOverflowError(
@@ -175,13 +180,7 @@ def _drift(lin_arr: np.ndarray) -> float:
     return drift
 
 
-# Points per block of _lattice_sum times its term pairs stays at or
-# below this, so one block's temporaries (two arrays of terms, three with
-# the moment, 16 bytes a term) take 2 to 3 MB whatever the input's size.
-_BLOCK_TERMS = 1 << 16
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _ladder(pairs: int, half: bool, alternating: bool):
     """Read-only columns (m, m^2, sign) over the term pairs, largest |m| first.
 
@@ -229,7 +228,7 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, ctl: SeriesControl, m
     flat = lin_arr.reshape(-1)
     acc = np.empty(flat.shape, dtype=np.complex128)
     acc_moment = np.empty_like(acc) if moment else None
-    block = max(_BLOCK_TERMS // max(pairs, 1), 1)
+    block = _BLOCK_TERMS // max(pairs, 1)
     for start in range(0, flat.size, block):
         step = np.multiply(m, flat[start : start + block])
         # row 0 stays 0, where the sum starts

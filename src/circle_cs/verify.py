@@ -68,7 +68,6 @@ from .coherent import (
 )
 from .errors import ConfigError, DomainError
 from .hilbert import (
-    MAX_TWO_JMAX,
     N_CONST,
     Sector,
     StateVector,
@@ -104,10 +103,10 @@ DEFAULT_CONFIG = {
     "random_cases": 50,
 }
 
-# Upper bounds on the config; the window cap is hilbert's.  The
-# quadrature orders n_l and n_phi are checked by Quadrature itself.  The
-# largest allowed battery peaks near 90 MB.
-CONFIG_CAPS = {"two_jmax": MAX_TWO_JMAX, "random_cases": 10_000}
+# The battery's own upper bound on the config; the window, series and
+# quadrature bounds are those of Truncation, SeriesControl and
+# Quadrature.  The largest allowed battery peaks near 90 MB.
+CONFIG_CAPS = {"random_cases": 10_000}
 
 SECTORS = (Sector.BOSON, Sector.FERMION)
 
@@ -166,23 +165,23 @@ def validate_config(overrides: dict) -> dict:
         value = config[key]
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if not isinstance(config["series_tol"], (int, float)):
+        raise ConfigError(f"series_tol must be a number, got {config['series_tol']!r}")
     # the battery draws coherent states with |l| <= 1.5, which needs a
     # window of 24; smaller quadrature orders are allowed and simply
     # fail the resolution-sensitive checks honestly
-    for key, low in (("two_jmax", 24), ("series_n_max", 1), ("seed", 0), ("random_cases", 1)):
+    for key, low in (("two_jmax", 24), ("seed", 0), ("random_cases", 1)):
         if config[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {config[key]}")
-    try:
-        Quadrature(config["n_l"], config["n_phi"])
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
     for key, cap in CONFIG_CAPS.items():
         if config[key] > cap:
             raise ConfigError(f"{key} must be <= {cap}, got {config[key]}")
-    tol = config["series_tol"]
-    if not isinstance(tol, (int, float)) or not 0.0 < float(tol) < 1.0:
-        raise ConfigError("series_tol must lie in (0, 1)")
-    config["series_tol"] = float(tol)
+    try:
+        Truncation(config["two_jmax"])
+        SeriesControl(config["series_tol"], config["series_n_max"])
+        Quadrature(config["n_l"], config["n_phi"])
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     return config
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from circle_cs.bargmann import (
 from circle_cs.coherent import PhasePoint, coherent_state, required_two_jmax
 from circle_cs.errors import DomainError, ParityError, RangeOverflowError
 from circle_cs.hilbert import (
+    MAX_TWO_JMAX,
     Sector,
     Truncation,
     apply_operator,
@@ -30,7 +32,7 @@ from circle_cs.hilbert import (
     make_state,
     operator_matrix,
 )
-from circle_cs.theta import DEFAULT_CONTROL, gaussian_lattice_sum
+from circle_cs.theta import DEFAULT_CONTROL, SeriesControl, _pair_count, gaussian_lattice_sum
 
 TR = Truncation(40)
 QUAD = Quadrature(40, 64)
@@ -186,6 +188,9 @@ def test_covariant_symbol_of_identity_is_one():
         n = TR.size(sector)
         res = covariant_symbol(np.eye(n), PhasePoint(0.4, 1.3), sector)
         assert abs(res["symbol"] - 1.0) < 1e-12
+    # the smallest fermion window, j = +-1/2: the kernel is 2 e^(-1/4) at the origin
+    res = covariant_symbol(np.eye(2), PhasePoint(0.0, 0.0), Sector.FERMION)
+    assert abs(res["kernel"] - 2.0 * math.exp(-0.25)) < 1e-15
 
 
 def test_covariant_symbol_of_X_is_the_label():
@@ -200,6 +205,37 @@ def test_covariant_symbol_of_J_at_unit_radius():
     jmat = operator_matrix("J", Sector.BOSON, TR)
     res = covariant_symbol(jmat, PhasePoint(1.0, 0.0), Sector.BOSON)
     assert abs(res["symbol"] - 1.0) < 1e-12
+
+
+def test_kernel_window_stays_within_the_window_cap():
+    # _pair_count refuses a drift past 52.9 (peak term e^700); below it the
+    # kernel window 2P stays near 128, even at tol = 1e-300
+    ctl = SeriesControl(tol=1e-300)
+    for half in (False, True):
+        assert 2 * _pair_count(1.0, 52.9, ctl, half) <= 130 < MAX_TWO_JMAX
+        with pytest.raises(RangeOverflowError):
+            _pair_count(1.0, 53.0, ctl, half)
+
+
+@pytest.mark.parametrize("n, sector", [
+    (1, Sector.BOSON), (0, Sector.FERMION), (603, Sector.BOSON), (602, Sector.FERMION),
+])
+def test_covariant_symbol_refuses_a_window_truncation_cannot_hold(n, sector):
+    # no window of a sector has 1 boson or 0 fermion slots, and none passes the cap
+    with pytest.raises(DomainError, match=r"^two_jmax must be an integer in \[2, 600\], got "):
+        covariant_symbol(np.eye(n), PhasePoint(0.0, 0.0), sector)
+
+
+def test_covariant_symbol_refuses_a_wide_matrix_before_copying_it():
+    a = np.zeros((1001, 1001))  # its complex copy would take 16 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="got 1000$"):
+            covariant_symbol(a, PhasePoint(0.0, 0.0), Sector.BOSON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_covariant_symbol_window_parity():

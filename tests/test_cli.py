@@ -14,7 +14,8 @@ from circle_cs import cli
 from circle_cs.bargmann import MAX_N_L, MAX_N_PHI
 from circle_cs.coherent import PhasePoint, coherent_state
 from circle_cs.errors import ConfigError
-from circle_cs.hilbert import Sector, Truncation, state_from_json, state_to_json
+from circle_cs.hilbert import MAX_TWO_JMAX, Sector, Truncation, state_from_json, state_to_json
+from circle_cs.theta import _BLOCK_TERMS
 from circle_cs.verify import CONFIG_CAPS, validate_config
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -63,9 +64,13 @@ def test_theta_prints_complex_value(run):
 
 
 def test_theta_rejects_bad_lattice_width(run):
+    # ThetaArg refuses the modulus, for a NaN as for a negative Im(tau)
     res = run("theta", "--kind", "3", "--tau-im", "-1.0")
     assert res.returncode == 2
-    assert "error" in res.stderr
+    assert res.stderr == "error: tau = -1j is not in the upper half-plane\n"
+    res = run("theta", "--kind", "3", "--tau-im", "nan")
+    assert res.returncode == 2
+    assert res.stderr == "error: theta modulus tau must be finite\n"
 
 
 def test_expect_j_json_fields(run):
@@ -307,29 +312,20 @@ def test_evolve_window_too_small_is_domain_error(run):
     assert res.returncode == 2
 
 
-@pytest.fixture
-def no_window(monkeypatch):
-    """Make building any CLI window fail the test, so a cap is checked before allocation."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a window was built")
-
-    monkeypatch.setattr(cli, "Truncation", refuse)
-    monkeypatch.setattr(cli, "energy_distribution", refuse)
-
-
-@pytest.mark.parametrize("two_jmax", [CONFIG_CAPS["two_jmax"] + 1, 10**12])
+@pytest.mark.parametrize("two_jmax", [MAX_TWO_JMAX + 1, 10**12])
 def test_evolve_window_above_the_cap_is_config_error(two_jmax, run, no_window):
+    # Truncation holds the cap; the command exits 2 with its one-line message
     res = run("evolve", "--l", "0.3", "--t", "1", "--two-jmax", str(two_jmax))
     assert res.returncode == 2
-    assert res.stderr == f"error: --two-jmax must be <= 600, got {two_jmax}\n"
+    assert res.stderr == f"error: two_jmax must be an integer in [2, 600], got {two_jmax}\n"
 
 
-@pytest.mark.parametrize("jmax", [CONFIG_CAPS["two_jmax"] // 2 + 1, 10**12])
+@pytest.mark.parametrize("jmax", [MAX_TWO_JMAX // 2 + 1, 10**12])
 def test_distribution_window_above_the_cap_is_config_error(jmax, run, no_window):
     res = run("distribution", "--l", "0.3", "--jmax", str(jmax))
     assert res.returncode == 2
-    assert res.stderr == f"error: --jmax must be <= 300, got {jmax}\n"
+    # its levels form the window |2j| <= 2 jmax
+    assert res.stderr == f"error: two_jmax must be an integer in [2, 600], got {2 * jmax}\n"
 
 
 def test_windows_at_the_cap_are_accepted(run):
@@ -375,11 +371,18 @@ def test_verify_rejects_oversized_window(tmp_path, run):
     cfg.write_text('{"two_jmax": 30000}')
     res = run("verify", "--config", str(cfg))
     assert res.returncode == 2
-    assert "two_jmax must be <= 600" in res.stderr
+    assert "two_jmax must be an integer in [2, 600], got 30000" in res.stderr
 
 
-# the quadrature orders are capped by Quadrature, the rest by CONFIG_CAPS
-ALL_CAPS = {**CONFIG_CAPS, "n_l": MAX_N_L, "n_phi": MAX_N_PHI}
+# the window, series and quadrature caps are those of Truncation,
+# SeriesControl and Quadrature, the rest the battery's CONFIG_CAPS
+ALL_CAPS = {
+    **CONFIG_CAPS,
+    "two_jmax": MAX_TWO_JMAX,
+    "series_n_max": _BLOCK_TERMS,
+    "n_l": MAX_N_L,
+    "n_phi": MAX_N_PHI,
+}
 
 
 @pytest.mark.parametrize("key", sorted(ALL_CAPS))
@@ -389,6 +392,19 @@ def test_verify_config_caps(key):
     assert validate_config({key: cap})[key] == cap
     with pytest.raises(ConfigError, match=key):
         validate_config({key: cap + 2})
+
+
+@pytest.mark.parametrize("tol", [0, 1.0, -1e-14, 10**400, float("nan"), True])
+def test_verify_config_series_tol_range(tol):
+    # SeriesControl checks the range; an int past the double range is refused, not converted
+    with pytest.raises(ConfigError, match=r"^series_tol must lie in \(0, 1\), got "):
+        validate_config({"series_tol": tol})
+
+
+@pytest.mark.parametrize("tol", ["1e-14", None, [1e-14]])
+def test_verify_config_series_tol_type(tol):
+    with pytest.raises(ConfigError, match="^series_tol must be a number, got "):
+        validate_config({"series_tol": tol})
 
 
 @pytest.mark.parametrize("overrides, message", [

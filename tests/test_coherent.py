@@ -404,6 +404,24 @@ def test_energy_distribution_fermion_gate():
     assert 0.5 in js and 0.0 not in js
 
 
+@pytest.mark.parametrize("jmax, message", [
+    (0.5, "^jmax must be finite and at least 1"),
+    (math.inf, "^jmax must be finite and at least 1"),
+    (math.nan, "^jmax must be finite and at least 1"),
+    (301, r"^two_jmax must be an integer in \[2, 600\], got 602$"),
+    (1e300, r"^two_jmax must be an integer in \[2, 600\]"),
+    (10**400, r"^two_jmax must be an integer in \[2, 600\]"),
+])
+def test_energy_distribution_refuses_a_window_it_cannot_build(jmax, message, no_window):
+    with pytest.raises(DomainError, match=message):
+        energy_distribution(PhasePoint(0.0, 0.0), Sector.BOSON, jmax=jmax)
+
+
+def test_energy_distribution_at_the_window_cap():
+    dist = energy_distribution(PhasePoint(0.0, 0.0), Sector.BOSON, jmax=300)
+    assert len(dist) == 601 and dist[0][0] == -300.0
+
+
 def test_gaussian_energy_profile_normalization():
     # unit-width Gaussian scaled by 1/sqrt(pi)
     assert gaussian_energy_profile(0.3, 0.3) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)

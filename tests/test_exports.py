@@ -1,5 +1,5 @@
 """The package namespace is the union of the five layers' __all__ lists,
-and the one overflow limit is named in one layer."""
+and the one overflow limit and the one window cap are each named in one layer."""
 
 from __future__ import annotations
 
@@ -24,10 +24,16 @@ def test_package_exports_each_layer_list_once():
     assert circle_cs.theta is layers[1].theta
 
 
+def _readers(name: str) -> list[str]:
+    source = pathlib.Path(circle_cs.__file__).parent
+    return sorted(path.name for path in source.glob("*.py") if name in path.read_text("utf-8"))
+
+
 def test_the_overflow_limit_is_named_in_theta_alone():
     # every other layer goes through theta._exp, so the e^700 decision cannot split again
-    source = pathlib.Path(circle_cs.__file__).parent
-    readers = sorted(
-        path.name for path in source.glob("*.py") if "_EXP_LIMIT" in path.read_text("utf-8")
-    )
-    assert readers == ["theta.py"]
+    assert _readers("_EXP_LIMIT") == ["theta.py"]
+
+
+def test_the_window_cap_is_named_in_hilbert_alone():
+    # Truncation checks it, so no caller re-checks a window it builds
+    assert _readers("MAX_TWO_JMAX") == ["hilbert.py"]

@@ -14,7 +14,6 @@ from circle_cs.errors import (
     RangeOverflowError,
     WindowError,
 )
-from circle_cs import hilbert
 from circle_cs.hilbert import (
     MAX_TWO_JMAX,
     N_CONST,
@@ -55,6 +54,12 @@ def test_window_grids():
 def test_window_minimum():
     with pytest.raises(DomainError):
         Truncation(1)
+
+
+@pytest.mark.parametrize("two_jmax", [MAX_TWO_JMAX + 1, 10**12, 2**62])
+def test_window_past_the_cap_is_refused_before_it_is_built(two_jmax, no_window):
+    with pytest.raises(DomainError, match=r"^two_jmax must be an integer in \[2, 600\]"):
+        Truncation(two_jmax)
 
 
 def test_index_parity_and_window_errors():
@@ -232,18 +237,24 @@ def test_apply_exp_j_overflow_guard():
         apply_exp_j(s, 80.0)
 
 
+def _spike(sector: Sector, j: float, value: float) -> StateVector:
+    """value * |j> on the widest window."""
+    t = Truncation(MAX_TWO_JMAX)
+    return StateVector(sector, t, value * basis_state(sector, j, t).coeffs)
+
+
 def test_x_overflow_guard():
-    # X multiplies by exp(-j + const); deep negative j overflows
-    t = Truncation(2000)
-    s = basis_state(Sector.BOSON, -900.0, t)
+    # X multiplies by exp(-j - 1/2): at j = -300 a coefficient of 1e300 becomes about e^990
+    s = _spike(Sector.BOSON, -300.0, 1e300)
     with pytest.raises(RangeOverflowError):
         apply_operator("X", s)
 
 
-@pytest.mark.parametrize("kind, j", [("Xdag", -900.0), ("exp_j", 900.0), ("exp_j", -900.0)])
+@pytest.mark.parametrize("kind, j", [("Xdag", -299.5), ("exp_j", 299.5), ("exp_j", -299.5)])
 def test_weight_overflow_on_a_state_with_zeros_is_typed(kind, j):
-    # every other coefficient is 0 (log 0 = -inf); pyproject turns numpy warnings into errors
-    s = basis_state(Sector.FERMION, j + 0.5, Truncation(2001))
+    # a weight of about e^300 on a coefficient of 1e300; every other coefficient
+    # is 0 (log 0 = -inf); pyproject turns numpy warnings into errors
+    s = _spike(Sector.FERMION, j, 1e300)
     with pytest.raises(RangeOverflowError, match="outside the floating-point range"):
         if kind == "exp_j":
             apply_exp_j(s, math.copysign(1.0, j))
@@ -397,13 +408,9 @@ def test_json_non_finite_index_is_domain_error():
 
 
 @pytest.mark.parametrize("two_jmax", [MAX_TWO_JMAX + 1, 10**12, 2**62])
-def test_json_window_past_the_cap_is_domain_error(two_jmax, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a window was built")
-
-    monkeypatch.setattr(hilbert, "_window", refuse)
+def test_json_window_past_the_cap_is_domain_error(two_jmax, no_window):
     text = _state_text("boson", two_jmax, [(0, 1.0, 0.0)])
-    message = f"^state window two_jmax must be <= 600, got {two_jmax}$"
+    message = rf"^two_jmax must be an integer in \[2, 600\], got {two_jmax}$"
     with pytest.raises(DomainError, match=message):
         state_from_json(text)
 

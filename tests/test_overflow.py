@@ -46,6 +46,7 @@ from circle_cs import (
     expect_expJ,
     heisenberg_approximation,
     heisenberg_expectations,
+    inner_quadrature,
     modular_image_theta2,
     modular_image_theta3,
     operator_matrix,
@@ -195,16 +196,40 @@ def test_exp_j_gives_the_coefficient_when_only_the_factor_overflows():
 
 
 @pytest.mark.parametrize("kind", ["X", "Xdag"])
-def test_wide_weight_matrix_raises_before_it_is_allocated(kind):
-    # 2001 x 2001 complex entries would take 64 MB
+def test_wide_weight_matrix_raises_before_it_is_allocated(kind, no_window):
+    # 2001 x 2001 complex entries would take 64 MB; Truncation refuses the window first
     tracemalloc.start()
     try:
-        with pytest.raises(RangeOverflowError, match=f"^{kind} matrix weight"):
+        with pytest.raises(DomainError, match=r"^two_jmax must be an integer in \[2, 600\]"):
             operator_matrix(kind, BOSON, Truncation(2000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _spike(sector: Sector, j: float, value: complex, trunc: Truncation) -> StateVector:
+    """value * |j>."""
+    return StateVector(sector, trunc, value * basis_state(sector, j, trunc).coeffs)
+
+
+def test_quadrature_inner_product_past_the_range_is_typed():
+    # <s|s> is about 1e614: the node values are finite, their products are not
+    s = _spike(BOSON, 0.0, 1e307, Truncation(40))
+    with pytest.raises(RangeOverflowError, match="^quadrature sum leaves the floating-point range$"):
+        inner_quadrature(s, s, Quadrature(40, 64))
+    # at j = 3 the radial factor e^(3 l - 9/2) carries the node values past the range
+    f = _spike(BOSON, 3.0, 1e307, Truncation(40))
+    message = "^quadrature node values leave the floating-point range$"
+    with pytest.raises(RangeOverflowError, match=message):
+        inner_quadrature(f, basis_state(BOSON, 3.0, Truncation(40)), Quadrature(40, 64))
+
+
+def test_reproducing_apply_past_the_range_is_typed():
+    # finite node values whose products with the kernel at l = 18 overflow
+    s = _spike(FERMION, 0.5, 5e264, Truncation(40))
+    with pytest.raises(RangeOverflowError, match="^quadrature sum leaves the floating-point range$"):
+        reproducing_apply(s, PhasePoint(18.0, 0.0), FERMION, Quadrature(40, 64))
 
 
 @pytest.mark.parametrize("sector", [BOSON, FERMION])
@@ -271,9 +296,11 @@ CALLS = {
         operator_matrix("X", x.sector, SMALL), _point(x), x.sector
     ),
     "evaluate": lambda x: evaluate(_two_slot_state(x.sector, x.eta, x.v), _point(x)),
-    # fixed coefficients: the node-grid engine leaves coefficients near the range untyped
     "reproducing_apply": lambda x: reproducing_apply(
-        _two_slot_state(x.sector, 1.0, 0.5j), _point(x), x.sector, Quadrature(8, 8)
+        _two_slot_state(x.sector, x.eta, x.v), _point(x), x.sector, Quadrature(8, 8)
+    ),
+    "inner_quadrature": lambda x: inner_quadrature(
+        _two_slot_state(x.sector, x.l, x.v), _two_slot_state(x.sector, x.eta, x.v), Quadrature(8, 8)
     ),
     "X": lambda x: apply_operator("X", _two_slot_state(x.sector, x.l, x.v)),
     "Xdag": lambda x: apply_operator("Xdag", _two_slot_state(x.sector, x.l, x.v)),

@@ -225,6 +225,28 @@ def test_series_control_validation():
         SeriesControl(tol=1e-14, n_max=0)
 
 
+def test_series_pair_cap_is_the_block_size():
+    cap = theta_module._BLOCK_TERMS
+    assert SeriesControl(n_max=cap).n_max == cap == 65536
+    for n_max in (0, cap + 1, 10**6, math.nan):
+        with pytest.raises(DomainError, match=r"^series_n_max must lie in \[1, 65536\]"):
+            SeriesControl(n_max=n_max)
+
+
+def test_sum_at_the_pair_cap_keeps_to_its_block():
+    # 56 627 term pairs: the ladder's three columns and the block's
+    # temporaries, about 1 MiB each, whatever the number of points
+    ctl = SeriesControl(n_max=theta_module._BLOCK_TERMS)
+    tracemalloc.start()
+    try:
+        theta(3, ThetaArg(np.linspace(0.0, 0.5, 4), 3.2e-9j), ctl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert theta_module._ladder.cache_info().maxsize == 32
+
+
 def test_tight_tolerance_still_converges():
     loose = complex(gaussian_lattice_sum(3.0))
     tight = complex(gaussian_lattice_sum(3.0, ctl=SeriesControl(tol=1e-30, n_max=100)))
@@ -447,13 +469,14 @@ def test_kernel_matches_the_pair_loop_across_blocks():
 @pytest.mark.parametrize("pairs", range(0, 33))
 def test_kernel_matches_the_pair_loop_at_every_pair_count(pairs, monkeypatch):
     rng = np.random.default_rng(pairs)
+    ctl = SeriesControl()  # built before _BLOCK_TERMS, which caps its n_max, shrinks
     monkeypatch.setattr(theta_module, "_pair_count", lambda *args: pairs)
     # a block of 3 points at most, so the 7 points take several blocks
     monkeypatch.setattr(theta_module, "_BLOCK_TERMS", 3 * max(pairs, 1))
     curv = complex(-0.02, 0.7)
     for half, alternating in ((False, False), (False, True), (True, False)):
         lin = 0.3 * rng.standard_normal(7) + 0.3j * rng.standard_normal(7)
-        got = theta_module._lattice_sum(curv, lin, half, alternating, SeriesControl())
+        got = theta_module._lattice_sum(curv, lin, half, alternating, ctl)
         assert _same_bits(got, _pair_loop(curv, lin, half, alternating, pairs))
 
 
