@@ -70,7 +70,7 @@ import numpy as np
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
 from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq, overlap_closed
-from .theta import DEFAULT_CONTROL, SeriesControl, _exp, _pair_count
+from .theta import DEFAULT_CONTROL, SeriesControl, _exp, _integer, _pair_count
 
 __all__ = [
     "Quadrature",
@@ -102,10 +102,10 @@ class Quadrature:
     n_phi: int = 64
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n_l <= MAX_N_L:
-            raise DomainError(f"n_l must lie in [2, {MAX_N_L}], got {self.n_l}")
-        if not 4 <= self.n_phi <= MAX_N_PHI or self.n_phi % 2 != 0:
-            raise DomainError(f"n_phi must be even and in [4, {MAX_N_PHI}], got {self.n_phi}")
+        message = "n_l must be an integer in [{low}, {high}], got {value!r}"
+        object.__setattr__(self, "n_l", _integer(self.n_l, 2, MAX_N_L, message))
+        message = "n_phi must be an even integer in [{low}, {high}], got {value!r}"
+        object.__setattr__(self, "n_phi", _integer(self.n_phi, 4, MAX_N_PHI, message, 2))
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(l nodes, phi nodes, combined weights W[i, k]), cached and read-only.

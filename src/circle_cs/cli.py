@@ -42,9 +42,9 @@ from .coherent import (
     relative_expect_U,
     uncertainty_QP,
 )
-from .errors import CircleError, ConfigError, DomainError
+from .errors import CircleError, ConfigError
 from .hilbert import Sector, Truncation, apply_operator, state_to_json
-from .theta import SeriesControl, ThetaArg, theta
+from .theta import SeriesControl, ThetaArg, _integer, _number, theta
 from .verify import load_config, run_verify
 
 __all__ = ["main"]
@@ -142,10 +142,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if not 2 <= args.n <= MAX_SCAN_POINTS:
-        raise ConfigError(f"--n must lie in 2..{MAX_SCAN_POINTS}, got {args.n}")
-    if not (math.isfinite(args.l_min) and math.isfinite(args.l_max)):
-        raise ConfigError("--l-min and --l-max must be finite")
+    _integer(args.n, 2, MAX_SCAN_POINTS, "--n must lie in {low}..{high}, got {value!r}")
+    _number((args.l_min, args.l_max), float, "--l-min and --l-max must be finite")
     if not args.l_max > args.l_min:
         raise ConfigError("--l-max must exceed --l-min")
     if not math.isfinite(args.l_max - args.l_min):
@@ -214,8 +212,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
     sector = Sector.from_name(args.sector)
-    if sector is Sector.FERMION and not args.allow_fermion:
-        raise DomainError("half-integer levels need --allow-fermion")
     p = PhasePoint(args.l, 0.0)
     dist = energy_distribution(p, sector, jmax=args.jmax, allow_fermion=args.allow_fermion)
     j, prob = zip(*dist)

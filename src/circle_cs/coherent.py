@@ -38,6 +38,7 @@ from .theta import (
     SeriesControl,
     ThetaArg,
     _exp,
+    _number,
     centred_lattice_sum,
     gaussian_lattice_sum,
     theta_log_derivative,
@@ -72,9 +73,9 @@ J_DEVIATION_AMPLITUDE = 2.0 * math.pi * math.exp(-math.pi * math.pi)
 
 _TWO_PI = 2.0 * math.pi
 
-# Python and NumPy real scalars, which PhasePoint validates with math.isfinite
-_SCALARS = (float, int, np.floating, np.integer)
-_NOT_FINITE = "phase-space coordinates must be finite"
+_NOT_FINITE = "phase-space coordinates must be finite real numbers"
+# coherent_state's windows keep every dropped coefficient below this
+_WINDOW_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,39 +98,19 @@ class PhasePoint:
     shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.l, _SCALARS) and isinstance(self.phi, _SCALARS):
-            # the 0-d case of the array code below, without numpy's per-call cost:
-            # float % and np.remainder round alike
-            try:
-                l, phi = float(self.l), float(self.phi)
-            except OverflowError:  # an int past the double range
-                raise DomainError(_NOT_FINITE) from None
-            if not (math.isfinite(l) and math.isfinite(phi)):
-                raise DomainError(_NOT_FINITE)
-            phi %= _TWO_PI
-            object.__setattr__(self, "l", l)
-            # the remainder of a negative phi above -4.4e-16 rounds up to 2*pi;
-            # 0 is the nearest angle in [0, 2*pi)
-            object.__setattr__(self, "phi", 0.0 if phi == _TWO_PI else phi)
-            object.__setattr__(self, "shape", ())
-            return
-        try:
-            l = np.asarray(self.l, dtype=float)
-            phi = np.asarray(self.phi, dtype=float)
-        except OverflowError:
-            raise DomainError(_NOT_FINITE) from None
+        l = _number(self.l, float, _NOT_FINITE)
+        phi = _number(self.phi, float, _NOT_FINITE)
         try:
             shape = np.broadcast(l, phi).shape
         except ValueError:
             raise DomainError(
-                f"l of shape {l.shape} and phi of shape {phi.shape} do not broadcast"
+                f"l of shape {np.shape(l)} and phi of shape {np.shape(phi)} do not broadcast"
             ) from None
-        if not (np.isfinite(l).all() and np.isfinite(phi).all()):
-            raise DomainError(_NOT_FINITE)
-        phi = phi % _TWO_PI
-        phi = np.where(phi == _TWO_PI, 0.0, phi)
-        object.__setattr__(self, "l", float(l) if l.ndim == 0 else l)
-        object.__setattr__(self, "phi", float(phi) if phi.ndim == 0 else phi)
+        # float % and np.remainder round alike.  The remainder of a negative phi
+        # above -4.4e-16 rounds up to 2*pi; the second maps it to 0, the nearest
+        # angle in [0, 2*pi), and keeps every other remainder bit for bit
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "phi", phi % _TWO_PI % _TWO_PI)
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -173,35 +154,31 @@ def _single(*points: PhasePoint) -> None:
             )
 
 
-def required_two_jmax(l: float, tol: float = 1e-12) -> int:
-    """Smallest window bound 2*j_max keeping coherent-state tails < tol.
+def required_two_jmax(l: float) -> int:
+    """Smallest window bound 2*j_max keeping coherent-state tails < 1e-12.
 
-    |c_j| = e^(l*j - j^2/2) falls below tol once |j| exceeds
+    |c_j| = e^(l*j - j^2/2) falls below tol = 1e-12 once |j| exceeds
     |l| + sqrt(2 ln(1/tol)); two extra slots pad the edge-sentinel
     region that tail_mass() inspects.
     """
-    j_max = abs(l) + math.sqrt(2.0 * math.log(1.0 / tol)) + 2.0
+    l = _number(l, float, _NOT_FINITE, arrays=False)
+    j_max = abs(l) + math.sqrt(2.0 * math.log(1.0 / _WINDOW_TOL)) + 2.0
     return 2 * math.ceil(j_max)
 
 
-def coherent_state(
-    p: PhasePoint,
-    sector: Sector,
-    trunc: Truncation,
-    window_tol: float = 1e-12,
-) -> StateVector:
+def coherent_state(p: PhasePoint, sector: Sector, trunc: Truncation) -> StateVector:
     """State with c_j = exp(l*j - i*j*phi - j^2/2) over the window.
 
     Normalization follows c_0 = 1 (the state is not unit-norm).  Raises
     TruncationError when the window cannot hold the Gaussian envelope
-    down to window_tol.
+    down to 1e-12.
     """
     _single(p)
-    needed = required_two_jmax(p.l, window_tol)
+    needed = required_two_jmax(p.l)
     if trunc.two_jmax < needed:
         raise TruncationError(
             f"two_jmax = {trunc.two_jmax} too small for l = {p.l}: "
-            f"tails exceed {window_tol} (need two_jmax >= {needed})"
+            f"tails exceed {_WINDOW_TOL} (need two_jmax >= {needed})"
         )
     return StateVector(sector, trunc, _coherent_coeffs(trunc.j_values(sector), p))
 
@@ -257,23 +234,27 @@ def approx_expect_J(l: float | np.ndarray, sector: Sector) -> float | np.ndarray
 
     Raises RangeOverflowError when |l| exceeds 1e300, as approx_expJ does.
     """
+    l = _number(l, float, _NOT_FINITE)
     _require_reach(l)
     sign = -1.0 if sector is Sector.BOSON else 1.0
     return _shaped(l + sign * J_DEVIATION_AMPLITUDE * np.sin(_TWO_PI * l), np.shape(l), float)
 
 
-def _require_reach(l, shift=0.0) -> None:
-    """RangeOverflowError unless |l| and |shift|(|l| + |shift| + 1) are at most 1e300.
+def _require_reach(l, shift=0.0):
+    """shift through the number gate, if |l| and |shift|(|l| + |shift| + 1) <= 1e300.
 
-    Inside that reach 2l and every product the ratio observables form
-    from l and s (or t) are finite doubles, so no numpy overflow occurs.
+    l is a finite float or float array already.  Inside that reach 2l and
+    every product the ratio observables form from l and s (or t) are
+    finite doubles, so no numpy overflow occurs; RangeOverflowError outside it.
     """
+    shift = _number(shift, float, "the shift s or t must be finite real numbers")
     l_max = float(np.max(np.abs(l), initial=0.0))
     shift_max = float(np.max(np.abs(shift), initial=0.0))
     if l_max > 1e300 or shift_max * (l_max + shift_max + 1.0) > 1e300:
         raise RangeOverflowError(
             f"|l| up to {l_max:.3g} with a shift up to {shift_max:.3g} is out of range"
         )
+    return shift
 
 
 def expect_U(
@@ -332,7 +313,7 @@ def expect_expJ(
     the exact value exceeds e^700, or when |l| or |s|(|l| + |s| + 1)
     exceeds 1e300.
     """
-    _require_reach(p.l, s)
+    s = _require_reach(p.l, s)
     half = _half(sector)
     shape = np.broadcast_shapes(np.shape(s), p.shape)
     w0 = 2.0 * p.l
@@ -358,7 +339,8 @@ def approx_expJ(s: float | np.ndarray, l: float | np.ndarray) -> float | np.ndar
     Raises RangeOverflowError where expect_expJ does: when the value
     exceeds e^700, or when |l| or |s|(|l| + |s| + 1) exceeds 1e300.
     """
-    _require_reach(l, s)
+    l = _number(l, float, _NOT_FINITE)
+    s = _require_reach(l, s)
     message = "e^(s^2/4 + s*l) = exp({peak:.3g}) exceeds the floating-point range"
     value = _exp(_expJ_exponent(s, l), message)
     return _shaped(value, np.shape(value), float)
@@ -410,7 +392,7 @@ def heisenberg_expectations(
     exceeds the floating-point range, or when |l| or |t|(|l| + |t| + 1)
     exceeds 1e300.
     """
-    _require_reach(p.l, t)
+    t = _require_reach(p.l, t)
     half = _half(sector)
     shape = np.broadcast_shapes(np.shape(t), p.shape)
     w = 2.0 * p.l + 1j * t
@@ -434,7 +416,7 @@ def heisenberg_approximation(
     Raises RangeOverflowError where heisenberg_expectations does: when
     |l| or |t|(|l| + |t| + 1) exceeds 1e300, or <X(t)> passes e^700.
     """
-    _require_reach(p.l, t)
+    t = _require_reach(p.l, t)
     shape = np.broadcast_shapes(np.shape(t), p.shape)
     damp = -0.25 * t * t
     u_t = np.exp((damp - 0.25) + 1j * (p.phi + t * p.l))

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError, WindowError
-from .theta import _exp
+from .theta import _exp, _integer, _number
 
 __all__ = [
     "Sector",
@@ -64,11 +64,6 @@ class Sector(enum.Enum):
     def parity(self) -> int:
         """Residue of 2j mod 2 for this sector."""
         return 0 if self is Sector.BOSON else 1
-
-    @property
-    def j0(self) -> float:
-        """Smallest nonnegative j in the sector (0 or 1/2)."""
-        return 0.0 if self is Sector.BOSON else 0.5
 
     @classmethod
     def from_name(cls, name: str) -> "Sector":
@@ -105,10 +100,8 @@ class Truncation:
     two_jmax: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.two_jmax, int) or not 2 <= self.two_jmax <= MAX_TWO_JMAX:
-            raise DomainError(
-                f"two_jmax must be an integer in [2, {MAX_TWO_JMAX}], got {self.two_jmax!r}"
-            )
+        message = "two_jmax must be an integer in [{low}, {high}], got {value!r}"
+        object.__setattr__(self, "two_jmax", _integer(self.two_jmax, 2, MAX_TWO_JMAX, message))
 
     def two_j_values(self, sector: Sector) -> np.ndarray:
         """The 2j of the window in ascending order: a shared, read-only array."""
@@ -128,7 +121,8 @@ class Truncation:
         the parity test first.
         """
         start = _lowest_two_j(self.two_jmax, sector.parity)
-        keys = np.asarray(two_j)
+        # 1-d, since on a 0-d object array (a 2j past int64) the tests give Python bools
+        keys = np.array(two_j, ndmin=1)
         wrong_parity = keys % 2 != sector.parity
         bad = wrong_parity | (keys < start) | (keys > -start)
         if bad.any():
@@ -138,7 +132,7 @@ class Truncation:
                 raise ParityError(f"2j = {key} does not match the {sector.value} sector")
             raise WindowError(f"2j = {key} outside window |2j| <= {self.two_jmax}")
         slots = (keys - start) // 2
-        return int(slots) if slots.ndim == 0 else slots.astype(np.intp)
+        return int(slots[0]) if np.ndim(two_j) == 0 else slots.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -188,8 +182,10 @@ def make_state(sector: Sector, trunc: Truncation, coeffs: Iterable[complex],
 
 def basis_state(sector: Sector, j: float, trunc: Truncation) -> StateVector:
     """Unit vector |j>.  Raises if 2j is off-parity or outside the window."""
-    two_j = int(round(2.0 * j))
-    if abs(2.0 * j - two_j) > 1e-12:
+    j = _number(j, float, "j must be a finite real number, got {value!r}", arrays=False)
+    # j is whole from 2^52 on, where 2.0 * j can overflow
+    two_j = round(2.0 * j) if abs(j) < 2.0**52 else 2 * int(j)
+    if abs(j - two_j / 2) > 0.5e-12:
         raise ParityError(f"j = {j} is not a half-integer")
     idx = trunc.index_of(sector, two_j)
     coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
@@ -197,11 +193,10 @@ def basis_state(sector: Sector, j: float, trunc: Truncation) -> StateVector:
     return StateVector(sector, trunc, coeffs)
 
 
-# _exp's messages, after the operator's name
+# _exp's message, after the operator's name
 _COEFF_OVERFLOW = (
     " produces a coefficient of magnitude exp({peak:.3g}), outside the floating-point range"
 )
-_MATRIX_OVERFLOW = " matrix weight exp({peak:.3g}) is outside the floating-point range"
 
 
 def _shift_up(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -257,9 +252,8 @@ def apply_exp_j(s: StateVector, eta: complex) -> StateVector:
     """
     j = s.j_values()
     # checked with scalar math, so _exp sees finite exponents
-    if not cmath.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta!r}")
-    if not cmath.isfinite(complex(eta) * float(j[-1])):
+    checked = _number(eta, complex, "eta must be finite, got {value!r}", arrays=False)
+    if not cmath.isfinite(checked * float(j[-1])):
         raise RangeOverflowError(
             f"exp_j with eta = {eta!r} leaves the floating-point range at |j| = {j[-1]}"
         )
@@ -294,10 +288,10 @@ def operator_matrix(kind: str, sector: Sector, trunc: Truncation) -> np.ndarray:
         offset, band = 1, 1.0
     elif kind == "Udag":
         offset, band = -1, 1.0
-    elif kind == "X":
-        offset, band = 1, _exp(-j[:-1] - 0.5, "X" + _MATRIX_OVERFLOW)
+    elif kind == "X":  # weights at most e^300.5 inside MAX_TWO_JMAX
+        offset, band = 1, np.exp(-j[:-1] - 0.5)
     else:  # Xdag
-        offset, band = -1, _exp(-j[1:] + 0.5, "Xdag" + _MATRIX_OVERFLOW)
+        offset, band = -1, np.exp(-j[1:] + 0.5)
     m = np.zeros((n, n), dtype=np.complex128)
     k = np.arange(n - abs(offset))
     m[k + max(offset, 0), k + max(-offset, 0)] = band
@@ -325,13 +319,16 @@ def state_from_json(text: str) -> StateVector:
     try:
         payload = json.loads(text)
         sector = Sector.from_name(payload["sector"])
-        two_jmax = int(payload["two_jmax"])
+        two_jmax = payload["two_jmax"]
         leakage = float(payload.get("leakage", 0.0))
-        entries = [(int(e["two_j"]), complex(e["re"], e["im"])) for e in payload["coeffs"]]
+        entries = payload["coeffs"]
+        keys = [
+            _integer(e["two_j"], -math.inf, math.inf, "two_j must be an integer") for e in entries
+        ]
+        values = [complex(e["re"], e["im"]) for e in entries]
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc
     trunc = Truncation(two_jmax)
-    keys = [two_j for two_j, _ in entries]
     try:
         keys = np.array(keys, dtype=np.int64)
     except OverflowError:  # a 2j beyond int64 lies outside every window
@@ -339,5 +336,5 @@ def state_from_json(text: str) -> StateVector:
     slots = trunc.index_of(sector, keys)
     coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
     # a repeated 2j is assigned in document order, so its last value stays
-    coeffs[slots] = np.array([value for _, value in entries], dtype=np.complex128)
+    coeffs[slots] = np.array(values, dtype=np.complex128)
     return StateVector(sector, trunc, coeffs, leakage)

@@ -46,8 +46,49 @@ __all__ = [
 # double range (e^709.78): _exp checks it, _pair_count bounds lattice terms by it.
 _EXP_LIMIT = 700.0
 
-# Python and NumPy numbers, which ThetaArg validates with math.isfinite
+# Python and NumPy numbers, which _number checks with cmath.isfinite
 _SCALARS = (complex, float, int, np.number)
+# the dtype kinds _number converts: bool, integers, reals, Python objects, complex
+_KINDS = {float: "biufO", complex: "biufOc"}
+
+
+def _number(value, kind: type, message: str, arrays: bool = True):
+    """value as a finite Python kind (float or complex), or, if arrays, a finite ndarray of kind.
+
+    The package's one test of a number from outside.  A Python or NumPy
+    scalar converts directly, anything else through numpy once (no copy
+    where the dtype fits); bools count as 0 and 1.  DomainError(message
+    with {value!r} filled in) for NaN, inf, an int past the double range,
+    a string, None or another object, and a complex value for a float.
+    """
+    try:
+        if isinstance(value, _SCALARS):
+            if kind is complex or not isinstance(value, (complex, np.complexfloating)):
+                number = kind(value)
+                if cmath.isfinite(number):
+                    return number
+        else:
+            array = np.asarray(value)
+            if array.dtype.kind in _KINDS[kind]:
+                array = array.astype(kind, copy=False)
+                if np.isfinite(array).all() and (arrays or array.ndim == 0):
+                    return kind(array) if array.ndim == 0 else array
+    # an int past the double range, or an object numpy cannot convert
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(message.format(value=value))
+
+
+def _integer(value, low: float, high: float, message: str, multiple: int = 1) -> int:
+    """value as a Python int, if a Python or NumPy integer (not a bool) in [low, high].
+
+    It must also divide by multiple.  Else DomainError(message with
+    {value!r}, {low} and {high} filled in).
+    """
+    integer = type(value) is int or isinstance(value, np.integer)
+    if integer and low <= value <= high and value % multiple == 0:
+        return int(value)
+    raise DomainError(message.format(value=value, low=low, high=high))
 
 
 @dataclass(frozen=True)
@@ -55,36 +96,19 @@ class ThetaArg:
     """Argument pair (v, tau) with tau restricted to the upper half-plane.
 
     v may be an array of arguments sharing one tau; it is stored as a
-    complex scalar, or as a complex ndarray when it has dimensions.
+    complex scalar, or as a complex ndarray when it has dimensions.  tau
+    is stored as a complex scalar.
     """
 
     v: complex | np.ndarray
     tau: complex
 
     def __post_init__(self) -> None:
-        try:
-            if isinstance(self.v, _SCALARS):
-                # the 0-d case of the array code, without numpy's per-call cost
-                v = complex(self.v)
-                finite = math.isfinite(v.real) and math.isfinite(v.imag)
-            else:
-                v = np.asarray(self.v, dtype=np.complex128)
-                finite = np.isfinite(v).all()
-                if v.ndim == 0:
-                    v = complex(v)
-        except OverflowError:  # an int past the double range
-            raise DomainError("theta argument v must be finite") from None
-        if not finite:
-            raise DomainError("theta argument v must be finite")
-        object.__setattr__(self, "v", v)
-        try:
-            tau = complex(self.tau)
-        except OverflowError:
-            raise DomainError("theta modulus tau must be finite") from None
-        if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
-            raise DomainError("theta modulus tau must be finite")
+        object.__setattr__(self, "v", _number(self.v, complex, "theta argument v must be finite"))
+        tau = _number(self.tau, complex, "theta modulus tau must be finite", arrays=False)
         if tau.imag <= 0.0:
             raise DomainError(f"tau = {tau} is not in the upper half-plane")
+        object.__setattr__(self, "tau", tau)
 
 
 # Points per block of _lattice_sum times its term pairs stays at or
@@ -102,10 +126,13 @@ class SeriesControl:
     n_max: int = 200
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tol < 1.0:
-            raise DomainError(f"series_tol must lie in (0, 1), got {self.tol!r}")
-        if not 1 <= self.n_max <= _BLOCK_TERMS:
-            raise DomainError(f"series_n_max must lie in [1, {_BLOCK_TERMS}], got {self.n_max!r}")
+        message = "series_tol must lie in (0, 1), got {value!r}"
+        tol = _number(self.tol, float, message, arrays=False)
+        if not 0.0 < tol < 1.0:
+            raise DomainError(message.format(value=self.tol))
+        object.__setattr__(self, "tol", tol)
+        message = "series_n_max must be an integer in [{low}, {high}], got {value!r}"
+        object.__setattr__(self, "n_max", _integer(self.n_max, 1, _BLOCK_TERMS, message))
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -272,7 +299,7 @@ def theta(
     """
     if kind not in (2, 3, 4):
         raise DomainError(f"theta kind must be 2, 3 or 4, got {kind!r}")
-    curv = 1j * math.pi * complex(arg.tau)
+    curv = 1j * math.pi * arg.tau
     return _lattice_sum(curv, _phase(arg.v), half=(kind == 2), alternating=(kind == 4), ctl=ctl)
 
 
@@ -340,8 +367,7 @@ def theta_log_derivative(
     """
     if kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
-    tau = complex(arg.tau)
-    curv = 1j * math.pi * tau
+    curv = 1j * math.pi * arg.tau
     value, moment = _lattice_sum(
         curv, _phase(arg.v), half=False, alternating=(kind == 4), ctl=ctl, moment=True
     )
@@ -351,7 +377,7 @@ def theta_log_derivative(
     if np.any(imag_v):
         moduli = _lattice_sum(curv.real, 2.0 * math.pi * imag_v, False, False, ctl).real
     else:
-        moduli = _origin_modulus(tau.imag, ctl)
+        moduli = _origin_modulus(arg.tau.imag, ctl)
     near_zero = np.abs(value) < 1e-10 * moduli
     if near_zero.any():
         v = complex(np.ravel(arg.v)[np.argmax(near_zero)])
@@ -363,12 +389,11 @@ def theta_log_derivative(
 def _inversion_image(kind: int, v, tau, ctl: SeriesControl) -> complex | np.ndarray:
     """sqrt(tau/i) * exp(i pi v^2 / tau) * theta_kind(v | tau), principal branch."""
     arg = ThetaArg(v, tau)
-    tau = complex(tau)
     value = theta(kind, arg, ctl)
     with np.errstate(over="ignore", invalid="ignore"):  # _exp rejects an overflowed v^2
-        exponent = 1j * math.pi * arg.v * arg.v / tau
+        exponent = 1j * math.pi * arg.v * arg.v / arg.tau
     message = "theta inversion prefactor exp({peak:.3g}) exceeds the floating-point range"
-    return _as_complex(_exp(exponent, message, cmath.sqrt(tau / 1j)) * value)
+    return _as_complex(_exp(exponent, message, cmath.sqrt(arg.tau / 1j)) * value)
 
 
 def modular_image_theta3(
@@ -405,8 +430,7 @@ def theta2_via_half_period_shift(
     v may be an array; the result then has its shape.  RangeOverflowError
     where the factor exp(i pi (tau/4 + v)) passes e^700.
     """
-    v = np.asarray(v, dtype=np.complex128)
-    tau = complex(tau)
-    shifted = theta(3, ThetaArg(v + tau / 2.0, tau), ctl)  # validates v before the exp
+    arg = ThetaArg(v, tau)
+    shifted = theta(3, ThetaArg(arg.v + arg.tau / 2.0, arg.tau), ctl)
     message = "theta_2 half-period factor exp({peak:.3g}) exceeds the floating-point range"
-    return _as_complex(_exp(1j * math.pi * (tau / 4.0 + v), message) * shifted)
+    return _as_complex(_exp(1j * math.pi * (arg.tau / 4.0 + np.asarray(arg.v)), message) * shifted)

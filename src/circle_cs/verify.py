@@ -82,6 +82,7 @@ from .hilbert import (
 from .theta import (
     SeriesControl,
     ThetaArg,
+    _integer,
     _pair_count,
     gaussian_lattice_sum,
     modular_image_theta2,
@@ -161,27 +162,20 @@ def validate_config(overrides: dict) -> dict:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     config = dict(DEFAULT_CONFIG)
     config.update(overrides)
-    for key in ("two_jmax", "n_l", "n_phi", "series_n_max", "seed", "random_cases"):
-        value = config[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
     if not isinstance(config["series_tol"], (int, float)):
         raise ConfigError(f"series_tol must be a number, got {config['series_tol']!r}")
+    try:
+        _integer(config["seed"], 0, math.inf, "seed must be an integer >= {low}, got {value!r}")
+        message = "random_cases must be an integer in [{low}, {high}], got {value!r}"
+        _integer(config["random_cases"], 1, CONFIG_CAPS["random_cases"], message)
+        _Context(config)  # its window, series control and quadrature check their own values
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     # the battery draws coherent states with |l| <= 1.5, which needs a
     # window of 24; smaller quadrature orders are allowed and simply
     # fail the resolution-sensitive checks honestly
-    for key, low in (("two_jmax", 24), ("seed", 0), ("random_cases", 1)):
-        if config[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {config[key]}")
-    for key, cap in CONFIG_CAPS.items():
-        if config[key] > cap:
-            raise ConfigError(f"{key} must be <= {cap}, got {config[key]}")
-    try:
-        Truncation(config["two_jmax"])
-        SeriesControl(config["series_tol"], config["series_n_max"])
-        Quadrature(config["n_l"], config["n_phi"])
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    if config["two_jmax"] < 24:
+        raise ConfigError(f"two_jmax must be >= 24, got {config['two_jmax']}")
     return config
 
 

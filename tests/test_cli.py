@@ -350,8 +350,10 @@ def test_distribution_stdout(run):
 
 
 def test_distribution_fermion_needs_flag(run):
+    # energy_distribution owns the rule; the command reports its one-line error
     res = run("distribution", "--l", "0.0", "--sector", "fermion")
     assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
     res = run("distribution", "--l", "0.0", "--sector", "fermion", "--allow-fermion", "--jmax", "4")
     assert res.returncode == 0
     assert res.stdout.splitlines()[1].startswith("-3.5,")
@@ -408,13 +410,30 @@ def test_verify_config_series_tol_type(tol):
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"n_l": 1}, "n_l must lie in [2, 300], got 1"),
-    ({"n_phi": 63}, "n_phi must be even and in [4, 1024], got 63"),
-    ({"n_phi": 2}, "n_phi must be even and in [4, 1024], got 2"),
-])
+    ({"n_l": 1}, "n_l must be an integer in [2, 300], got 1"),
+    ({"n_phi": 63}, "n_phi must be an even integer in [4, 1024], got 63"),
+    ({"n_phi": 2}, "n_phi must be an even integer in [4, 1024], got 2"),
+    ({"n_l": 40.0}, "n_l must be an integer in [2, 300], got 40.0"),
+    ({"n_phi": "64"}, "n_phi must be an even integer in [4, 1024], got '64'"),
+    ({"n_phi": True}, "n_phi must be an even integer in [4, 1024], got True"),
+], ids=["n_l", "n_phi-odd", "n_phi-small", "n_l-float", "n_phi-str", "n_phi-bool"])
 def test_verify_config_quadrature_orders(overrides, message):
     with pytest.raises(ConfigError) as info:
         validate_config(overrides)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("two_jmax", 40.0, "two_jmax must be an integer in [2, 600], got 40.0"),
+    ("series_n_max", 200.5, "series_n_max must be an integer in [1, 65536], got 200.5"),
+    ("seed", 7.0, "seed must be an integer >= 0, got 7.0"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ("random_cases", True, "random_cases must be an integer in [1, 10000], got True"),
+])
+def test_verify_config_integers_go_through_one_gate(key, value, message):
+    # a JSON 40.0 is refused, with the range the value must lie in
+    with pytest.raises(ConfigError) as info:
+        validate_config({key: value})
     assert str(info.value) == message
 
 

@@ -96,10 +96,39 @@ def test_scalar_phase_point_rejects_nonfinite_with_the_array_message(bad):
 @pytest.mark.parametrize("l, phi", [
     (10**400, 0.0), (0.0, -10**400), ([10**400], 0.0), (0.0, [1.0, -10**400]),
     (np.array([10**400], dtype=object), 0.0),
-], ids=["l", "phi", "l-list", "phi-list", "object-array"])
+    ("1", 0.0), (0.0, "0"), (None, 0.0), (object(), 0.0), (1j, 0.0), (np.complex128(1), 0.0),
+    (0.0, [1j]), (np.array(["1"]), 0.0), (0.0, [[0.0], [1.0, 2.0]]),
+], ids=["l", "phi", "l-list", "phi-list", "object-array", "str", "phi-str", "none", "object",
+        "complex", "np-complex", "complex-list", "str-array", "ragged"])
 def test_ints_past_the_double_range_are_domain_errors(l, phi):
+    # and anything else that is not a real number: a complex value is not cut to its real part
     with pytest.raises(DomainError, match="phase-space coordinates must be finite"):
         PhasePoint(l, phi)
+
+
+def test_ints_inside_the_double_range_convert_in_a_list():
+    p = PhasePoint([10**30, -3], 0)
+    assert p.l.dtype == np.float64 and p.l.tolist() == [1e30, -3.0] and p.phi == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: required_two_jmax(math.nan),
+    lambda: required_two_jmax(math.inf),
+    lambda: required_two_jmax("1"),
+    lambda: approx_expect_J(math.nan, Sector.BOSON),
+    lambda: approx_expect_J([0.1, math.inf], Sector.FERMION),
+    lambda: approx_expJ(math.nan, 0.0),
+    lambda: approx_expJ(1.0, "0"),
+    lambda: expect_expJ("1", PhasePoint(0.3, 0.0), Sector.BOSON),
+    lambda: expect_expJ(1j, PhasePoint(0.3, 0.0), Sector.BOSON),
+    lambda: heisenberg_expectations(PhasePoint(0.3, 0.0), math.nan, Sector.BOSON),
+    lambda: heisenberg_approximation(PhasePoint(0.3, 0.0), math.nan),
+    lambda: heisenberg_approximation(PhasePoint(0.3, 0.0), None),
+], ids=["window-nan", "window-inf", "window-str", "approxJ-nan", "approxJ-inf", "approxExpJ-nan",
+        "approxExpJ-str", "expJ-str", "expJ-complex", "heisenberg-nan", "approx-nan", "approx-none"])
+def test_raw_arguments_are_domain_errors(call):
+    with pytest.raises(DomainError, match="must be finite real numbers$"):
+        call()
 
 
 @pytest.mark.parametrize("value", [1e308, -1e308, 5e-324, -0.0])

@@ -1,5 +1,6 @@
 """The package namespace is the union of the five layers' __all__ lists,
-and the one overflow limit and the one window cap are each named in one layer."""
+and the one overflow limit, the one window cap and the one number gate
+are each named in one layer."""
 
 from __future__ import annotations
 
@@ -37,3 +38,8 @@ def test_the_overflow_limit_is_named_in_theta_alone():
 def test_the_window_cap_is_named_in_hilbert_alone():
     # Truncation checks it, so no caller re-checks a window it builds
     assert _readers("MAX_TWO_JMAX") == ["hilbert.py"]
+
+
+def test_the_number_gate_is_named_in_theta_alone():
+    # every layer takes numbers from outside through theta._number and theta._integer
+    assert _readers("_SCALARS") == ["theta.py"]

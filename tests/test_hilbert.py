@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,23 @@ def test_basis_state_is_unit():
     assert s.coeffs[TR.index_of(Sector.FERMION, 3)] == 1.0
 
 
+@pytest.mark.parametrize("j", [math.nan, math.inf, "1", None, [1.0], 1j, 10**400])
+def test_basis_state_refuses_what_is_not_a_finite_real(j):
+    with pytest.raises(DomainError, match="^j must be a finite real number"):
+        basis_state(Sector.BOSON, j, TR)
+
+
+@pytest.mark.parametrize("sector, j, error", [
+    (Sector.BOSON, 1e300, WindowError), (Sector.BOSON, 1e308, WindowError),
+    (Sector.BOSON, -(2.0**70), WindowError), (Sector.FERMION, 1e308, ParityError),
+    (Sector.FERMION, 700.5, WindowError), (Sector.FERMION, 0.5 + 1e-9, ParityError),
+])
+def test_basis_state_far_outside_the_window_is_typed(sector, j, error):
+    # 2j of 1e308 is past the double range; every j from 2^52 on is whole
+    with pytest.raises(error):
+        basis_state(sector, j, TR)
+
+
 def test_make_state_validates_length():
     with pytest.raises(DomainError):
         make_state(Sector.BOSON, Truncation(4), [1.0, 2.0])
@@ -174,6 +192,18 @@ def test_x_matrix_elements():
     for col in range(len(j) - 1):
         assert m[col + 1, col] == pytest.approx(math.exp(-j[col] - 0.5), rel=1e-15)
     assert np.count_nonzero(m) == len(j) - 1
+
+
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_weight_bands_at_the_window_cap_are_plain_exponentials(sector):
+    # the largest weight inside MAX_TWO_JMAX is e^300.5, so no overflow check is needed
+    trunc = Truncation(MAX_TWO_JMAX)
+    j = trunc.j_values(sector)
+    x = operator_matrix("X", sector, trunc)
+    xdag = operator_matrix("Xdag", sector, trunc)
+    assert np.diagonal(x, -1).tobytes() == np.exp(-j[:-1] - 0.5).astype(complex).tobytes()
+    assert np.diagonal(xdag, 1).tobytes() == np.exp(-j[1:] + 0.5).astype(complex).tobytes()
+    assert np.isfinite(x).all() and np.isfinite(xdag).all()
 
 
 def test_xdag_matrix_is_adjoint_of_x():
@@ -401,16 +431,17 @@ def test_json_decoding_matches_the_per_entry_loop(text):
 
 
 def test_json_non_finite_index_is_domain_error():
-    for token in ("Infinity", "NaN"):
+    for token in ("Infinity", "NaN", "1.9", "2.0", '"2"', "true"):
         text = '{"sector": "boson", "two_jmax": 4, "coeffs": [{"two_j": %s, "re": 1, "im": 0}]}'
         with pytest.raises(DomainError, match="malformed state JSON"):
             state_from_json(text % token)
 
 
-@pytest.mark.parametrize("two_jmax", [MAX_TWO_JMAX + 1, 10**12, 2**62])
+@pytest.mark.parametrize("two_jmax", [MAX_TWO_JMAX + 1, 10**12, 2**62, 5.9, 40.0, "40", True])
 def test_json_window_past_the_cap_is_domain_error(two_jmax, no_window):
+    # or not an integer: Truncation refuses it, where int() cut 5.9 to 5
     text = _state_text("boson", two_jmax, [(0, 1.0, 0.0)])
-    message = rf"^two_jmax must be an integer in \[2, 600\], got {two_jmax}$"
+    message = rf"^two_jmax must be an integer in \[2, 600\], got {re.escape(repr(two_jmax))}$"
     with pytest.raises(DomainError, match=message):
         state_from_json(text)
 

@@ -9,12 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from circle_cs.bargmann import Quadrature
 from circle_cs.errors import (
     ConvergenceError,
     DomainError,
     RangeOverflowError,
     SingularityError,
 )
+from circle_cs.hilbert import Truncation
 from circle_cs.theta import (
     SeriesControl,
     ThetaArg,
@@ -187,8 +189,13 @@ def test_theta_rejects_nonfinite_argument():
 @pytest.mark.parametrize("v, tau, what", [
     (10**400, I_PI, "argument v"), ([0.1, -10**400], I_PI, "argument v"),
     (0.1, 10**400, "modulus tau"),
-], ids=["v", "v-list", "tau"])
+    ("0.1", I_PI, "argument v"), (None, I_PI, "argument v"), (["0.1"], I_PI, "argument v"),
+    (object(), I_PI, "argument v"), (0.1, "1j", "modulus tau"), (0.1, None, "modulus tau"),
+    (0.1, [1j], "modulus tau"), (0.1, np.array([1j, 2j]), "modulus tau"),
+], ids=["v", "v-list", "tau", "v-str", "v-none", "v-str-list", "v-object", "tau-str",
+        "tau-none", "tau-list", "tau-array"])
 def test_theta_rejects_ints_past_the_double_range(v, tau, what):
+    # and anything else that is not a number; tau is one number, v may be an array
     with pytest.raises(DomainError, match=f"theta {what} must be finite"):
         ThetaArg(v, tau)
 
@@ -202,6 +209,9 @@ def test_scalar_argument_stores_the_bits_of_the_array_route(v):
     scalar, array = ThetaArg(v, I_PI).v, ThetaArg(np.asarray(v), I_PI).v
     assert type(scalar) is complex and type(array) is complex
     assert np.asarray(scalar).tobytes() == np.asarray(array).tobytes()
+    # a 0-d tau is one number, stored as a Python complex like tau itself
+    tau = ThetaArg(v, np.asarray(I_PI)).tau
+    assert type(tau) is complex and tau == I_PI
 
 
 def test_peak_overflow_raises():
@@ -229,8 +239,40 @@ def test_series_pair_cap_is_the_block_size():
     cap = theta_module._BLOCK_TERMS
     assert SeriesControl(n_max=cap).n_max == cap == 65536
     for n_max in (0, cap + 1, 10**6, math.nan):
-        with pytest.raises(DomainError, match=r"^series_n_max must lie in \[1, 65536\]"):
+        with pytest.raises(DomainError, match=r"^series_n_max must be an integer in \[1, 65536\]"):
             SeriesControl(n_max=n_max)
+
+
+# each integer a type holds, and how to read it back
+INTEGER_FIELDS = {
+    "two_jmax": lambda n: Truncation(n).two_jmax,
+    "series_n_max": lambda n: SeriesControl(n_max=n).n_max,
+    "n_l": lambda n: Quadrature(n, 64).n_l,
+    "n_phi": lambda n: Quadrature(40, n).n_phi,
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_take_numpy_integers_and_refuse_the_rest(field):
+    build = INTEGER_FIELDS[field]
+    for accepted in (40, np.int64(40), np.uint16(40)):
+        stored = build(accepted)
+        assert type(stored) is int and stored == 40
+    message = rf"^{field} must be an (even )?integer in \[\d+, \d+\], got "
+    for refused in (40.0, True, "40", 200.5, None, np.float64(40), np.bool_(True)):
+        with pytest.raises(DomainError, match=message):
+            build(refused)
+
+
+def test_a_numpy_window_equals_the_python_one():
+    assert Truncation(np.int64(40)) == Truncation(40)
+    assert hash(Truncation(np.int64(40))) == hash(Truncation(40))
+
+
+@pytest.mark.parametrize("tol", ["1e-14", None, [1e-14], 1e-14j, np.array([1e-14])], ids=repr)
+def test_series_tol_refuses_what_is_not_one_real_number(tol):
+    with pytest.raises(DomainError, match=r"^series_tol must lie in \(0, 1\), got "):
+        SeriesControl(tol=tol)
 
 
 def test_sum_at_the_pair_cap_keeps_to_its_block():
