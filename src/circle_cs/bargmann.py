@@ -126,19 +126,49 @@ class Quadrature:
     def grid_values(self, sector: Sector, two_jmax: int, coeffs: np.ndarray) -> np.ndarray:
         """sum_j c_j e^(-j^2/2) xi*^(-j) on the node grid, shape (n_l, n_phi).
 
-        RangeOverflowError where a node value leaves the double range.
+        The terms c_j E_l[:, j] are folded into their DFT bins, chunk by
+        chunk rather than scattered one by one (_spectrum), and the angular
+        sum is one inverse FFT per l node.  RangeOverflowError where a node
+        value leaves the double range.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # typed below
+            spectrum = self._spectrum(sector, two_jmax, coeffs)
+            values = np.fft.ifft(spectrum, axis=1)
+            values *= self.n_phi
+        if not np.isfinite(values).all():
+            raise RangeOverflowError("quadrature node values leave the floating-point range")
+        return values
+
+    def _spectrum(self, sector: Sector, two_jmax: int, coeffs: np.ndarray) -> np.ndarray:
+        """The DFT bins of grid_values: c_j E_l[:, j] summed into bin 2j mod n_phi, in slot order.
+
+        The window's 2j step by 2, so slots s and s + n_phi/2 share a bin
+        and the first width = min(n_slots, n_phi/2) slots take distinct
+        ones, bins b_0, b_0 + 2, ... mod n_phi.  The terms, zero-padded to
+        whole chunks of width slots, are added chunk by chunk from +0.0,
+        which folds them with the bits of a scatter-add (np.add.at) in slot
+        order, and the sums fill their bins as two strided slices, before
+        and after the wrap at n_phi.  The caller sets np.errstate for an
+        overflowing product.
         """
         e_l, bins = self.factors(sector, two_jmax)
         coeffs = np.asarray(coeffs)
         if coeffs.shape != e_l.shape[1:]:
             raise DomainError(f"expected {e_l.shape[1]} coefficients, got shape {coeffs.shape}")
+        # the products are written into a complex array: an object array converts first
+        coeffs = coeffs.astype(np.complex128, copy=False)
+        n_slots = e_l.shape[1]
+        width = min(n_slots, self.n_phi // 2)
+        pad = -n_slots % width
+        terms = np.zeros((self.n_l, n_slots + pad), dtype=np.complex128)
+        np.multiply(e_l, coeffs, out=terms[:, :n_slots])
+        sums = np.add.reduce(terms.reshape(self.n_l, -1, width), axis=-2, initial=0.0)
         spectrum = np.zeros((self.n_l, self.n_phi), dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):  # typed below
-            np.add.at(spectrum, (slice(None), bins), e_l * coeffs)
-            values = self.n_phi * np.fft.ifft(spectrum, axis=1)
-        if not np.isfinite(values).all():
-            raise RangeOverflowError("quadrature node values leave the floating-point range")
-        return values
+        first = int(bins[0])
+        unwrapped = min(width, (self.n_phi - first + 1) // 2)
+        spectrum[:, first : first + 2 * unwrapped : 2] = sums[:, :unwrapped]
+        spectrum[:, first % 2 : 2 * (width - unwrapped) : 2] = sums[:, unwrapped:]
+        return spectrum
 
     def integrate(self, a: np.ndarray, b: np.ndarray) -> complex:
         """sum_{i,k} W[i,k] a[i,k] b[i,k], the quadrature of a*b over node-grid values.

@@ -25,7 +25,6 @@ their deviation is measurable rather than assumed:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -56,7 +55,6 @@ __all__ = [
     "expect_J",
     "approx_expect_J",
     "expect_U",
-    "approx_expect_U",
     "relative_expect_U",
     "expect_expJ",
     "approx_expJ",
@@ -277,12 +275,6 @@ def expect_U(
     _, den = centred_lattice_sum(2.0 * p.l, half=half, ctl=ctl)
     ratio = np.real(num) / np.real(den)
     return _shaped(math.exp(-0.25) * ratio * np.exp(1j * p.phi), p.shape, complex)
-
-
-def approx_expect_U(p: PhasePoint) -> complex:
-    """e^(-1/4) e^(i phi), the flat-modulus approximation of <U>."""
-    _single(p)
-    return cmath.exp(complex(-0.25, p.phi))
 
 
 def relative_expect_U(

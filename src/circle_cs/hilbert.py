@@ -24,7 +24,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "N_CONST",
     "OPERATOR_KINDS",
     "basis_state",
-    "make_state",
     "apply_operator",
     "apply_exp_j",
     "apply_time_reversal",
@@ -158,6 +156,8 @@ class StateVector:
             raise DomainError("state coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
+        message = "leakage must be a finite real number, got {value!r}"
+        object.__setattr__(self, "leakage", _number(self.leakage, float, message, arrays=False))
 
     def two_j_values(self) -> np.ndarray:
         return self.trunc.two_j_values(self.sector)
@@ -173,11 +173,6 @@ class StateVector:
         c = np.abs(self.coeffs)
         edge = min(2, len(c))
         return float(max(c[:edge].max(), c[-edge:].max()))
-
-
-def make_state(sector: Sector, trunc: Truncation, coeffs: Iterable[complex],
-               leakage: float = 0.0) -> StateVector:
-    return StateVector(sector, trunc, np.asarray(list(coeffs)), leakage)
 
 
 def basis_state(sector: Sector, j: float, trunc: Truncation) -> StateVector:
@@ -320,7 +315,7 @@ def state_from_json(text: str) -> StateVector:
         payload = json.loads(text)
         sector = Sector.from_name(payload["sector"])
         two_jmax = payload["two_jmax"]
-        leakage = float(payload.get("leakage", 0.0))
+        leakage = payload.get("leakage", 0.0)  # StateVector checks it
         entries = payload["coeffs"]
         keys = [
             _integer(e["two_j"], -math.inf, math.inf, "two_j must be an integer") for e in entries

@@ -61,6 +61,8 @@ def _number(value, kind: type, message: str, arrays: bool = True):
     with {value!r} filled in) for NaN, inf, an int past the double range,
     a string, None or another object, and a complex value for a float.
     """
+    if type(value) is kind and cmath.isfinite(value):  # a finite Python float (or complex) as it is
+        return value
     try:
         if isinstance(value, _SCALARS):
             if kind is complex or not isinstance(value, (complex, np.complexfloating)):
@@ -207,13 +209,19 @@ def _drift(lin_arr: np.ndarray) -> float:
     return drift
 
 
+# Longest ladder _lattice_sum takes from _ladder's cache.  A ladder holds
+# 48 bytes a pair, so the 32 entries stay within 6 MiB; the longer ones,
+# which only a raised SeriesControl.n_max reaches, are built per call.
+_CACHED_PAIRS = 4096
+
+
 @functools.lru_cache(maxsize=32)
 def _ladder(pairs: int, half: bool, alternating: bool):
     """Read-only columns (m, m^2, sign) over the term pairs, largest |m| first.
 
     Each is complex with imaginary part 0, the operand numpy makes of a
     float in a complex product, and has shape (pairs, 1), to broadcast
-    against a row of points.
+    against a row of points.  _ladder.__wrapped__ builds one uncached.
     """
     k = np.arange(pairs, 0, -1, dtype=np.float64)
     m = k - 0.5 if half else k
@@ -250,7 +258,8 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, ctl: SeriesControl, m
     # an infinite real part is an overflow, caught by the pair count
     pairs = _pair_count(decay, _drift(lin_arr), ctl, half)
 
-    m, m_sq, sign = _ladder(pairs, half, alternating)
+    ladder = _ladder if pairs <= _CACHED_PAIRS else _ladder.__wrapped__
+    m, m_sq, sign = ladder(pairs, half, alternating)
     base = np.multiply(curv, m_sq)
     flat = lin_arr.reshape(-1)
     acc = np.empty(flat.shape, dtype=np.complex128)

@@ -626,11 +626,15 @@ def _small_basis(ctx: _Context, sector: Sector, bound: float) -> list[StateVecto
 
 
 def _check_quadrature_orthonormality(ctx: _Context, sector: Sector):
-    basis = _small_basis(ctx, sector, 3.0)
+    # each basis state's node values once, then every pair against the exact delta
+    values = [
+        ctx.quad.grid_values(sector, ctx.trunc.two_jmax, s.coeffs)
+        for s in _small_basis(ctx, sector, 3.0)
+    ]
     return [
-        abs(inner_quadrature(a, b, ctx.quad) - (1.0 if a is b else 0.0))
-        for a in basis
-        for b in basis
+        abs(ctx.quad.integrate(np.conj(a), b) - (1.0 if a is b else 0.0))
+        for a in values
+        for b in values
     ]
 
 

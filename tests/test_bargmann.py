@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -25,11 +26,11 @@ from circle_cs.errors import DomainError, ParityError, RangeOverflowError
 from circle_cs.hilbert import (
     MAX_TWO_JMAX,
     Sector,
+    StateVector,
     Truncation,
     apply_operator,
     basis_state,
     inner,
-    make_state,
     operator_matrix,
 )
 from circle_cs.theta import DEFAULT_CONTROL, SeriesControl, _pair_count, gaussian_lattice_sum
@@ -41,7 +42,7 @@ QUAD = Quadrature(40, 64)
 def _random_state(sector, seed):
     rng = np.random.default_rng(seed)
     size = TR.size(sector)
-    return make_state(sector, TR, rng.normal(size=size) + 1j * rng.normal(size=size))
+    return StateVector(sector, TR, rng.normal(size=size) + 1j * rng.normal(size=size))
 
 
 def test_basis_function_point_value():
@@ -92,6 +93,35 @@ def test_engine_grid_values_match_direct_tensor(quad, sector):
     got = quad.grid_values(sector, TR.two_jmax, coeffs)
     assert got.shape == (quad.n_l, quad.n_phi)
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def _scattered_spectrum(quad, sector, two_jmax, coeffs):
+    """The DFT bins by np.add.at, the scatter that the engine's fold replaced."""
+    e_l, bins = quad.factors(sector, two_jmax)
+    spectrum = np.zeros((quad.n_l, quad.n_phi), dtype=np.complex128)
+    np.add.at(spectrum, (slice(None), bins), e_l * coeffs)
+    return spectrum
+
+
+@pytest.mark.parametrize("n_phi", [4, 6, 8, 10, 64, 1024])
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_folded_bins_have_the_bits_of_a_scatter_add(n_phi, sector):
+    # terms spread over e^+-40, and signed zeros: the cases pin +0.0 in a
+    # bin whose terms are all -0.0, which the fold's initial=0.0 guarantees
+    # on every NumPy version (numpy 2's add.reduce gives +0.0 without it too)
+    rng = np.random.default_rng([n_phi, sector.parity])
+    for n_l, two_jmax in itertools.product((2, 40), (2, 3, 24, 40, 60, 599, 600)):
+        quad = Quadrature(n_l, n_phi)
+        size = Truncation(two_jmax).size(sector)
+        coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+        coeffs *= np.exp(rng.uniform(-40.0, 40.0, size))
+        coeffs[rng.random(size) < 0.3] = -0.0
+        coeffs[rng.random(size) < 0.2] = complex(-0.0, -0.0)
+        expected = _scattered_spectrum(quad, sector, two_jmax, coeffs)
+        case = (n_l, two_jmax)
+        assert quad._spectrum(sector, two_jmax, coeffs).tobytes() == expected.tobytes(), case
+        values = quad.grid_values(sector, two_jmax, coeffs)
+        assert values.tobytes() == (n_phi * np.fft.ifft(expected, axis=1)).tobytes(), case
 
 
 def test_nodes_are_cached_read_only_hermite_rule():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -208,6 +209,36 @@ def test_state_json_matches_golden_text():
     golden = (DATA / "state_fermion_l0.37_phi1.1_w21.json").read_text()
     assert state_to_json(state) + "\n" == golden
     assert np.array_equal(state_from_json(golden).coeffs, state.coeffs)
+
+
+# The behaviour oracle: verify stdout of four configs, whose goldens a
+# change that moves a last digit updates (and says so).
+VERIFY_GOLDENS = {
+    "verify_default.json": {},
+    "verify_seed7_cases20.json": {"seed": 7, "random_cases": 20},
+    "verify_nl100_nphi32.json": {"n_l": 100, "n_phi": 32},
+    "verify_jmax60_nl8_nphi8.json": {"two_jmax": 60, "n_l": 8, "n_phi": 8},
+}
+
+
+@pytest.mark.parametrize("golden", VERIFY_GOLDENS)
+def test_verify_report_matches_golden(run, tmp_path, golden):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(VERIFY_GOLDENS[golden]))
+    res = run("verify", "--config", str(config))
+    # the four documented approximation gaps fail by construction
+    assert res.returncode == 1
+    assert res.stdout == (DATA / golden).read_text()
+
+
+def test_wide_scans_match_golden_hashes(capsys):
+    # 10 001 points a scan, too large to commit: one sha256 each
+    golden = json.loads((DATA / "scan_m20_20_10001_digits17_sha256.json").read_text())
+    for key, digest in golden.items():
+        obs, sector = key.split()
+        out = main_stdout(capsys, "scan", "--obs", obs, "--l-min", "-20", "--l-max", "20",
+                          "--n", "10001", "--sector", sector, "--digits", "17", "--out", "-")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, key
 
 
 def test_main_builds_its_parser_once():

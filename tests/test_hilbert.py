@@ -27,7 +27,6 @@ from circle_cs.hilbert import (
     apply_time_reversal,
     basis_state,
     inner,
-    make_state,
     operator_matrix,
     state_from_json,
     state_to_json,
@@ -111,11 +110,11 @@ def test_basis_state_far_outside_the_window_is_typed(sector, j, error):
         basis_state(sector, j, TR)
 
 
-def test_make_state_validates_length():
+def test_state_vector_validates_length():
     with pytest.raises(DomainError):
-        make_state(Sector.BOSON, Truncation(4), [1.0, 2.0])
+        StateVector(Sector.BOSON, Truncation(4), [1.0, 2.0])
     with pytest.raises(DomainError):
-        make_state(Sector.BOSON, Truncation(4), [1.0, float("nan"), 0.0, 0.0, 0.0])
+        StateVector(Sector.BOSON, Truncation(4), [1.0, float("nan"), 0.0, 0.0, 0.0])
 
 
 def test_coeffs_are_frozen():
@@ -132,6 +131,29 @@ def test_state_vector_errors_keep_their_messages():
     for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
         with pytest.raises(DomainError, match="^state coefficients must be finite$"):
             StateVector(Sector.BOSON, Truncation(4), [1.0, bad, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "leakage", [math.nan, math.inf, -math.inf, "0.5", None, 0.5j, np.complex128(0.5), [0.5]],
+    ids=repr,
+)
+def test_leakage_is_one_finite_real_number(leakage):
+    with pytest.raises(DomainError, match=r"^leakage must be a finite real number, got "):
+        StateVector(Sector.BOSON, TR, np.zeros(TR.size(Sector.BOSON)), leakage)
+
+
+def test_leakage_is_stored_as_a_python_float():
+    for leakage in (1, np.float64(0.25), np.float32(0.5), True):
+        s = StateVector(Sector.BOSON, TR, np.zeros(TR.size(Sector.BOSON)), leakage)
+        assert type(s.leakage) is float and s.leakage == float(leakage)
+
+
+@pytest.mark.parametrize("leakage", ["NaN", "Infinity", '"0.5"', "[0.5]"])
+def test_json_leakage_goes_through_the_gate(leakage):
+    good = state_to_json(basis_state(Sector.BOSON, 0.0, TR))
+    assert '"leakage": 0.0' in good
+    with pytest.raises(DomainError, match=r"^leakage must be a finite real number, got "):
+        state_from_json(good.replace('"leakage": 0.0', f'"leakage": {leakage}'))
 
 
 def test_state_vector_keeps_a_private_copy():
@@ -238,7 +260,7 @@ def test_apply_operator_matches_matrix():
     for sector in (Sector.BOSON, Sector.FERMION):
         size = TR.size(sector)
         c = rng.normal(size=size) + 1j * rng.normal(size=size)
-        s = make_state(sector, TR, c)
+        s = StateVector(sector, TR, c)
         for kind in OPERATOR_KINDS:
             m = operator_matrix(kind, sector, TR)
             direct = apply_operator(kind, s).coeffs
@@ -256,7 +278,7 @@ def test_apply_exp_j_scales():
 def test_apply_exp_j_imaginary_is_phase():
     rng = np.random.default_rng(5)
     c = rng.normal(size=TR.size(Sector.BOSON))
-    s = make_state(Sector.BOSON, TR, c)
+    s = StateVector(Sector.BOSON, TR, c)
     rotated = apply_exp_j(s, 0.9j)
     assert np.max(np.abs(np.abs(rotated.coeffs) - np.abs(c))) < 1e-15
 
@@ -307,7 +329,7 @@ def test_apply_exp_j_rejects_a_non_finite_eta(eta):
 
 
 def test_weights_of_the_zero_state_stay_zero():
-    zero = make_state(Sector.BOSON, TR, np.zeros(TR.size(Sector.BOSON)))
+    zero = StateVector(Sector.BOSON, TR, np.zeros(TR.size(Sector.BOSON)))
     for out in (apply_operator("X", zero), apply_operator("Xdag", zero), apply_exp_j(zero, 3.0)):
         assert not out.coeffs.any() and out.leakage == 0.0
 
@@ -321,7 +343,7 @@ def test_time_reversal_swaps_sign_of_j():
 def test_time_reversal_is_an_involution():
     rng = np.random.default_rng(7)
     c = rng.normal(size=TR.size(Sector.BOSON)) + 1j * rng.normal(size=TR.size(Sector.BOSON))
-    s = make_state(Sector.BOSON, TR, c)
+    s = StateVector(Sector.BOSON, TR, c)
     twice = apply_time_reversal(apply_time_reversal(s))
     assert np.array_equal(twice.coeffs, s.coeffs)
 
@@ -352,14 +374,14 @@ def test_inner_requires_matching_window():
 
 
 def test_inner_is_conjugate_linear_on_the_left():
-    a = make_state(Sector.BOSON, Truncation(2), [1j, 0.0, 0.0])
-    b = make_state(Sector.BOSON, Truncation(2), [1.0, 0.0, 0.0])
+    a = StateVector(Sector.BOSON, Truncation(2), [1j, 0.0, 0.0])
+    b = StateVector(Sector.BOSON, Truncation(2), [1.0, 0.0, 0.0])
     assert inner(a, b) == -1j
 
 
 def test_leakage_accumulates():
     top = float(TR.j_values(Sector.BOSON)[-1])
-    s = make_state(Sector.BOSON, TR, np.ones(TR.size(Sector.BOSON)))
+    s = StateVector(Sector.BOSON, TR, np.ones(TR.size(Sector.BOSON)))
     once = apply_operator("U", s)
     twice = apply_operator("U", once)
     assert once.leakage == 1.0
@@ -370,7 +392,7 @@ def test_leakage_accumulates():
 def test_json_round_trip():
     rng = np.random.default_rng(9)
     c = rng.normal(size=TR.size(Sector.FERMION)) + 1j * rng.normal(size=TR.size(Sector.FERMION))
-    s = make_state(Sector.FERMION, TR, c, leakage=0.25)
+    s = StateVector(Sector.FERMION, TR, c, leakage=0.25)
     back = state_from_json(state_to_json(s))
     assert back.sector is Sector.FERMION
     assert back.leakage == 0.25
@@ -455,5 +477,5 @@ def test_json_window_at_the_cap_round_trips():
 def test_tail_mass_sees_outermost_slots():
     c = np.zeros(TR.size(Sector.BOSON))
     c[1] = 0.125
-    s = make_state(Sector.BOSON, TR, c)
+    s = StateVector(Sector.BOSON, TR, c)
     assert s.tail_mass() == 0.125

@@ -289,6 +289,20 @@ def test_sum_at_the_pair_cap_keeps_to_its_block():
     assert theta_module._ladder.cache_info().maxsize == 32
 
 
+def test_long_ladders_stay_out_of_the_cache():
+    # 40 pair counts near 56 000, 2.7 MB a ladder: the entry-bounded cache
+    # held 80 MB of them; ladders past _CACHED_PAIRS are built per call
+    ctl = SeriesControl(n_max=theta_module._BLOCK_TERMS)
+    tracemalloc.start()
+    try:
+        for k in range(40):
+            theta(3, ThetaArg(0.25, 3.2e-9j * (1.0 + k / 100.0)), ctl)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 2**20
+
+
 def test_tight_tolerance_still_converges():
     loose = complex(gaussian_lattice_sum(3.0))
     tight = complex(gaussian_lattice_sum(3.0, ctl=SeriesControl(tol=1e-30, n_max=100)))
