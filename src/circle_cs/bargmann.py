@@ -147,9 +147,8 @@ class Quadrature:
         ones, bins b_0, b_0 + 2, ... mod n_phi.  The terms, zero-padded to
         whole chunks of width slots, are added chunk by chunk from +0.0,
         which folds them with the bits of a scatter-add (np.add.at) in slot
-        order, and the sums fill their bins as two strided slices, before
-        and after the wrap at n_phi.  The caller sets np.errstate for an
-        overflowing product.
+        order, and the sums fill the distinct bins of the first width
+        slots.  The caller sets np.errstate for an overflowing product.
         """
         e_l, bins = self.factors(sector, two_jmax)
         coeffs = np.asarray(coeffs)
@@ -164,10 +163,7 @@ class Quadrature:
         np.multiply(e_l, coeffs, out=terms[:, :n_slots])
         sums = np.add.reduce(terms.reshape(self.n_l, -1, width), axis=-2, initial=0.0)
         spectrum = np.zeros((self.n_l, self.n_phi), dtype=np.complex128)
-        first = int(bins[0])
-        unwrapped = min(width, (self.n_phi - first + 1) // 2)
-        spectrum[:, first : first + 2 * unwrapped : 2] = sums[:, :unwrapped]
-        spectrum[:, first % 2 : 2 * (width - unwrapped) : 2] = sums[:, unwrapped:]
+        spectrum[:, bins[:width]] = sums
         return spectrum
 
     def integrate(self, a: np.ndarray, b: np.ndarray) -> complex:
@@ -319,11 +315,14 @@ def covariant_symbol(
 
     The symbol is the normalized diagonal matrix element of A between
     coherent states; for A the matrix of X it equals the eigenvalue xi.
+    DomainError for a matrix with a NaN or infinite entry.
     """
     _single(p)
     trunc = _window_for_matrix(np.shape(op_matrix), sector)  # before the complex copy
     norm = norm_sq(p, sector, ctl)  # raises past |l| ~ 26.45, so j*l below stays finite
     a = np.asarray(op_matrix, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise DomainError("operator matrix entries must be finite")
     c = _coherent_coeffs(trunc.j_values(sector), p)
     kernel = complex(np.vdot(c, a @ c))
     return {"kernel": kernel, "symbol": kernel / norm}

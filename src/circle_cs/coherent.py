@@ -9,12 +9,12 @@ overlap and expectation value reduces to Gaussian lattice sums
 
     S(w) = sum_m exp(w*m - m^2)
 
-over the integer (boson) or half-integer (fermion) lattice, evaluated
-in closed form by theta.gaussian_lattice_sum, or re-centred by
-theta.centred_lattice_sum where a ratio of sums cancels their
-e^(w^2/4) peaks.  Alongside each exact
-value this module exposes the standard closed-form approximation so
-their deviation is measurable rather than assumed:
+over the integer (boson) or half-integer (fermion) lattice.  Each is
+summed at a reduced argument r = w - 2c, c = round(Re w / 2), and
+S(w) = e^(c*w - c^2) S(r) (theta.gaussian_lattice_sum); a ratio of sums
+cancels the prefactors as exponents.  Alongside each exact value this
+module exposes the standard closed-form approximation so their
+deviation is measurable rather than assumed:
 
     <J>   ~ l -+ 2 pi e^(-pi^2) sin(2 pi l)     (boson -, fermion +)
     <U>   ~ e^(-1/4) e^(i phi)
@@ -38,7 +38,7 @@ from .theta import (
     ThetaArg,
     _exp,
     _number,
-    centred_lattice_sum,
+    _recentre,
     gaussian_lattice_sum,
     theta_log_derivative,
 )
@@ -129,9 +129,13 @@ class FreeRotor:
 
 @dataclass(frozen=True)
 class Linear:
-    """Hamiltonian omega*J (uniform rotation)."""
+    """Hamiltonian omega*J (uniform rotation); omega is stored as a Python float."""
 
     omega: float
+
+    def __post_init__(self) -> None:
+        message = "omega and t must be finite real numbers"
+        object.__setattr__(self, "omega", _number(self.omega, float, message, arrays=False))
 
 
 def _half(sector: Sector) -> bool:
@@ -197,18 +201,27 @@ def overlap_closed(
     """<xi_1|xi_2> = S(w) with w = log(conj(xi_1)*xi_2), lattice per sector.
 
     Equivalently theta_3 (boson) or theta_2 (fermion) at argument
-    (i/2pi)*w with modulus i/pi, and as accurate as theta states; w is
-    assembled from the stored (l, phi) pairs, never from a recomputed
-    complex logarithm.
+    (i/2pi)*w with modulus i/pi, and as accurate as gaussian_lattice_sum
+    states; w is assembled from the stored (l, phi) pairs, never from a
+    recomputed complex logarithm.  RangeOverflowError where the value
+    passes e^700 (from |l_1 + l_2| of about 52.9), or where |l_1| or
+    |l_2| exceeds 1e300.
     """
     _single(p1, p2)
+    _require_reach(p1.l)
+    _require_reach(p2.l)
     w = complex(-(p1.l + p2.l), p2.phi - p1.phi)
     return complex(gaussian_lattice_sum(w, half=_half(sector), ctl=ctl))
 
 
 def norm_sq(p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """<xi|xi> = S(2l); positive, independent of phi."""
+    """<xi|xi> = S(2l); positive, independent of phi.
+
+    RangeOverflowError past |l| of about 26.45, where S(2l) ~ e^(l^2)
+    passes e^700.
+    """
     _single(p)
+    _require_reach(p.l)
     return complex(gaussian_lattice_sum(2.0 * p.l, half=_half(sector), ctl=ctl)).real
 
 
@@ -246,8 +259,10 @@ def _require_reach(l, shift=0.0):
     finite doubles, so no numpy overflow occurs; RangeOverflowError outside it.
     """
     shift = _number(shift, float, "the shift s or t must be finite real numbers")
-    l_max = float(np.max(np.abs(l), initial=0.0))
-    shift_max = float(np.max(np.abs(shift), initial=0.0))
+    # a Python float skips numpy's reduction, several µs a call
+    l_max, shift_max = (
+        abs(x) if type(x) is float else float(np.max(np.abs(x), initial=0.0)) for x in (l, shift)
+    )
     if l_max > 1e300 or shift_max * (l_max + shift_max + 1.0) > 1e300:
         raise RangeOverflowError(
             f"|l| up to {l_max:.3g} with a shift up to {shift_max:.3g} is out of range"
@@ -271,8 +286,9 @@ def expect_U(
     """
     _require_reach(p.l)
     half = _half(sector)
-    _, num = centred_lattice_sum(2.0 * p.l, half=not half, ctl=ctl)
-    _, den = centred_lattice_sum(2.0 * p.l, half=half, ctl=ctl)
+    _, r = _recentre(2.0 * p.l)
+    num = gaussian_lattice_sum(r, half=not half, ctl=ctl)
+    den = gaussian_lattice_sum(r, half=half, ctl=ctl)
     ratio = np.real(num) / np.real(den)
     return _shaped(math.exp(-0.25) * ratio * np.exp(1j * p.phi), p.shape, complex)
 
@@ -297,7 +313,7 @@ def expect_expJ(
     <Xdag X>/<xi|xi> times e.  s may be an array broadcasting with the
     point; both results then have the broadcast shape.
 
-    Each sum is re-centred (theta.centred_lattice_sum), S(w) =
+    Each sum is re-centred (theta._recentre), S(w) =
     e^(w^2/4 - r^2/4) S(r), so the ratio is exp(g - (r1^2 - r0^2)/4)
     S(r1)/S(r0) with g = s*l + s^2/4: no two e^(l^2)-sized numbers
     meet.  The relative error stays below 1e-15 (1 + |s*l| + s^2/4),
@@ -310,9 +326,9 @@ def expect_expJ(
     shape = np.broadcast_shapes(np.shape(s), p.shape)
     w0 = 2.0 * p.l
     w1 = w0 + s
-    c0, den = centred_lattice_sum(w0, half=half, ctl=ctl)
-    c1, num = centred_lattice_sum(w1, half=half, ctl=ctl)
-    r0, r1 = w0 - 2.0 * c0, w1 - 2.0 * c1
+    r0, r1 = (_recentre(w)[1].real for w in (w0, w1))
+    den = gaussian_lattice_sum(r0, half=half, ctl=ctl)
+    num = gaussian_lattice_sum(r1, half=half, ctl=ctl)
     exponent = _expJ_exponent(s, p.l)
     log_scale = exponent - 0.25 * (r1 * r1 - r0 * r0)
     growth = _exp(log_scale, "<e^(sJ)> = exp({peak:.3g}) exceeds the floating-point range")
@@ -342,9 +358,11 @@ def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
     """Schroedinger evolution e^(-iHt) for H = J^2/2 or H = omega*J.
 
     Pure phases per basis slot: every |c_j| and hence the norm is
-    preserved exactly; leakage is carried through unchanged.  The
-    largest phase, at the window edge, must be finite.
+    preserved exactly; leakage is carried through unchanged.  t must
+    be a finite real number, and so must the largest phase, at the
+    window edge.
     """
+    t = _number(t, float, "evolution time t = {value!r} is not a finite real number", arrays=False)
     j = state.j_values()
     j_edge = float(j[-1])  # the window is symmetric, so this is the largest |j|
     if isinstance(hamiltonian, FreeRotor):
@@ -388,10 +406,11 @@ def heisenberg_expectations(
     half = _half(sector)
     shape = np.broadcast_shapes(np.shape(t), p.shape)
     w = 2.0 * p.l + 1j * t
-    c, den = centred_lattice_sum(2.0 * p.l, half=half, ctl=ctl)
-    _, num_u = centred_lattice_sum(w, half=not half, ctl=ctl)
-    _, num_x = centred_lattice_sum(w, half=half, ctl=ctl)
-    den = np.real(den)
+    c, r = _recentre(2.0 * p.l)
+    _, r_t = _recentre(w)
+    den = np.real(gaussian_lattice_sum(r, half=half, ctl=ctl))
+    num_u = gaussian_lattice_sum(r_t, half=not half, ctl=ctl)
+    num_x = gaussian_lattice_sum(r_t, half=half, ctl=ctl)
     # real factors first, so each value takes one complex product: numpy
     # rounds complex products of arrays and of scalars differently
     u_t = (math.exp(-0.25) / den) * np.exp(1j * (p.phi + c * t)) * num_u
@@ -447,24 +466,38 @@ def energy_distribution(
     the same formula on the half-integer lattice.  The returned
     probabilities sum to 1 up to the mass beyond |j| > jmax.  The levels
     form the window |2j| <= floor(2 jmax), so Truncation caps jmax.
+    Each is computed re-centred, as exp(d (r - d)) / S(r) with c =
+    round(l), d = j - c and r = 2l - 2c, so no term of size e^(l^2) is
+    formed: within 2 eps (1 + |d (r - d)|) relative for every |l| <=
+    1e300 (RangeOverflowError beyond).
     """
     if sector is Sector.FERMION and not allow_fermion:
         raise DomainError("energy_distribution defaults to bosons; pass allow_fermion=True")
-    if not 1 <= jmax < math.inf:
-        raise DomainError(f"jmax must be finite and at least 1, got {jmax!r}")
+    message = "jmax must be finite and at least 1, got {value!r}"
+    jmax = _number(jmax, float, message, arrays=False)
+    if jmax < 1.0:
+        raise DomainError(message.format(value=jmax))
     trunc = Truncation(math.floor(2 * jmax))
     _single(p)
-    norm = complex(gaussian_lattice_sum(2.0 * p.l, half=_half(sector), ctl=ctl)).real
+    _require_reach(p.l)
+    c, r = _recentre(2.0 * p.l)
+    norm = complex(gaussian_lattice_sum(r, half=_half(sector), ctl=ctl)).real
     j = trunc.j_values(sector)
-    probs = np.exp(2.0 * p.l * j - j * j) / norm
+    d = j - c
+    # d (r - d) <= r^2/4; a product past the range is -inf, whose exp is the underflowed 0
+    with np.errstate(over="ignore"):
+        probs = np.exp(d * (r.real - d)) / norm
     return [(float(jv), float(pv)) for jv, pv in zip(j, probs)]
 
 
 def gaussian_energy_profile(j: float, l: float) -> float:
     """Continuous companion pi^(-1/2) e^(-(j-l)^2) of the distribution.
 
-    (j - l)^2 overflows only where the profile underflows to 0.0.
+    j and l must be finite real numbers.  (j - l)^2 overflows only
+    where the profile underflows to 0.0.
     """
+    message = "j and l must be finite real numbers"
+    j, l = (_number(x, float, message, arrays=False) for x in (j, l))
     try:
         return math.exp(-((j - l) ** 2)) / math.sqrt(math.pi)
     except OverflowError:

@@ -156,8 +156,11 @@ class StateVector:
             raise DomainError("state coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        message = "leakage must be a finite real number, got {value!r}"
-        object.__setattr__(self, "leakage", _number(self.leakage, float, message, arrays=False))
+        message = "leakage must be a finite real number >= 0, got {value!r}"
+        leakage = _number(self.leakage, float, message, arrays=False)
+        if leakage < 0.0:
+            raise DomainError(message.format(value=self.leakage))
+        object.__setattr__(self, "leakage", leakage)
 
     def two_j_values(self) -> np.ndarray:
         return self.trunc.two_j_values(self.sector)

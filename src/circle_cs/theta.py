@@ -36,7 +36,6 @@ __all__ = [
     "theta",
     "theta_log_derivative",
     "gaussian_lattice_sum",
-    "centred_lattice_sum",
     "modular_image_theta3",
     "modular_image_theta2",
     "theta2_via_half_period_shift",
@@ -59,7 +58,8 @@ def _number(value, kind: type, message: str, arrays: bool = True):
     scalar converts directly, anything else through numpy once (no copy
     where the dtype fits); bools count as 0 and 1.  DomainError(message
     with {value!r} filled in) for NaN, inf, an int past the double range,
-    a string, None or another object, and a complex value for a float.
+    a string, None or another object (in an object array too), and a
+    complex value for a float.
     """
     if type(value) is kind and cmath.isfinite(value):  # a finite Python float (or complex) as it is
         return value
@@ -71,7 +71,9 @@ def _number(value, kind: type, message: str, arrays: bool = True):
                     return number
         else:
             array = np.asarray(value)
-            if array.dtype.kind in _KINDS[kind]:
+            # astype would call float() on each object, which parses a string
+            numbers = array.dtype.kind != "O" or all(isinstance(x, _SCALARS) for x in array.flat)
+            if numbers and array.dtype.kind in _KINDS[kind]:
                 array = array.astype(kind, copy=False)
                 if np.isfinite(array).all() and (arrays or array.ndim == 0):
                     return kind(array) if array.ndim == 0 else array
@@ -200,11 +202,15 @@ def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> i
 
 
 def _drift(lin_arr: np.ndarray) -> float:
-    """Largest |Re lin|; DomainError if some element is NaN or has an infinite imaginary part."""
+    """Largest |Re lin|; DomainError if some element is NaN or has |Im lin| past 1e300.
+
+    m * lin then stays finite for every m up to the pair cap.
+    """
     drift = float(np.abs(lin_arr.real).max(initial=0.0))
-    if math.isnan(drift) or not np.isfinite(lin_arr.imag).all():
+    if math.isnan(drift) or not (np.abs(lin_arr.imag) <= 1e300).all():
         raise DomainError(
             "lattice-sum argument is not finite (NaN, or overflowed from a huge input)"
+            " or has an imaginary part past 1e300"
         )
     return drift
 
@@ -313,36 +319,56 @@ def theta(
 
 
 def gaussian_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CONTROL):
-    """sum over m in Z (or Z+1/2) of exp(w*m - m^2), vectorized in w.
+    """S(w) = sum over m in Z (or Z+1/2) of exp(w*m - m^2), vectorized in w.
 
     This is theta_3 (resp. theta_2) at v = -i*w/(2*pi), tau = i/pi; the
-    overlap calculus of the coherent-state modules is built on it.
+    overlap calculus of the coherent-state modules is built on it.  It
+    is summed at the reduced argument r = w - 2c (_recentre) and scaled
+    back by
+
+        S(w) = exp(c*w - c^2) * S(r),
+
+    so every w takes the same few term pairs; where every c is 0 the
+    sum at r = w is the value.  With B_0(r) the theta bound on S(r), the
+    result is within |exp(c*w - c^2)| (B_0(r) + 2*eps*(1 + |c*w - c^2|)
+    |S(r)|): the prefactor's exponent rounds twice.  Raises DomainError
+    unless w is a finite complex number or array of them with |Im w| <=
+    1e300, RangeOverflowError where S(w) passes e^700, and
+    ConvergenceError as theta does.
     """
-    return _lattice_sum(-1.0 + 0.0j, w, half=half, alternating=False, ctl=ctl)
+    w = _number(w, complex, "lattice-sum argument w must be finite complex numbers, got {value!r}")
+    c, r = _recentre(w)
+    reduced = _lattice_sum(-1.0 + 0.0j, r, half=half, alternating=False, ctl=ctl)
+    if not np.count_nonzero(c):
+        return reduced
+    with np.errstate(over="ignore"):  # _exp rejects an overflowed exponent
+        exponent = c * (w - c)
+    message = "lattice sum S(w) = exp({peak:.3g}) exceeds the floating-point range"
+    # a 0-d operand takes numpy's array product, which rounds as an array's elements do
+    return _as_complex(_exp(exponent, message, np.asarray(reduced)))
 
 
-def centred_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CONTROL):
-    """(c, S(w - 2c)) with c = round(Re w / 2) per element, S as in gaussian_lattice_sum.
+def _recentre(w):
+    """(c, r = w - 2c) with c = round(Re w / 2), half to even, per element of a finite w.
 
     The shift m -> m + c maps Z and Z + 1/2 onto themselves, so
 
-        S(w) = exp(c*w - c^2) * S(w - 2c) = exp(w^2/4 - r^2/4) * S(r),   r = w - 2c,
+        S(w) = exp(c*w - c^2) * S(r) = exp(w^2/4 - r^2/4) * S(r),
 
-    and |Re r| <= 1: the reduced sum takes the same few term pairs and
-    stays of order one whatever Re w is, while S(w) itself peaks near
-    e^(w^2/4).  Ratios of sums can then cancel their prefactors as
-    exponents before any exp (Deconinck et al., "Computing Riemann theta
-    functions", Math. Comp. 73 (2004); DLMF 20.2).  c is an
-    integer-valued float, or float array of w's shape; the sum is a
-    complex, or complex array.  Raises DomainError for a NaN argument
-    and RangeOverflowError for an infinite one.
+    and |Re r| <= 1 exactly (Sterbenz): S(r) takes the same few term
+    pairs and stays of order one whatever Re w is, while S(w) itself
+    peaks near e^(w^2/4).  Ratios of sums can then cancel their
+    prefactors as exponents before any exp (Deconinck et al., "Computing
+    Riemann theta functions", Math. Comp. 73 (2004); DLMF 20.2).  c is
+    an integer-valued float, or float array of w's shape; r is a float
+    or complex as w is, or a complex array.
     """
+    if isinstance(w, (float, complex)):  # a scalar skips the 0-d arrays, a few µs a call
+        c = float(np.rint(0.5 * w.real))
+        return c, w - 2.0 * c
     w = np.asarray(w, dtype=np.complex128)
-    if math.isinf(_drift(w)):
-        raise RangeOverflowError("lattice-sum argument overflowed the floating-point range")
-    c = np.round(0.5 * w.real)
-    reduced = _lattice_sum(-1.0 + 0.0j, w - 2.0 * c, half=half, alternating=False, ctl=ctl)
-    return (float(c) if c.ndim == 0 else c), reduced
+    c = np.rint(0.5 * w.real)  # half to even, as np.round; rint is the bare ufunc, several µs faster
+    return (float(c) if c.ndim == 0 else c), w - 2.0 * c
 
 
 @functools.lru_cache(maxsize=32)

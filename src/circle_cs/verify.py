@@ -162,8 +162,6 @@ def validate_config(overrides: dict) -> dict:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     config = dict(DEFAULT_CONFIG)
     config.update(overrides)
-    if not isinstance(config["series_tol"], (int, float)):
-        raise ConfigError(f"series_tol must be a number, got {config['series_tol']!r}")
     try:
         _integer(config["seed"], 0, math.inf, "seed must be an integer >= {low}, got {value!r}")
         message = "random_cases must be an integer in [{low}, {high}], got {value!r}"

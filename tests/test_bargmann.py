@@ -256,6 +256,14 @@ def test_covariant_symbol_refuses_a_window_truncation_cannot_hold(n, sector):
         covariant_symbol(np.eye(n), PhasePoint(0.0, 0.0), sector)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=repr)
+def test_covariant_symbol_refuses_a_non_finite_matrix(bad):
+    # an all-NaN matrix used to give NaN kernel and symbol without an error
+    for matrix in (np.full((41, 41), bad), np.where(np.eye(41) == 1.0, bad, 0.0)):
+        with pytest.raises(DomainError, match="^operator matrix entries must be finite$"):
+            covariant_symbol(matrix, PhasePoint(0.4, 1.3), Sector.BOSON)
+
+
 def test_covariant_symbol_refuses_a_wide_matrix_before_copying_it():
     a = np.zeros((1001, 1001))  # its complex copy would take 16 MB
     tracemalloc.start()

@@ -98,8 +98,9 @@ def test_scalar_phase_point_rejects_nonfinite_with_the_array_message(bad):
     (np.array([10**400], dtype=object), 0.0),
     ("1", 0.0), (0.0, "0"), (None, 0.0), (object(), 0.0), (1j, 0.0), (np.complex128(1), 0.0),
     (0.0, [1j]), (np.array(["1"]), 0.0), (0.0, [[0.0], [1.0, 2.0]]),
+    (np.array(["1"], dtype=object), 0.0),
 ], ids=["l", "phi", "l-list", "phi-list", "object-array", "str", "phi-str", "none", "object",
-        "complex", "np-complex", "complex-list", "str-array", "ragged"])
+        "complex", "np-complex", "complex-list", "str-array", "ragged", "object-str-array"])
 def test_ints_past_the_double_range_are_domain_errors(l, phi):
     # and anything else that is not a real number: a complex value is not cut to its real part
     with pytest.raises(DomainError, match="phase-space coordinates must be finite"):
@@ -124,8 +125,13 @@ def test_ints_inside_the_double_range_convert_in_a_list():
     lambda: heisenberg_expectations(PhasePoint(0.3, 0.0), math.nan, Sector.BOSON),
     lambda: heisenberg_approximation(PhasePoint(0.3, 0.0), math.nan),
     lambda: heisenberg_approximation(PhasePoint(0.3, 0.0), None),
+    lambda: Linear("1"),
+    lambda: Linear(math.inf),
+    lambda: gaussian_energy_profile("1", 0),
+    lambda: gaussian_energy_profile(0.0, None),
 ], ids=["window-nan", "window-inf", "window-str", "approxJ-nan", "approxJ-inf", "approxExpJ-nan",
-        "approxExpJ-str", "expJ-str", "expJ-complex", "heisenberg-nan", "approx-nan", "approx-none"])
+        "approxExpJ-str", "expJ-str", "expJ-complex", "heisenberg-nan", "approx-nan", "approx-none",
+        "linear-str", "linear-inf", "profile-str", "profile-none"])
 def test_raw_arguments_are_domain_errors(call):
     with pytest.raises(DomainError, match="must be finite real numbers$"):
         call()
@@ -327,6 +333,8 @@ def test_evolve_rejects_unknown_hamiltonian():
         (Linear(0.1), 1e308),
         (Linear(0.1), -math.inf),
         (Linear(0.0), math.inf),
+        (FreeRotor(), "1"),
+        (Linear(0.1), None),
     ],
     ids=repr,
 )
@@ -439,7 +447,9 @@ def test_energy_distribution_fermion_gate():
     (math.nan, "^jmax must be finite and at least 1"),
     (301, r"^two_jmax must be an integer in \[2, 600\], got 602$"),
     (1e300, r"^two_jmax must be an integer in \[2, 600\]"),
-    (10**400, r"^two_jmax must be an integer in \[2, 600\]"),
+    (10**400, "^jmax must be finite and at least 1"),
+    ("3", "^jmax must be finite and at least 1"),
+    (None, "^jmax must be finite and at least 1"),
 ])
 def test_energy_distribution_refuses_a_window_it_cannot_build(jmax, message, no_window):
     with pytest.raises(DomainError, match=message):
@@ -565,9 +575,9 @@ def test_one_non_finite_element_is_domain_error():
 
 
 def test_wide_grid_overflows_only_where_the_value_does():
-    # the raw sums S(2l) peak at e^(l^2), past the double range once
-    # |l| > 26.45; the ratio observables cancel that peak, the others
-    # carry it in their values
+    # the sums S(2l) peak at e^(l^2), past the double range once
+    # |l| > 26.45; the ratio observables and the probabilities cancel
+    # that peak, norm_sq and overlap_closed carry it in their values
     p = PhasePoint(np.linspace(-27.0, 27.0, 101), 0.0)
     edge = PhasePoint(27.0, 0.0)
     with warnings.catch_warnings():
@@ -579,10 +589,11 @@ def test_wide_grid_overflows_only_where_the_value_does():
             assert all(np.all(np.isfinite(v)) for v in moments.values())
             # <J> goes through theta_3/theta_4 at v = l, which stay in range
             assert np.all(np.isfinite(expect_J(p, sector)))
+            probs = [prob for _, prob in energy_distribution(edge, sector, allow_fermion=True)]
+            assert all(0.0 <= prob < 1.0 for prob in probs)
             for call in (
                 lambda: norm_sq(edge, sector),
                 lambda: overlap_closed(edge, edge, sector),
-                lambda: energy_distribution(edge, sector, allow_fermion=True),
             ):
                 with pytest.raises(RangeOverflowError):
                     call()

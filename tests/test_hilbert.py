@@ -134,11 +134,13 @@ def test_state_vector_errors_keep_their_messages():
 
 
 @pytest.mark.parametrize(
-    "leakage", [math.nan, math.inf, -math.inf, "0.5", None, 0.5j, np.complex128(0.5), [0.5]],
+    "leakage",
+    [math.nan, math.inf, -math.inf, "0.5", None, 0.5j, np.complex128(0.5), [0.5], -1.0, -5e-324],
     ids=repr,
 )
 def test_leakage_is_one_finite_real_number(leakage):
-    with pytest.raises(DomainError, match=r"^leakage must be a finite real number, got "):
+    # a sum of magnitudes: a negative value is refused as well
+    with pytest.raises(DomainError, match=r"^leakage must be a finite real number >= 0, got "):
         StateVector(Sector.BOSON, TR, np.zeros(TR.size(Sector.BOSON)), leakage)
 
 
@@ -148,11 +150,11 @@ def test_leakage_is_stored_as_a_python_float():
         assert type(s.leakage) is float and s.leakage == float(leakage)
 
 
-@pytest.mark.parametrize("leakage", ["NaN", "Infinity", '"0.5"', "[0.5]"])
+@pytest.mark.parametrize("leakage", ["NaN", "Infinity", '"0.5"', "[0.5]", "-1.0"])
 def test_json_leakage_goes_through_the_gate(leakage):
     good = state_to_json(basis_state(Sector.BOSON, 0.0, TR))
     assert '"leakage": 0.0' in good
-    with pytest.raises(DomainError, match=r"^leakage must be a finite real number, got "):
+    with pytest.raises(DomainError, match=r"^leakage must be a finite real number >= 0, got "):
         state_from_json(good.replace('"leakage": 0.0', f'"leakage": {leakage}'))
 
 

@@ -6,7 +6,9 @@ window |m - Re(w)/2| <= 12 (the omitted terms are below e^(-144) of the
 largest), at the exact double inputs.  The theta functions, their log
 derivative and overlap_closed are checked against mpmath's own
 mp.jtheta, <J> against its defining lattice average, and reproducing
-kernel node values against mp.nsum over the whole lattice.  No
+kernel node values against mp.nsum over the whole lattice.  The sum
+S(w) itself and the energy distribution are checked against the same
+50-digit window sums.  No
 reference calls circle_cs.theta.  Each test asserts the accuracy the
 docstring of the function under test, or the README, claims.
 """
@@ -24,6 +26,7 @@ from circle_cs import cli
 from circle_cs.bargmann import Quadrature, _kernel_values
 from circle_cs.coherent import (
     PhasePoint,
+    energy_distribution,
     expect_expJ,
     expect_J,
     expect_U,
@@ -31,7 +34,13 @@ from circle_cs.coherent import (
     overlap_closed,
 )
 from circle_cs.hilbert import Sector
-from circle_cs.theta import DEFAULT_CONTROL, ThetaArg, theta, theta_log_derivative
+from circle_cs.theta import (
+    DEFAULT_CONTROL,
+    ThetaArg,
+    gaussian_lattice_sum,
+    theta,
+    theta_log_derivative,
+)
 
 mp.mp.dps = 50
 
@@ -340,3 +349,62 @@ def test_kernel_node_values_match_nsum(sector):
         )
         bound = 3.0 * TOL + 32.0 * EPS * float(weighted)
         assert float(abs(mp.mpc(values[i, k]) - reference)) <= bound, (i, k)
+
+
+# ---------------------------------------------------------------------------
+# S(w) through its reduced argument, and the energy distribution
+
+
+def reduced_sum_bound(w: complex, half: bool) -> float:
+    """|e^(cw - c^2)| (B_0(r) + 2 eps (1 + |cw - c^2|) |S(r)|), the gaussian_lattice_sum claim.
+
+    c = round(Re w / 2) and r = w - 2c, which is exact in doubles; B_0(r)
+    is the lattice-sum bound 3 tol + 32 eps sum_m |t_m| (1 + |E_m|) at r,
+    with |E_m| taken as m^2 + |r m|.
+    """
+    c = float(np.round(0.5 * w.real))
+    r = mp.mpc(w - 2.0 * c)
+    offset = mp.mpf(0.5) if half else 0
+    terms = [(n + offset, mp.exp(r * (n + offset) - (n + offset) ** 2)) for n in range(-40, 41)]
+    b_0 = 3.0 * TOL + 32.0 * EPS * mp.fsum(abs(t) * (1 + m * m + abs(r * m)) for m, t in terms)
+    exponent = c * mp.mpc(w) - c * c
+    reduced = abs(mp.fsum(t for _, t in terms))
+    return float(abs(mp.exp(exponent)) * (b_0 + 2.0 * EPS * (1 + abs(exponent)) * reduced))
+
+
+W_GRID = np.concatenate([
+    np.linspace(-52.0, 52.0, 27),
+    [0.5, -1.0, 1.0, 3.0, -2.999, 51.99],
+    np.random.default_rng(23).uniform(-52.0, 52.0, 24)
+    + 1j * np.random.default_rng(29).uniform(-7.0, 7.0, 24),
+])
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["integers", "half-integers"])
+def test_gaussian_lattice_sum_within_its_reduced_bound(half):
+    values = gaussian_lattice_sum(W_GRID, half=half)
+    for w, value in zip(W_GRID, values):
+        w = complex(w)
+        reference, bound = lattice_sum(w, half), reduced_sum_bound(w, half)
+        for result in (value, gaussian_lattice_sum(w, half=half)):
+            assert float(abs(mp.mpc(result) - reference)) <= bound, w
+
+
+@pytest.mark.parametrize("l", [0.7, 26.9, 30.0, -30.0, 1000.3])
+@pytest.mark.parametrize("sector", SECTORS, ids=["boson", "fermion"])
+def test_energy_distribution_within_its_exponent_conditioning(sector, l):
+    half = sector is Sector.FERMION
+    dist = energy_distribution(PhasePoint(l, 0.0), sector, jmax=40, allow_fermion=True)
+    norm = lattice_sum(2 * mp.mpf(l), half)
+    c = round(l)
+    for j, prob in dist:
+        reference = mp.exp(2 * mp.mpf(l) * j - mp.mpf(j) ** 2) / norm
+        if reference < 1e-300:  # underflowed, or close to it
+            assert prob <= 1e-299, j
+            continue
+        d = j - c
+        exponent = d * ((2.0 * l - 2.0 * c) - d)
+        bound = 2.0 * EPS * (1.0 + abs(exponent))
+        assert float(abs(mp.mpf(prob) - reference) / reference) <= bound, j
+    if abs(l) < 40.0:
+        assert abs(math.fsum(prob for _, prob in dist) - 1.0) <= 1e-12

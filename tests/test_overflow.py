@@ -28,6 +28,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from circle_cs import (
     CircleError,
     DomainError,
+    FreeRotor,
+    Linear,
     PhasePoint,
     Quadrature,
     RangeOverflowError,
@@ -42,14 +44,19 @@ from circle_cs import (
     basis_state,
     coherent_state,
     covariant_symbol,
+    energy_distribution,
     evaluate,
+    evolve,
     expect_expJ,
+    gaussian_lattice_sum,
     heisenberg_approximation,
     heisenberg_expectations,
     inner_quadrature,
     modular_image_theta2,
     modular_image_theta3,
+    norm_sq,
     operator_matrix,
+    overlap_closed,
     reproducing_apply,
     required_two_jmax,
     theta,
@@ -160,9 +167,12 @@ def test_half_period_factor_past_the_range_is_typed():
 
 @pytest.mark.parametrize("function", [theta, theta_log_derivative])
 def test_phase_past_the_range_is_typed_without_a_warning(function):
-    # 2 pi i v overflows at the second element; the lattice sum types it
-    with pytest.raises(DomainError, match="not finite"):
-        function(3, ThetaArg(np.array([0.1, 3e307]), I_PI))
+    # 2 pi i v overflows at the second element; the lattice sum types it.
+    # At 2e307 the phase is finite, but m times it would overflow.
+    for v in (3e307, 2e307, 1.6e300):
+        with pytest.raises(DomainError, match="not finite"):
+            function(3, ThetaArg(np.array([0.1, v]), I_PI))
+    assert cmath.isfinite(function(3, ThetaArg(1.5e299, I_PI)))
 
 
 def test_scan_whose_phase_overflows_exits_2():
@@ -305,6 +315,12 @@ CALLS = {
     "X": lambda x: apply_operator("X", _two_slot_state(x.sector, x.l, x.v)),
     "Xdag": lambda x: apply_operator("Xdag", _two_slot_state(x.sector, x.l, x.v)),
     "exp_j": lambda x: apply_exp_j(_two_slot_state(x.sector, x.l, x.phi), complex(x.eta, x.v.imag)),
+    "gaussian_lattice_sum": lambda x: gaussian_lattice_sum(x.v, half=x.sector is FERMION),
+    "overlap_closed": lambda x: overlap_closed(_point(x), PhasePoint(x.eta, x.v.real), x.sector),
+    "norm_sq": lambda x: norm_sq(_point(x), x.sector),
+    "energy_distribution": lambda x: energy_distribution(_point(x), x.sector, allow_fermion=True),
+    "evolve_free": lambda x: evolve(_two_slot_state(x.sector, x.l, x.v), FreeRotor(), x.eta),
+    "evolve_linear": lambda x: evolve(_two_slot_state(x.sector, x.l, x.v), Linear(x.phi), x.eta),
     "theta_log_derivative": lambda x: theta_log_derivative(
         3 if x.sector is BOSON else 4, ThetaArg(x.v, x.tau)
     ),

@@ -18,9 +18,10 @@ from circle_cs.errors import (
 )
 from circle_cs.hilbert import Truncation
 from circle_cs.theta import (
+    DEFAULT_CONTROL,
     SeriesControl,
     ThetaArg,
-    centred_lattice_sum,
+    _recentre,
     gaussian_lattice_sum,
     modular_image_theta2,
     modular_image_theta3,
@@ -380,11 +381,15 @@ def test_one_non_finite_element_is_domain_error():
             ThetaArg(np.array([0.1, bad, 0.3]), I_PI)
         with pytest.raises(DomainError):
             gaussian_lattice_sum(np.array([0.1j, complex(0.0, bad), 0.3j]))
-    with pytest.raises(DomainError):
-        gaussian_lattice_sum(np.array([0.1, math.nan]))
-    # an infinite real part is still an overflow
-    with pytest.raises(RangeOverflowError):
-        gaussian_lattice_sum(np.array([0.1, math.inf]))
+    # the number gate refuses a NaN or infinite w, and a string
+    for bad in (np.array([0.1, math.nan]), np.array([0.1, math.inf]), "1"):
+        with pytest.raises(DomainError, match="^lattice-sum argument w must be finite"):
+            gaussian_lattice_sum(bad)
+    # a finite w whose multiples m * Im w would overflow
+    for bad in (1e308j, np.array([0.3, 5.0 - 1.1e300j])):
+        with pytest.raises(DomainError, match="imaginary part past 1e300"):
+            gaussian_lattice_sum(bad)
+    assert np.isfinite(gaussian_lattice_sum(3.0 + 1e300j))
     # 2*pi*v overflows: a typed error, not a NaN value
     with pytest.raises(DomainError, match="overflowed"):
         theta(3, ThetaArg(1e308, I_PI))
@@ -411,37 +416,32 @@ def test_transformation_helpers_take_arrays(image):
 @pytest.mark.parametrize("half", [False, True])
 def test_centred_sum_reproduces_the_raw_sum(half):
     w = np.array([-20.3, -7.0, -1.2 + 0.4j, 0.0, 0.9, 3.5 - 2.0j, 11.0, 25.0 + 1.0j])
-    c, reduced = centred_lattice_sum(w, half=half)
+    c, r = _recentre(w)
     assert np.array_equal(c, np.round(w.real / 2.0))
-    assert np.all(np.abs((w - 2.0 * c).real) <= 1.0)
-    rebuilt = np.exp(c * w - c * c) * reduced
-    raw = gaussian_lattice_sum(w, half=half)
+    assert np.array_equal(r, w - 2.0 * c) and np.all(np.abs(r.real) <= 1.0)
+    rebuilt = np.exp(c * w - c * c) * gaussian_lattice_sum(r, half=half)
+    # the direct sum at the unreduced w, which the library no longer takes
+    raw = theta_module._lattice_sum(-1.0 + 0.0j, w, half, False, DEFAULT_CONTROL)
     assert np.all(np.abs(rebuilt - raw) <= 1e-13 * np.abs(raw))
+    assert np.all(np.abs(gaussian_lattice_sum(w, half=half) - raw) <= 1e-13 * np.abs(raw))
 
 
 def test_centred_sum_is_plain_sum_near_the_origin():
     w = np.linspace(-0.9, 0.9, 7)
-    c, reduced = centred_lattice_sum(w, half=True)
-    assert not c.any()
-    assert np.array_equal(reduced, gaussian_lattice_sum(w, half=True))
-    c, reduced = centred_lattice_sum(0.3)
-    assert type(c) is float and type(reduced) is complex
+    c, r = _recentre(w)
+    assert not c.any() and np.array_equal(r, w)
+    raw = theta_module._lattice_sum(-1.0 + 0.0j, w, True, False, DEFAULT_CONTROL)
+    assert np.array_equal(gaussian_lattice_sum(w, half=True), raw)
+    c, r = _recentre(0.3)
+    assert type(c) is float and r == 0.3
+    assert type(gaussian_lattice_sum(0.3)) is complex
 
 
 def test_centred_sum_takes_the_same_pairs_far_out():
     # the raw sum would overflow here; the reduced one is of order one
-    c, reduced = centred_lattice_sum(np.array([2e4 + 0.5, -3e6]))
+    c, r = _recentre(np.array([2e4 + 0.5, -3e6]))
     assert np.array_equal(c, [1e4, -1.5e6])
-    assert np.array_equal(reduced, gaussian_lattice_sum(np.array([0.5, 0.0])))
-
-
-def test_centred_sum_rejects_non_finite_arguments():
-    with pytest.raises(RangeOverflowError):
-        centred_lattice_sum(np.array([1.0, math.inf]))
-    with pytest.raises(DomainError):
-        centred_lattice_sum(np.array([1.0, math.nan]))
-    with pytest.raises(DomainError):
-        centred_lattice_sum(complex(0.0, math.inf))
+    assert np.array_equal(r, [0.5, 0.0])
 
 
 def test_log_derivative_computes_the_origin_value_once():
@@ -552,10 +552,10 @@ def test_kernel_memory_stays_bounded_on_a_long_grid():
     # one numpy pass per pair peaked at 19.8 MiB here; unblocked, the broadcast
     # temporaries would grow as the pair count times the input
     w = np.linspace(-40.0, 40.0, 200_000) + 0j
-    centred_lattice_sum(w[:10])
+    gaussian_lattice_sum(w[:10])
     tracemalloc.start()
     try:
-        centred_lattice_sum(w)
+        gaussian_lattice_sum(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
