@@ -57,7 +57,6 @@ __all__ = [
     "expect_U",
     "relative_expect_U",
     "expect_expJ",
-    "approx_expJ",
     "evolve",
     "heisenberg_expectations",
     "heisenberg_approximation",
@@ -243,7 +242,7 @@ def expect_J(
 def approx_expect_J(l: float | np.ndarray, sector: Sector) -> float | np.ndarray:
     """l -+ 2 pi e^(-pi^2) sin(2 pi l): boson minus, fermion plus; elementwise in l.
 
-    Raises RangeOverflowError when |l| exceeds 1e300, as approx_expJ does.
+    Raises RangeOverflowError when |l| exceeds 1e300, as expect_expJ does.
     """
     l = _number(l, float, _NOT_FINITE)
     _require_reach(l)
@@ -329,29 +328,11 @@ def expect_expJ(
     r0, r1 = (_recentre(w)[1].real for w in (w0, w1))
     den = gaussian_lattice_sum(r0, half=half, ctl=ctl)
     num = gaussian_lattice_sum(r1, half=half, ctl=ctl)
-    exponent = _expJ_exponent(s, p.l)
+    exponent = 0.25 * s * s + s * p.l
     log_scale = exponent - 0.25 * (r1 * r1 - r0 * r0)
     growth = _exp(log_scale, "<e^(sJ)> = exp({peak:.3g}) exceeds the floating-point range")
     exact = growth * (np.real(num) / np.real(den))
     return _shaped(exact, shape, float), _shaped(np.exp(exponent), shape, float)
-
-
-def _expJ_exponent(s, l):
-    """s^2/4 + s*l, the exponent of the approximation e^(s^2/4 + s*l)."""
-    return 0.25 * s * s + s * l
-
-
-def approx_expJ(s: float | np.ndarray, l: float | np.ndarray) -> float | np.ndarray:
-    """e^(s^2/4 + s*l), elementwise over broadcasting s and l.
-
-    Raises RangeOverflowError where expect_expJ does: when the value
-    exceeds e^700, or when |l| or |s|(|l| + |s| + 1) exceeds 1e300.
-    """
-    l = _number(l, float, _NOT_FINITE)
-    s = _require_reach(l, s)
-    message = "e^(s^2/4 + s*l) = exp({peak:.3g}) exceeds the floating-point range"
-    value = _exp(_expJ_exponent(s, l), message)
-    return _shaped(value, np.shape(value), float)
 
 
 def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:

@@ -181,13 +181,16 @@ def _as_complex(value) -> complex | np.ndarray:
 def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> int:
     """Number of symmetric term pairs needed so every omitted term <= tol.
 
-    Terms have modulus exp(-decay*m^2 + drift*|m|) over the index lattice, decay > 0.
-    The positive root m* of decay*m^2 - drift*m + ln(1/tol) = 0 marks the
+    Terms have modulus exp(-decay*m^2 + drift*|m|) over the index lattice,
+    decay > 0; the largest is at the index nearest drift/(2*decay).  The
+    positive root m* of decay*m^2 - drift*m + ln(1/tol) = 0 marks the
     point past which every term is below tol (the exponent is decreasing
     there because m* >= drift/decay).  Everything with |m| <= m* is kept.
     """
-    peak = drift * drift / (4.0 * decay)
-    if peak > _EXP_LIMIT:
+    centre = drift / (2.0 * decay)
+    gap = math.remainder(centre - 0.5 * half, 1.0) if math.isfinite(centre) else 0.0
+    peak = 0.5 * drift * centre - decay * gap * gap
+    if not peak <= _EXP_LIMIT:  # NaN and inf too
         raise RangeOverflowError(
             f"largest series term exp({peak:.3g}) exceeds the floating-point range"
         )
@@ -291,31 +294,29 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, ctl: SeriesControl, m
     return (value, _as_complex(acc_moment.reshape(lin_arr.shape))) if moment else value
 
 
-def _phase(v) -> complex | np.ndarray:
-    """lin = 2 pi i v of the theta series; _drift types an element that overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 2j * math.pi * v
-
-
 def theta(
     kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> complex | np.ndarray:
     """Evaluate theta_kind(v | tau) for kind in {2, 3, 4}.
 
     Returns a complex, or an array of v's shape when arg.v is an array.
-    Every term omitted from the defining series is bounded in modulus by
-    ctl.tol, so the omitted tail stays below 3*tol; with the rounding of
-    each term's exponent E_m and of the sum, the result is within
-    3*tol + 32*eps*sum_m |t_m| (1 + |E_m|) of the exact value (t_m the
-    terms, |E_m| taken as |curv| m^2 + |lin m|).  Raises DomainError
-    for tau outside the upper half-plane, ConvergenceError if the
-    tolerance needs more than ctl.n_max term pairs, and
-    RangeOverflowError if the peak term overflows a double.
+    The series is summed at r, v = r + k*tau + 2j (_reduce), and taken
+    back by the quasi-period factor F = +-e^E (_shift_back).  Every term
+    omitted at r is bounded in modulus by ctl.tol, so the omitted tail
+    stays below 3*tol; with the rounding of each term's exponent E_m, of
+    the sum and of E, the result is within |F| (B_0(r) + 8*eps*(1 + |E|)
+    |theta_kind(r | tau)|), B_0(r) = 3*tol + 32*eps*sum_m |t_m| (1 + |E_m|)
+    (t_m the terms at r, |E_m| taken as |curv| m^2 + |lin m|).  Raises
+    DomainError for tau outside the upper half-plane, ConvergenceError if
+    the tolerance needs more than ctl.n_max term pairs, and
+    RangeOverflowError where a term at r or the value passes e^700.
     """
     if kind not in (2, 3, 4):
         raise DomainError(f"theta kind must be 2, 3 or 4, got {kind!r}")
-    curv = 1j * math.pi * arg.tau
-    return _lattice_sum(curv, _phase(arg.v), half=(kind == 2), alternating=(kind == 4), ctl=ctl)
+    k, curv, lin = _reduce(arg)
+    value = _lattice_sum(curv, lin, half=(kind == 2), alternating=(kind == 4), ctl=ctl)
+    message = f"theta_{kind} = exp({{peak:.3g}}) exceeds the floating-point range"
+    return _shift_back(-k, curv, lin, value, message, alternating=(kind == 4))
 
 
 def gaussian_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CONTROL):
@@ -323,35 +324,28 @@ def gaussian_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CON
 
     This is theta_3 (resp. theta_2) at v = -i*w/(2*pi), tau = i/pi; the
     overlap calculus of the coherent-state modules is built on it.  It
-    is summed at the reduced argument r = w - 2c (_recentre) and scaled
-    back by
-
-        S(w) = exp(c*w - c^2) * S(r),
-
-    so every w takes the same few term pairs; where every c is 0 the
-    sum at r = w is the value.  With B_0(r) the theta bound on S(r), the
-    result is within |exp(c*w - c^2)| (B_0(r) + 2*eps*(1 + |c*w - c^2|)
-    |S(r)|): the prefactor's exponent rounds twice.  Raises DomainError
-    unless w is a finite complex number or array of them with |Im w| <=
-    1e300, RangeOverflowError where S(w) passes e^700, and
+    is summed at r = w - 2c (_recentre) and scaled back by exp(c*w - c^2)
+    (_shift_back), so every w takes the same few term pairs; where every
+    c is 0 the sum at r = w is the value.  With B_0(r) the theta bound
+    on S(r), the result is within |exp(c*w - c^2)| (B_0(r) + 2*eps*(1 +
+    |c*w - c^2|) |S(r)|): the prefactor's exponent rounds twice.  Raises
+    DomainError unless w is a finite complex number or array of them
+    with |Im w| <= 1e300, RangeOverflowError where S(w) passes e^700, and
     ConvergenceError as theta does.
     """
     w = _number(w, complex, "lattice-sum argument w must be finite complex numbers, got {value!r}")
     c, r = _recentre(w)
     reduced = _lattice_sum(-1.0 + 0.0j, r, half=half, alternating=False, ctl=ctl)
-    if not np.count_nonzero(c):
-        return reduced
-    with np.errstate(over="ignore"):  # _exp rejects an overflowed exponent
-        exponent = c * (w - c)
     message = "lattice sum S(w) = exp({peak:.3g}) exceeds the floating-point range"
-    # a 0-d operand takes numpy's array product, which rounds as an array's elements do
-    return _as_complex(_exp(exponent, message, np.asarray(reduced)))
+    return _shift_back(c, -1.0, r, reduced, message)
 
 
-def _recentre(w):
-    """(c, r = w - 2c) with c = round(Re w / 2), half to even, per element of a finite w.
+def _recentre(x, period=2.0, t=None):
+    """(c, x - c*period), c = round(t) half to even per element, t = Re x / period by default.
 
-    The shift m -> m + c maps Z and Z + 1/2 onto themselves, so
+    The package's one shift of a lattice-sum argument (_reduce shifts
+    theta's v).  By default it re-centres a w of S: the shift m -> m + c
+    maps Z and Z + 1/2 onto themselves, so
 
         S(w) = exp(c*w - c^2) * S(r) = exp(w^2/4 - r^2/4) * S(r),
 
@@ -360,57 +354,84 @@ def _recentre(w):
     peaks near e^(w^2/4).  Ratios of sums can then cancel their
     prefactors as exponents before any exp (Deconinck et al., "Computing
     Riemann theta functions", Math. Comp. 73 (2004); DLMF 20.2).  c is
-    an integer-valued float, or float array of w's shape; r is a float
-    or complex as w is, or a complex array.
+    an integer-valued float, or float array of x's shape.
     """
-    if isinstance(w, (float, complex)):  # a scalar skips the 0-d arrays, a few µs a call
-        c = float(np.rint(0.5 * w.real))
-        return c, w - 2.0 * c
-    w = np.asarray(w, dtype=np.complex128)
-    c = np.rint(0.5 * w.real)  # half to even, as np.round; rint is the bare ufunc, several µs faster
-    return (float(c) if c.ndim == 0 else c), w - 2.0 * c
+    c = np.rint(x.real / period if t is None else t)  # rint: np.round's bare ufunc, µs faster
+    c = c if isinstance(c, np.ndarray) else float(c)  # a scalar leaves numpy's types, µs a call
+    return c, x - c * period
+
+
+def _reduce(arg: ThetaArg):
+    """(k, curv = i pi tau, lin = 2 pi i r), v = r + k*tau + 2j per element, j and k integers.
+
+    k = round(Im v / Im tau), so |Im r| <= Im tau / 2 up to the rounding
+    of k*tau.  The even shift 2j, which no theta_kind sees (DLMF
+    20.2(iii)), comes off exactly before and after k*tau: |Re r| <= 1.
+    Where k = 0 and |Re v| <= 1, lin has the bits of 2 pi i v.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # _lattice_sum types an overflowed r
+        _, r = _recentre(arg.v)
+        k, r = _recentre(r, arg.tau, r.imag / arg.tau.imag)
+        return k, 1j * math.pi * arg.tau, 2j * math.pi * _recentre(r)[1]
+
+
+def _shift_back(c, curv, lin, reduced, message: str, alternating: bool = False):
+    """The lattice sum at lin - 2c*curv, (-1)^c e^(c*(lin - c*curv)) times reduced, the one at lin.
+
+    The shift m -> m + c maps Z and Z + 1/2 onto themselves and (-1)^m,
+    if alternating, to (-1)^(m+c).  _exp judges the value; reduced, bits
+    and all, where every c is 0.
+    """
+    if not np.count_nonzero(c):
+        return reduced
+    with np.errstate(over="ignore", invalid="ignore"):  # _exp rejects an overflowed exponent
+        exponent = c * (lin - c * curv)
+    # a 0-d operand takes numpy's array product, which rounds as an array's elements do
+    scale = np.where(c % 2.0, -reduced, reduced) if alternating else np.asarray(reduced)
+    return _as_complex(_exp(exponent, message, scale))
 
 
 @functools.lru_cache(maxsize=32)
 def _origin_modulus(imag_tau: float, ctl: SeriesControl) -> float:
-    """theta_3(0 | i Im tau), the sum of the theta terms' moduli at real v."""
+    """theta_3(0 | i Im tau), the sum of the theta terms' moduli at a real reduced argument."""
     return abs(theta(3, ThetaArg(0.0 + 0.0j, 1j * imag_tau), ctl))
 
 
 def theta_log_derivative(
     kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL
 ) -> complex | np.ndarray:
-    """(d/dv) log theta_kind(v | tau) for kind in {3, 4}, as R = 2 pi i M / Theta.
+    """(d/dv) log theta_kind(v | tau) for kind in {3, 4}, as R - 2 pi i k, R = 2 pi i M / Theta.
 
-    Theta = sum_m s_m exp(curv m^2 + lin m), lin = 2 pi i v, s_m = 1 or
-    (-1)^m (kind 4); M = sum_m s_m m exp(...) is its first moment, from
-    the same lattice-sum pass, and Theta has the bits of theta(kind, arg).
-    An array v gives its scalar calls' bits where it keeps their term
-    pairs (always on real v; the pairs follow the largest |Im v|).  With
+    Theta = sum_m s_m exp(curv m^2 + lin m), s_m = 1 or (-1)^m (kind 4),
+    is the sum theta takes at r, v = r + k*tau + 2j, lin = 2 pi i r; M =
+    sum_m s_m m exp(...) is its first moment, from the same lattice-sum
+    pass.  The factor of theta adds -2 pi i k and is not formed.  An
+    array v gives its scalar calls' bits where it keeps their term pairs
+    (always on real v; the pairs follow the largest |Im r|).  With
     theta's bound B_0 on Theta and the same bound weighted by |m| on M,
     B_1 = 3*(m* + 2)*tol + 32*eps*sum_m |m t_m| (1 + |E_m|), every term
     past m* = (x + sqrt(x^2 + 4 d ln(1/tol))) / (2 d) being below tol
-    (x = 2 pi |Im v|, d = pi Im tau), R is within
+    (x = 2 pi |Im r|, d = pi Im tau), R is within
 
         (2*pi*B_1 + |R|*B_0) / (|Theta| - B_0) + 8*eps*|R|   where |Theta| > B_0:
 
     the conditioning 1/|Theta| of the ratio, plus the rounding of product
-    and quotient.  Raises SingularityError where |Theta| < 1e-10
-    theta_3(i Im v | i Im tau), the sum of the terms' moduli: near a zero,
-    where the derivative diverges, or where the terms cancel to rounding
-    (theta_4 at small Im tau).  Otherwise what theta raises.
+    and quotient; 2 pi k adds its own.  Raises SingularityError where
+    |Theta| < 1e-10 theta_3(i Im r | i Im tau), the sum of the terms'
+    moduli: near a zero, where the derivative diverges, or where the
+    terms cancel to rounding (theta_4 at small Im tau).  Otherwise what
+    theta raises, and RangeOverflowError where 2 pi k passes the range.
     """
     if kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
-    curv = 1j * math.pi * arg.tau
+    k, curv, lin = _reduce(arg)
     value, moment = _lattice_sum(
-        curv, _phase(arg.v), half=False, alternating=(kind == 4), ctl=ctl, moment=True
+        curv, lin, half=False, alternating=(kind == 4), ctl=ctl, moment=True
     )
-    # below 1e-10 of theta_3(i Im v | i Im tau), the sum of the moduli of
+    # below 1e-10 of theta_3(i Im r | i Im tau), the sum of the moduli of
     # Theta's terms, Theta is near a zero or lost to cancellation
-    imag_v = np.imag(arg.v)
-    if np.any(imag_v):
-        moduli = _lattice_sum(curv.real, 2.0 * math.pi * imag_v, False, False, ctl).real
+    if np.any(lin.real):
+        moduli = _lattice_sum(curv.real, lin.real, False, False, ctl).real
     else:
         moduli = _origin_modulus(arg.tau.imag, ctl)
     near_zero = np.abs(value) < 1e-10 * moduli
@@ -418,7 +439,13 @@ def theta_log_derivative(
         v = complex(np.ravel(arg.v)[np.argmax(near_zero)])
         raise SingularityError(f"theta_{kind}({v!r} | {arg.tau!r}) is within 1e-10 of a zero")
     # numpy divides a scalar as it divides an array (Python's complex division differs)
-    return _as_complex(np.divide(2j * math.pi * moment, value))
+    ratio = np.divide(2j * math.pi * moment, value)
+    if np.count_nonzero(k):
+        with np.errstate(over="ignore"):
+            ratio = ratio - 2j * math.pi * k
+        if not np.isfinite(ratio).all():
+            raise RangeOverflowError(f"(d/dv) log theta_{kind} passes the floating-point range")
+    return _as_complex(ratio)
 
 
 def _inversion_image(kind: int, v, tau, ctl: SeriesControl) -> complex | np.ndarray:

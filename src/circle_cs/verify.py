@@ -265,7 +265,7 @@ def _check_theta2_shift(ctx: _Context):
     v = _random_v(ctx.rng(3), 1.0, 0.5)
 
     def gaps(tau, vs):
-        direct = theta(2, ThetaArg(vs, tau), ctx.ctl)
+        direct = _unpaired_lattice_sum(1j * math.pi * tau, 2j * math.pi * vs, True, ctx.ctl)
         return _rel_gap(theta2_via_half_period_shift(vs, tau, ctx.ctl), direct)
 
     return [gaps(tau, vs) for tau, vs in zip((1j * math.pi, 1j / math.pi), v)]
@@ -283,8 +283,9 @@ def _unpaired_lattice_sum(curv: complex, lin, half: bool, ctl: SeriesControl) ->
 
     theta._lattice_sum adds each +-m pair before summing, which makes it
     bitwise even in lin and bitwise conjugate-symmetric whether or not
-    its terms are right; this sum pairs nothing and shares no code with
-    it.  M is the same a-priori pair count.
+    its terms are right; this sum pairs nothing, takes lin as given (theta
+    reduces v first) and shares no code with it.  M is the same a-priori
+    pair count.
     """
     lin = np.asarray(lin, dtype=np.complex128)
     pairs = _pair_count(-curv.real, float(np.abs(lin.real).max()), ctl, half)

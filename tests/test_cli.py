@@ -52,10 +52,12 @@ def run(capsys):
     return call
 
 
-def test_theta_prints_real_value():
+def test_theta_prints_real_value(run):
     res = run_cli("theta", "--kind", "3")
     assert res.returncode == 0
     assert res.stdout == "1.00010345\n"
+    # v = 1e17 is an even integer, which the reduction takes off exactly
+    assert run("theta", "--kind", "3", "--v", "1e17").stdout == "1.00010345\n"
 
 
 def test_theta_prints_complex_value(run):

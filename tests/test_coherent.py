@@ -15,7 +15,6 @@ from circle_cs.coherent import (
     Linear,
     PhasePoint,
     approx_expect_J,
-    approx_expJ,
     coherent_state,
     energy_distribution,
     evolve,
@@ -118,8 +117,8 @@ def test_ints_inside_the_double_range_convert_in_a_list():
     lambda: required_two_jmax("1"),
     lambda: approx_expect_J(math.nan, Sector.BOSON),
     lambda: approx_expect_J([0.1, math.inf], Sector.FERMION),
-    lambda: approx_expJ(math.nan, 0.0),
-    lambda: approx_expJ(1.0, "0"),
+    lambda: expect_expJ(math.nan, PhasePoint(0.3, 0.0), Sector.BOSON),
+    lambda: expect_expJ(np.array(["1"]), PhasePoint(0.3, 0.0), Sector.FERMION),
     lambda: expect_expJ("1", PhasePoint(0.3, 0.0), Sector.BOSON),
     lambda: expect_expJ(1j, PhasePoint(0.3, 0.0), Sector.BOSON),
     lambda: heisenberg_expectations(PhasePoint(0.3, 0.0), math.nan, Sector.BOSON),
@@ -129,8 +128,8 @@ def test_ints_inside_the_double_range_convert_in_a_list():
     lambda: Linear(math.inf),
     lambda: gaussian_energy_profile("1", 0),
     lambda: gaussian_energy_profile(0.0, None),
-], ids=["window-nan", "window-inf", "window-str", "approxJ-nan", "approxJ-inf", "approxExpJ-nan",
-        "approxExpJ-str", "expJ-str", "expJ-complex", "heisenberg-nan", "approx-nan", "approx-none",
+], ids=["window-nan", "window-inf", "window-str", "approxJ-nan", "approxJ-inf", "expJ-nan",
+        "expJ-str-array", "expJ-str", "expJ-complex", "heisenberg-nan", "approx-nan", "approx-none",
         "linear-str", "linear-inf", "profile-str", "profile-none"])
 def test_raw_arguments_are_domain_errors(call):
     with pytest.raises(DomainError, match="must be finite real numbers$"):
@@ -287,7 +286,9 @@ def test_expect_expJ_zero_is_identity():
 
 
 def test_approx_expJ_formula():
-    assert approx_expJ(1.2, 0.3) == pytest.approx(math.exp(1.2**2 / 4.0 + 1.2 * 0.3), rel=1e-15)
+    # the approximation is the second value of expect_expJ
+    _, approx = expect_expJ(1.2, PhasePoint(0.3, 0.0), Sector.BOSON)
+    assert approx == pytest.approx(math.exp(1.2**2 / 4.0 + 1.2 * 0.3), rel=1e-15)
 
 
 def test_expect_expJ_ratio_is_close_to_one():
@@ -695,13 +696,15 @@ def test_energy_profile_underflows_where_the_square_overflows(j, l):
     (1.0, np.array([0.0, 1e301])),
 ])
 def test_approx_expJ_overflow_is_typed(s, l):
-    # the same reach and e^700 limit as expect_expJ, no inf and no warning
-    with pytest.raises(RangeOverflowError):
-        approx_expJ(s, l)
+    # expect_expJ and its approximation share the reach and the e^700 limit: no inf, no warning
+    for sector in (Sector.BOSON, Sector.FERMION):
+        with pytest.raises(RangeOverflowError):
+            expect_expJ(s, PhasePoint(l, 0.0), sector)
 
 
 def test_approx_expJ_keeps_its_bits_inside_the_range():
     s = np.array([-2.0, 0.5, 1.2, 3.0])
     l = np.array([0.3, -20.0, 699.0 / 1.2, 2.5])
-    assert np.array_equal(approx_expJ(s, l), np.exp(0.25 * s * s + s * l))
-    assert approx_expJ(-1.0, 1000.0) == 0.0
+    _, approx = expect_expJ(s, PhasePoint(l, 0.0), Sector.FERMION)
+    assert np.array_equal(approx, np.exp(0.25 * s * s + s * l))
+    assert expect_expJ(-1.0, PhasePoint(1000.0, 0.0), Sector.BOSON)[1] == 0.0

@@ -5,13 +5,16 @@ exp(w*m - m^2) taken term by term with mpmath at 50 digits over the
 window |m - Re(w)/2| <= 12 (the omitted terms are below e^(-144) of the
 largest), at the exact double inputs.  The theta functions, their log
 derivative and overlap_closed are checked against mpmath's own
-mp.jtheta, <J> against its defining lattice average, and reproducing
-kernel node values against mp.nsum over the whole lattice.  The sum
-S(w) itself and the energy distribution are checked against the same
-50-digit window sums.  No
-reference calls circle_cs.theta.  Each test asserts the accuracy the
-docstring of the function under test, or the README, claims.
-"""
+mp.jtheta; far out (|Re v| to 2^52, |Im v| to 50 Im tau) the theta
+functions and their log derivative are checked against 50-digit sums
+over the window |m - m0| <= 30 around the peak index m0 instead, since
+jtheta returns 1.0 for theta_3(500i | 1000i), whose value is 2.  <J> is
+checked against its defining lattice average, and reproducing kernel
+node values against mp.nsum over the whole lattice.  The sum S(w)
+itself and the energy distribution are checked against the same
+50-digit window sums.  No reference calls circle_cs.theta.  Each test
+asserts the accuracy the docstring of the function under test, or the
+README, claims."""
 
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import pytest
 
 from circle_cs import cli
 from circle_cs.bargmann import Quadrature, _kernel_values
+from circle_cs.errors import RangeOverflowError, SingularityError
 from circle_cs.coherent import (
     PhasePoint,
     energy_distribution,
@@ -285,6 +289,92 @@ def test_log_derivative_where_exp_2_pi_i_v_passes_the_range():
     assert type(value) is complex and cmath.isfinite(value)
     error = abs(mp.mpc(value) - jtheta_log_derivative(3, v, tau))
     assert float(error) <= moment_ratio_bound(3, v, tau)
+
+
+# Far arguments: |Re v| up to 2^50 and integers near 2^52, |Im v| up to
+# 50 Im tau, at which theta itself passes e^700 and raises
+FAR_RE = [-0.37, 2.0**50 + 0.25, -(2.0**40) - 0.3, 2.0**52 + 1.0, -(2.0**52)]
+FAR_IM = [0.0, 0.37, -2.6, 7.9, 50.0]  # in units of Im tau
+
+
+def far_arguments(tau: complex) -> list[complex]:
+    return [complex(x, y * tau.imag) for x in FAR_RE for y in FAR_IM]
+
+
+def direct_theta_terms(kind: int, v: complex, tau: complex) -> list[tuple[mp.mpf, mp.mpc]]:
+    """(m, t_m) of theta_kind(v | tau) at 50 digits over |m - m0| <= 30, m0 the peak index.
+
+    The omitted terms are below e^(-900) of the largest at Im tau >= 1/pi.
+    """
+    curv, lin = 1j * mp.pi * mp.mpc(tau), 2j * mp.pi * mp.mpc(v)
+    offset = mp.mpf(0.5) if kind == 2 else 0
+    centre = int(round(-complex(v).imag / complex(tau).imag))
+    out = []
+    for n in range(centre - 30, centre + 31):
+        m = n + offset
+        sign = -1 if kind == 4 and n % 2 else 1
+        out.append((m, sign * mp.exp(curv * m * m + lin * m)))
+    return out
+
+
+def reduce(v: complex, tau: complex) -> tuple[int, complex]:
+    """(k, r) with v = r + k tau + 2j, in doubles as theta forms them."""
+    r = v - 2.0 * round(v.real / 2.0)
+    k = round(r.imag / tau.imag)
+    r = r - k * tau
+    return k, r - 2.0 * round(r.real / 2.0)
+
+
+def reduced_theta_bound(kind: int, v: complex, tau: complex) -> float:
+    """|F| (B_0(r) + 8 eps (1 + |E|) |theta(r)|), F = +-e^E the quasi-period factor.
+
+    The claim of theta, with B_0 the lattice-sum bound at r.
+    """
+    k, r = reduce(v, tau)
+    exponent = -k * (k * 1j * mp.pi * mp.mpc(tau) + 2j * mp.pi * mp.mpc(r))
+    reduced = abs(mp.fsum(t for _, t, _ in theta_terms(kind, r, tau)))
+    b_0 = lattice_sum_bound(kind, r, tau)
+    return float(abs(mp.exp(exponent)) * (b_0 + 8.0 * EPS * (1 + abs(exponent)) * reduced))
+
+
+# at tau = 1000i, theta_3(500i) = 2 from two unit terms and theta_2 passes e^700
+FAR_CASES = [(tau, far_arguments(tau)) for tau in TAUS] + [(1000j, [499j, 500j, 0.3 + 450j])]
+FAR_IDS = ["i/pi", "i*pi", "0.3+0.8i", "1000i"]
+
+
+@pytest.mark.parametrize("tau, vs", FAR_CASES, ids=FAR_IDS)
+@pytest.mark.parametrize("kind", [2, 3, 4])
+def test_theta_far_out_within_the_reduced_bound(kind, tau, vs):
+    finite = []
+    for v in vs:
+        reference = mp.fsum(t for _, t in direct_theta_terms(kind, v, tau))
+        if mp.log(abs(reference)) > 700:
+            with pytest.raises(RangeOverflowError):
+                theta(kind, ThetaArg(v, tau))
+            continue
+        finite.append((v, reference, reduced_theta_bound(kind, v, tau)))
+    values = theta(kind, ThetaArg(np.array([v for v, _, _ in finite]), tau))
+    for (v, reference, bound), value in zip(finite, values):
+        for result in (value, theta(kind, ThetaArg(v, tau))):
+            assert float(abs(mp.mpc(result) - reference)) <= bound, v
+
+
+@pytest.mark.parametrize("tau, vs", FAR_CASES, ids=FAR_IDS)
+@pytest.mark.parametrize("kind", [3, 4])
+def test_theta_log_derivative_far_out_within_the_reduced_bound(kind, tau, vs):
+    # theta_4 vanishes at tau/2: that point raises, the others take its term pairs
+    if kind == 4 and 500j in vs:
+        with pytest.raises(SingularityError):
+            theta_log_derivative(kind, ThetaArg(500j, tau))
+        vs = [v for v in vs if v != 500j]
+    values = theta_log_derivative(kind, ThetaArg(np.array(vs), tau))
+    for v, value in zip(vs, values):
+        terms = direct_theta_terms(kind, v, tau)
+        reference = 2j * mp.pi * mp.fsum(m * t for m, t in terms) / mp.fsum(t for _, t in terms)
+        k, r = reduce(v, tau)
+        bound = moment_ratio_bound(kind, r, tau) + 8.0 * EPS * 2.0 * math.pi * abs(k)
+        for result in (value, theta_log_derivative(kind, ThetaArg(v, tau))):
+            assert float(abs(mp.mpc(result) - reference)) <= bound, v
 
 
 J_GRID = np.concatenate([np.linspace(-20.0, 20.0, 81), [1e-3, 0.25, -0.37, 3.3, -7.77]])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import importlib
 import math
 import tracemalloc
@@ -390,9 +391,8 @@ def test_one_non_finite_element_is_domain_error():
         with pytest.raises(DomainError, match="imaginary part past 1e300"):
             gaussian_lattice_sum(bad)
     assert np.isfinite(gaussian_lattice_sum(3.0 + 1e300j))
-    # 2*pi*v overflows: a typed error, not a NaN value
-    with pytest.raises(DomainError, match="overflowed"):
-        theta(3, ThetaArg(1e308, I_PI))
+    # 2*pi*v would overflow, but v is an even integer, which the reduction takes off exactly
+    assert theta(3, ThetaArg(1e308, I_PI)) == theta(3, ThetaArg(0.0, I_PI))
 
 
 @pytest.mark.parametrize(
@@ -442,6 +442,30 @@ def test_centred_sum_takes_the_same_pairs_far_out():
     c, r = _recentre(np.array([2e4 + 0.5, -3e6]))
     assert np.array_equal(c, [1e4, -1.5e6])
     assert np.array_equal(r, [0.5, 0.0])
+    # theta takes v's even part off the same way and exactly (2^52 + 0.25 is not a double)
+    for k in (20, 40, 50):
+        for tau in (1j, I_PI, 0.3 + 0.8j):
+            for kind in (2, 3, 4):
+                assert theta(kind, ThetaArg(2.0**k + 0.25, tau)) == theta(kind, ThetaArg(0.25, tau))
+        for kind in (3, 4):
+            far, near = (2.0**k + 0.25, 0.25)
+            assert theta_log_derivative(kind, ThetaArg(far, I_PI)) == theta_log_derivative(
+                kind, ThetaArg(near, I_PI)
+            )
+    # and k tau to rounding: theta(v + k tau) = e^(-i pi k^2 tau - 2 pi i k v) theta(v),
+    # times (-1)^k for theta_4
+    v = 0.3 + 0.1j
+    for tau in (I_OVER_PI, I_PI, 0.3 + 0.8j):
+        for k in (-2, 1, 3):
+            exponent = -1j * math.pi * k * (k * tau + 2.0 * v)
+            for kind in (2, 3, 4):
+                shifted = theta(kind, ThetaArg(v + k * tau, tau))
+                sign = (-1) ** k if kind == 4 else 1
+                expected = sign * cmath.exp(exponent) * theta(kind, ThetaArg(v, tau))
+                assert abs(shifted - expected) <= 1e-14 * (1.0 + abs(exponent)) * abs(expected)
+            assert theta_log_derivative(3, ThetaArg(v + k * tau, tau)) == pytest.approx(
+                theta_log_derivative(3, ThetaArg(v, tau)) - 2j * math.pi * k, rel=1e-14, abs=1e-14
+            )
 
 
 def test_log_derivative_computes_the_origin_value_once():
