@@ -70,7 +70,7 @@ import numpy as np
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
 from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq, overlap_closed
-from .theta import DEFAULT_CONTROL, SeriesControl, _exp, _integer, _pair_count
+from .theta import DEFAULT_CONTROL, _exp, _integer, _pair_count
 
 __all__ = [
     "Quadrature",
@@ -230,29 +230,21 @@ def inner_quadrature(f: StateVector, g: StateVector, quad: Quadrature) -> comple
     return quad.integrate(np.conj(vf), vg)
 
 
-def _kernel_values(
-    p: PhasePoint, sector: Sector, quad: Quadrature, ctl: SeriesControl
-) -> np.ndarray:
+def _kernel_values(p: PhasePoint, sector: Sector, quad: Quadrature) -> np.ndarray:
     """K(xi*, gamma) at the nodes xi, gamma = p; its conjugate is K(gamma*, xi).
 
     The lattice sum is cut at the pair count P that bounds every omitted
-    term by ctl.tol over the whole node span, and the kept terms are the
-    function of the coherent state at p on the window |2j| <= 2P (for
-    fermions that window holds |2j| <= 2P - 1).
+    term by DEFAULT_CONTROL.tol over the whole node span, and the kept
+    terms are the function of the coherent state at p on the window
+    |2j| <= 2P (for fermions that window holds |2j| <= 2P - 1).
     """
     lv, _, _ = quad.nodes()
     drift = abs(p.l) + float(np.abs(lv).max())
-    trunc = Truncation(2 * _pair_count(1.0, drift, ctl, sector is Sector.FERMION))
+    trunc = Truncation(2 * _pair_count(1.0, drift, DEFAULT_CONTROL, sector is Sector.FERMION))
     return quad.grid_values(sector, trunc.two_jmax, _coherent_coeffs(trunc.j_values(sector), p))
 
 
-def reproducing_apply(
-    f: StateVector,
-    p: PhasePoint,
-    sector: Sector,
-    quad: Quadrature,
-    ctl: SeriesControl = DEFAULT_CONTROL,
-) -> complex:
+def reproducing_apply(f: StateVector, p: PhasePoint, sector: Sector, quad: Quadrature) -> complex:
     """Integral of K_sector(eta*, xi) f(xi*) over the measure, eta = p.
 
     Reproduces f(eta*) when f lies in the kernel's sector and yields 0
@@ -268,17 +260,13 @@ def reproducing_apply(
     an overflow raises RangeOverflowError (the kernel's, past |l| ~ 37.42).
     """
     _single(p)
-    kernel = np.conj(_kernel_values(p, sector, quad, ctl))
+    kernel = np.conj(_kernel_values(p, sector, quad))
     values = quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
     return quad.integrate(kernel, values)
 
 
 def kernel_identity_check(
-    p1: PhasePoint,
-    p2: PhasePoint,
-    sector: Sector,
-    quad: Quadrature,
-    ctl: SeriesControl = DEFAULT_CONTROL,
+    p1: PhasePoint, p2: PhasePoint, sector: Sector, quad: Quadrature
 ) -> dict[str, complex]:
     """Self-consistency of the kernel under its own integral action.
 
@@ -291,9 +279,9 @@ def kernel_identity_check(
     finer orders extend the range (at 100 x 128 it stays near 1e-13
     up to 4).  No error marks that loss.
     """
-    lhs = overlap_closed(p1, p2, sector, ctl)
-    k1 = np.conj(_kernel_values(p1, sector, quad, ctl))
-    k2 = _kernel_values(p2, sector, quad, ctl)
+    lhs = overlap_closed(p1, p2, sector)
+    k1 = np.conj(_kernel_values(p1, sector, quad))
+    k2 = _kernel_values(p2, sector, quad)
     return {"lhs": lhs, "rhs": quad.integrate(k1, k2)}
 
 
@@ -308,9 +296,7 @@ def _window_for_matrix(shape: tuple[int, ...], sector: Sector) -> Truncation:
     return Truncation(n - 1 + sector.parity)
 
 
-def covariant_symbol(
-    op_matrix: np.ndarray, p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
-) -> dict[str, complex]:
+def covariant_symbol(op_matrix: np.ndarray, p: PhasePoint, sector: Sector) -> dict[str, complex]:
     """kernel = sum_{jk} A_jk xi*^(-j) xi^(-k) e^(-(j^2+k^2)/2); symbol = kernel/<xi|xi>.
 
     The symbol is the normalized diagonal matrix element of A between
@@ -319,7 +305,7 @@ def covariant_symbol(
     """
     _single(p)
     trunc = _window_for_matrix(np.shape(op_matrix), sector)  # before the complex copy
-    norm = norm_sq(p, sector, ctl)  # raises past |l| ~ 26.45, so j*l below stays finite
+    norm = norm_sq(p, sector)  # raises past |l| ~ 26.45, so j*l below stays finite
     a = np.asarray(op_matrix, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise DomainError("operator matrix entries must be finite")

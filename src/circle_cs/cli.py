@@ -44,7 +44,7 @@ from .coherent import (
 )
 from .errors import CircleError, ConfigError
 from .hilbert import Sector, Truncation, apply_operator, state_to_json
-from .theta import SeriesControl, ThetaArg, _integer, _number, theta
+from .theta import ThetaArg, _integer, _number, theta
 from .verify import load_config, run_verify
 
 __all__ = ["main"]
@@ -107,7 +107,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_theta(args: argparse.Namespace) -> int:
     arg = ThetaArg(complex(args.v, args.v_im), complex(0.0, args.tau_im))
-    value = theta(args.kind, arg, SeriesControl())
+    value = theta(args.kind, arg)
     _print_complex(value, args.digits)
     return 0
 

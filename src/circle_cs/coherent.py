@@ -32,16 +32,7 @@ import numpy as np
 
 from .errors import DomainError, RangeOverflowError, SingularityError, TruncationError
 from .hilbert import Sector, StateVector, Truncation
-from .theta import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    ThetaArg,
-    _exp,
-    _number,
-    _recentre,
-    gaussian_lattice_sum,
-    theta_log_derivative,
-)
+from .theta import ThetaArg, _exp, _number, _recentre, gaussian_lattice_sum, theta_log_derivative
 
 __all__ = [
     "J_DEVIATION_AMPLITUDE",
@@ -194,9 +185,7 @@ def _coherent_coeffs(j: np.ndarray, p: PhasePoint) -> np.ndarray:
     return _exp(j * complex(p.l, -p.phi) - 0.5 * j * j, message)
 
 
-def overlap_closed(
-    p1: PhasePoint, p2: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex:
+def overlap_closed(p1: PhasePoint, p2: PhasePoint, sector: Sector) -> complex:
     """<xi_1|xi_2> = S(w) with w = log(conj(xi_1)*xi_2), lattice per sector.
 
     Equivalently theta_3 (boson) or theta_2 (fermion) at argument
@@ -210,10 +199,10 @@ def overlap_closed(
     _require_reach(p1.l)
     _require_reach(p2.l)
     w = complex(-(p1.l + p2.l), p2.phi - p1.phi)
-    return complex(gaussian_lattice_sum(w, half=_half(sector), ctl=ctl))
+    return complex(gaussian_lattice_sum(w, half=_half(sector)))
 
 
-def norm_sq(p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def norm_sq(p: PhasePoint, sector: Sector) -> float:
     """<xi|xi> = S(2l); positive, independent of phi.
 
     RangeOverflowError past |l| of about 26.45, where S(2l) ~ e^(l^2)
@@ -221,12 +210,10 @@ def norm_sq(p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL)
     """
     _single(p)
     _require_reach(p.l)
-    return complex(gaussian_lattice_sum(2.0 * p.l, half=_half(sector), ctl=ctl)).real
+    return complex(gaussian_lattice_sum(2.0 * p.l, half=_half(sector))).real
 
 
-def expect_J(
-    p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
-) -> float | np.ndarray:
+def expect_J(p: PhasePoint, sector: Sector) -> float | np.ndarray:
     """<J> = l + (1/2) (d/dv) ln theta_{3|4}(v|i*pi) at v = l.
 
     The log-derivative is 2 pi i M / Theta from one theta lattice-sum pass
@@ -235,7 +222,7 @@ def expect_J(
     plus one rounding of <J>.  A grid point gives an array of its shape.
     """
     kind = 3 if sector is Sector.BOSON else 4
-    derivative = theta_log_derivative(kind, ThetaArg(p.l, 1j * math.pi), ctl)
+    derivative = theta_log_derivative(kind, ThetaArg(p.l, 1j * math.pi))
     return _shaped(p.l + 0.5 * np.real(derivative), p.shape, float)
 
 
@@ -269,9 +256,7 @@ def _require_reach(l, shift=0.0):
     return shift
 
 
-def expect_U(
-    p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex | np.ndarray:
+def expect_U(p: PhasePoint, sector: Sector) -> complex | np.ndarray:
     """<U> = e^(-1/4) e^(i phi) S_opp(2l)/S(2l).
 
     S_opp runs over the opposite lattice (half-integers for bosons and
@@ -286,25 +271,23 @@ def expect_U(
     _require_reach(p.l)
     half = _half(sector)
     _, r = _recentre(2.0 * p.l)
-    num = gaussian_lattice_sum(r, half=not half, ctl=ctl)
-    den = gaussian_lattice_sum(r, half=half, ctl=ctl)
+    num = gaussian_lattice_sum(r, half=not half)
+    den = gaussian_lattice_sum(r, half=half)
     ratio = np.real(num) / np.real(den)
     return _shaped(math.exp(-0.25) * ratio * np.exp(1j * p.phi), p.shape, complex)
 
 
-def relative_expect_U(
-    p: PhasePoint, ref: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex:
+def relative_expect_U(p: PhasePoint, ref: PhasePoint, sector: Sector) -> complex:
     """expect_U(p)/expect_U(ref); with ref = (0, 0) approximately e^(i phi)."""
     _single(ref)
-    reference = expect_U(ref, sector, ctl)
+    reference = expect_U(ref, sector)
     if abs(reference) < 1e-12:
         raise SingularityError("reference expectation of U is too close to zero")
-    return expect_U(p, sector, ctl) / reference
+    return expect_U(p, sector) / reference
 
 
 def expect_expJ(
-    s: float | np.ndarray, p: PhasePoint, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
+    s: float | np.ndarray, p: PhasePoint, sector: Sector
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(exact, approx) for <e^(sJ)> = S(2l+s)/S(2l) vs e^(s^2/4 + s*l).
 
@@ -326,8 +309,8 @@ def expect_expJ(
     w0 = 2.0 * p.l
     w1 = w0 + s
     r0, r1 = (_recentre(w)[1].real for w in (w0, w1))
-    den = gaussian_lattice_sum(r0, half=half, ctl=ctl)
-    num = gaussian_lattice_sum(r1, half=half, ctl=ctl)
+    den = gaussian_lattice_sum(r0, half=half)
+    num = gaussian_lattice_sum(r1, half=half)
     exponent = 0.25 * s * s + s * p.l
     log_scale = exponent - 0.25 * (r1 * r1 - r0 * r0)
     growth = _exp(log_scale, "<e^(sJ)> = exp({peak:.3g}) exceeds the floating-point range")
@@ -365,7 +348,7 @@ def _require_finite_phase(t: float, edge_phase: float, j_edge: float) -> None:
 
 
 def heisenberg_expectations(
-    p: PhasePoint, t: float | np.ndarray, sector: Sector, ctl: SeriesControl = DEFAULT_CONTROL
+    p: PhasePoint, t: float | np.ndarray, sector: Sector
 ) -> dict[str, complex | np.ndarray]:
     """Exact <U(t)> and <X(t)> under free motion, normalized by <xi|xi>.
 
@@ -389,9 +372,9 @@ def heisenberg_expectations(
     w = 2.0 * p.l + 1j * t
     c, r = _recentre(2.0 * p.l)
     _, r_t = _recentre(w)
-    den = np.real(gaussian_lattice_sum(r, half=half, ctl=ctl))
-    num_u = gaussian_lattice_sum(r_t, half=not half, ctl=ctl)
-    num_x = gaussian_lattice_sum(r_t, half=half, ctl=ctl)
+    den = np.real(gaussian_lattice_sum(r, half=half))
+    num_u = gaussian_lattice_sum(r_t, half=not half)
+    num_x = gaussian_lattice_sum(r_t, half=half)
     # real factors first, so each value takes one complex product: numpy
     # rounds complex products of arrays and of scalars differently
     u_t = (math.exp(-0.25) / den) * np.exp(1j * (p.phi + c * t)) * num_u
@@ -435,11 +418,7 @@ def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float]:
 
 
 def energy_distribution(
-    p: PhasePoint,
-    sector: Sector,
-    jmax: float = 12,
-    allow_fermion: bool = False,
-    ctl: SeriesControl = DEFAULT_CONTROL,
+    p: PhasePoint, sector: Sector, jmax: float = 12, allow_fermion: bool = False
 ) -> list[tuple[float, float]]:
     """Occupation probabilities prob(j) = e^(2lj - j^2)/S(2l), |j| <= jmax.
 
@@ -462,7 +441,7 @@ def energy_distribution(
     _single(p)
     _require_reach(p.l)
     c, r = _recentre(2.0 * p.l)
-    norm = complex(gaussian_lattice_sum(r, half=_half(sector), ctl=ctl)).real
+    norm = complex(gaussian_lattice_sum(r, half=_half(sector))).real
     j = trunc.j_values(sector)
     d = j - c
     # d (r - d) <= r^2/4; a product past the range is -inf, whose exp is the underflowed 0

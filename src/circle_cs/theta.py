@@ -182,10 +182,11 @@ def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> i
     """Number of symmetric term pairs needed so every omitted term <= tol.
 
     Terms have modulus exp(-decay*m^2 + drift*|m|) over the index lattice,
-    decay > 0; the largest is at the index nearest drift/(2*decay).  The
-    positive root m* of decay*m^2 - drift*m + ln(1/tol) = 0 marks the
-    point past which every term is below tol (the exponent is decreasing
-    there because m* >= drift/decay).  Everything with |m| <= m* is kept.
+    decay > 0; the largest is at the index nearest c = drift/(2*decay).
+    The positive root m* = c + sqrt(c^2 + ln(1/tol)/decay) of decay*m^2 -
+    drift*m + ln(1/tol) = 0 marks the point past which every term is
+    below tol (the exponent is decreasing there because m* >= 2c), in a
+    form that overflows nowhere.  Everything with |m| <= m* is kept.
     """
     centre = drift / (2.0 * decay)
     gap = math.remainder(centre - 0.5 * half, 1.0) if math.isfinite(centre) else 0.0
@@ -194,14 +195,11 @@ def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> i
         raise RangeOverflowError(
             f"largest series term exp({peak:.3g}) exceeds the floating-point range"
         )
-    ln_tol = math.log(ctl.tol)
-    m_star = (drift + math.sqrt(drift * drift - 4.0 * decay * ln_tol)) / (2.0 * decay)
-    pairs = math.ceil(m_star + 0.5) if half else math.ceil(m_star)
-    if pairs > ctl.n_max:
-        raise ConvergenceError(
-            f"series needs {pairs} term pairs, above the cap {ctl.n_max}"
-        )
-    return max(pairs, 0)
+    # m* (+ 1/2 on Z + 1/2) term pairs; inf where 1/decay overflows
+    reach = centre + math.sqrt(centre * centre - math.log(ctl.tol) / decay) + 0.5 * half
+    if not reach <= ctl.n_max:
+        raise ConvergenceError(f"series needs {reach:.4g} term pairs, past the cap {ctl.n_max}")
+    return math.ceil(reach)
 
 
 def _drift(lin_arr: np.ndarray) -> float:
@@ -300,8 +298,9 @@ def theta(
     """Evaluate theta_kind(v | tau) for kind in {2, 3, 4}.
 
     Returns a complex, or an array of v's shape when arg.v is an array.
-    The series is summed at r, v = r + k*tau + 2j (_reduce), and taken
-    back by the quasi-period factor F = +-e^E (_shift_back).  Every term
+    tau is reduced mod 2 first (theta_2 then gains i^c, _reduce).  The
+    series is summed at r, v = r + k*tau + 2j (_reduce), and taken back
+    by the quasi-period factor F = +-e^E (_shift_back).  Every term
     omitted at r is bounded in modulus by ctl.tol, so the omitted tail
     stays below 3*tol; with the rounding of each term's exponent E_m, of
     the sum and of E, the result is within |F| (B_0(r) + 8*eps*(1 + |E|)
@@ -313,39 +312,40 @@ def theta(
     """
     if kind not in (2, 3, 4):
         raise DomainError(f"theta kind must be 2, 3 or 4, got {kind!r}")
-    k, curv, lin = _reduce(arg)
+    c, k, curv, lin = _reduce(arg)
     value = _lattice_sum(curv, lin, half=(kind == 2), alternating=(kind == 4), ctl=ctl)
     message = f"theta_{kind} = exp({{peak:.3g}}) exceeds the floating-point range"
-    return _shift_back(-k, curv, lin, value, message, alternating=(kind == 4))
+    value = _shift_back(-k, curv, lin, value, message, alternating=(kind == 4))
+    return _quarter_turns(c, value) if kind == 2 else value
 
 
-def gaussian_lattice_sum(w, half: bool = False, ctl: SeriesControl = DEFAULT_CONTROL):
+def gaussian_lattice_sum(w, half: bool = False):
     """S(w) = sum over m in Z (or Z+1/2) of exp(w*m - m^2), vectorized in w.
 
     This is theta_3 (resp. theta_2) at v = -i*w/(2*pi), tau = i/pi; the
     overlap calculus of the coherent-state modules is built on it.  It
     is summed at r = w - 2c (_recentre) and scaled back by exp(c*w - c^2)
-    (_shift_back), so every w takes the same few term pairs; where every
-    c is 0 the sum at r = w is the value.  With B_0(r) the theta bound
-    on S(r), the result is within |exp(c*w - c^2)| (B_0(r) + 2*eps*(1 +
-    |c*w - c^2|) |S(r)|): the prefactor's exponent rounds twice.  Raises
-    DomainError unless w is a finite complex number or array of them
-    with |Im w| <= 1e300, RangeOverflowError where S(w) passes e^700, and
-    ConvergenceError as theta does.
+    (_shift_back), so every w takes at most 7 term pairs (|Re r| <= 1,
+    at DEFAULT_CONTROL); where every c is 0 the sum at r = w is the
+    value.  With B_0(r) the theta bound on S(r), the result is within
+    |exp(c*w - c^2)| (B_0(r) + 2*eps*(1 + |c*w - c^2|) |S(r)|): the
+    prefactor's exponent rounds twice.  Raises DomainError unless w is a
+    finite complex number or array of them with |Im w| <= 1e300, and
+    RangeOverflowError where S(w) passes e^700.
     """
     w = _number(w, complex, "lattice-sum argument w must be finite complex numbers, got {value!r}")
     c, r = _recentre(w)
-    reduced = _lattice_sum(-1.0 + 0.0j, r, half=half, alternating=False, ctl=ctl)
+    reduced = _lattice_sum(-1.0 + 0.0j, r, half=half, alternating=False, ctl=DEFAULT_CONTROL)
     message = "lattice sum S(w) = exp({peak:.3g}) exceeds the floating-point range"
     return _shift_back(c, -1.0, r, reduced, message)
 
 
-def _recentre(x, period=2.0, t=None):
-    """(c, x - c*period), c = round(t) half to even per element, t = Re x / period by default.
+def _recentre(x, period=2.0):
+    """(c, x - c*period), c = round(Re x / period) half to even per element.
 
     The package's one shift of a lattice-sum argument (_reduce shifts
-    theta's v).  By default it re-centres a w of S: the shift m -> m + c
-    maps Z and Z + 1/2 onto themselves, so
+    theta's v and tau).  By default it re-centres a w of S: the shift
+    m -> m + c maps Z and Z + 1/2 onto themselves, so
 
         S(w) = exp(c*w - c^2) * S(r) = exp(w^2/4 - r^2/4) * S(r),
 
@@ -356,23 +356,46 @@ def _recentre(x, period=2.0, t=None):
     Riemann theta functions", Math. Comp. 73 (2004); DLMF 20.2).  c is
     an integer-valued float, or float array of x's shape.
     """
-    c = np.rint(x.real / period if t is None else t)  # rint: np.round's bare ufunc, µs faster
+    c = np.rint(x.real / period)  # rint: np.round's bare ufunc, µs faster
     c = c if isinstance(c, np.ndarray) else float(c)  # a scalar leaves numpy's types, µs a call
     return c, x - c * period
 
 
 def _reduce(arg: ThetaArg):
-    """(k, curv = i pi tau, lin = 2 pi i r), v = r + k*tau + 2j per element, j and k integers.
+    """(c, k, curv = i pi t, lin = 2 pi i r): tau = t + 2c, v = r + k*t + 2j per element.
 
-    k = round(Im v / Im tau), so |Im r| <= Im tau / 2 up to the rounding
-    of k*tau.  The even shift 2j, which no theta_kind sees (DLMF
-    20.2(iii)), comes off exactly before and after k*tau: |Re r| <= 1.
-    Where k = 0 and |Re v| <= 1, lin has the bits of 2 pi i v.
+    c, j and k are integers.  c = round(Re tau / 2), so |Re t| <= 1
+    exactly; theta_3 and theta_4 have period 2 in tau and theta_2 gains
+    i^c.  Im r is the remainder of Im v mod Im tau, exact (fmod), moved
+    exactly into [-Im tau / 2, Im tau / 2], and k the quotient that goes
+    with it, exact while |k| < 2^51.  The even shift 2j, which no
+    theta_kind sees (DLMF 20.2(iii)), comes off exactly before and after
+    k*t: |Re r| <= 1, up to the rounding of k Re t.  Where c = k = 0 and
+    |Re v| <= 1, curv and lin have the bits of i pi tau and 2 pi i v.
+    Past Im tau = 1e306, where i pi t or a kept term could pass the
+    double range, Im t and Im r are divided by 64.  The real part of
+    each term's exponent, and of F's, is 0 or past +-1e287 in exact
+    arithmetic there, before and after the division, so every term
+    keeps its modulus (0, 1 or an overflow) and the value stays the same.
     """
+    c, t = _recentre(arg.tau)
     with np.errstate(over="ignore", invalid="ignore"):  # _lattice_sum types an overflowed r
         _, r = _recentre(arg.v)
-        k, r = _recentre(r, arg.tau, r.imag / arg.tau.imag)
-        return k, 1j * math.pi * arg.tau, 2j * math.pi * _recentre(r)[1]
+        k = 0.0
+        if np.count_nonzero(r.imag):  # a real v needs no k, and skips µs of array steps
+            # math's fmod on a scalar: 1.5 µs less a call
+            rem = (np.fmod if isinstance(r, np.ndarray) else math.fmod)(r.imag, t.imag)
+            turn, im_r = _recentre(rem, t.imag)
+            k = _recentre(r.imag - rem, t.imag)[0] + turn  # rem has Im v's sign: no overflow
+            r = r.real - k * t.real + 1j * im_r
+        if t.imag > 1e306:
+            t, r = complex(t.real, t.imag / 64.0), r.real + 1j * (r.imag / 64.0)
+        return c, k, 1j * math.pi * t, 2j * math.pi * _recentre(r)[1]
+
+
+def _quarter_turns(c: float, value):
+    """value * i^c for an integer-valued c, value itself where c % 4 is 0."""
+    return value * (1, 1j, -1, -1j)[int(c % 4.0)] if c % 4.0 else value
 
 
 def _shift_back(c, curv, lin, reduced, message: str, alternating: bool = False):
@@ -416,7 +439,10 @@ def theta_log_derivative(
         (2*pi*B_1 + |R|*B_0) / (|Theta| - B_0) + 8*eps*|R|   where |Theta| > B_0:
 
     the conditioning 1/|Theta| of the ratio, plus the rounding of product
-    and quotient; 2 pi k adds its own.  Raises SingularityError where
+    and quotient.  Im r is exact (_reduce) at every |Im v|; -2 pi i k adds
+    at most 8*eps*2*pi*|k|, the rounding of 2 pi k and, past 2^53, of k
+    itself.  Where Re tau != 0, Re r also carries the rounding of k Re
+    tau, up to eps |k Re tau|.  Raises SingularityError where
     |Theta| < 1e-10 theta_3(i Im r | i Im tau), the sum of the terms'
     moduli: near a zero, where the derivative diverges, or where the
     terms cancel to rounding (theta_4 at small Im tau).  Otherwise what
@@ -424,7 +450,7 @@ def theta_log_derivative(
     """
     if kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
-    k, curv, lin = _reduce(arg)
+    _, k, curv, lin = _reduce(arg)
     value, moment = _lattice_sum(
         curv, lin, half=False, alternating=(kind == 4), ctl=ctl, moment=True
     )
@@ -489,10 +515,15 @@ def theta2_via_half_period_shift(
 ) -> complex | np.ndarray:
     """theta_2(v | tau) computed as exp(i pi (tau/4 + v)) * theta_3(v + tau/2 | tau).
 
-    v may be an array; the result then has its shape.  RangeOverflowError
-    where the factor exp(i pi (tau/4 + v)) passes e^700.
+    tau = t + 2c is reduced mod 2 first, as theta reduces it, and the
+    result is i^c theta_2(v | t).  v may be an array; the result then
+    has its shape.  RangeOverflowError where the factor exp(i pi (t/4 +
+    v)) passes e^700.
     """
     arg = ThetaArg(v, tau)
-    shifted = theta(3, ThetaArg(arg.v + arg.tau / 2.0, arg.tau), ctl)
+    c, t = _recentre(arg.tau)
+    shifted = theta(3, ThetaArg(arg.v + t / 2.0, t), ctl)
     message = "theta_2 half-period factor exp({peak:.3g}) exceeds the floating-point range"
-    return _as_complex(_exp(1j * math.pi * (arg.tau / 4.0 + np.asarray(arg.v)), message) * shifted)
+    with np.errstate(over="ignore", invalid="ignore"):  # _exp rejects an overflowed exponent
+        exponent = 1j * math.pi * (t / 4.0 + np.asarray(arg.v))
+    return _quarter_turns(c, _as_complex(_exp(exponent, message) * shifted))

@@ -1,8 +1,8 @@
 """Verification suite: every library identity as a named, tolerated check.
 
 run_verify(config) executes the full battery of property checks against
-a single flat configuration (window size, quadrature orders, series
-control, RNG seed) and returns a VerifyReport.  Checks are grouped by
+a single flat configuration (window size, quadrature orders, RNG seed,
+number of random cases) and returns a VerifyReport.  Checks are grouped by
 module: theta transformation laws, window-operator algebra, coherent
 state expectations with their closed-form approximations, and the
 functional-representation quadrature identities.
@@ -80,7 +80,7 @@ from .hilbert import (
     operator_matrix,
 )
 from .theta import (
-    SeriesControl,
+    DEFAULT_CONTROL,
     ThetaArg,
     _integer,
     _pair_count,
@@ -98,15 +98,13 @@ DEFAULT_CONFIG = {
     "two_jmax": 40,
     "n_l": 40,
     "n_phi": 64,
-    "series_tol": 1e-14,
-    "series_n_max": 200,
     "seed": 20260817,
     "random_cases": 50,
 }
 
-# The battery's own upper bound on the config; the window, series and
-# quadrature bounds are those of Truncation, SeriesControl and
-# Quadrature.  The largest allowed battery peaks near 90 MB.
+# The battery's own upper bound on the config; the window and quadrature
+# bounds are those of Truncation and Quadrature.  The largest allowed
+# battery peaks near 90 MB.
 CONFIG_CAPS = {"random_cases": 10_000}
 
 SECTORS = (Sector.BOSON, Sector.FERMION)
@@ -166,7 +164,7 @@ def validate_config(overrides: dict) -> dict:
         _integer(config["seed"], 0, math.inf, "seed must be an integer >= {low}, got {value!r}")
         message = "random_cases must be an integer in [{low}, {high}], got {value!r}"
         _integer(config["random_cases"], 1, CONFIG_CAPS["random_cases"], message)
-        _Context(config)  # its window, series control and quadrature check their own values
+        _Context(config)  # its window and quadrature check their own values
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     # the battery draws coherent states with |l| <= 1.5, which needs a
@@ -195,7 +193,6 @@ class _Context:
     """Shared fixtures for the check battery."""
 
     def __init__(self, config: dict):
-        self.ctl = SeriesControl(config["series_tol"], config["series_n_max"])
         self.trunc = Truncation(config["two_jmax"])
         self.quad = Quadrature(config["n_l"], config["n_phi"])
         self.seed = config["seed"]
@@ -251,8 +248,8 @@ def _random_point(rng: np.random.Generator, l_max: float) -> PhasePoint:
 
 def _inversion_gaps(ctx: _Context, kind: int, image):
     ls = np.linspace(-2.0, 2.0, 81)
-    direct = theta(kind, ThetaArg(1j * ls / math.pi, 1j / math.pi), ctx.ctl)
-    return _rel_gap(direct, image(ls, 1j * math.pi, ctx.ctl))
+    direct = theta(kind, ThetaArg(1j * ls / math.pi, 1j / math.pi))
+    return _rel_gap(direct, image(ls, 1j * math.pi))
 
 
 def _random_v(rng: np.random.Generator, re_max: float, im_max: float) -> np.ndarray:
@@ -265,8 +262,8 @@ def _check_theta2_shift(ctx: _Context):
     v = _random_v(ctx.rng(3), 1.0, 0.5)
 
     def gaps(tau, vs):
-        direct = _unpaired_lattice_sum(1j * math.pi * tau, 2j * math.pi * vs, True, ctx.ctl)
-        return _rel_gap(theta2_via_half_period_shift(vs, tau, ctx.ctl), direct)
+        direct = _unpaired_lattice_sum(1j * math.pi * tau, 2j * math.pi * vs, True)
+        return _rel_gap(theta2_via_half_period_shift(vs, tau), direct)
 
     return [gaps(tau, vs) for tau, vs in zip((1j * math.pi, 1j / math.pi), v)]
 
@@ -274,11 +271,10 @@ def _check_theta2_shift(ctx: _Context):
 def _check_theta3_general_inversion(ctx: _Context):
     tau = 1j * math.pi
     v = np.linspace(-1.0, 1.0, 41)
-    return _rel_gap(theta(3, ThetaArg(v / tau, -1.0 / tau), ctx.ctl),
-                    modular_image_theta3(v, tau, ctx.ctl))
+    return _rel_gap(theta(3, ThetaArg(v / tau, -1.0 / tau)), modular_image_theta3(v, tau))
 
 
-def _unpaired_lattice_sum(curv: complex, lin, half: bool, ctl: SeriesControl) -> np.ndarray:
+def _unpaired_lattice_sum(curv: complex, lin, half: bool) -> np.ndarray:
     """sum of exp(curv*m^2 + lin*m) over m in [-M, M] on Z (or Z+1/2), by one exp.
 
     theta._lattice_sum adds each +-m pair before summing, which makes it
@@ -288,7 +284,7 @@ def _unpaired_lattice_sum(curv: complex, lin, half: bool, ctl: SeriesControl) ->
     pair count.
     """
     lin = np.asarray(lin, dtype=np.complex128)
-    pairs = _pair_count(-curv.real, float(np.abs(lin.real).max()), ctl, half)
+    pairs = _pair_count(-curv.real, float(np.abs(lin.real).max()), DEFAULT_CONTROL, half)
     m = np.arange(-pairs, pairs) + 0.5 if half else np.arange(-pairs, pairs + 1.0)
     return np.exp(curv * m * m + lin[..., None] * m).sum(axis=-1)
 
@@ -299,8 +295,8 @@ def _check_theta_evenness(ctx: _Context):
 
     def gaps(kind, vs):
         # theta(-v) by the unpaired sum against theta(v) from the library
-        minus = _unpaired_lattice_sum(1j * math.pi * tau, -2j * math.pi * vs, kind == 2, ctx.ctl)
-        return _rel_gap(minus, theta(kind, ThetaArg(vs, tau), ctx.ctl))
+        minus = _unpaired_lattice_sum(1j * math.pi * tau, -2j * math.pi * vs, kind == 2)
+        return _rel_gap(minus, theta(kind, ThetaArg(vs, tau)))
 
     return [gaps(kind, vs) for kind, vs in zip((2, 3), v)]
 
@@ -311,10 +307,10 @@ def _check_logderiv_fd(ctx: _Context):
     stencil = vs + np.array([[h], [-h], [0.0]])
 
     def gaps(kind, tau):
-        analytic = theta_log_derivative(kind, ThetaArg(vs, tau), ctx.ctl)
+        analytic = theta_log_derivative(kind, ThetaArg(vs, tau))
         # theta by the unpaired sum; i pi in lin gives theta_4 its (-1)^m
         lin = 2j * math.pi * stencil + (1j * math.pi if kind == 4 else 0.0)
-        up, down, mid = _unpaired_lattice_sum(1j * math.pi * tau, lin, False, ctx.ctl)
+        up, down, mid = _unpaired_lattice_sum(1j * math.pi * tau, lin, False)
         return np.abs(analytic - (up - down) / (2.0 * h * mid))
 
     return [gaps(kind, tau) for kind in (3, 4) for tau in (1j * math.pi, 1j / math.pi)]
@@ -410,7 +406,7 @@ _LATTICE_L = {Sector.BOSON: (-2.0, -1.0, 0.0, 1.0, 2.0), Sector.FERMION: (-1.5, 
 
 
 def _check_expectJ_lattice(ctx: _Context, sector: Sector):
-    return [abs(expect_J(PhasePoint(l, 0.0), sector, ctx.ctl) - l) for l in _LATTICE_L[sector]]
+    return [abs(expect_J(PhasePoint(l, 0.0), sector) - l) for l in _LATTICE_L[sector]]
 
 
 def _series_expect_J(l: float, sector: Sector) -> float:
@@ -422,15 +418,12 @@ def _series_expect_J(l: float, sector: Sector) -> float:
 def _check_expectJ_series(ctx: _Context, sector: Sector):
     rng = ctx.rng(15)
     ls = [rng.uniform(-2.0, 2.0) for _ in range(25)]
-    return [
-        abs(expect_J(PhasePoint(l, 0.0), sector, ctx.ctl) - _series_expect_J(l, sector))
-        for l in ls
-    ]
+    return [abs(expect_J(PhasePoint(l, 0.0), sector) - _series_expect_J(l, sector)) for l in ls]
 
 
 def _expectJ_deviation_grid(ctx: _Context, sector: Sector):
     grid = np.linspace(0.0, 1.0, 101)
-    return grid, expect_J(PhasePoint(grid, 0.0), sector, ctx.ctl)
+    return grid, expect_J(PhasePoint(grid, 0.0), sector)
 
 
 def _check_expectJ_approx_residual(ctx: _Context, sector: Sector):
@@ -448,13 +441,13 @@ def _check_expectJ_amplitude_window(ctx: _Context):
 
 def _check_expectU_phase(ctx: _Context, sector: Sector):
     phis = np.array([0.0, 1.234, math.pi, 5.0])
-    val = expect_U(PhasePoint(np.linspace(-1.0, 1.0, 21)[:, None], phis), sector, ctx.ctl)
+    val = expect_U(PhasePoint(np.linspace(-1.0, 1.0, 21)[:, None], phis), sector)
     return np.abs(val / np.abs(val) - np.exp(1j * phis))
 
 
 def _check_expectU_modulus(ctx: _Context, sector: Sector):
     grid = PhasePoint(np.linspace(-1.0, 1.0, 81), 0.0)
-    return np.abs(np.abs(expect_U(grid, sector, ctx.ctl)) * math.exp(0.25) - 1.0)
+    return np.abs(np.abs(expect_U(grid, sector)) * math.exp(0.25) - 1.0)
 
 
 def _check_expectU_series(ctx: _Context, sector: Sector):
@@ -464,14 +457,14 @@ def _check_expectU_series(ctx: _Context, sector: Sector):
         p = _random_point(rng, 1.5)
         state = coherent_state(p, sector, ctx.trunc)
         series = inner(state, apply_operator("U", state)) / inner(state, state)
-        errors.append(abs(series - expect_U(p, sector, ctx.ctl)))
+        errors.append(abs(series - expect_U(p, sector)))
     return errors
 
 
 def _check_relative_expectU(ctx: _Context, sector: Sector):
     ref = PhasePoint(0.0, 0.0)
     return [
-        abs(abs(relative_expect_U(PhasePoint(l, phi), ref, sector, ctx.ctl)) - 1.0)
+        abs(abs(relative_expect_U(PhasePoint(l, phi), ref, sector)) - 1.0)
         for l, phi in ((0.5, 1.0), (-0.8, 2.2), (1.0, 4.0))
     ]
 
@@ -502,23 +495,21 @@ def _check_uncertainty_basis_gap(ctx: _Context, sector: Sector):
 
 def _check_momentgen_exact(ctx: _Context, sector: Sector):
     ls = np.linspace(-2.0, 2.0, 41)
-    exact, _ = expect_expJ(-2.0, PhasePoint(ls, 0.0), sector, ctx.ctl)
+    exact, _ = expect_expJ(-2.0, PhasePoint(ls, 0.0), sector)
     return np.abs(exact / np.exp(1.0 - 2.0 * ls) - 1.0)
 
 
 def _check_momentgen_ratio(ctx: _Context, sector: Sector):
     grid = np.linspace(-2.0, 2.0, 21)
     # s down the rows, l across the columns
-    exact, approx = expect_expJ(grid[:, None], PhasePoint(grid, 0.0), sector, ctx.ctl)
+    exact, approx = expect_expJ(grid[:, None], PhasePoint(grid, 0.0), sector)
     return np.abs(exact / approx - 1.0)
 
 
 def _boson_distributions(ctx: _Context):
     """(l, energy_distribution) for 21 boson points l in [0, 1]."""
     ls = [float(l) for l in np.linspace(0.0, 1.0, 21)]
-    return [
-        (l, energy_distribution(PhasePoint(l, 0.0), Sector.BOSON, jmax=12, ctl=ctx.ctl)) for l in ls
-    ]
+    return [(l, energy_distribution(PhasePoint(l, 0.0), Sector.BOSON, jmax=12)) for l in ls]
 
 
 def _check_energy_distribution_gaussian(ctx: _Context):
@@ -563,14 +554,14 @@ def _heisenberg_grid():
 
 def _heisenberg_approx_gaps(ctx: _Context, sector: Sector, which: str):
     p, t = _heisenberg_grid()
-    exact = heisenberg_expectations(p, t, sector, ctx.ctl)[which]
+    exact = heisenberg_expectations(p, t, sector)[which]
     return np.abs(exact - heisenberg_approximation(p, t)[which])
 
 
 def _check_heisenberg_relative_phase(ctx: _Context, sector: Sector):
     p, t = _heisenberg_grid()
-    num = heisenberg_expectations(p, t, sector, ctx.ctl)["U_t"]
-    den = heisenberg_expectations(PhasePoint(0.0, 0.0), t, sector, ctx.ctl)["U_t"]
+    num = heisenberg_expectations(p, t, sector)["U_t"]
+    den = heisenberg_expectations(PhasePoint(0.0, 0.0), t, sector)["U_t"]
     return np.abs(np.angle((num / den) * np.exp(-1j * (p.phi + t * p.l))))
 
 
@@ -696,7 +687,7 @@ def _check_bargmann_functional_actions(ctx: _Context, sector: Sector):
 
 
 def _kernel_identity_gap(ctx: _Context, p1: PhasePoint, p2: PhasePoint, sector: Sector) -> float:
-    res = kernel_identity_check(p1, p2, sector, ctx.quad, ctx.ctl)
+    res = kernel_identity_check(p1, p2, sector, ctx.quad)
     return abs(res["rhs"] - res["lhs"])
 
 
@@ -715,7 +706,7 @@ def _check_kernel_identity_random(ctx: _Context, sector: Sector):
 
 def _check_kernel_reproducing(ctx: _Context, sector: Sector):
     return [
-        abs(reproducing_apply(s, p, sector, ctx.quad, ctx.ctl) - evaluate(s, p))
+        abs(reproducing_apply(s, p, sector, ctx.quad) - evaluate(s, p))
         for s in _small_basis(ctx, sector, 3.0)
         for p in (PhasePoint(0.3, 1.1), PhasePoint(-0.5, 4.0))
     ]
@@ -724,7 +715,7 @@ def _check_kernel_reproducing(ctx: _Context, sector: Sector):
 def _check_kernel_cross_sector(ctx: _Context, sector: Sector):
     other = Sector.FERMION if sector is Sector.BOSON else Sector.BOSON
     return [
-        abs(reproducing_apply(s, p, sector, ctx.quad, ctx.ctl))
+        abs(reproducing_apply(s, p, sector, ctx.quad))
         for s in _small_basis(ctx, other, 2.5)
         for p in (PhasePoint(0.2, 0.9), PhasePoint(-0.4, 3.3))
     ]
@@ -786,15 +777,15 @@ def _check_kernel_symmetry(ctx: _Context, sector: Sector):
         p2 = _random_point(rng, 1.0)
         w12 = complex(-(p1.l + p2.l), p2.phi - p1.phi)
         w21 = complex(-(p1.l + p2.l), p1.phi - p2.phi)
-        k12 = complex(gaussian_lattice_sum(w12, half=half, ctl=ctx.ctl))
-        k21 = complex(_unpaired_lattice_sum(-1.0 + 0.0j, w21, half, ctx.ctl))
+        k12 = complex(gaussian_lattice_sum(w12, half=half))
+        k21 = complex(_unpaired_lattice_sum(-1.0 + 0.0j, w21, half))
         errors.append(_rel_gap(k21.conjugate(), k12))
     return errors
 
 
 def _check_covariant_symbol(ctx: _Context):
     def symbol(matrix, p, sector):
-        return covariant_symbol(matrix, p, sector, ctx.ctl)["symbol"]
+        return covariant_symbol(matrix, p, sector)["symbol"]
 
     p = PhasePoint(0.4, 1.3)
     gaps = [

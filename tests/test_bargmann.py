@@ -33,7 +33,7 @@ from circle_cs.hilbert import (
     inner,
     operator_matrix,
 )
-from circle_cs.theta import DEFAULT_CONTROL, SeriesControl, _pair_count, gaussian_lattice_sum
+from circle_cs.theta import SeriesControl, _pair_count, gaussian_lattice_sum
 
 TR = Truncation(40)
 QUAD = Quadrature(40, 64)
@@ -324,7 +324,7 @@ def _kernel_on_grid_reference(p, quad, sector, conjugate_point):
 
 
 def _engine_kernel(p, quad, sector, conjugate_point):
-    values = _kernel_values(p, sector, quad, DEFAULT_CONTROL)
+    values = _kernel_values(p, sector, quad)
     return np.conj(values) if conjugate_point else values
 
 

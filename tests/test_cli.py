@@ -2,25 +2,33 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from circle_cs import cli
 from circle_cs.bargmann import MAX_N_L, MAX_N_PHI
 from circle_cs.coherent import PhasePoint, coherent_state
 from circle_cs.errors import ConfigError
 from circle_cs.hilbert import MAX_TWO_JMAX, Sector, Truncation, state_from_json, state_to_json
-from circle_cs.theta import _BLOCK_TERMS
-from circle_cs.verify import CONFIG_CAPS, validate_config
+from circle_cs.verify import CONFIG_CAPS, DEFAULT_CONFIG, validate_config
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# as in test_overflow: keep hypothesis's constant cache out of the checkout
+set_hypothesis_home_dir(pathlib.Path(tempfile.gettempdir()) / "circle-cs-hypothesis")
 
 
 def run_cli(*args: str):
@@ -58,6 +66,16 @@ def test_theta_prints_real_value(run):
     assert res.stdout == "1.00010345\n"
     # v = 1e17 is an even integer, which the reduction takes off exactly
     assert run("theta", "--kind", "3", "--v", "1e17").stdout == "1.00010345\n"
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("--kind", "2", "--tau-im", "1e308"), "0"),
+    (("--kind", "4", "--v-im", "1e154", "--tau-im", "1e300"), "1"),
+])
+def test_theta_at_the_edge_of_the_double_range(argv, value, run):
+    # the pair count's root once overflowed here (a bare ValueError and OverflowError)
+    res = run("theta", *argv)
+    assert (res.returncode, res.stdout, res.stderr) == (0, value + "\n", "")
 
 
 def test_theta_prints_complex_value(run):
@@ -403,11 +421,14 @@ def test_distribution_fermion_needs_flag(run):
 
 
 def test_verify_rejects_unknown_config_key(tmp_path, run):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text('{"bogus": 1}')
-    res = run("verify", "--config", str(cfg))
-    assert res.returncode == 2
-    assert "unknown config keys" in res.stderr
+    # the series tolerance is no config key: the battery sums at DEFAULT_CONTROL
+    assert sorted(DEFAULT_CONFIG) == ["n_l", "n_phi", "random_cases", "seed", "two_jmax"]
+    for key in ("bogus", "series_tol"):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: 1e-14}))
+        res = run("verify", "--config", str(cfg))
+        assert res.returncode == 2
+        assert res.stderr == f"error: unknown config keys: {key}\n"
 
 
 def test_verify_rejects_oversized_window(tmp_path, run):
@@ -419,15 +440,9 @@ def test_verify_rejects_oversized_window(tmp_path, run):
     assert "two_jmax must be an integer in [2, 600], got 30000" in res.stderr
 
 
-# the window, series and quadrature caps are those of Truncation,
-# SeriesControl and Quadrature, the rest the battery's CONFIG_CAPS
-ALL_CAPS = {
-    **CONFIG_CAPS,
-    "two_jmax": MAX_TWO_JMAX,
-    "series_n_max": _BLOCK_TERMS,
-    "n_l": MAX_N_L,
-    "n_phi": MAX_N_PHI,
-}
+# the window and quadrature caps are those of Truncation and Quadrature,
+# the rest the battery's CONFIG_CAPS
+ALL_CAPS = {**CONFIG_CAPS, "two_jmax": MAX_TWO_JMAX, "n_l": MAX_N_L, "n_phi": MAX_N_PHI}
 
 
 @pytest.mark.parametrize("key", sorted(ALL_CAPS))
@@ -443,9 +458,9 @@ def test_verify_config_caps(key):
     "tol", [0, 1.0, -1e-14, 10**400, float("nan"), True, "1e-14", None, [1e-14], {}]
 )
 def test_verify_config_series_tol_range(tol):
-    # SeriesControl alone judges it: an int past the double range is refused, not
-    # converted, and so is every JSON value that is not one number
-    with pytest.raises(ConfigError, match=r"^series_tol must lie in \(0, 1\), got "):
+    # the key left the config (SeriesControl judges a tolerance, test_theta):
+    # it is refused as a key, before any value check, whatever its value
+    with pytest.raises(ConfigError, match=r"^unknown config keys: series_tol$"):
         validate_config({"series_tol": tol})
 
 
@@ -465,7 +480,6 @@ def test_verify_config_quadrature_orders(overrides, message):
 
 @pytest.mark.parametrize("key, value, message", [
     ("two_jmax", 40.0, "two_jmax must be an integer in [2, 600], got 40.0"),
-    ("series_n_max", 200.5, "series_n_max must be an integer in [1, 65536], got 200.5"),
     ("seed", 7.0, "seed must be an integer >= 0, got 7.0"),
     ("seed", -1, "seed must be an integer >= 0, got -1"),
     ("random_cases", True, "random_cases must be an integer in [1, 10000], got True"),
@@ -557,3 +571,71 @@ def test_uncertainty_past_the_double_range_exits_2(run):
     res = run("expect", "--l", "-1000", "--obs", "QP")
     assert res.returncode == 2
     assert res.stderr == "error: uncertainty bound at l = -1000.0 exceeds the floating-point range\n"
+
+
+# ------------------------------------------------------------ argv fuzz
+
+# The values drawn for a numeric option: the ends of the double range,
+# subnormals, -0.0, the reach and overflow edges of the library, NaN and
+# inf, and each cap +-1 with ints far past them.  A cap is tested by
+# refusal only: scan's --n takes its cap + 1, never a grid of a million points.
+FUZZ_FLOATS = [
+    repr(x)
+    for x in (1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, -0.0,
+              1e17, 1e154, 1e300, 700.0, -700.0, 37.42, 0.5, 3.0, math.nan, math.inf)
+]
+FUZZ_INTS = [str(n) for n in (-1, 0, 1, 2, 3, 12, 2**63, 10**400, cli.MAX_SCAN_POINTS + 1)]
+# --digits, evolve's --two-jmax and distribution's --jmax, whose window is 2 jmax
+FUZZ_CAPS = (cli.MAX_DIGITS, MAX_TWO_JMAX, MAX_TWO_JMAX // 2)
+FUZZ_INTS += [str(cap + d) for cap in FUZZ_CAPS for d in (-1, 1)]
+# text options are output paths, relative to the test's own directory
+FUZZ_TEXT = ["-", "out.txt"]
+
+
+def _fuzz_argv(data) -> list[str]:
+    """A command of the parser's own subcommands (all but verify) and options, with drawn values.
+
+    Required options always come, the others half the time; a value is
+    drawn from the option's choices, else by its type.
+    """
+    (commands,) = (
+        a for a in cli._shared_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    name = data.draw(st.sampled_from(sorted(set(commands.choices) - {"verify"})))
+    argv = [name]
+    for action in commands.choices[name]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if not action.required and not data.draw(st.booleans()):
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs == 0:  # a flag
+            continue
+        if action.choices is not None:
+            values = [str(choice) for choice in action.choices]
+        else:
+            values = {int: FUZZ_INTS, float: FUZZ_FLOATS}.get(action.type, FUZZ_TEXT)
+        argv.append(data.draw(st.sampled_from(values)))
+    return argv
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_every_command_the_parser_builds_exits_0_2_or_3(data, tmp_path, monkeypatch, capsys):
+    # a new option is drawn without a test edit; verify's config gate has its own tests
+    monkeypatch.chdir(tmp_path)
+    argv = _fuzz_argv(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a value
+            code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3), argv

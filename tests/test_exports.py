@@ -1,10 +1,11 @@
 """The package namespace is the union of the five layers' __all__ lists,
-and the one overflow limit, the one window cap and the one number gate
-are each named in one layer."""
+and the one overflow limit, the one window cap, the one number gate and
+the one series control are each named in one layer."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import pathlib
 
 import circle_cs
@@ -43,3 +44,23 @@ def test_the_window_cap_is_named_in_hilbert_alone():
 def test_the_number_gate_is_named_in_theta_alone():
     # every layer takes numbers from outside through theta._number and theta._integer
     assert _readers("_SCALARS") == ["theta.py"]
+
+
+def test_the_series_control_is_named_in_theta_alone():
+    # the coherent and Bargmann layers sum at moduli the paper fixes (i/pi and
+    # i pi), so only the functions whose tau the caller chooses take a ctl
+    assert _readers("SeriesControl") == ["theta.py"]
+    takers = sorted(
+        name
+        for name in circle_cs.__all__
+        if callable(value := getattr(circle_cs, name))
+        and not inspect.isclass(value)
+        and "ctl" in inspect.signature(value).parameters
+    )
+    assert takers == [
+        "modular_image_theta2",
+        "modular_image_theta3",
+        "theta",
+        "theta2_via_half_period_shift",
+        "theta_log_derivative",
+    ]

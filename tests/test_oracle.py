@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -377,6 +378,37 @@ def test_theta_log_derivative_far_out_within_the_reduced_bound(kind, tau, vs):
             assert float(abs(mp.mpc(result) - reference)) <= bound, v
 
 
+
+def exact_reduce(v: complex, tau: complex) -> tuple[int, mp.mpc]:
+    """(k, r) with v = r + k tau + 2j exactly and |Im r| <= Im tau / 2.
+
+    k is a Python int and r is rounded to 50 digits only at the end.
+    """
+    im_v, im_tau = Fraction(v.imag), Fraction(tau.imag)
+    k = math.floor(im_v / im_tau + Fraction(1, 2))
+    re_r = Fraction(v.real) - k * Fraction(tau.real)
+    re_r -= 2 * math.floor(re_r / 2 + Fraction(1, 2))
+    im_r = im_v - k * im_tau
+    re_r, im_r = (mp.mpf(x.numerator) / x.denominator for x in (re_r, im_r))
+    return k, mp.mpc(re_r, im_r)
+
+
+@pytest.mark.parametrize("tau", [1j * math.pi, 1j, 0.3 + 0.8j], ids=["i*pi", "i", "0.3+0.8i"])
+@pytest.mark.parametrize("kind", [3, 4])
+def test_log_derivative_far_off_the_real_line_keeps_the_quasi_period_law(kind, tau):
+    # |Im v| / Im tau past 2^53, where k Im tau rounded once left |Im r| far above
+    # Im tau / 2: L(v) = L(r) - 2 pi i k with k and r exact, within the reduced bound
+    vs = [complex(0.2, y) for y in (1e10, 1e16, 1e17, 1e18, 1e20, 1e50, 1e100, 1e300)]
+    values = theta_log_derivative(kind, ThetaArg(np.array(vs), tau))
+    for v, value in zip(vs, values):
+        k, r = exact_reduce(v, tau)
+        reference = jtheta_log_derivative(kind, r, tau) - 2j * mp.pi * k
+        bound = moment_ratio_bound(kind, complex(r), tau) + 8.0 * EPS * 2.0 * math.pi * abs(k)
+        for result in (value, theta_log_derivative(kind, ThetaArg(v, tau))):
+            assert cmath.isfinite(result)
+            assert float(abs(mp.mpc(result) - reference)) <= bound, v
+
+
 J_GRID = np.concatenate([np.linspace(-20.0, 20.0, 81), [1e-3, 0.25, -0.37, 3.3, -7.77]])
 
 
@@ -423,7 +455,7 @@ def test_kernel_node_values_match_nsum(sector):
     # K(xi*, gamma) = sum_j exp(j w - j^2), w = l_gamma + l_xi + i (phi_xi - phi_gamma)
     quad, p = Quadrature(40, 64), PhasePoint(0.4, 1.1)
     offset = mp.mpf(0.5) if sector is Sector.FERMION else 0
-    values = _kernel_values(p, sector, quad, DEFAULT_CONTROL)
+    values = _kernel_values(p, sector, quad)
     l_nodes, phi_nodes, _ = quad.nodes()
     for i, k in ((27, 13), (39, 3)):  # an inner node and the outermost one, l = 8.1
         w = mp.mpf(p.l) + mp.mpf(l_nodes[i]) + 1j * (mp.mpf(phi_nodes[k]) - mp.mpf(p.phi))

@@ -159,9 +159,11 @@ def test_inversion_prefactor_past_the_range_is_typed(image):
 
 
 def test_half_period_factor_past_the_range_is_typed():
-    # e^(i pi (tau/4 + v)) = e^(230 pi) while theta_3(v + tau/2) stays small
-    with pytest.raises(RangeOverflowError, match="half-period"):
-        theta2_via_half_period_shift(-480j, 1000j)
+    # e^(i pi (tau/4 + v)) = e^(230 pi) while theta_3(v + tau/2) stays small;
+    # at the second point pi (tau/4 + v) itself passes the double range
+    for v, tau in ((-480j, 1000j), (-1e308j, 1.7e308j)):
+        with pytest.raises(RangeOverflowError, match="half-period"):
+            theta2_via_half_period_shift(v, tau)
 
 
 @pytest.mark.parametrize("function", [theta, theta_log_derivative])
@@ -279,6 +281,9 @@ reals = st.one_of(
     st.floats(-60.0, 60.0),
 )
 SMALL = Truncation(20)
+# the battery's moduli, then Re tau far past 1 and Im tau at the ends of the double range
+TAUS = [I_PI, 1j / math.pi, 0.3 + 0.8j, 1000j, 2.0**52 + 1j, 1e308 + 0.5j, -1e308 + 0.5j]
+TAUS += [1e300j, 1.7e308j, 1e-320j]
 
 
 def _two_slot_state(sector: Sector, a: float, b: complex) -> StateVector:
@@ -353,7 +358,7 @@ def _parts(result):
         v=st.builds(complex, reals, reals),
         eta=reals,
         sector=st.sampled_from([BOSON, FERMION]),
-        tau=st.sampled_from([I_PI, 1j / math.pi, 0.3 + 0.8j, 1000j]),
+        tau=st.sampled_from(TAUS),
     )
 )
 def test_finite_inputs_give_finite_values_or_typed_errors(name, x):

@@ -225,9 +225,10 @@ def test_peak_overflow_raises():
 
 
 def test_truncation_budget_exhaustion_raises():
+    # theta_3(0 | 0.01i) needs 33 term pairs
     ctl = SeriesControl(tol=1e-14, n_max=3)
-    with pytest.raises(ConvergenceError):
-        gaussian_lattice_sum(12.0, ctl=ctl)
+    with pytest.raises(ConvergenceError, match="past the cap 3$"):
+        theta(3, ThetaArg(0.0, 0.01j), ctl)
 
 
 def test_series_control_validation():
@@ -271,8 +272,11 @@ def test_a_numpy_window_equals_the_python_one():
     assert hash(Truncation(np.int64(40))) == hash(Truncation(40))
 
 
-@pytest.mark.parametrize("tol", ["1e-14", None, [1e-14], 1e-14j, np.array([1e-14])], ids=repr)
+@pytest.mark.parametrize("tol", [
+    0, 1.0, -1e-14, 10**400, math.nan, True, "1e-14", None, [1e-14], {}, 1e-14j, np.array([1e-14])
+], ids=repr)
 def test_series_tol_refuses_what_is_not_one_real_number(tol):
+    # an int past the double range is refused, not converted
     with pytest.raises(DomainError, match=r"^series_tol must lie in \(0, 1\), got "):
         SeriesControl(tol=tol)
 
@@ -306,8 +310,9 @@ def test_long_ladders_stay_out_of_the_cache():
 
 
 def test_tight_tolerance_still_converges():
-    loose = complex(gaussian_lattice_sum(3.0))
-    tight = complex(gaussian_lattice_sum(3.0, ctl=SeriesControl(tol=1e-30, n_max=100)))
+    arg = ThetaArg(0.3 + 0.01j, 0.05j)
+    loose = theta(3, arg)
+    tight = theta(3, arg, SeriesControl(tol=1e-30, n_max=100))
     assert abs(loose - tight) <= 1e-14 * abs(tight)
 
 
@@ -466,6 +471,31 @@ def test_centred_sum_takes_the_same_pairs_far_out():
             assert theta_log_derivative(3, ThetaArg(v + k * tau, tau)) == pytest.approx(
                 theta_log_derivative(3, ThetaArg(v, tau)) - 2j * math.pi * k, rel=1e-14, abs=1e-14
             )
+
+
+@pytest.mark.parametrize("k", [1, 20, 40, 52])
+def test_theta_has_period_two_in_tau_bit_for_bit(k):
+    # tau = i + 2^k is reduced by c = 2^(k-1) periods of 2 exactly: theta_3,
+    # theta_4 and both log-derivatives keep their bits, theta_2 gains i^c
+    rng = np.random.default_rng(k)
+    v = rng.uniform(-3.0, 3.0, 301) + 1j * rng.uniform(-1.0, 1.0, 301)
+    far, near = ThetaArg(v, 1j + 2.0**k), ThetaArg(v, 1j)
+    turn = (1, 1j, -1, -1j)[2 ** (k - 1) % 4]
+    assert np.array_equal(theta(2, far), theta(2, near) * turn)
+    for kind in (3, 4):
+        assert np.array_equal(theta(kind, far), theta(kind, near))
+        assert np.array_equal(theta_log_derivative(kind, far), theta_log_derivative(kind, near))
+    # theta_2 by the half-period shift reduces tau the same way
+    shifted = theta2_via_half_period_shift(v, 1j + 2.0**k)
+    assert np.array_equal(shifted, theta2_via_half_period_shift(v, 1j) * turn)
+
+
+def test_log_derivative_at_the_top_of_the_double_range():
+    # k = 2, where Im v - Im r would overflow; at r only the m = 0 term survives
+    for kind in (3, 4):
+        for sign in (1.0, -1.0):
+            value = theta_log_derivative(kind, ThetaArg(sign * 1.79e308j, 1e308j))
+            assert value == -sign * 4j * math.pi
 
 
 def test_log_derivative_computes_the_origin_value_once():
