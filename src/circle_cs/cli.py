@@ -204,7 +204,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.hamiltonian == "linear":
         payload["omega"] = args.omega
     print(_json_line(payload, args.digits))
-    if args.out is not None:
+    if args.out == "-":  # after the summary line, as the second line of stdout
+        sys.stdout.write(state_to_json(evolved) + "\n")
+    elif args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(state_to_json(evolved) + "\n")
     return 0
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega", type=float, default=1.0, help="frequency for --hamiltonian linear")
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--two-jmax", type=int, default=40, help="window half-width in units of 1/2")
-    sp.add_argument("--out", help="write the evolved state as JSON to this path")
+    sp.add_argument("--out", help="write the evolved state as JSON to this path, or - for stdout")
     add_digits(sp)
     sp.set_defaults(func=_cmd_evolve)
 

@@ -88,12 +88,15 @@ class PhasePoint:
     def __post_init__(self) -> None:
         l = _number(self.l, float, _NOT_FINITE)
         phi = _number(self.phi, float, _NOT_FINITE)
-        try:
-            shape = np.broadcast(l, phi).shape
-        except ValueError:
-            raise DomainError(
-                f"l of shape {np.shape(l)} and phi of shape {np.shape(phi)} do not broadcast"
-            ) from None
+        if type(l) is float and type(phi) is float:  # _number's scalars: one point
+            shape = ()
+        else:
+            try:
+                shape = np.broadcast(l, phi).shape
+            except ValueError:
+                raise DomainError(
+                    f"l of shape {np.shape(l)} and phi of shape {np.shape(phi)} do not broadcast"
+                ) from None
         # float % and np.remainder round alike.  The remainder of a negative phi
         # above -4.4e-16 rounds up to 2*pi; the second maps it to 0, the nearest
         # angle in [0, 2*pi), and keeps every other remainder bit for bit

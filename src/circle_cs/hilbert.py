@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -116,9 +117,16 @@ class Truncation:
         """Slot of 2j in the window, or an array of slots for an array of 2j.
 
         Raises ParityError or WindowError for the first offending entry,
-        the parity test first.
+        the parity test first.  A Python int takes scalar math; anything
+        else (a bool, a NumPy integer, an array) goes through numpy.
         """
         start = _lowest_two_j(self.two_jmax, sector.parity)
+        if type(two_j) is int:
+            if two_j % 2 != sector.parity:
+                raise ParityError(f"2j = {two_j} does not match the {sector.value} sector")
+            if not start <= two_j <= -start:
+                raise WindowError(f"2j = {two_j} outside window |2j| <= {self.two_jmax}")
+            return (two_j - start) // 2
         # 1-d, since on a 0-d object array (a 2j past int64) the tests give Python bools
         keys = np.array(two_j, ndmin=1)
         wrong_parity = keys % 2 != sector.parity
@@ -147,12 +155,12 @@ class StateVector:
     leakage: float = 0.0
 
     def __post_init__(self) -> None:
+        size = self.trunc.size(self.sector)
         coeffs = np.array(self.coeffs, dtype=np.complex128)  # always a private copy
-        if coeffs.ndim != 1 or len(coeffs) != self.trunc.size(self.sector):
-            raise DomainError(
-                f"expected {self.trunc.size(self.sector)} coefficients, got shape {coeffs.shape}"
-            )
-        if not np.isfinite(coeffs).all():
+        if coeffs.shape != (size,):
+            raise DomainError(f"expected {size} coefficients, got shape {coeffs.shape}")
+        # count_nonzero: the cheapest "every entry is finite" on a window-sized array
+        if np.count_nonzero(np.isfinite(coeffs)) != size:
             raise DomainError("state coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
@@ -198,13 +206,13 @@ _COEFF_OVERFLOW = (
 
 
 def _shift_up(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-    out = np.zeros_like(coeffs)
+    out = np.zeros(coeffs.shape, coeffs.dtype)
     out[1:] = coeffs[:-1]
     return out, float(abs(coeffs[-1]))
 
 
 def _shift_down(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-    out = np.zeros_like(coeffs)
+    out = np.zeros(coeffs.shape, coeffs.dtype)
     out[:-1] = coeffs[1:]
     return out, float(abs(coeffs[0]))
 
@@ -296,21 +304,22 @@ def operator_matrix(kind: str, sector: Sector, trunc: Truncation) -> np.ndarray:
     return m
 
 
+# json.dumps with sorted keys writes each float with float.__repr__, as %r does
+_JSON_SLOT = '{"im": %r, "re": %r, "two_j": %d}'
+_JSON_TAIL = '], "leakage": %r, "sector": "%s", "two_jmax": %d}'
+
+
 def state_to_json(s: StateVector) -> str:
-    """Serialize to JSON: sector tag, window, leakage, {two_j, re, im} array."""
-    # keys in sorted order, so the text is that of json.dumps(..., sort_keys=True)
-    payload = {
-        "coeffs": [
-            {"im": im, "re": re, "two_j": t}
-            for t, re, im in zip(
-                s.two_j_values().tolist(), s.coeffs.real.tolist(), s.coeffs.imag.tolist()
-            )
-        ],
-        "leakage": s.leakage,
-        "sector": s.sector.value,
-        "two_jmax": s.trunc.two_jmax,
-    }
-    return json.dumps(payload)
+    """Serialize to JSON: sector tag, window, leakage, {two_j, re, im} array.
+
+    The text is that of json.dumps with sorted keys, written with one %:
+    the slot template once per slot, inside the outer object.
+    """
+    c = s.coeffs
+    slots = zip(c.imag.tolist(), c.real.tolist(), s.two_j_values().tolist())
+    template = '{"coeffs": [' + ", ".join([_JSON_SLOT] * len(c)) + _JSON_TAIL
+    values = (*itertools.chain.from_iterable(slots), s.leakage, s.sector.value, s.trunc.two_jmax)
+    return template % values
 
 
 def state_from_json(text: str) -> StateVector:
@@ -320,9 +329,10 @@ def state_from_json(text: str) -> StateVector:
         two_jmax = payload["two_jmax"]
         leakage = payload.get("leakage", 0.0)  # StateVector checks it
         entries = payload["coeffs"]
-        keys = [
-            _integer(e["two_j"], -math.inf, math.inf, "two_j must be an integer") for e in entries
-        ]
+        keys = [e["two_j"] for e in entries]
+        # JSON gives an int only for an integer literal: 2.0, 1e3 and true are refused
+        if not {*map(type, keys)} <= {int}:
+            raise DomainError("two_j must be an integer")
         values = [complex(e["re"], e["im"]) for e in entries]
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc
@@ -334,5 +344,5 @@ def state_from_json(text: str) -> StateVector:
     slots = trunc.index_of(sector, keys)
     coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
     # a repeated 2j is assigned in document order, so its last value stays
-    coeffs[slots] = np.array(values, dtype=np.complex128)
+    coeffs[slots] = values
     return StateVector(sector, trunc, coeffs, leakage)

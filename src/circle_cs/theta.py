@@ -130,12 +130,12 @@ class SeriesControl:
     n_max: int = 200
 
     def __post_init__(self) -> None:
-        message = "series_tol must lie in (0, 1), got {value!r}"
+        message = "tol must lie in (0, 1), got {value!r}"
         tol = _number(self.tol, float, message, arrays=False)
         if not 0.0 < tol < 1.0:
             raise DomainError(message.format(value=self.tol))
         object.__setattr__(self, "tol", tol)
-        message = "series_n_max must be an integer in [{low}, {high}], got {value!r}"
+        message = "n_max must be an integer in [{low}, {high}], got {value!r}"
         object.__setattr__(self, "n_max", _integer(self.n_max, 1, _BLOCK_TERMS, message))
 
 

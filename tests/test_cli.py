@@ -20,7 +20,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from circle_cs import cli
 from circle_cs.bargmann import MAX_N_L, MAX_N_PHI
-from circle_cs.coherent import PhasePoint, coherent_state
+from circle_cs.coherent import FreeRotor, PhasePoint, coherent_state, evolve
 from circle_cs.errors import ConfigError
 from circle_cs.hilbert import MAX_TWO_JMAX, Sector, Truncation, state_from_json, state_to_json
 from circle_cs.verify import CONFIG_CAPS, DEFAULT_CONFIG, validate_config
@@ -329,6 +329,26 @@ def test_evolve_linear_summary_and_state_file(tmp_path, run):
     assert payload["leakage"] == 0.0
     state = state_from_json(out.read_text())
     assert state.norm() == payload["norm"] or abs(state.norm() - payload["norm"]) < 1e-8
+
+
+def test_evolve_out_dash_prints_the_state(tmp_path, run, monkeypatch):
+    # "-" means stdout, as for scan and distribution: no file named "-"
+    monkeypatch.chdir(tmp_path)
+    argv = ("evolve", "--l", "0.3", "--t", "1", "--sector", "fermion")
+    res = run(*argv, "--out", "-")
+    assert res.returncode == 0
+    assert list(tmp_path.iterdir()) == []
+    summary, text = res.stdout.splitlines()
+    assert summary == run(*argv).stdout.strip()
+    state = coherent_state(PhasePoint(0.3, 0.0), Sector.FERMION, Truncation(40))
+    evolved = evolve(state, FreeRotor(), 1.0)
+    back = state_from_json(text)
+    assert back.sector is evolved.sector and back.trunc == evolved.trunc
+    assert back.coeffs.tobytes() == evolved.coeffs.tobytes()
+    assert repr(back.leakage) == repr(evolved.leakage)
+    assert text == state_to_json(evolved)
+    readme = " ".join((DATA.parent.parent / "README.md").read_text(encoding="utf-8").split())
+    assert "`--out -` prints that state as the second line of stdout" in readme
 
 
 def test_evolve_free_conserves_j(run):

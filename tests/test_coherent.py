@@ -73,14 +73,18 @@ SCALAR_COORDINATES = [
 @pytest.mark.parametrize("value", SCALAR_COORDINATES, ids=repr)
 def test_scalar_phase_point_matches_the_0d_array_route(value):
     """A scalar stores bit for bit what the same value as a 0-d array stores."""
-    # the 0-d array path is the reference; it stores floats too
+    # the 0-d array path is the reference; it stores floats too.  A one-point
+    # grid still takes np.broadcast, which two floats skip
     for l, phi in ((value, 0.5), (0.5, value), (value, value)):
         scalar = PhasePoint(l, phi)
         array = PhasePoint(np.asarray(l, dtype=float), np.asarray(phi, dtype=float))
+        grid = PhasePoint(np.full(1, l, dtype=float), np.full(1, phi, dtype=float))
         assert type(scalar.l) is float and type(scalar.phi) is float
         assert scalar.shape == array.shape == ()
-        assert np.float64(scalar.l).tobytes() == np.float64(array.l).tobytes()
-        assert np.float64(scalar.phi).tobytes() == np.float64(array.phi).tobytes()
+        assert grid.shape == (1,)
+        for point in (array, grid):
+            assert np.float64(scalar.l).tobytes() == np.asarray(point.l, float).tobytes()
+            assert np.float64(scalar.phi).tobytes() == np.asarray(point.phi, float).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(math.nan)])

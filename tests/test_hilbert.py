@@ -87,6 +87,23 @@ def test_index_of_an_array_matches_the_scalar_slots():
         t.index_of(Sector.BOSON, np.array([0, 10, 3]))
 
 
+@pytest.mark.parametrize("sector", list(Sector), ids=lambda s: s.value)
+@pytest.mark.parametrize("two_jmax", [6, 7])
+def test_index_of_a_python_int_matches_the_array_path(sector, two_jmax):
+    t = Truncation(two_jmax)
+    edges = (two_jmax + 1, 2**63 + 1, 10**30)
+    for key in [*range(-two_jmax, two_jmax + 1), *edges, *(-k for k in edges)]:
+        try:
+            expected = t.index_of(sector, np.array([key]))[0]
+        except (ParityError, WindowError) as exc:
+            with pytest.raises(type(exc)) as info:
+                t.index_of(sector, key)
+            assert str(info.value) == str(exc)
+        else:
+            slot = t.index_of(sector, key)
+            assert type(slot) is int and slot == expected
+
+
 def test_basis_state_is_unit():
     s = basis_state(Sector.FERMION, 1.5, TR)
     assert s.norm() == 1.0

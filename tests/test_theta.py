@@ -242,14 +242,14 @@ def test_series_pair_cap_is_the_block_size():
     cap = theta_module._BLOCK_TERMS
     assert SeriesControl(n_max=cap).n_max == cap == 65536
     for n_max in (0, cap + 1, 10**6, math.nan):
-        with pytest.raises(DomainError, match=r"^series_n_max must be an integer in \[1, 65536\]"):
+        with pytest.raises(DomainError, match=r"^n_max must be an integer in \[1, 65536\]"):
             SeriesControl(n_max=n_max)
 
 
 # each integer a type holds, and how to read it back
 INTEGER_FIELDS = {
     "two_jmax": lambda n: Truncation(n).two_jmax,
-    "series_n_max": lambda n: SeriesControl(n_max=n).n_max,
+    "n_max": lambda n: SeriesControl(n_max=n).n_max,
     "n_l": lambda n: Quadrature(n, 64).n_l,
     "n_phi": lambda n: Quadrature(40, n).n_phi,
 }
@@ -277,7 +277,7 @@ def test_a_numpy_window_equals_the_python_one():
 ], ids=repr)
 def test_series_tol_refuses_what_is_not_one_real_number(tol):
     # an int past the double range is refused, not converted
-    with pytest.raises(DomainError, match=r"^series_tol must lie in \(0, 1\), got "):
+    with pytest.raises(DomainError, match=r"^tol must lie in \(0, 1\), got "):
         SeriesControl(tol=tol)
 
 
