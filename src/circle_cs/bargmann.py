@@ -30,9 +30,9 @@ Function values on the node grid factor as
 
 and on the uniform double-cover nodes e^(i*j*phi_k) =
 e^(2*pi*i*(2j mod n_phi)*k/n_phi) is an exact DFT, so the angular sum is
-one inverse FFT per l node.  The nodes, weights, E_l and the DFT bins
-are built on first use and held read-only in bounded caches keyed by
-the quadrature orders (and sector and window for the factors).
+one inverse FFT per l node.  The nodes, weights, E_l, the DFT bins and
+G (below) are built on first use and held read-only in bounded caches
+keyed by the quadrature orders (and sectors and windows for the rest).
 
 Operators act on f through the state: hilbert.apply_operator and
 apply_time_reversal realize J, U, Udag, X, Xdag and T, whose functional
@@ -47,16 +47,17 @@ forms (D_s the dilation (D_s f)(xi*) = f(e^s xi*)) are
 
 The reproducing kernel K(eta*, xi) = sum_n e^(-n^2) (eta* xi)^(-n) over
 the sector lattice is cut at the pair count P (theta._pair_count with
-drift |l_eta| + max |l_node|) that bounds every omitted term by the
-series tolerance at every node.  The kept terms are the function of a
-coherent state, so on the grid
+drift |l_eta| + the outermost node) that bounds every omitted term by the
+series tolerance at every node.  The kept terms are the function of the
+coherent state at eta, c_j = e^(j*(l - i*phi) - j^2/2) on |2j| <= 2P.
 
-    K(xi*, gamma) = grid_values(sector, 2P, c(gamma)),
-    K(eta*, xi)   = conj(grid_values(sector, 2P, c(eta))),
-
-with c_j(p) = e^(j*(l - i*phi) - j^2/2) on the window |2j| <= 2P: one
-engine call per point.  Single kernel values (the lhs of
-kernel_identity_check) are the closed-form overlap_closed.
+A quadrature sum of two such functions needs no node grid: over the
+double cover the angular sum is n_phi where 2j = 2j' (mod n_phi) and 0
+elsewhere, so sum W conj(f) g = c_f^H G c_g with the real Gram matrix
+G[j, j'] = sum_i n_phi W[i, 0] E_l[i, j] E_l[i, j'] on those pairs, cached
+per pair of windows and exactly 0 between sectors.  inner_quadrature,
+reproducing_apply and the rhs of kernel_identity_check are each one such
+sum; the lhs of kernel_identity_check is the closed-form overlap_closed.
 """
 
 from __future__ import annotations
@@ -204,6 +205,20 @@ def _factors(
     return _read_only(e_l, two_j % n_phi)
 
 
+# At most 16 Gram matrices of up to 601 x 601 doubles (two_jmax 600): 46 MB at
+# worst; the default battery's 13 take 0.11 MB.
+@functools.lru_cache(maxsize=16)
+def _gram(
+    n_l: int, n_phi: int, sector_a: Sector, two_a: int, sector_b: Sector, two_b: int
+) -> np.ndarray:
+    _, _, weights = _rule(n_l, n_phi)
+    e_a, bins_a = _factors(n_l, n_phi, sector_a, two_a)
+    e_b, bins_b = _factors(n_l, n_phi, sector_b, two_b)
+    gram = (n_phi * weights[:, 0] * e_a.T) @ e_b
+    gram[bins_a[:, None] != bins_b] = 0.0
+    return _read_only(gram)[0]
+
+
 def evaluate(f: StateVector, p: PhasePoint) -> complex:
     """f(xi*) at xi = e^(-l + i*phi); equals <xi|f> as a state overlap.
 
@@ -221,48 +236,52 @@ def evaluate(f: StateVector, p: PhasePoint) -> complex:
     return complex(np.sum(_exp(exponents, message, f.coeffs)))
 
 
+def _quadrature_sum(quad: Quadrature, sector_a, two_a, a, sector_b, two_b, b) -> complex:
+    """The quadrature of conj(grid of a) * grid of b as a^H G b; RangeOverflowError off range."""
+    gram = _gram(quad.n_l, quad.n_phi, sector_a, two_a, sector_b, two_b)
+    with np.errstate(over="ignore", invalid="ignore"):  # typed below
+        total = np.vdot(a, gram @ b)
+    if not np.isfinite(total):
+        raise RangeOverflowError("quadrature sum leaves the floating-point range")
+    return complex(total)
+
+
 def inner_quadrature(f: StateVector, g: StateVector, quad: Quadrature) -> complex:
     """Quadrature realization of <f|g> (conjugate-linear in f)."""
     if f.sector is not g.sector:
         raise DomainError("inner product requires matching sectors")
-    vf = quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
-    vg = quad.grid_values(g.sector, g.trunc.two_jmax, g.coeffs)
-    return quad.integrate(np.conj(vf), vg)
+    return _quadrature_sum(
+        quad, f.sector, f.trunc.two_jmax, f.coeffs, g.sector, g.trunc.two_jmax, g.coeffs
+    )
 
 
-def _kernel_values(p: PhasePoint, sector: Sector, quad: Quadrature) -> np.ndarray:
-    """K(xi*, gamma) at the nodes xi, gamma = p; its conjugate is K(gamma*, xi).
+def _kernel_coeffs(p: PhasePoint, sector: Sector, quad: Quadrature) -> tuple[int, np.ndarray]:
+    """(2P, c): K(xi*, gamma) = grid_values(sector, 2P, c) at the nodes xi, gamma = p.
 
-    The lattice sum is cut at the pair count P that bounds every omitted
-    term by DEFAULT_CONTROL.tol over the whole node span, and the kept
-    terms are the function of the coherent state at p on the window
-    |2j| <= 2P (for fermions that window holds |2j| <= 2P - 1).
+    P bounds every omitted term by DEFAULT_CONTROL.tol over the whole node
+    span; c are the coherent coefficients at p on |2j| <= 2P.
     """
     lv, _, _ = quad.nodes()
-    drift = abs(p.l) + float(np.abs(lv).max())
+    drift = abs(p.l) + float(lv[-1])
     trunc = Truncation(2 * _pair_count(1.0, drift, DEFAULT_CONTROL, sector is Sector.FERMION))
-    return quad.grid_values(sector, trunc.two_jmax, _coherent_coeffs(trunc.j_values(sector), p))
+    return trunc.two_jmax, _coherent_coeffs(trunc.j_values(sector), p)
 
 
 def reproducing_apply(f: StateVector, p: PhasePoint, sector: Sector, quad: Quadrature) -> complex:
     """Integral of K_sector(eta*, xi) f(xi*) over the measure, eta = p.
 
-    Reproduces f(eta*) when f lies in the kernel's sector and yields 0
-    (to quadrature accuracy) when f lies in the opposite sector: the
-    kernel acts as the projector onto its own sector.
+    Reproduces f(eta*) when f lies in the kernel's sector and yields
+    exactly 0 when f lies in the opposite sector: the kernel acts as the
+    projector onto its own sector.
 
-    Accuracy domain: for a basis state |j> the integrand reaches about
-    e^((l-j)^2/3 + j^2/2) times the value f(eta*), so rounding sets a
-    relative error of up to about 1e-16 times that, whatever the
-    quadrature orders.  For |l| <= 3 and |j| <= 3 it is below 1e-11; for
-    j = 1 at 40 x 64 it is 2e-13 at l = 6, 3e-10 at 8, 9e-6 at 10, and
-    the result is meaningless by l = 15.  No error marks that loss; only
-    an overflow raises RangeOverflowError (the kernel's, past |l| ~ 37.42).
+    Accuracy domain: no node values are formed, so the error is the Hermite
+    rule's on f's slots (G[j, j] - 1 at 40 nodes: 4e-15 at |j| = 4, 3e-9 at
+    5, 3e-5 at 6) plus rounding.  For j = 1 at 40 x 64 it is below 5e-16 at
+    l = 6, 8, 10 and 15.  RangeOverflowError past |l| ~ 37.42.
     """
     _single(p)
-    kernel = np.conj(_kernel_values(p, sector, quad))
-    values = quad.grid_values(f.sector, f.trunc.two_jmax, f.coeffs)
-    return quad.integrate(kernel, values)
+    two_k, kernel = _kernel_coeffs(p, sector, quad)
+    return _quadrature_sum(quad, sector, two_k, kernel, f.sector, f.trunc.two_jmax, f.coeffs)
 
 
 def kernel_identity_check(
@@ -274,15 +293,15 @@ def kernel_identity_check(
     K(xi_1*, xi) K(xi*, xi_2) over xi.  The two agree to quadrature
     accuracy because the kernel reproduces itself.
 
-    Accuracy domain: at 40 x 64 the relative gap is below 1e-10 for
-    |l_1|, |l_2| <= 2, and grows to about 4e-9 at 3 and 1e-6 at 4;
-    finer orders extend the range (at 100 x 128 it stays near 1e-13
-    up to 4).  No error marks that loss.
+    Accuracy domain: the Hermite rule's own limit.  At 40 x 64 the relative
+    gap is below 1e-10 for |l_1|, |l_2| <= 2 and reaches about 1.4e-8 at 3
+    and 6e-6 at 4; finer orders extend the range (at 100 x 128 it stays
+    below 2e-14 up to 4).  No error marks that loss.
     """
     lhs = overlap_closed(p1, p2, sector)
-    k1 = np.conj(_kernel_values(p1, sector, quad))
-    k2 = _kernel_values(p2, sector, quad)
-    return {"lhs": lhs, "rhs": quad.integrate(k1, k2)}
+    two_1, k1 = _kernel_coeffs(p1, sector, quad)
+    two_2, k2 = _kernel_coeffs(p2, sector, quad)
+    return {"lhs": lhs, "rhs": _quadrature_sum(quad, sector, two_1, k1, sector, two_2, k2)}
 
 
 def _window_for_matrix(shape: tuple[int, ...], sector: Sector) -> Truncation:

@@ -45,6 +45,9 @@ __all__ = [
 # double range (e^709.78): _exp checks it, _pair_count bounds lattice terms by it.
 _EXP_LIMIT = 700.0
 
+# _amax(a, None, initial=x) is a.max(initial=x) without numpy's Python-level wrapper
+_amax = np.maximum.reduce
+
 # Python and NumPy numbers, which _number checks with cmath.isfinite
 _SCALARS = (complex, float, int, np.number)
 # the dtype kinds _number converts: bool, integers, reals, Python objects, complex
@@ -152,15 +155,15 @@ def _exp(exponent, message: str, scale=None, exp=np.exp):
     exp is np.exp, or math.exp for a caller that has always used it.
     """
     real = exponent.real
-    top = float(real.max(initial=-math.inf)) if isinstance(real, np.ndarray) else float(real)
+    top = float(_amax(real, None, initial=-math.inf) if isinstance(real, np.ndarray) else real)
     peak = top
     if scale is not None:
         size = np.abs(scale)
-        largest = float(size.max(initial=0.0))
+        largest = float(_amax(size, None, initial=0.0))
         peak = -math.inf if largest == 0.0 else top + math.log(largest)
         if not peak <= _EXP_LIMIT:  # that bound fails: the exact peak
             log_size = np.log(size, out=np.full(size.shape, -math.inf), where=size > 0.0)
-            peak = float((real + log_size).max(initial=-math.inf))
+            peak = float(_amax(real + log_size, None, initial=-math.inf))
     if not peak <= _EXP_LIMIT:
         raise RangeOverflowError(message.format(peak=peak))
     if top <= _EXP_LIMIT:
@@ -207,7 +210,7 @@ def _drift(lin_arr: np.ndarray) -> float:
 
     m * lin then stays finite for every m up to the pair cap.
     """
-    drift = float(np.abs(lin_arr.real).max(initial=0.0))
+    drift = float(_amax(np.abs(lin_arr.real), None, initial=0.0))
     if math.isnan(drift) or not (np.abs(lin_arr.imag) <= 1e300).all():
         raise DomainError(
             "lattice-sum argument is not finite (NaN, or overflowed from a huge input)"

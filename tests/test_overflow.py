@@ -50,6 +50,7 @@ from circle_cs import (
     gaussian_lattice_sum,
     heisenberg_approximation,
     heisenberg_expectations,
+    inner,
     inner_quadrature,
     modular_image_theta2,
     modular_image_theta3,
@@ -227,22 +228,36 @@ def _spike(sector: Sector, j: float, value: complex, trunc: Truncation) -> State
 
 
 def test_quadrature_inner_product_past_the_range_is_typed():
-    # <s|s> is about 1e614: the node values are finite, their products are not
+    message = "^quadrature sum leaves the floating-point range$"
+    # <s|s> is about 1e614
     s = _spike(BOSON, 0.0, 1e307, Truncation(40))
-    with pytest.raises(RangeOverflowError, match="^quadrature sum leaves the floating-point range$"):
-        inner_quadrature(s, s, Quadrature(40, 64))
-    # at j = 3 the radial factor e^(3 l - 9/2) carries the node values past the range
-    f = _spike(BOSON, 3.0, 1e307, Truncation(40))
-    message = "^quadrature node values leave the floating-point range$"
     with pytest.raises(RangeOverflowError, match=message):
-        inner_quadrature(f, basis_state(BOSON, 3.0, Truncation(40)), Quadrature(40, 64))
+        inner_quadrature(s, s, Quadrature(40, 64))
+    # G b itself overflows: at n_phi = 4 the slots j = 0, +-2 share one angular
+    # bin, so the j = 0 entry of G b is 1.2e308 (1 + 2 e^-1)
+    g = StateVector(BOSON, Truncation(4), [1.2e308, 0.0, 1.2e308, 0.0, 1.2e308])
+    with pytest.raises(RangeOverflowError, match=message):
+        inner_quadrature(basis_state(BOSON, 0.0, Truncation(4)), g, Quadrature(40, 4))
 
 
-def test_reproducing_apply_past_the_range_is_typed():
-    # finite node values whose products with the kernel at l = 18 overflow
+def test_quadrature_inner_product_near_the_top_of_the_range_is_finite():
+    # <f|3> = 1e307 is finite, though f's node values pass the double range
+    # (the radial factor e^(3 l - 9/2)): the sum runs over coefficients
+    f = _spike(BOSON, 3.0, 1e307, Truncation(40))
+    g = basis_state(BOSON, 3.0, Truncation(40))
+    value = inner_quadrature(f, g, Quadrature(40, 64))
+    # measured 6.2e-16 from inner (G[3, 3] - 1 is 6.7e-16); bound 3x that
+    assert value == pytest.approx(inner(f, g), rel=2e-15, abs=0.0)
+
+
+def test_reproducing_apply_near_the_top_of_the_range_is_finite():
+    # f(eta*) is 3.6e268, though the products of f's node values with the
+    # kernel at l = 18 pass the double range: the sum runs over coefficients
     s = _spike(FERMION, 0.5, 5e264, Truncation(40))
-    with pytest.raises(RangeOverflowError, match="^quadrature sum leaves the floating-point range$"):
-        reproducing_apply(s, PhasePoint(18.0, 0.0), FERMION, Quadrature(40, 64))
+    p = PhasePoint(18.0, 0.0)
+    value = reproducing_apply(s, p, FERMION, Quadrature(40, 64))
+    # measured equal to evaluate
+    assert value == pytest.approx(evaluate(s, p), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("sector", [BOSON, FERMION])
