@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeOverflowError, SingularityError, TruncationError
-from .hilbert import Sector, StateVector, Truncation
+from .hilbert import Sector, StateVector, Truncation, _adopt
 from .theta import ThetaArg, _exp, _number, _recentre, gaussian_lattice_sum, theta_log_derivative
 
 __all__ = [
@@ -175,7 +175,7 @@ def coherent_state(p: PhasePoint, sector: Sector, trunc: Truncation) -> StateVec
             f"two_jmax = {trunc.two_jmax} too small for l = {p.l}: "
             f"tails exceed {_WINDOW_TOL} (need two_jmax >= {needed})"
         )
-    return StateVector(sector, trunc, _coherent_coeffs(trunc.j_values(sector), p))
+    return _adopt(sector, trunc, _coherent_coeffs(trunc.j_values(sector), p), 0.0)
 
 
 def _coherent_coeffs(j: np.ndarray, p: PhasePoint) -> np.ndarray:
@@ -340,7 +340,7 @@ def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
         phases = np.exp(-1j * t * hamiltonian.omega * j)
     else:
         raise DomainError(f"unsupported hamiltonian {hamiltonian!r}")
-    return StateVector(state.sector, state.trunc, state.coeffs * phases, state.leakage)
+    return _adopt(state.sector, state.trunc, state.coeffs * phases, state.leakage)
 
 
 def _require_finite_phase(t: float, edge_phase: float, j_edge: float) -> None:
@@ -434,13 +434,16 @@ def energy_distribution(
     formed: within 2 eps (1 + |d (r - d)|) relative for every |l| <=
     1e300 (RangeOverflowError beyond).
     """
+    if not isinstance(allow_fermion, (bool, np.bool_)):
+        raise DomainError(f"allow_fermion must be True or False, got {allow_fermion!r}")
     if sector is Sector.FERMION and not allow_fermion:
         raise DomainError("energy_distribution defaults to bosons; pass allow_fermion=True")
     message = "jmax must be finite and at least 1, got {value!r}"
     jmax = _number(jmax, float, message, arrays=False)
     if jmax < 1.0:
         raise DomainError(message.format(value=jmax))
-    trunc = Truncation(math.floor(2 * jmax))
+    two_jmax = 2 * jmax  # inf past jmax = 8.9e307, which Truncation refuses as it is
+    trunc = Truncation(math.floor(two_jmax) if two_jmax < math.inf else two_jmax)
     _single(p)
     _require_reach(p.l)
     c, r = _recentre(2.0 * p.l)

@@ -141,6 +141,10 @@ class Truncation:
         return int(slots[0]) if np.ndim(two_j) == 0 else slots.astype(np.intp)
 
 
+_COEFFS_MESSAGE = "state coefficients must be finite"
+_LEAKAGE_MESSAGE = "leakage must be a finite real number >= 0, got {value!r}"
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Immutable coefficient vector c_j over a sector window.
@@ -156,18 +160,14 @@ class StateVector:
 
     def __post_init__(self) -> None:
         size = self.trunc.size(self.sector)
-        coeffs = np.array(self.coeffs, dtype=np.complex128)  # always a private copy
+        coeffs = np.array(_number(self.coeffs, complex, _COEFFS_MESSAGE), np.complex128)  # a copy
         if coeffs.shape != (size,):
             raise DomainError(f"expected {size} coefficients, got shape {coeffs.shape}")
-        # count_nonzero: the cheapest "every entry is finite" on a window-sized array
-        if np.count_nonzero(np.isfinite(coeffs)) != size:
-            raise DomainError("state coefficients must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        message = "leakage must be a finite real number >= 0, got {value!r}"
-        leakage = _number(self.leakage, float, message, arrays=False)
+        leakage = _number(self.leakage, float, _LEAKAGE_MESSAGE, arrays=False)
         if leakage < 0.0:
-            raise DomainError(message.format(value=self.leakage))
+            raise DomainError(_LEAKAGE_MESSAGE.format(value=self.leakage))
         object.__setattr__(self, "leakage", leakage)
 
     def two_j_values(self) -> np.ndarray:
@@ -186,6 +186,24 @@ class StateVector:
         return float(max(c[:edge].max(), c[-edge:].max()))
 
 
+def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float) -> StateVector:
+    """A StateVector around the library's own result, checked for what arithmetic can break.
+
+    coeffs is frozen in place, not copied: a complex128 array of the window's
+    shape that the caller has just made, never a caller's array or a view of
+    one.  leakage is a Python float.  Both must be finite, as StateVector says.
+    """
+    # count_nonzero: the cheapest "every entry is finite" on a window-sized array
+    if np.count_nonzero(np.isfinite(coeffs)) != len(coeffs):
+        raise DomainError(_COEFFS_MESSAGE)
+    if not 0.0 <= leakage < math.inf:
+        raise DomainError(_LEAKAGE_MESSAGE.format(value=leakage))
+    coeffs.flags.writeable = False
+    state = object.__new__(StateVector)
+    vars(state).update(sector=sector, trunc=trunc, coeffs=coeffs, leakage=leakage)
+    return state
+
+
 def basis_state(sector: Sector, j: float, trunc: Truncation) -> StateVector:
     """Unit vector |j>.  Raises if 2j is off-parity or outside the window."""
     j = _number(j, float, "j must be a finite real number, got {value!r}", arrays=False)
@@ -196,7 +214,7 @@ def basis_state(sector: Sector, j: float, trunc: Truncation) -> StateVector:
     idx = trunc.index_of(sector, two_j)
     coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
     coeffs[idx] = 1.0
-    return StateVector(sector, trunc, coeffs)
+    return _adopt(sector, trunc, coeffs, 0.0)
 
 
 # _exp's message, after the operator's name
@@ -226,7 +244,7 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
     coefficient would pass e^700; a weight past the range on a zero
     coefficient gives 0.
     """
-    if kind not in OPERATOR_KINDS:
+    if isinstance(kind, np.ndarray) or kind not in OPERATOR_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
     j = s.j_values()
     c = s.coeffs
@@ -243,7 +261,7 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
         out, dropped = _shift_up(_exp(-j - 0.5, "X" + _COEFF_OVERFLOW, c))
     else:  # Xdag
         out, dropped = _shift_down(_exp(-j + 0.5, "Xdag" + _COEFF_OVERFLOW, c))
-    return StateVector(s.sector, s.trunc, out, s.leakage + dropped)
+    return _adopt(s.sector, s.trunc, out, s.leakage + dropped)
 
 
 def apply_exp_j(s: StateVector, eta: complex) -> StateVector:
@@ -264,12 +282,13 @@ def apply_exp_j(s: StateVector, eta: complex) -> StateVector:
             f"exp_j with eta = {eta!r} leaves the floating-point range at |j| = {j[-1]}"
         )
     out = _exp(np.asarray(eta) * j, "exp_j" + _COEFF_OVERFLOW, s.coeffs)
-    return StateVector(s.sector, s.trunc, out, s.leakage)
+    # a long double eta gives a wider product, rounded as StateVector rounds it
+    return _adopt(s.sector, s.trunc, out.astype(np.complex128, copy=False), s.leakage)
 
 
 def apply_time_reversal(s: StateVector) -> StateVector:
     """Antiunitary time reversal: c_j -> conj(c_{-j})."""
-    return StateVector(s.sector, s.trunc, np.conj(s.coeffs[::-1]), s.leakage)
+    return _adopt(s.sector, s.trunc, np.conj(s.coeffs[::-1]), s.leakage)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -281,7 +300,7 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 def operator_matrix(kind: str, sector: Sector, trunc: Truncation) -> np.ndarray:
     """Dense window matrix M with M[row, col] = <j_row| Op |j_col>."""
-    if kind not in OPERATOR_KINDS:
+    if isinstance(kind, np.ndarray) or kind not in OPERATOR_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
     j = trunc.j_values(sector)
     n = len(j)

@@ -21,6 +21,7 @@ a fixed order, so repeated evaluations are bit-for-bit reproducible.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ _EXP_LIMIT = 700.0
 
 # _amax(a, None, initial=x) is a.max(initial=x) without numpy's Python-level wrapper
 _amax = np.maximum.reduce
+
+_AS_IS = contextlib.nullcontext()  # a with that needs no np.errstate
 
 # Python and NumPy numbers, which _number checks with cmath.isfinite
 _SCALARS = (complex, float, int, np.number)
@@ -78,7 +81,9 @@ def _number(value, kind: type, message: str, arrays: bool = True):
             numbers = array.dtype.kind != "O" or all(isinstance(x, _SCALARS) for x in array.flat)
             if numbers and array.dtype.kind in _KINDS[kind]:
                 array = array.astype(kind, copy=False)
-                if np.isfinite(array).all() and (arrays or array.ndim == 0):
+                # count_nonzero: the cheapest "every entry is finite", µs below .all()
+                finite = np.count_nonzero(np.isfinite(array)) == array.size
+                if finite and (arrays or array.ndim == 0):
                     return kind(array) if array.ndim == 0 else array
     # an int past the double range, or an object numpy cannot convert
     except (TypeError, ValueError, OverflowError):
@@ -205,13 +210,17 @@ def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> i
     return math.ceil(reach)
 
 
-def _drift(lin_arr: np.ndarray) -> float:
+def _drift(lin) -> float:
     """Largest |Re lin|; DomainError if some element is NaN or has |Im lin| past 1e300.
 
     m * lin then stays finite for every m up to the pair cap.
     """
-    drift = float(_amax(np.abs(lin_arr.real), None, initial=0.0))
-    if math.isnan(drift) or not (np.abs(lin_arr.imag) <= 1e300).all():
+    if isinstance(lin, np.ndarray):
+        drift = float(_amax(np.abs(lin.real), None, initial=0.0))
+        bounded = (np.abs(lin.imag) <= 1e300).all()
+    else:  # scalar math, µs faster than numpy's reductions on a 0-d array
+        drift, bounded = float(abs(lin.real)), abs(lin.imag) <= 1e300
+    if math.isnan(drift) or not bounded:
         raise DomainError(
             "lattice-sum argument is not finite (NaN, or overflowed from a huge input)"
             " or has an imaginary part past 1e300"
@@ -266,7 +275,7 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, ctl: SeriesControl, m
     lin_arr = np.asarray(lin, dtype=np.complex128)
     decay = -complex(curv).real
     # an infinite real part is an overflow, caught by the pair count
-    pairs = _pair_count(decay, _drift(lin_arr), ctl, half)
+    pairs = _pair_count(decay, _drift(lin), ctl, half)
 
     ladder = _ladder if pairs <= _CACHED_PAIRS else _ladder.__wrapped__
     m, m_sq, sign = ladder(pairs, half, alternating)
@@ -313,7 +322,7 @@ def theta(
     the tolerance needs more than ctl.n_max term pairs, and
     RangeOverflowError where a term at r or the value passes e^700.
     """
-    if kind not in (2, 3, 4):
+    if isinstance(kind, np.ndarray) or kind not in (2, 3, 4):
         raise DomainError(f"theta kind must be 2, 3 or 4, got {kind!r}")
     c, k, curv, lin = _reduce(arg)
     value = _lattice_sum(curv, lin, half=(kind == 2), alternating=(kind == 4), ctl=ctl)
@@ -337,8 +346,10 @@ def gaussian_lattice_sum(w, half: bool = False):
     RangeOverflowError where S(w) passes e^700.
     """
     w = _number(w, complex, "lattice-sum argument w must be finite complex numbers, got {value!r}")
+    if not isinstance(half, (bool, np.bool_)):
+        raise DomainError(f"half must be True or False, got {half!r}")
     c, r = _recentre(w)
-    reduced = _lattice_sum(-1.0 + 0.0j, r, half=half, alternating=False, ctl=DEFAULT_CONTROL)
+    reduced = _lattice_sum(-1.0 + 0.0j, r, half=bool(half), alternating=False, ctl=DEFAULT_CONTROL)
     message = "lattice sum S(w) = exp({peak:.3g}) exceeds the floating-point range"
     return _shift_back(c, -1.0, r, reduced, message)
 
@@ -382,7 +393,9 @@ def _reduce(arg: ThetaArg):
     keeps its modulus (0, 1 or an overflow) and the value stays the same.
     """
     c, t = _recentre(arg.tau)
-    with np.errstate(over="ignore", invalid="ignore"):  # _lattice_sum types an overflowed r
+    # _lattice_sum types an overflowed r; a Python scalar v warns of nothing, and skips µs
+    array = isinstance(arg.v, np.ndarray)
+    with np.errstate(over="ignore", invalid="ignore") if array else _AS_IS:
         _, r = _recentre(arg.v)
         k = 0.0
         if np.count_nonzero(r.imag):  # a real v needs no k, and skips µs of array steps
@@ -451,7 +464,7 @@ def theta_log_derivative(
     terms cancel to rounding (theta_4 at small Im tau).  Otherwise what
     theta raises, and RangeOverflowError where 2 pi k passes the range.
     """
-    if kind not in (3, 4):
+    if isinstance(kind, np.ndarray) or kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
     _, k, curv, lin = _reduce(arg)
     value, moment = _lattice_sum(

@@ -446,12 +446,20 @@ def test_energy_distribution_fermion_gate():
     assert 0.5 in js and 0.0 not in js
 
 
+@pytest.mark.parametrize("allow_fermion", ["no", "", 1, 0, None, np.array(True)], ids=repr)
+@pytest.mark.parametrize("sector", list(Sector), ids=lambda sector: sector.value)
+def test_energy_distribution_allow_fermion_is_a_bool(sector, allow_fermion):
+    with pytest.raises(DomainError, match=r"^allow_fermion must be True or False, got "):
+        energy_distribution(PhasePoint(0.0, 0.0), sector, allow_fermion=allow_fermion)
+
+
 @pytest.mark.parametrize("jmax, message", [
     (0.5, "^jmax must be finite and at least 1"),
     (math.inf, "^jmax must be finite and at least 1"),
     (math.nan, "^jmax must be finite and at least 1"),
     (301, r"^two_jmax must be an integer in \[2, 600\], got 602$"),
     (1e300, r"^two_jmax must be an integer in \[2, 600\]"),
+    (1e308, r"^two_jmax must be an integer in \[2, 600\], got inf$"),  # 2 jmax overflows
     (10**400, "^jmax must be finite and at least 1"),
     ("3", "^jmax must be finite and at least 1"),
     (None, "^jmax must be finite and at least 1"),

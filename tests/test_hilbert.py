@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from circle_cs.coherent import FreeRotor, Linear, PhasePoint, coherent_state, evolve
 from circle_cs.errors import (
     DomainError,
     ParityError,
@@ -173,6 +176,17 @@ def test_json_leakage_goes_through_the_gate(leakage):
     assert '"leakage": 0.0' in good
     with pytest.raises(DomainError, match=r"^leakage must be a finite real number >= 0, got "):
         state_from_json(good.replace('"leakage": 0.0', f'"leakage": {leakage}'))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [[10**400, 0, 0], {0: 1}, ["a", "b", "c"], "abc", None],
+    ids=["int-past-the-range", "dict", "strings", "string", "None"],
+)
+def test_state_vector_coefficients_go_through_the_gate(coeffs):
+    # what is not finite complex numbers is refused before the shape is looked at
+    with pytest.raises(DomainError, match="^state coefficients must be finite$"):
+        StateVector(Sector.BOSON, Truncation(2), coeffs)
 
 
 def test_state_vector_keeps_a_private_copy():
@@ -382,6 +396,21 @@ def test_unknown_operator_kind():
         apply_operator("Y", s)
 
 
+@pytest.mark.parametrize("kind", [np.array(["J", "U"]), np.array(["J"]), np.array("J")], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: apply_operator(kind, basis_state(Sector.BOSON, 0.0, TR)),
+        lambda kind: operator_matrix(kind, Sector.BOSON, TR),
+    ],
+    ids=["apply_operator", "operator_matrix"],
+)
+def test_an_array_operator_kind_is_a_typed_refusal(call, kind):
+    # == on an array gives an array, which numpy refuses to take as one truth value
+    with pytest.raises(DomainError, match=r"^unknown operator kind array\("):
+        call(kind)
+
+
 def test_inner_requires_matching_window():
     a = basis_state(Sector.BOSON, 0.0, TR)
     b = basis_state(Sector.FERMION, 0.5, TR)
@@ -498,3 +527,71 @@ def test_tail_mass_sees_outermost_slots():
     c[1] = 0.125
     s = StateVector(Sector.BOSON, TR, c)
     assert s.tail_mass() == 0.125
+
+
+# every function that hands StateVector an array it has just made, as the state it returns
+ADOPTING = {
+    **{kind: lambda s, kind=kind: apply_operator(kind, s) for kind in OPERATOR_KINDS},
+    "exp_j": lambda s: apply_exp_j(s, 0.3 - 0.2j),
+    # a wider eta gives a wider product, which the state rounds to complex128
+    "exp_j_long_double": lambda s: apply_exp_j(s, np.clongdouble(0.3 - 0.2j)),
+    "time_reversal": apply_time_reversal,
+    "basis_state": lambda s: basis_state(s.sector, float(s.j_values()[1]), s.trunc),
+    "coherent_state": lambda s: coherent_state(PhasePoint(0.4, 1.1), s.sector, s.trunc),
+    "evolve_free": lambda s: evolve(s, FreeRotor(), 0.37),
+    "evolve_linear": lambda s: evolve(s, Linear(1.3), 0.37),
+}
+
+
+@pytest.mark.parametrize("sector", list(Sector), ids=lambda sector: sector.value)
+@pytest.mark.parametrize("make", ADOPTING.values(), ids=ADOPTING.keys())
+def test_library_states_own_a_fresh_read_only_array(make, sector):
+    trunc = Truncation(20)  # what coherent_state needs at l = 0.4
+    size = trunc.size(sector)
+    rng = np.random.default_rng(22)
+    s = StateVector(sector, trunc, rng.normal(size=size) + 1j * rng.normal(size=size), 0.25)
+    result = make(s)
+    assert result.sector is sector and result.trunc == trunc
+    assert type(result.leakage) is float
+    c = result.coeffs
+    assert c.dtype == np.complex128 and c.shape == (size,)
+    assert c.flags.owndata and not c.flags.writeable
+    assert not np.shares_memory(c, s.coeffs)
+    assert not np.shares_memory(c, trunc.j_values(sector))
+
+
+def _top(sector, value, trunc=Truncation(4)):
+    """A state with value in its highest slot and 1 in every other."""
+    c = np.ones(trunc.size(sector), dtype=np.complex128)
+    c[-1] = value
+    return StateVector(sector, trunc, c)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # 1e308 * j = 2e308 at j = 2
+        (
+            lambda: apply_operator("J", _top(Sector.BOSON, 1e308)),
+            "^state coefficients must be finite$",
+        ),
+        # |c| = 1.7e308 sqrt(2) passes the range while both parts are finite; the phase
+        # e^(-i pi/4) at j = 2 makes the real part 2.4e308
+        (
+            lambda: evolve(_top(Sector.BOSON, 1.7e308 * (1 + 1j)), Linear(1.0), math.pi / 8),
+            "^state coefficients must be finite$",
+        ),
+        # leakage 1.7e308 plus the 1e308 dropped off the top edge
+        (
+            lambda: apply_operator("U", replace(_top(Sector.BOSON, 1e308), leakage=1.7e308)),
+            r"^leakage must be a finite real number >= 0, got inf$",
+        ),
+    ],
+    ids=["J", "evolve", "leakage"],
+)
+def test_a_library_state_past_the_double_range_is_typed(make, message):
+    # numpy's overflow warning ahead of the typed error is still open (ROADMAP item 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError, match=message):
+            make()

@@ -174,6 +174,31 @@ def test_theta_rejects_bad_kind():
         theta(5, ThetaArg(0.0, I_PI))
 
 
+@pytest.mark.parametrize("kind", [np.array([3, 4]), np.array([3]), np.array(3)], ids=repr)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (theta, r"^theta kind must be 2, 3 or 4, got array\("),
+        (theta_log_derivative, r"^log-derivative is provided for kinds 3 and 4, got array\("),
+    ],
+    ids=["theta", "theta_log_derivative"],
+)
+def test_an_array_kind_is_a_typed_refusal(call, message, kind):
+    # == on an array gives an array, which numpy refuses to take as one truth value
+    with pytest.raises(DomainError, match=message):
+        call(kind, ThetaArg(0.1, I_PI))
+
+
+@pytest.mark.parametrize("half", [2, 0, 1.0, "no", -1e308, None, np.array(True), [True]], ids=repr)
+def test_gaussian_lattice_sum_half_is_a_bool(half):
+    with pytest.raises(DomainError, match=r"^half must be True or False, got "):
+        gaussian_lattice_sum(0.3, half=half)
+    for flag in (False, True):
+        assert complex(gaussian_lattice_sum(0.3, half=np.bool_(flag))) == complex(
+            gaussian_lattice_sum(0.3, half=flag)
+        )
+
+
 def test_theta_rejects_nonpositive_im_tau():
     with pytest.raises(DomainError):
         ThetaArg(0.0, 1.0 + 0.0j)
