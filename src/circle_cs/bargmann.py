@@ -55,9 +55,8 @@ A quadrature sum of two such functions needs no node grid: over the
 double cover the angular sum is n_phi where 2j = 2j' (mod n_phi) and 0
 elsewhere, so sum W conj(f) g = c_f^H G c_g with the real Gram matrix
 G[j, j'] = sum_i n_phi W[i, 0] E_l[i, j] E_l[i, j'] on those pairs, cached
-per pair of windows and exactly 0 between sectors.  inner_quadrature,
-reproducing_apply and the rhs of kernel_identity_check are each one such
-sum; the lhs of kernel_identity_check is the closed-form overlap_closed.
+per pair of windows and exactly 0 between sectors.  inner_quadrature and
+reproducing_apply are each one such sum.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
-from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq, overlap_closed
+from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq
 from .theta import DEFAULT_CONTROL, _exp, _integer, _pair_count
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "evaluate",
     "inner_quadrature",
     "reproducing_apply",
-    "kernel_identity_check",
     "covariant_symbol",
 ]
 
@@ -282,26 +280,6 @@ def reproducing_apply(f: StateVector, p: PhasePoint, sector: Sector, quad: Quadr
     _single(p)
     two_k, kernel = _kernel_coeffs(p, sector, quad)
     return _quadrature_sum(quad, sector, two_k, kernel, f.sector, f.trunc.two_jmax, f.coeffs)
-
-
-def kernel_identity_check(
-    p1: PhasePoint, p2: PhasePoint, sector: Sector, quad: Quadrature
-) -> dict[str, complex]:
-    """Self-consistency of the kernel under its own integral action.
-
-    lhs = K(xi_1*, xi_2) = overlap_closed(p1, p2); rhs = the quadrature of
-    K(xi_1*, xi) K(xi*, xi_2) over xi.  The two agree to quadrature
-    accuracy because the kernel reproduces itself.
-
-    Accuracy domain: the Hermite rule's own limit.  At 40 x 64 the relative
-    gap is below 1e-10 for |l_1|, |l_2| <= 2 and reaches about 1.4e-8 at 3
-    and 6e-6 at 4; finer orders extend the range (at 100 x 128 it stays
-    below 2e-14 up to 4).  No error marks that loss.
-    """
-    lhs = overlap_closed(p1, p2, sector)
-    two_1, k1 = _kernel_coeffs(p1, sector, quad)
-    two_2, k2 = _kernel_coeffs(p2, sector, quad)
-    return {"lhs": lhs, "rhs": _quadrature_sum(quad, sector, two_1, k1, sector, two_2, k2)}
 
 
 def _window_for_matrix(shape: tuple[int, ...], sector: Sector) -> Truncation:

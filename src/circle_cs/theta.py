@@ -1,9 +1,8 @@
 """Jacobi theta functions with a-priori truncation control.
 
 Evaluates theta_2, theta_3, theta_4 as two-sided Gaussian lattice sums,
-the logarithmic v-derivatives of theta_3 / theta_4 as the ratio of the
-first moment of the same sum to the sum, and the modular
-transformations that exchange a slowly converging nome for a fast one.
+and the logarithmic v-derivatives of theta_3 / theta_4 as the ratio of
+the first moment of the same sum to the sum.
 
 Conventions (q = exp(i pi tau), Im tau > 0):
 
@@ -37,9 +36,6 @@ __all__ = [
     "theta",
     "theta_log_derivative",
     "gaussian_lattice_sum",
-    "modular_image_theta3",
-    "modular_image_theta2",
-    "theta2_via_half_period_shift",
 ]
 
 # Largest log-magnitude of a computed exponential, with headroom below the
@@ -488,58 +484,3 @@ def theta_log_derivative(
         if not np.isfinite(ratio).all():
             raise RangeOverflowError(f"(d/dv) log theta_{kind} passes the floating-point range")
     return _as_complex(ratio)
-
-
-def _inversion_image(kind: int, v, tau, ctl: SeriesControl) -> complex | np.ndarray:
-    """sqrt(tau/i) * exp(i pi v^2 / tau) * theta_kind(v | tau), principal branch."""
-    arg = ThetaArg(v, tau)
-    value = theta(kind, arg, ctl)
-    with np.errstate(over="ignore", invalid="ignore"):  # _exp rejects an overflowed v^2
-        exponent = 1j * math.pi * arg.v * arg.v / arg.tau
-    message = "theta inversion prefactor exp({peak:.3g}) exceeds the floating-point range"
-    return _as_complex(_exp(exponent, message, cmath.sqrt(arg.tau / 1j)) * value)
-
-
-def modular_image_theta3(
-    v: complex | np.ndarray, tau: complex, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex | np.ndarray:
-    """theta_3(v/tau | -1/tau) computed through the tau -> -1/tau law.
-
-    Equals sqrt(tau/i) * exp(i pi v^2 / tau) * theta_3(v | tau); useful
-    when -1/tau has a much larger imaginary part than tau or vice versa.
-    v may be an array; the result then has its shape.  RangeOverflowError
-    where the prefactor passes e^700.
-    """
-    return _inversion_image(3, v, tau, ctl)
-
-
-def modular_image_theta2(
-    v: complex | np.ndarray, tau: complex, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex | np.ndarray:
-    """theta_2(v/tau | -1/tau) via the inversion law, which lands on theta_4:
-
-    theta_2(v/tau | -1/tau) = sqrt(tau/i) * exp(i pi v^2 / tau) * theta_4(v | tau).
-
-    v may be an array; the result then has its shape.  RangeOverflowError
-    where the prefactor passes e^700.
-    """
-    return _inversion_image(4, v, tau, ctl)
-
-
-def theta2_via_half_period_shift(
-    v: complex | np.ndarray, tau: complex, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex | np.ndarray:
-    """theta_2(v | tau) computed as exp(i pi (tau/4 + v)) * theta_3(v + tau/2 | tau).
-
-    tau = t + 2c is reduced mod 2 first, as theta reduces it, and the
-    result is i^c theta_2(v | t).  v may be an array; the result then
-    has its shape.  RangeOverflowError where the factor exp(i pi (t/4 +
-    v)) passes e^700.
-    """
-    arg = ThetaArg(v, tau)
-    c, t = _recentre(arg.tau)
-    shifted = theta(3, ThetaArg(arg.v + t / 2.0, t), ctl)
-    message = "theta_2 half-period factor exp({peak:.3g}) exceeds the floating-point range"
-    with np.errstate(over="ignore", invalid="ignore"):  # _exp rejects an overflowed exponent
-        exponent = 1j * math.pi * (t / 4.0 + np.asarray(arg.v))
-    return _quarter_turns(c, _as_complex(_exp(exponent, message) * shifted))

@@ -27,7 +27,6 @@ import pytest
 from circle_cs.bargmann import (
     Quadrature,
     inner_quadrature,
-    kernel_identity_check,
     reproducing_apply,
 )
 from circle_cs.coherent import (
@@ -57,14 +56,13 @@ from circle_cs.hilbert import (
     inner,
     operator_matrix,
 )
-from circle_cs.theta import (
-    ThetaArg,
-    modular_image_theta2,
-    modular_image_theta3,
-    theta,
-    theta2_via_half_period_shift,
+from circle_cs.theta import ThetaArg, theta
+from circle_cs.verify import (
+    _apply_kernel_grid,
+    _inversion_image,
+    _kernel_identity,
+    _theta2_half_period,
 )
-from circle_cs.verify import _apply_kernel_grid
 
 TR = Truncation(40)
 QUAD = Quadrature(40, 64)
@@ -85,20 +83,20 @@ def test_criterion_01_theta_transformation_laws():
     for l in np.linspace(-2.0, 2.0, 81):
         # wide-lattice values against their narrow-lattice modular images
         lhs = theta(3, ThetaArg(1j * l / math.pi, I_OVER_PI))
-        rhs = modular_image_theta3(l, I_PI)
+        rhs = _inversion_image(3, l, I_PI)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
         lhs = theta(2, ThetaArg(1j * l / math.pi, I_OVER_PI))
-        rhs = modular_image_theta2(l, I_PI)
+        rhs = _inversion_image(2, l, I_PI)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
         # half-period shift expressing theta2 through theta3
         v = l / 4.0
         direct = theta(2, ThetaArg(v, I_PI))
-        shifted = theta2_via_half_period_shift(v, I_PI)
+        shifted = _theta2_half_period(v, I_PI)
         worst = max(worst, abs(direct - shifted) / abs(direct))
         # general inversion at complex argument
         v = l / 2.0
         lhs = theta(3, ThetaArg(v / I_PI, -1.0 / I_PI))
-        rhs = modular_image_theta3(v, I_PI)
+        rhs = _inversion_image(3, v, I_PI)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     ok = worst < 1e-12
     _report(1, ok, f"theta transformation laws: max rel err {worst:.3e} (tol 1e-12)")
@@ -264,8 +262,8 @@ def test_criterion_08_reproducing_kernel():
         for _ in range(10):
             p1 = PhasePoint(rng.uniform(-1, 1), rng.uniform(0, 2 * math.pi))
             p2 = PhasePoint(rng.uniform(-1, 1), rng.uniform(0, 2 * math.pi))
-            res = kernel_identity_check(p1, p2, sector, QUAD)
-            worst_pairs = max(worst_pairs, abs(res["rhs"] - res["lhs"]))
+            lhs, rhs = _kernel_identity(p1, p2, sector, QUAD)
+            worst_pairs = max(worst_pairs, abs(rhs - lhs))
     worst_idem = 0.0
     for sector in SECTORS:
         values = _band_limited_values(sector, rng)

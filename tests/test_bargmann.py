@@ -18,7 +18,6 @@ from circle_cs.bargmann import (
     covariant_symbol,
     evaluate,
     inner_quadrature,
-    kernel_identity_check,
     reproducing_apply,
 )
 from circle_cs.coherent import PhasePoint, coherent_state, required_two_jmax
@@ -34,6 +33,7 @@ from circle_cs.hilbert import (
     operator_matrix,
 )
 from circle_cs.theta import SeriesControl, _pair_count, gaussian_lattice_sum
+from circle_cs.verify import _kernel_identity
 
 TR = Truncation(40)
 QUAD = Quadrature(40, 64)
@@ -177,7 +177,7 @@ def test_gram_route_matches_node_route(n_l, n_phi, two_jmax, sector):
         pairs = [
             (inner_quadrature(f, g, quad), _node_route(quad, *sf, *sg)),
             (reproducing_apply(f, p1, sector, quad), _node_route(quad, *k1, *sf)),
-            (kernel_identity_check(p1, p2, sector, quad)["rhs"], _node_route(quad, *k1, *k2)),
+            (_kernel_identity(p1, p2, sector, quad)[1], _node_route(quad, *k1, *k2)),
         ]
         for got, (ref, scale) in pairs:
             assert abs(got - ref) <= 2e-15 * scale
@@ -214,12 +214,12 @@ def test_functional_form_of_Xdag_is_multiplication():
 
 
 def test_kernel_identity_at_origin():
-    res = kernel_identity_check(PhasePoint(0, 0), PhasePoint(0, 0), Sector.BOSON, QUAD)
-    assert res["lhs"].real == pytest.approx(1.772637204826652, rel=1e-13)
-    assert abs(res["rhs"] - res["lhs"]) < 1e-6
-    res = kernel_identity_check(PhasePoint(0, 0), PhasePoint(0, 0), Sector.FERMION, QUAD)
-    assert res["lhs"].real == pytest.approx(1.7722704969843799, rel=1e-13)
-    assert abs(res["rhs"] - res["lhs"]) < 1e-6
+    lhs, rhs = _kernel_identity(PhasePoint(0, 0), PhasePoint(0, 0), Sector.BOSON, QUAD)
+    assert lhs.real == pytest.approx(1.772637204826652, rel=1e-13)
+    assert abs(rhs - lhs) < 1e-6
+    lhs, rhs = _kernel_identity(PhasePoint(0, 0), PhasePoint(0, 0), Sector.FERMION, QUAD)
+    assert lhs.real == pytest.approx(1.7722704969843799, rel=1e-13)
+    assert abs(rhs - lhs) < 1e-6
 
 
 def test_kernel_identity_generic_points():
@@ -228,8 +228,8 @@ def test_kernel_identity_generic_points():
         for _ in range(5):
             p1 = PhasePoint(rng.uniform(-1, 1), rng.uniform(0, 2 * math.pi))
             p2 = PhasePoint(rng.uniform(-1, 1), rng.uniform(0, 2 * math.pi))
-            res = kernel_identity_check(p1, p2, sector, QUAD)
-            assert abs(res["rhs"] - res["lhs"]) < 1e-5
+            lhs, rhs = _kernel_identity(p1, p2, sector, QUAD)
+            assert abs(rhs - lhs) < 1e-5
 
 
 def test_reproducing_property_on_basis_functions():
@@ -334,12 +334,10 @@ def test_kernel_symmetry_under_argument_swap():
 
 def test_point_functions_reject_grids():
     grid = PhasePoint(np.array([0.1, 0.2]), 0.0)
-    origin = PhasePoint(0.0, 0.0)
     s = basis_state(Sector.BOSON, 0.0, TR)
     for call in (
         lambda: evaluate(s, grid),
         lambda: reproducing_apply(s, grid, Sector.BOSON, QUAD),
-        lambda: kernel_identity_check(origin, grid, Sector.BOSON, QUAD),
         lambda: covariant_symbol(operator_matrix("X", Sector.BOSON, TR), grid, Sector.BOSON),
     ):
         with pytest.raises(DomainError, match="single phase-space point"):
@@ -395,8 +393,6 @@ def test_overflowing_kernel_and_state_are_typed(l):
     with pytest.raises(RangeOverflowError):
         reproducing_apply(s, PhasePoint(l, 0.3), Sector.BOSON, QUAD)
     with pytest.raises(RangeOverflowError):
-        kernel_identity_check(PhasePoint(0.0, 0.0), PhasePoint(-l, 1.0), Sector.FERMION, QUAD)
-    with pytest.raises(RangeOverflowError):
         coherent_state(PhasePoint(l, 0.0), Sector.BOSON, Truncation(required_two_jmax(l)))
 
 
@@ -426,5 +422,5 @@ def test_kernel_identity_accuracy_domain():
     # documented: relative gap below 1e-10 for |l_1|, |l_2| <= 2 at 40 x 64
     for sector in (Sector.BOSON, Sector.FERMION):
         for l1, l2 in ((2.0, 2.0), (-2.0, -2.0), (2.0, -2.0), (1.3, -0.4)):
-            res = kernel_identity_check(PhasePoint(l1, 0.3), PhasePoint(l2, 2.0), sector, QUAD)
-            assert abs(res["rhs"] - res["lhs"]) <= 1e-10 * abs(res["lhs"])
+            lhs, rhs = _kernel_identity(PhasePoint(l1, 0.3), PhasePoint(l2, 2.0), sector, QUAD)
+            assert abs(rhs - lhs) <= 1e-10 * abs(lhs)

@@ -52,15 +52,12 @@ from circle_cs import (
     heisenberg_expectations,
     inner,
     inner_quadrature,
-    modular_image_theta2,
-    modular_image_theta3,
     norm_sq,
     operator_matrix,
     overlap_closed,
     reproducing_apply,
     required_two_jmax,
     theta,
-    theta2_via_half_period_shift,
     theta_log_derivative,
     uncertainty_QP,
 )
@@ -147,24 +144,6 @@ def test_heisenberg_approximation_raises_where_the_exact_values_do():
             heisenberg_expectations(p, t, BOSON)
     approx = heisenberg_approximation(PhasePoint(-699.0, 0.3), 0.5)
     assert approx["X_t"] == cmath.exp(complex(-0.0625 + 699.0, 0.3 + 0.5 * (-699.5)))
-
-
-@pytest.mark.parametrize("image", [modular_image_theta3, modular_image_theta2])
-def test_inversion_prefactor_past_the_range_is_typed(image):
-    # sqrt(tau/i) e^(i pi v^2 / tau) = sqrt(pi) e^900 here
-    with pytest.raises(RangeOverflowError, match="inversion prefactor"):
-        image(30.0, I_PI)
-    # an array v whose square overflows
-    with pytest.raises(RangeOverflowError):
-        image(np.array([0.1, 1e155]), I_PI)
-
-
-def test_half_period_factor_past_the_range_is_typed():
-    # e^(i pi (tau/4 + v)) = e^(230 pi) while theta_3(v + tau/2) stays small;
-    # at the second point pi (tau/4 + v) itself passes the double range
-    for v, tau in ((-480j, 1000j), (-1e308j, 1.7e308j)):
-        with pytest.raises(RangeOverflowError, match="half-period"):
-            theta2_via_half_period_shift(v, tau)
 
 
 @pytest.mark.parametrize("function", [theta, theta_log_derivative])
@@ -348,9 +327,6 @@ CALLS = {
     "theta_log_derivative": lambda x: theta_log_derivative(
         3 if x.sector is BOSON else 4, ThetaArg(x.v, x.tau)
     ),
-    "modular_image_theta3": lambda x: modular_image_theta3(x.v, x.tau),
-    "modular_image_theta2": lambda x: modular_image_theta2(x.v, x.tau),
-    "theta2_via_half_period_shift": lambda x: theta2_via_half_period_shift(x.v, x.tau),
 }
 
 

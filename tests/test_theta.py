@@ -24,10 +24,7 @@ from circle_cs.theta import (
     ThetaArg,
     _recentre,
     gaussian_lattice_sum,
-    modular_image_theta2,
-    modular_image_theta3,
     theta,
-    theta2_via_half_period_shift,
     theta_log_derivative,
 )
 
@@ -58,28 +55,6 @@ def test_theta4_is_theta3_shifted_by_half():
     a = theta(4, ThetaArg(0.3, I_PI))
     b = theta(3, ThetaArg(0.8, I_PI))
     assert abs(a - b) <= 1e-15 * abs(a)
-
-
-def test_theta2_half_period_shift_identity():
-    for v in (0.0, 0.17, 0.4 - 0.2j, -0.8 + 0.3j):
-        direct = theta(2, ThetaArg(v, I_PI))
-        shifted = theta2_via_half_period_shift(v, I_PI)
-        assert abs(direct - shifted) <= 1e-13 * abs(direct)
-
-
-def test_modular_inversion_theta3():
-    # tau -> -1/tau maps the wide lattice onto the narrow one
-    for l in (-1.5, -0.25, 0.0, 0.6, 2.0):
-        lhs = theta(3, ThetaArg(1j * l / math.pi, I_OVER_PI))
-        rhs = modular_image_theta3(l, I_PI)
-        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
-
-
-def test_modular_inversion_theta2_picks_up_theta4():
-    for l in (-1.0, 0.3, 1.7):
-        lhs = theta(2, ThetaArg(1j * l / math.pi, I_OVER_PI))
-        rhs = modular_image_theta2(l, I_PI)
-        assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
 
 def test_gaussian_lattice_matches_theta3():
@@ -425,21 +400,6 @@ def test_one_non_finite_element_is_domain_error():
     assert theta(3, ThetaArg(1e308, I_PI)) == theta(3, ThetaArg(0.0, I_PI))
 
 
-@pytest.mark.parametrize(
-    "image", [modular_image_theta3, modular_image_theta2, theta2_via_half_period_shift]
-)
-def test_transformation_helpers_take_arrays(image):
-    # the batch may keep terms below the tolerance that a scalar call drops
-    v = np.linspace(-2.0, 2.0, 9)[:, None] + 1j * np.array([0.0, 0.3, -0.5])
-    batch = image(v, I_PI)
-    assert isinstance(batch, np.ndarray) and batch.shape == v.shape
-    scalars = np.array([image(x, I_PI) for x in v.ravel()]).reshape(v.shape)
-    assert np.all(np.abs(batch - scalars) <= 1e-14 * np.abs(scalars))
-    assert type(image(0.3, I_PI)) is complex
-    assert type(image(0.3 + 0.1j, I_OVER_PI)) is complex
-    assert image(np.array([]), I_PI).shape == (0,)
-
-
 # ------------------------------------------------------ re-centred sums
 
 
@@ -510,9 +470,6 @@ def test_theta_has_period_two_in_tau_bit_for_bit(k):
     for kind in (3, 4):
         assert np.array_equal(theta(kind, far), theta(kind, near))
         assert np.array_equal(theta_log_derivative(kind, far), theta_log_derivative(kind, near))
-    # theta_2 by the half-period shift reduces tau the same way
-    shifted = theta2_via_half_period_shift(v, 1j + 2.0**k)
-    assert np.array_equal(shifted, theta2_via_half_period_shift(v, 1j) * turn)
 
 
 def test_log_derivative_at_the_top_of_the_double_range():

@@ -151,6 +151,37 @@ def test_evenness_and_symmetry_checks_see_a_wrong_lattice_sum(monkeypatch):
             assert max_err > tolerance, name
 
 
+# Each reference route of verify, with the checks that use it
+ROUTE_CHECKS = {
+    "_inversion_image": ("theta3-inversion", "theta2-inversion", "theta3-general-inversion"),
+    "_theta2_half_period": ("theta2-half-period-shift",),
+    "_kernel_identity": ("kernel-identity-fixed", "kernel-identity-random"),
+}
+
+
+def _skewed(route, factor):
+    """route with its value times factor; the kernel route's rhs alone."""
+
+    def skewed(*args):
+        value = route(*args)
+        return (value[0], value[1] * factor) if isinstance(value, tuple) else value * factor
+
+    return skewed
+
+
+@pytest.mark.parametrize("route", ROUTE_CHECKS)
+def test_each_reference_route_decides_its_checks(monkeypatch, route):
+    # every check passes on its route and fails once the route is off by 100x its tolerance
+    checks = [check for check in verify._CHECKS if check[0] in ROUTE_CHECKS[route]]
+    assert tuple(name for name, _, _ in checks) == ROUTE_CHECKS[route]
+    exact = getattr(verify, route)
+    for name, tolerance, fn in checks:
+        for patched, passes in ((exact, True), (_skewed(exact, 1.0 + 100.0 * tolerance), False)):
+            monkeypatch.setattr(verify, route, patched)
+            max_err, _ = verify._tally(fn(verify._Context(verify.load_config(None))))
+            assert (max_err <= tolerance) is passes, name
+
+
 # At n_phi = 64 both projector checks pass from n_l = 27, where the node
 # range first resolves the band-limited states, until n_l outruns the phi
 # grid and the kernel lattice aliases: idempotency from n_l = 83, parity
