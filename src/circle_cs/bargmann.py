@@ -70,7 +70,7 @@ import numpy as np
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
 from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq
-from .theta import DEFAULT_CONTROL, _exp, _integer, _pair_count
+from .theta import DEFAULT_CONTROL, _as_complex, _exp, _integer, _pair_count
 
 __all__ = [
     "Quadrature",
@@ -217,21 +217,28 @@ def _gram(
     return _read_only(gram)[0]
 
 
-def evaluate(f: StateVector, p: PhasePoint) -> complex:
+def evaluate(f: StateVector, p: PhasePoint) -> complex | np.ndarray:
     """f(xi*) at xi = e^(-l + i*phi); equals <xi|f> as a state overlap.
 
     The monomials e^(-j^2/2) xi*^(-j) are taken through the canonical
-    chart and built here, independently of coherent_state.  Raises
-    RangeOverflowError where a term c_j e^(-j^2/2) xi*^(-j) passes e^700
-    (an unoccupied slot gives 0, whatever its monomial), or where |l|
-    exceeds 1e300.
+    chart and built here, independently of coherent_state.  A grid point
+    gives a complex array of its shape from one exp over the exponents of
+    shape (*p.shape, n_j) and one sum along the window axis; every element
+    has the bits of the scalar call at its point, which is the 0-d case and
+    returns a Python complex.  Raises RangeOverflowError where a term
+    c_j e^(-j^2/2) xi*^(-j) passes e^700 at some point (an unoccupied slot
+    gives 0, whatever its monomial), or where |l| exceeds 1e300.
     """
-    _single(p)
     _require_reach(p.l)
     j = f.j_values()
-    exponents = j * complex(p.l, p.phi) - 0.5 * j * j
-    message = f"evaluation at l = {p.l} overflows the basis monomials"
-    return complex(np.sum(_exp(exponents, message, f.coeffs)))
+    point = np.empty(p.shape, np.complex128)
+    point.real, point.imag = p.l, p.phi
+    exponents = j * point[..., None] - 0.5 * j * j
+    if p.shape == ():
+        message = f"evaluation at l = {p.l} overflows the basis monomials"
+    else:  # printing the array of l would cost more than the evaluation
+        message = "evaluation on a grid overflows the basis monomials: a term is exp({peak:.3g})"
+    return _as_complex(np.sum(_exp(exponents, message, f.coeffs), axis=-1))
 
 
 def _quadrature_sum(quad: Quadrature, sector_a, two_a, a, sector_b, two_b, b) -> complex:

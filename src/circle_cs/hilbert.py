@@ -292,10 +292,16 @@ def apply_time_reversal(s: StateVector) -> StateVector:
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b> = sum_j conj(a_j) b_j (conjugate-linear in the first slot)."""
+    """<a|b> = sum_j conj(a_j) b_j (conjugate-linear in the first slot).
+
+    RangeOverflowError where the sum leaves the floating-point range.
+    """
     if a.sector is not b.sector or a.trunc != b.trunc:
         raise DomainError("inner product requires matching sector and window")
-    return complex(np.vdot(a.coeffs, b.coeffs))
+    value = complex(np.vdot(a.coeffs, b.coeffs))
+    if not cmath.isfinite(value):
+        raise RangeOverflowError("inner product leaves the floating-point range")
+    return value
 
 
 def operator_matrix(kind: str, sector: Sector, trunc: Truncation) -> np.ndarray:

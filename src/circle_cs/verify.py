@@ -10,7 +10,8 @@ functional-representation quadrature identities.
 Each check is a function of the shared context that does all its work
 when called and returns its per-case errors: a float is one case, an
 array (or list of floats) one case per element, and a list of such
-parts concatenates them.  A check whose case count differs from its
+parts concatenates them.  A fixture that several checks read is built
+once per context by _Context.shared, by whichever check asks first.  A check whose case count differs from its
 error count returns (errors, n_cases).  An identity stated once per
 sector is written as check(ctx, sector), and _each_sector makes it a
 table entry that runs the boson sector, then the fermion sector.
@@ -197,6 +198,18 @@ class _Context:
         self.seed = config["seed"]
         self.cases = config["random_cases"]
         self._rngs: dict[int, np.random.Generator] = {}
+        self._shared: dict[tuple, object] = {}
+
+    def shared(self, build, *args):
+        """build(self, *args), built once for the context's life: a fixture several checks read.
+
+        A check reads a shared fixture and never writes to it, so each
+        check gives the same errors alone as within the battery.
+        """
+        key = (build, *args)
+        if key not in self._shared:
+            self._shared[key] = build(self, *args)
+        return self._shared[key]
 
     def rng(self, index: int) -> np.random.Generator:
         """The generator seeded by (seed, index), one per index for the context's life.
@@ -239,6 +252,12 @@ def _random_coeffs(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def _random_point(rng: np.random.Generator, l_max: float) -> PhasePoint:
     return PhasePoint(rng.uniform(-l_max, l_max), rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _random_points(rng: np.random.Generator, l_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(l, phi) arrays of the n points that n calls of _random_point draw, in one draw."""
+    parts = rng.uniform([-l_max, 0.0], [l_max, 2.0 * math.pi], size=(n, 2))
+    return parts[:, 0], parts[:, 1]
 
 
 # --------------------------------------------------------------------------
@@ -358,9 +377,9 @@ def _check_ju_commutator(ctx: _Context, sector: Sector):
     errors = []
     for j in ctx.trunc.j_values(sector)[:-1].tolist():
         s = basis_state(sector, j, ctx.trunc)
-        ju = apply_operator("J", apply_operator("U", s))
+        u = apply_operator("U", s)
         uj = apply_operator("U", apply_operator("J", s))
-        errors.append(_sup(ju.coeffs - uj.coeffs - apply_operator("U", s).coeffs))
+        errors.append(_sup(apply_operator("J", u).coeffs - uj.coeffs - u.coeffs))
     return errors
 
 
@@ -440,35 +459,37 @@ _LATTICE_L = {Sector.BOSON: (-2.0, -1.0, 0.0, 1.0, 2.0), Sector.FERMION: (-1.5, 
 
 
 def _check_expectJ_lattice(ctx: _Context, sector: Sector):
-    return [abs(expect_J(PhasePoint(l, 0.0), sector) - l) for l in _LATTICE_L[sector]]
+    ls = np.array(_LATTICE_L[sector])
+    return np.abs(expect_J(PhasePoint(ls, 0.0), sector) - ls)
 
 
-def _series_expect_J(l: float, sector: Sector) -> float:
+def _series_expect_J(ls: np.ndarray, sector: Sector) -> np.ndarray:
+    """<J> at each l by the direct series over |2j| <= 60, one row of terms per l."""
     j = Truncation(60).j_values(sector)
-    weights = np.exp(2.0 * l * j - j * j)
-    return float(np.sum(j * weights) / np.sum(weights))
+    weights = np.exp(2.0 * ls[:, None] * j - j * j)
+    return np.sum(j * weights, axis=-1) / np.sum(weights, axis=-1)
 
 
 def _check_expectJ_series(ctx: _Context, sector: Sector):
-    rng = ctx.rng(15)
-    ls = [rng.uniform(-2.0, 2.0) for _ in range(25)]
-    return [abs(expect_J(PhasePoint(l, 0.0), sector) - _series_expect_J(l, sector)) for l in ls]
+    ls = ctx.rng(15).uniform(-2.0, 2.0, size=25)
+    return np.abs(expect_J(PhasePoint(ls, 0.0), sector) - _series_expect_J(ls, sector))
 
 
 def _expectJ_deviation_grid(ctx: _Context, sector: Sector):
+    """(l, <J>) on 101 points l in [0, 1]; a shared fixture."""
     grid = np.linspace(0.0, 1.0, 101)
     return grid, expect_J(PhasePoint(grid, 0.0), sector)
 
 
 def _check_expectJ_approx_residual(ctx: _Context, sector: Sector):
-    grid, exact = _expectJ_deviation_grid(ctx, sector)
+    grid, exact = ctx.shared(_expectJ_deviation_grid, sector)
     return np.abs(exact - approx_expect_J(grid, sector))
 
 
 def _check_expectJ_amplitude_window(ctx: _Context):
     # one error per sector (its deviation amplitude); each grid point is a case
     mid = 3.25e-4
-    grids = [_expectJ_deviation_grid(ctx, sector) for sector in SECTORS]
+    grids = [ctx.shared(_expectJ_deviation_grid, sector) for sector in SECTORS]
     errors = [abs(float(np.max(np.abs(exact - grid))) - mid) for grid, exact in grids]
     return errors, sum(grid.size for grid, _ in grids)
 
@@ -485,13 +506,13 @@ def _check_expectU_modulus(ctx: _Context, sector: Sector):
 
 
 def _check_expectU_series(ctx: _Context, sector: Sector):
-    rng = ctx.rng(20)
+    ls, phis = _random_points(ctx.rng(20), 1.5, 20)
+    exact = expect_U(PhasePoint(ls, phis), sector).tolist()
     errors = []
-    for _ in range(20):
-        p = _random_point(rng, 1.5)
-        state = coherent_state(p, sector, ctx.trunc)
+    for l, phi, value in zip(ls.tolist(), phis.tolist(), exact):
+        state = coherent_state(PhasePoint(l, phi), sector, ctx.trunc)
         series = inner(state, apply_operator("U", state)) / inner(state, state)
-        errors.append(abs(series - expect_U(p, sector)))
+        errors.append(abs(series - value))
     return errors
 
 
@@ -541,18 +562,19 @@ def _check_momentgen_ratio(ctx: _Context, sector: Sector):
 
 
 def _boson_distributions(ctx: _Context):
-    """(l, energy_distribution) for 21 boson points l in [0, 1]."""
+    """(l, energy_distribution) for 21 boson points l in [0, 1]; a shared fixture."""
     ls = [float(l) for l in np.linspace(0.0, 1.0, 21)]
     return [(l, energy_distribution(PhasePoint(l, 0.0), Sector.BOSON, jmax=12)) for l in ls]
 
 
 def _check_energy_distribution_gaussian(ctx: _Context):
-    dists = _boson_distributions(ctx)
+    dists = ctx.shared(_boson_distributions)
     return [abs(prob - gaussian_energy_profile(j, l)) for l, dist in dists for j, prob in dist]
 
 
 def _check_energy_distribution_normalization(ctx: _Context):
-    return [abs(sum(prob for _, prob in dist) - 1.0) for _, dist in _boson_distributions(ctx)]
+    dists = ctx.shared(_boson_distributions)
+    return [abs(sum(prob for _, prob in dist) - 1.0) for _, dist in dists]
 
 
 def _check_linear_evolution(ctx: _Context, sector: Sector):
@@ -581,20 +603,29 @@ def _check_free_evolution_X(ctx: _Context, sector: Sector):
     return errors
 
 
-def _heisenberg_grid():
-    """(p, t): phi = 0.7, l in [-1, 1] (rows) by t in [-2, 2] (columns)."""
+def _heisenberg_grid(ctx: _Context):
+    """(p, t): phi = 0.7, l in [-1, 1] (rows) by t in [-2, 2] (columns); a shared fixture."""
     return PhasePoint(np.linspace(-1.0, 1.0, 21)[:, None], 0.7), np.linspace(-2.0, 2.0, 21)
 
 
+def _heisenberg_exact(ctx: _Context, sector: Sector):
+    """heisenberg_expectations on the shared grid; a shared fixture."""
+    return heisenberg_expectations(*ctx.shared(_heisenberg_grid), sector)
+
+
+def _heisenberg_approx(ctx: _Context):
+    """heisenberg_approximation on the shared grid; a shared fixture."""
+    return heisenberg_approximation(*ctx.shared(_heisenberg_grid))
+
+
 def _heisenberg_approx_gaps(ctx: _Context, sector: Sector, which: str):
-    p, t = _heisenberg_grid()
-    exact = heisenberg_expectations(p, t, sector)[which]
-    return np.abs(exact - heisenberg_approximation(p, t)[which])
+    exact = ctx.shared(_heisenberg_exact, sector)[which]
+    return np.abs(exact - ctx.shared(_heisenberg_approx)[which])
 
 
 def _check_heisenberg_relative_phase(ctx: _Context, sector: Sector):
-    p, t = _heisenberg_grid()
-    num = heisenberg_expectations(p, t, sector)["U_t"]
+    p, t = ctx.shared(_heisenberg_grid)
+    num = ctx.shared(_heisenberg_exact, sector)["U_t"]
     den = heisenberg_expectations(PhasePoint(0.0, 0.0), t, sector)["U_t"]
     return np.abs(np.angle((num / den) * np.exp(-1j * (p.phi + t * p.l))))
 
@@ -697,25 +728,28 @@ def _check_bargmann_intertwining(ctx: _Context, sector: Sector):
 def _check_bargmann_functional_actions(ctx: _Context, sector: Sector):
     rng = ctx.rng(39)
     s = _random_state(ctx, sector, rng)
+    l, phi = _random_points(rng, 0.5, 10)
+    p = PhasePoint(l, phi)
+    # f at the points (l + dl, phi) for dl = 0, -1, 1, -2, and at (-l, phi): one row each
+    rows = np.stack([l, l - 1.0, l + 1.0, l - 2.0, -l])
+    f, f_m1, f_p1, f_m2, f_reversed = evaluate(s, PhasePoint(rows, phi)).tolist()
+    images = [apply_operator(kind, s) for kind in ("U", "Udag", "X", "Xdag")]
+    u, udag, x, xdag, t = (evaluate(a, p).tolist() for a in [*images, apply_time_reversal(s)])
+    # Python complex arithmetic: numpy rounds complex products of arrays differently
     errors = []
-    for _ in range(10):
-        l = rng.uniform(-0.5, 0.5)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        p = PhasePoint(l, phi)
-        inv_xistar = cmath.exp(complex(l, phi))
-        # f at the points (l + dl, phi)
-        at = {dl: evaluate(s, PhasePoint(l + dl, phi)) for dl in (-1.0, 1.0, -2.0)}
+    for k, (lk, phik) in enumerate(zip(l.tolist(), phi.tolist())):
+        inv_xistar = cmath.exp(complex(lk, phik))
         errors += [
             # (U f)(xi*) = f(e xi*)/(sqrt(e) xi*)
-            abs(evaluate(apply_operator("U", s), p) - at[-1.0] * inv_xistar * math.exp(-0.5)),
+            abs(u[k] - f_m1[k] * inv_xistar * math.exp(-0.5)),
             # (Udag f)(xi*) = e^(-1/2) xi* f(xi*/e)
-            abs(evaluate(apply_operator("Udag", s), p) - at[1.0] / inv_xistar * math.exp(-0.5)),
+            abs(udag[k] - f_p1[k] / inv_xistar * math.exp(-0.5)),
             # (X f)(xi*) = f(e^2 xi*)/(e xi*)
-            abs(evaluate(apply_operator("X", s), p) - at[-2.0] * inv_xistar * math.exp(-1.0)),
+            abs(x[k] - f_m2[k] * inv_xistar * math.exp(-1.0)),
             # (Xdag f)(xi*) = xi* f(xi*)
-            abs(evaluate(apply_operator("Xdag", s), p) - evaluate(s, p) / inv_xistar),
+            abs(xdag[k] - f[k] / inv_xistar),
             # (T f)(xi*) = conj(f at the time-reversed point)
-            abs(evaluate(apply_time_reversal(s), p) - evaluate(s, PhasePoint(-l, phi)).conjugate()),
+            abs(t[k] - f_reversed[k].conjugate()),
         ]
     return errors
 

@@ -6,6 +6,7 @@ import cmath
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,44 @@ def test_evaluate_agrees_with_coherent_overlap():
         s = _random_state(sector, 2)
         p = PhasePoint(-0.4, 2.2)
         assert abs(evaluate(s, p) - inner(coherent_state(p, sector, TR), s)) < 1e-12
+
+
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_evaluate_on_a_grid_has_the_bits_of_the_scalar_calls(sector):
+    s = _random_state(sector, 3)
+    rng = np.random.default_rng(4)
+    l = rng.uniform(-3.0, 3.0, size=(6, 1))
+    phi = rng.uniform(-7.0, 7.0, size=(1, 5))
+    values = evaluate(s, PhasePoint(l, phi))
+    assert values.shape == (6, 5) and values.dtype == np.complex128
+    for (a, b), value in np.ndenumerate(values):
+        scalar = evaluate(s, PhasePoint(float(l[a, 0]), float(phi[0, b])))
+        assert type(scalar) is complex
+        assert complex(value) == scalar
+
+
+def test_evaluate_on_an_empty_grid():
+    values = evaluate(_random_state(Sector.FERMION, 5), PhasePoint(np.zeros((0, 3)), 0.0))
+    assert values.shape == (0, 3) and values.dtype == np.complex128
+
+
+def test_evaluate_refuses_a_grid_with_a_nan():
+    with pytest.raises(DomainError, match="finite real numbers"):
+        evaluate(_random_state(Sector.BOSON, 6), PhasePoint(np.array([0.1, math.nan]), 0.0))
+
+
+def test_evaluate_raises_for_a_whole_grid_with_one_point_past_the_range():
+    # the monomial j = 20 at l = 60 is e^(20 * 60 - 200) = e^1000
+    s = _random_state(Sector.BOSON, 7)
+    grid = PhasePoint(np.array([[0.0, 0.5], [60.0, -0.5]]), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeOverflowError, match=r"^evaluation on a grid overflows"):
+            evaluate(s, grid)
+        with pytest.raises(
+            RangeOverflowError, match=r"^evaluation at l = 60.0 overflows the basis monomials$"
+        ):
+            evaluate(s, PhasePoint(60.0, 1.0))
 
 
 def test_quadrature_validation():
@@ -336,7 +375,6 @@ def test_point_functions_reject_grids():
     grid = PhasePoint(np.array([0.1, 0.2]), 0.0)
     s = basis_state(Sector.BOSON, 0.0, TR)
     for call in (
-        lambda: evaluate(s, grid),
         lambda: reproducing_apply(s, grid, Sector.BOSON, QUAD),
         lambda: covariant_symbol(operator_matrix("X", Sector.BOSON, TR), grid, Sector.BOSON),
     ):

@@ -174,6 +174,22 @@ def test_evaluate_ignores_monomials_of_empty_slots():
         evaluate(f, PhasePoint(701.0, 0.0))
     with pytest.raises(RangeOverflowError):
         evaluate(f, PhasePoint(-1e301, 0.0))
+    # a grid takes the same log-space route point by point
+    grid = evaluate(f, PhasePoint(np.array([-800.0, -700.0]), 0.3))
+    assert grid.tolist() == [evaluate(f, PhasePoint(l, 0.3)) for l in (-800.0, -700.0)]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [1.7e308 * (1 + 1j), 0.0, 0.0],  # both parts finite, the modulus past the range
+        [1e200, 0.0, 0.0],  # the square passes the range
+    ],
+)
+def test_inner_product_past_the_range_is_typed(coeffs):
+    s = StateVector(BOSON, Truncation(2), coeffs)
+    with pytest.raises(RangeOverflowError, match="^inner product leaves the floating-point range$"):
+        inner(s, s)
 
 
 def test_exp_j_gives_the_coefficient_when_only_the_factor_overflows():

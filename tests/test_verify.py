@@ -123,6 +123,98 @@ def test_batched_theta_checks_draw_the_scalar_sample():
         assert batch.ravel().tolist() == scalar
 
 
+def _recorder(monkeypatch, name):
+    """Replace verify's name by a wrapper that records its arguments; the list of them."""
+    calls = []
+    function = getattr(verify, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, record)
+    return calls
+
+
+def _only_check(name):
+    [fn] = [fn for check, _, fn in verify._CHECKS if check == name]
+    return fn
+
+
+def test_batched_point_checks_draw_the_per_case_sample(monkeypatch):
+    # expectJ-series-agreement, expectU-series-agreement and
+    # bargmann-functional-actions draw each sector's points in one call; they
+    # must be the points of the per-case draws, boson sector first
+    seed = verify.DEFAULT_CONFIG["seed"]
+    ctx = verify._Context(verify.load_config(None))
+
+    calls = _recorder(monkeypatch, "expect_J")
+    _only_check("expectJ-series-agreement")(ctx)
+    rng = np.random.default_rng([seed, 15])
+    assert [p.l.tolist() for p, _ in calls] == [
+        [rng.uniform(-2.0, 2.0) for _ in range(25)] for _ in range(2)
+    ]
+
+    calls = _recorder(monkeypatch, "expect_U")
+    _only_check("expectU-series-agreement")(ctx)
+    rng = np.random.default_rng([seed, 20])
+    for p, _ in calls:
+        scalar = [verify._random_point(rng, 1.5) for _ in range(20)]
+        assert p.l.tolist() == [q.l for q in scalar] and p.phi.tolist() == [q.phi for q in scalar]
+
+    calls = _recorder(monkeypatch, "evaluate")
+    _only_check("bargmann-functional-actions")(ctx)
+    rng = np.random.default_rng([seed, 39])
+    assert len(calls) == 12
+    for sector, sector_calls in zip(verify.SECTORS, (calls[:6], calls[6:])):
+        state = verify._random_state(ctx, sector, rng)
+        scalar = [verify._random_point(rng, 0.5) for _ in range(10)]
+        l = [q.l for q in scalar]
+        (f, grid), *images = sector_calls
+        assert np.array_equal(f.coeffs, state.coeffs)
+        # rows l + dl for dl = 0, -1, 1, -2, then -l
+        assert grid.l.tolist() == [[x + dl for x in l] for dl in (0.0, -1.0, 1.0, -2.0)] + [
+            [-x for x in l]
+        ]
+        points = [p for _, p in images]
+        assert all(p.l.tolist() == l for p in points)
+        assert all(p.phi.tolist() == [q.phi for q in scalar] for p in [grid, *points])
+
+
+def test_a_battery_builds_each_shared_fixture_once(monkeypatch):
+    # the heisenberg grid per sector serves three checks (plus one reference
+    # point per sector), the 21 energy distributions two checks
+    heisenberg = _recorder(monkeypatch, "heisenberg_expectations")
+    distributions = _recorder(monkeypatch, "energy_distribution")
+    verify.run_verify(verify.load_config(None))
+    assert len(heisenberg) == 4
+    assert len(distributions) == 21
+
+
+CHANGED_CHECKS = (
+    "algebra-JU-commutator",
+    "expectJ-lattice-exact",
+    "expectJ-series-agreement",
+    "expectJ-approx-residual",
+    "expectJ-amplitude-window",
+    "expectU-series-agreement",
+    "energy-distribution-gaussian",
+    "energy-distribution-normalization",
+    "heisenberg-approx-U",
+    "heisenberg-approx-X",
+    "heisenberg-relative-phase",
+    "bargmann-functional-actions",
+)
+
+
+def test_a_check_alone_gives_what_it_gives_in_the_battery():
+    config = verify.load_config(None)
+    report = {c.name: (c.max_abs_error, c.n_cases) for c in verify.run_verify(config).checks}
+    for name in CHANGED_CHECKS:
+        alone = verify._tally(_only_check(name)(verify._Context(config)))
+        assert alone == report[name], name
+
+
 def test_a_context_keeps_one_generator_per_index():
     # a per-sector check asks twice; its fermion cases continue the boson stream
     ctx = verify._Context(verify.load_config(None))
