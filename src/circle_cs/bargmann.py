@@ -70,7 +70,7 @@ import numpy as np
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
 from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq
-from .theta import DEFAULT_CONTROL, _as_complex, _exp, _integer, _pair_count
+from .theta import _as_complex, _exp, _integer, _pair_count
 
 __all__ = [
     "Quadrature",
@@ -263,12 +263,12 @@ def inner_quadrature(f: StateVector, g: StateVector, quad: Quadrature) -> comple
 def _kernel_coeffs(p: PhasePoint, sector: Sector, quad: Quadrature) -> tuple[int, np.ndarray]:
     """(2P, c): K(xi*, gamma) = grid_values(sector, 2P, c) at the nodes xi, gamma = p.
 
-    P bounds every omitted term by DEFAULT_CONTROL.tol over the whole node
+    P bounds every omitted term by the series tolerance over the whole node
     span; c are the coherent coefficients at p on |2j| <= 2P.
     """
     lv, _, _ = quad.nodes()
     drift = abs(p.l) + float(lv[-1])
-    trunc = Truncation(2 * _pair_count(1.0, drift, DEFAULT_CONTROL, sector is Sector.FERMION))
+    trunc = Truncation(2 * _pair_count(1.0, drift, sector is Sector.FERMION))
     return trunc.two_jmax, _coherent_coeffs(trunc.j_values(sector), p)
 
 

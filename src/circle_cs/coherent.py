@@ -340,7 +340,9 @@ def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
         phases = np.exp(-1j * t * hamiltonian.omega * j)
     else:
         raise DomainError(f"unsupported hamiltonian {hamiltonian!r}")
-    return _adopt(state.sector, state.trunc, state.coeffs * phases, state.leakage)
+    with np.errstate(over="ignore", invalid="ignore"):  # _adopt types a product past the range
+        evolved = state.coeffs * phases
+    return _adopt(state.sector, state.trunc, evolved, state.leakage)
 
 
 def _require_finite_phase(t: float, edge_phase: float, j_edge: float) -> None:

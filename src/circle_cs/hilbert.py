@@ -177,13 +177,27 @@ class StateVector:
         return self.trunc.j_values(self.sector)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """sqrt(sum |c_j|^2); RangeOverflowError where it passes the floating-point range."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.coeffs))
+        if norm == math.inf:  # some |c_j|^2 overflowed: again at the scale of the largest part
+            scale = float(np.abs(self.coeffs.view(np.float64)).max())
+            norm = scale * float(np.linalg.norm(self.coeffs / scale))
+            if norm == math.inf:
+                raise RangeOverflowError("state norm passes the floating-point range")
+        return norm
 
     def tail_mass(self) -> float:
-        """Largest |c_j| among the outermost two slots on each side."""
+        """Largest |c_j| among the outermost two slots on each side.
+
+        RangeOverflowError where that modulus passes the floating-point range.
+        """
         c = np.abs(self.coeffs)
         edge = min(2, len(c))
-        return float(max(c[:edge].max(), c[-edge:].max()))
+        mass = float(max(c[:edge].max(), c[-edge:].max()))
+        if mass == math.inf:
+            raise RangeOverflowError("state tail mass passes the floating-point range")
+        return mass
 
 
 def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float) -> StateVector:
@@ -249,10 +263,10 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
     j = s.j_values()
     c = s.coeffs
     dropped = 0.0
-    if kind == "J":
-        out = c * j
-    elif kind == "N":
-        out = c * (-j + N_CONST)
+    if kind in ("J", "N"):
+        # a product past the range is not finite, which _adopt types
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = c * (j if kind == "J" else -j + N_CONST)
     elif kind == "U":
         out, dropped = _shift_up(c)
     elif kind == "Udag":

@@ -31,8 +31,6 @@ from .errors import ConvergenceError, DomainError, RangeOverflowError, Singulari
 
 __all__ = [
     "ThetaArg",
-    "SeriesControl",
-    "DEFAULT_CONTROL",
     "theta",
     "theta_log_derivative",
     "gaussian_lattice_sum",
@@ -122,28 +120,14 @@ class ThetaArg:
 # Points per block of _lattice_sum times its term pairs stays at or
 # below this, so one block's temporaries (two arrays of terms, three with
 # the moment, 16 bytes a term) take 2 to 3 MB whatever the input's size.
-# It caps SeriesControl.n_max, so a block always holds a point.
 _BLOCK_TERMS = 1 << 16
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy: absolute bound on every omitted term, term-pair cap."""
-
-    tol: float = 1e-14
-    n_max: int = 200
-
-    def __post_init__(self) -> None:
-        message = "tol must lie in (0, 1), got {value!r}"
-        tol = _number(self.tol, float, message, arrays=False)
-        if not 0.0 < tol < 1.0:
-            raise DomainError(message.format(value=self.tol))
-        object.__setattr__(self, "tol", tol)
-        message = "n_max must be an integer in [{low}, {high}], got {value!r}"
-        object.__setattr__(self, "n_max", _integer(self.n_max, 1, _BLOCK_TERMS, message))
-
-
-DEFAULT_CONTROL = SeriesControl()
+# The series policy: every omitted term of a lattice sum is below
+# _SERIES_TOL in modulus, and a sum that needs more than _MAX_PAIRS term
+# pairs raises ConvergenceError.  _MAX_PAIRS <= _BLOCK_TERMS, so a block
+# always holds a point.
+_SERIES_TOL = 1e-14
+_MAX_PAIRS = 200
 
 
 def _exp(exponent, message: str, scale=None, exp=np.exp):
@@ -182,8 +166,8 @@ def _as_complex(value) -> complex | np.ndarray:
     return complex(value) if np.ndim(value) == 0 else value
 
 
-def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> int:
-    """Number of symmetric term pairs needed so every omitted term <= tol.
+def _pair_count(decay: float, drift: float, half: bool) -> int:
+    """Number of symmetric term pairs needed so every omitted term <= _SERIES_TOL.
 
     Terms have modulus exp(-decay*m^2 + drift*|m|) over the index lattice,
     decay > 0; the largest is at the index nearest c = drift/(2*decay).
@@ -200,9 +184,9 @@ def _pair_count(decay: float, drift: float, ctl: SeriesControl, half: bool) -> i
             f"largest series term exp({peak:.3g}) exceeds the floating-point range"
         )
     # m* (+ 1/2 on Z + 1/2) term pairs; inf where 1/decay overflows
-    reach = centre + math.sqrt(centre * centre - math.log(ctl.tol) / decay) + 0.5 * half
-    if not reach <= ctl.n_max:
-        raise ConvergenceError(f"series needs {reach:.4g} term pairs, past the cap {ctl.n_max}")
+    reach = centre + math.sqrt(centre * centre - math.log(_SERIES_TOL) / decay) + 0.5 * half
+    if not reach <= _MAX_PAIRS:
+        raise ConvergenceError(f"series needs {reach:.4g} term pairs, past the cap {_MAX_PAIRS}")
     return math.ceil(reach)
 
 
@@ -224,19 +208,14 @@ def _drift(lin) -> float:
     return drift
 
 
-# Longest ladder _lattice_sum takes from _ladder's cache.  A ladder holds
-# 48 bytes a pair, so the 32 entries stay within 6 MiB; the longer ones,
-# which only a raised SeriesControl.n_max reaches, are built per call.
-_CACHED_PAIRS = 4096
-
-
 @functools.lru_cache(maxsize=32)
 def _ladder(pairs: int, half: bool, alternating: bool):
     """Read-only columns (m, m^2, sign) over the term pairs, largest |m| first.
 
     Each is complex with imaginary part 0, the operand numpy makes of a
     float in a complex product, and has shape (pairs, 1), to broadcast
-    against a row of points.  _ladder.__wrapped__ builds one uncached.
+    against a row of points.  A ladder holds 48 bytes a pair, so the 32
+    entries of at most _MAX_PAIRS pairs stay within 300 KiB.
     """
     k = np.arange(pairs, 0, -1, dtype=np.float64)
     m = k - 0.5 if half else k
@@ -249,7 +228,7 @@ def _ladder(pairs: int, half: bool, alternating: bool):
     return columns
 
 
-def _lattice_sum(curv, lin, half: bool, alternating: bool, ctl: SeriesControl, moment=False):
+def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
     """sum over the index lattice of sign(m) * exp(curv*m^2 + lin*m).
 
     The lattice is Z (half=False) or Z+1/2 (half=True); alternating
@@ -271,10 +250,9 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, ctl: SeriesControl, m
     lin_arr = np.asarray(lin, dtype=np.complex128)
     decay = -complex(curv).real
     # an infinite real part is an overflow, caught by the pair count
-    pairs = _pair_count(decay, _drift(lin), ctl, half)
+    pairs = _pair_count(decay, _drift(lin), half)
 
-    ladder = _ladder if pairs <= _CACHED_PAIRS else _ladder.__wrapped__
-    m, m_sq, sign = ladder(pairs, half, alternating)
+    m, m_sq, sign = _ladder(pairs, half, alternating)
     base = np.multiply(curv, m_sq)
     flat = lin_arr.reshape(-1)
     acc = np.empty(flat.shape, dtype=np.complex128)
@@ -300,28 +278,27 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, ctl: SeriesControl, m
     return (value, _as_complex(acc_moment.reshape(lin_arr.shape))) if moment else value
 
 
-def theta(
-    kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex | np.ndarray:
+def theta(kind: int, arg: ThetaArg) -> complex | np.ndarray:
     """Evaluate theta_kind(v | tau) for kind in {2, 3, 4}.
 
     Returns a complex, or an array of v's shape when arg.v is an array.
     tau is reduced mod 2 first (theta_2 then gains i^c, _reduce).  The
     series is summed at r, v = r + k*tau + 2j (_reduce), and taken back
     by the quasi-period factor F = +-e^E (_shift_back).  Every term
-    omitted at r is bounded in modulus by ctl.tol, so the omitted tail
-    stays below 3*tol; with the rounding of each term's exponent E_m, of
-    the sum and of E, the result is within |F| (B_0(r) + 8*eps*(1 + |E|)
-    |theta_kind(r | tau)|), B_0(r) = 3*tol + 32*eps*sum_m |t_m| (1 + |E_m|)
-    (t_m the terms at r, |E_m| taken as |curv| m^2 + |lin m|).  Raises
-    DomainError for tau outside the upper half-plane, ConvergenceError if
-    the tolerance needs more than ctl.n_max term pairs, and
+    omitted at r is bounded in modulus by tol = _SERIES_TOL (1e-14), so
+    the omitted tail stays below 3*tol; with the rounding of each term's
+    exponent E_m, of the sum and of E, the result is within |F| (B_0(r) +
+    8*eps*(1 + |E|) |theta_kind(r | tau)|), B_0(r) = 3*tol + 32*eps*sum_m
+    |t_m| (1 + |E_m|) (t_m the terms at r, |E_m| taken as |curv| m^2 +
+    |lin m|).  Raises DomainError for tau outside the upper half-plane,
+    ConvergenceError if the tolerance needs more than _MAX_PAIRS (200)
+    term pairs (below Im tau of about 2.6e-4 at real v), and
     RangeOverflowError where a term at r or the value passes e^700.
     """
     if isinstance(kind, np.ndarray) or kind not in (2, 3, 4):
         raise DomainError(f"theta kind must be 2, 3 or 4, got {kind!r}")
     c, k, curv, lin = _reduce(arg)
-    value = _lattice_sum(curv, lin, half=(kind == 2), alternating=(kind == 4), ctl=ctl)
+    value = _lattice_sum(curv, lin, half=(kind == 2), alternating=(kind == 4))
     message = f"theta_{kind} = exp({{peak:.3g}}) exceeds the floating-point range"
     value = _shift_back(-k, curv, lin, value, message, alternating=(kind == 4))
     return _quarter_turns(c, value) if kind == 2 else value
@@ -334,7 +311,7 @@ def gaussian_lattice_sum(w, half: bool = False):
     overlap calculus of the coherent-state modules is built on it.  It
     is summed at r = w - 2c (_recentre) and scaled back by exp(c*w - c^2)
     (_shift_back), so every w takes at most 7 term pairs (|Re r| <= 1,
-    at DEFAULT_CONTROL); where every c is 0 the sum at r = w is the
+    at the series tolerance); where every c is 0 the sum at r = w is the
     value.  With B_0(r) the theta bound on S(r), the result is within
     |exp(c*w - c^2)| (B_0(r) + 2*eps*(1 + |c*w - c^2|) |S(r)|): the
     prefactor's exponent rounds twice.  Raises DomainError unless w is a
@@ -345,7 +322,7 @@ def gaussian_lattice_sum(w, half: bool = False):
     if not isinstance(half, (bool, np.bool_)):
         raise DomainError(f"half must be True or False, got {half!r}")
     c, r = _recentre(w)
-    reduced = _lattice_sum(-1.0 + 0.0j, r, half=bool(half), alternating=False, ctl=DEFAULT_CONTROL)
+    reduced = _lattice_sum(-1.0 + 0.0j, r, half=bool(half), alternating=False)
     message = "lattice sum S(w) = exp({peak:.3g}) exceeds the floating-point range"
     return _shift_back(c, -1.0, r, reduced, message)
 
@@ -427,14 +404,12 @@ def _shift_back(c, curv, lin, reduced, message: str, alternating: bool = False):
 
 
 @functools.lru_cache(maxsize=32)
-def _origin_modulus(imag_tau: float, ctl: SeriesControl) -> float:
+def _origin_modulus(imag_tau: float) -> float:
     """theta_3(0 | i Im tau), the sum of the theta terms' moduli at a real reduced argument."""
-    return abs(theta(3, ThetaArg(0.0 + 0.0j, 1j * imag_tau), ctl))
+    return abs(theta(3, ThetaArg(0.0 + 0.0j, 1j * imag_tau)))
 
 
-def theta_log_derivative(
-    kind: int, arg: ThetaArg, ctl: SeriesControl = DEFAULT_CONTROL
-) -> complex | np.ndarray:
+def theta_log_derivative(kind: int, arg: ThetaArg) -> complex | np.ndarray:
     """(d/dv) log theta_kind(v | tau) for kind in {3, 4}, as R - 2 pi i k, R = 2 pi i M / Theta.
 
     Theta = sum_m s_m exp(curv m^2 + lin m), s_m = 1 or (-1)^m (kind 4),
@@ -463,15 +438,13 @@ def theta_log_derivative(
     if isinstance(kind, np.ndarray) or kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
     _, k, curv, lin = _reduce(arg)
-    value, moment = _lattice_sum(
-        curv, lin, half=False, alternating=(kind == 4), ctl=ctl, moment=True
-    )
+    value, moment = _lattice_sum(curv, lin, half=False, alternating=(kind == 4), moment=True)
     # below 1e-10 of theta_3(i Im r | i Im tau), the sum of the moduli of
     # Theta's terms, Theta is near a zero or lost to cancellation
     if np.any(lin.real):
-        moduli = _lattice_sum(curv.real, lin.real, False, False, ctl).real
+        moduli = _lattice_sum(curv.real, lin.real, False, False).real
     else:
-        moduli = _origin_modulus(arg.tau.imag, ctl)
+        moduli = _origin_modulus(arg.tau.imag)
     near_zero = np.abs(value) < 1e-10 * moduli
     if near_zero.any():
         v = complex(np.ravel(arg.v)[np.argmax(near_zero)])

@@ -83,7 +83,6 @@ from .hilbert import (
     operator_matrix,
 )
 from .theta import (
-    DEFAULT_CONTROL,
     ThetaArg,
     _integer,
     _pair_count,
@@ -302,7 +301,7 @@ def _unpaired_lattice_sum(curv: complex, lin, half: bool) -> np.ndarray:
     pair count.
     """
     lin = np.asarray(lin, dtype=np.complex128)
-    pairs = _pair_count(-curv.real, float(np.abs(lin.real).max()), DEFAULT_CONTROL, half)
+    pairs = _pair_count(-curv.real, float(np.abs(lin.real).max()), half)
     m = np.arange(-pairs, pairs) + 0.5 if half else np.arange(-pairs, pairs + 1.0)
     return np.exp(curv * m * m + lin[..., None] * m).sum(axis=-1)
 

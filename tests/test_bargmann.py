@@ -33,7 +33,7 @@ from circle_cs.hilbert import (
     inner,
     operator_matrix,
 )
-from circle_cs.theta import SeriesControl, _pair_count, gaussian_lattice_sum
+from circle_cs.theta import _pair_count, gaussian_lattice_sum
 from circle_cs.verify import _kernel_identity
 
 TR = Truncation(40)
@@ -315,12 +315,11 @@ def test_covariant_symbol_of_J_at_unit_radius():
 
 def test_kernel_window_stays_within_the_window_cap():
     # _pair_count refuses a drift past 52.9 (peak term e^700); below it the
-    # kernel window 2P stays near 128, even at tol = 1e-300
-    ctl = SeriesControl(tol=1e-300)
+    # kernel window 2P stays at 110 or less at the series tolerance
     for half in (False, True):
-        assert 2 * _pair_count(1.0, 52.9, ctl, half) <= 130 < MAX_TWO_JMAX
+        assert 2 * _pair_count(1.0, 52.9, half) <= 110 < MAX_TWO_JMAX
         with pytest.raises(RangeOverflowError):
-            _pair_count(1.0, 53.0, ctl, half)
+            _pair_count(1.0, 53.0, half)
 
 
 @pytest.mark.parametrize("n, sector", [

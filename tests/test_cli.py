@@ -441,7 +441,7 @@ def test_distribution_fermion_needs_flag(run):
 
 
 def test_verify_rejects_unknown_config_key(tmp_path, run):
-    # the series tolerance is no config key: the battery sums at DEFAULT_CONTROL
+    # the series tolerance is no config key: the battery sums at the fixed one
     assert sorted(DEFAULT_CONFIG) == ["n_l", "n_phi", "random_cases", "seed", "two_jmax"]
     for key in ("bogus", "series_tol"):
         cfg = tmp_path / "bad.json"
@@ -478,8 +478,8 @@ def test_verify_config_caps(key):
     "tol", [0, 1.0, -1e-14, 10**400, float("nan"), True, "1e-14", None, [1e-14], {}]
 )
 def test_verify_config_series_tol_range(tol):
-    # the key left the config (SeriesControl judges a tolerance, test_theta):
-    # it is refused as a key, before any value check, whatever its value
+    # the key left the config (the series tolerance is fixed in theta): it
+    # is refused as a key, before any value check, whatever its value
     with pytest.raises(ConfigError, match=r"^unknown config keys: series_tol$"):
         validate_config({"series_tol": tol})
 

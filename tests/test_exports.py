@@ -1,6 +1,6 @@
 """The package namespace is the union of the five layers' __all__ lists,
 and the one overflow limit, the one window cap, the one number gate and
-the one series control are each named in one layer."""
+the one series policy are each named in one layer."""
 
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ def test_the_public_surface_is_pinned():
         "CircleError",
         "ConfigError",
         "ConvergenceError",
-        "DEFAULT_CONTROL",
         "DomainError",
         "FreeRotor",
         "J_DEVIATION_AMPLITUDE",
@@ -44,7 +43,6 @@ def test_the_public_surface_is_pinned():
         "Quadrature",
         "RangeOverflowError",
         "Sector",
-        "SeriesControl",
         "SingularityError",
         "StateVector",
         "ThetaArg",
@@ -106,9 +104,9 @@ def test_the_number_gate_is_named_in_theta_alone():
 
 
 def test_the_series_control_is_named_in_theta_alone():
-    # the coherent and Bargmann layers sum at moduli the paper fixes (i/pi and
-    # i pi), so only the functions whose tau the caller chooses take a ctl
-    assert _readers("SeriesControl") == ["theta.py"]
+    # one tolerance and one pair cap for every lattice sum: the paper fixes
+    # the moduli (i/pi and i pi), and no caller passes a policy of its own
+    assert _readers("_SERIES_TOL") == _readers("_MAX_PAIRS") == ["theta.py"]
     takers = sorted(
         name
         for name in circle_cs.__all__
@@ -116,4 +114,5 @@ def test_the_series_control_is_named_in_theta_alone():
         and not inspect.isclass(value)
         and "ctl" in inspect.signature(value).parameters
     )
-    assert takers == ["theta", "theta_log_derivative"]
+    assert takers == []
+    assert _readers("SeriesControl") == []

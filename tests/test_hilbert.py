@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -568,30 +567,47 @@ def _top(sector, value, trunc=Truncation(4)):
 
 
 @pytest.mark.parametrize(
-    "make, message",
+    "make, error, message",
     [
         # 1e308 * j = 2e308 at j = 2
         (
             lambda: apply_operator("J", _top(Sector.BOSON, 1e308)),
+            DomainError,
             "^state coefficients must be finite$",
         ),
         # |c| = 1.7e308 sqrt(2) passes the range while both parts are finite; the phase
         # e^(-i pi/4) at j = 2 makes the real part 2.4e308
         (
             lambda: evolve(_top(Sector.BOSON, 1.7e308 * (1 + 1j)), Linear(1.0), math.pi / 8),
+            DomainError,
             "^state coefficients must be finite$",
         ),
         # leakage 1.7e308 plus the 1e308 dropped off the top edge
         (
             lambda: apply_operator("U", replace(_top(Sector.BOSON, 1e308), leakage=1.7e308)),
+            DomainError,
             r"^leakage must be a finite real number >= 0, got inf$",
         ),
+        (
+            lambda: _top(Sector.BOSON, 1.7e308 * (1 + 1j)).norm(),
+            RangeOverflowError,
+            "^state norm passes the floating-point range$",
+        ),
+        (
+            lambda: _top(Sector.BOSON, 1.7e308 * (1 + 1j)).tail_mass(),
+            RangeOverflowError,
+            "^state tail mass passes the floating-point range$",
+        ),
     ],
-    ids=["J", "evolve", "leakage"],
+    ids=["J", "evolve", "leakage", "norm", "tail_mass"],
 )
-def test_a_library_state_past_the_double_range_is_typed(make, message):
-    # numpy's overflow warning ahead of the typed error is still open (ROADMAP item 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(DomainError, match=message):
-            make()
+def test_a_library_state_past_the_double_range_is_typed(make, error, message):
+    # pyproject turns numpy's overflow warnings into errors: none may come first
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_the_norm_of_a_state_past_the_square_range_is_finite():
+    # each |c_j|^2 passes the double range, the norm does not
+    state = _top(Sector.BOSON, 1e200)
+    assert state.norm() == pytest.approx(1e200) and state.tail_mass() == 1e200

@@ -40,7 +40,7 @@ from circle_cs.coherent import (
 )
 from circle_cs.hilbert import Sector
 from circle_cs.theta import (
-    DEFAULT_CONTROL,
+    _SERIES_TOL,
     ThetaArg,
     gaussian_lattice_sum,
     theta,
@@ -167,7 +167,7 @@ def test_scan_past_the_old_range_matches_mpmath(sector, capsys):
 # theta functions, their log derivative, <J> and overlap_closed (mp.jtheta)
 
 EPS = float(np.finfo(float).eps)
-TOL = DEFAULT_CONTROL.tol
+TOL = _SERIES_TOL
 TAUS = [1j / math.pi, 1j * math.pi, 0.3 + 0.8j]
 # real and complex arguments, a few periods out and off the real line
 V_GRID = np.array([

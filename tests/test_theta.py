@@ -7,6 +7,7 @@ import importlib
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,8 +20,6 @@ from circle_cs.errors import (
 )
 from circle_cs.hilbert import Truncation
 from circle_cs.theta import (
-    DEFAULT_CONTROL,
-    SeriesControl,
     ThetaArg,
     _recentre,
     gaussian_lattice_sum,
@@ -225,31 +224,21 @@ def test_peak_overflow_raises():
 
 
 def test_truncation_budget_exhaustion_raises():
-    # theta_3(0 | 0.01i) needs 33 term pairs
-    ctl = SeriesControl(tol=1e-14, n_max=3)
-    with pytest.raises(ConvergenceError, match="past the cap 3$"):
-        theta(3, ThetaArg(0.0, 0.01j), ctl)
-
-
-def test_series_control_validation():
-    with pytest.raises(DomainError):
-        SeriesControl(tol=0.0)
-    with pytest.raises(DomainError):
-        SeriesControl(tol=1e-14, n_max=0)
+    # theta_3(0 | 1e-4 i) needs about 321 term pairs
+    arg = ThetaArg(0.0, 1e-4j)
+    for function in (theta, theta_log_derivative):
+        with pytest.raises(ConvergenceError, match="past the cap 200$"):
+            function(3, arg)
 
 
 def test_series_pair_cap_is_the_block_size():
-    cap = theta_module._BLOCK_TERMS
-    assert SeriesControl(n_max=cap).n_max == cap == 65536
-    for n_max in (0, cap + 1, 10**6, math.nan):
-        with pytest.raises(DomainError, match=r"^n_max must be an integer in \[1, 65536\]"):
-            SeriesControl(n_max=n_max)
+    # a block of _lattice_sum always holds a point
+    assert theta_module._MAX_PAIRS <= theta_module._BLOCK_TERMS
 
 
 # each integer a type holds, and how to read it back
 INTEGER_FIELDS = {
     "two_jmax": lambda n: Truncation(n).two_jmax,
-    "n_max": lambda n: SeriesControl(n_max=n).n_max,
     "n_l": lambda n: Quadrature(n, 64).n_l,
     "n_phi": lambda n: Quadrature(40, n).n_phi,
 }
@@ -272,48 +261,15 @@ def test_a_numpy_window_equals_the_python_one():
     assert hash(Truncation(np.int64(40))) == hash(Truncation(40))
 
 
-@pytest.mark.parametrize("tol", [
-    0, 1.0, -1e-14, 10**400, math.nan, True, "1e-14", None, [1e-14], {}, 1e-14j, np.array([1e-14])
-], ids=repr)
-def test_series_tol_refuses_what_is_not_one_real_number(tol):
-    # an int past the double range is refused, not converted
-    with pytest.raises(DomainError, match=r"^tol must lie in \(0, 1\), got "):
-        SeriesControl(tol=tol)
-
-
-def test_sum_at_the_pair_cap_keeps_to_its_block():
-    # 56 627 term pairs: the ladder's three columns and the block's
-    # temporaries, about 1 MiB each, whatever the number of points
-    ctl = SeriesControl(n_max=theta_module._BLOCK_TERMS)
-    tracemalloc.start()
-    try:
-        theta(3, ThetaArg(np.linspace(0.0, 0.5, 4), 3.2e-9j), ctl)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
-    assert theta_module._ladder.cache_info().maxsize == 32
-
-
-def test_long_ladders_stay_out_of_the_cache():
-    # 40 pair counts near 56 000, 2.7 MB a ladder: the entry-bounded cache
-    # held 80 MB of them; ladders past _CACHED_PAIRS are built per call
-    ctl = SeriesControl(n_max=theta_module._BLOCK_TERMS)
-    tracemalloc.start()
-    try:
-        for k in range(40):
-            theta(3, ThetaArg(0.25, 3.2e-9j * (1.0 + k / 100.0)), ctl)
-        current = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert current < 2**20
-
-
 def test_tight_tolerance_still_converges():
-    arg = ThetaArg(0.3 + 0.01j, 0.05j)
-    loose = theta(3, arg)
-    tight = theta(3, arg, SeriesControl(tol=1e-30, n_max=100))
-    assert abs(loose - tight) <= 1e-14 * abs(tight)
+    # the direct series at 30 digits: |n| <= 60 leaves out terms below e^-560
+    v, tau = 0.3 + 0.01j, 0.05j
+    with mp.workdps(30):
+        q = mp.exp(1j * mp.pi * mp.mpc(tau))
+        want = complex(mp.fsum(
+            q ** (n * n) * mp.exp(2j * mp.pi * mp.mpc(v) * n) for n in range(-60, 61)
+        ))
+    assert abs(theta(3, ThetaArg(v, tau)) - want) <= 1e-14 * abs(want)
 
 
 # ---------------------------------------------------------------- arrays
@@ -411,7 +367,7 @@ def test_centred_sum_reproduces_the_raw_sum(half):
     assert np.array_equal(r, w - 2.0 * c) and np.all(np.abs(r.real) <= 1.0)
     rebuilt = np.exp(c * w - c * c) * gaussian_lattice_sum(r, half=half)
     # the direct sum at the unreduced w, which the library no longer takes
-    raw = theta_module._lattice_sum(-1.0 + 0.0j, w, half, False, DEFAULT_CONTROL)
+    raw = theta_module._lattice_sum(-1.0 + 0.0j, w, half, False)
     assert np.all(np.abs(rebuilt - raw) <= 1e-13 * np.abs(raw))
     assert np.all(np.abs(gaussian_lattice_sum(w, half=half) - raw) <= 1e-13 * np.abs(raw))
 
@@ -420,7 +376,7 @@ def test_centred_sum_is_plain_sum_near_the_origin():
     w = np.linspace(-0.9, 0.9, 7)
     c, r = _recentre(w)
     assert not c.any() and np.array_equal(r, w)
-    raw = theta_module._lattice_sum(-1.0 + 0.0j, w, True, False, DEFAULT_CONTROL)
+    raw = theta_module._lattice_sum(-1.0 + 0.0j, w, True, False)
     assert np.array_equal(gaussian_lattice_sum(w, half=True), raw)
     c, r = _recentre(0.3)
     assert type(c) is float and r == 0.3
@@ -482,13 +438,12 @@ def test_log_derivative_at_the_top_of_the_double_range():
 
 def test_log_derivative_computes_the_origin_value_once():
     theta_module._origin_modulus.cache_clear()
-    ctl = SeriesControl(tol=1e-13)
-    first = theta_log_derivative(4, ThetaArg(np.array([0.1, 0.3]), I_PI), ctl)
-    again = theta_log_derivative(4, ThetaArg(0.3, I_PI), ctl)
+    first = theta_log_derivative(4, ThetaArg(np.array([0.1, 0.3]), I_PI))
+    again = theta_log_derivative(4, ThetaArg(0.3, I_PI))
     assert again == first[1]
     info = theta_module._origin_modulus.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert theta_module._origin_modulus(math.pi, ctl) == abs(theta(3, ThetaArg(0.0, I_PI), ctl))
+    assert theta_module._origin_modulus(math.pi) == abs(theta(3, ThetaArg(0.0, I_PI)))
 
 
 # ------------------------------------------------------ the broadcast kernel
@@ -526,23 +481,25 @@ def _kernel_case(rng, shape):
     return curv, (complex(lin) if shape == () else lin), bool(rng.integers(2)), bool(rng.integers(2))
 
 
-def _pairs_of(curv, lin, half, ctl):
+def _pairs_of(curv, lin, half):
     return theta_module._pair_count(
-        -curv.real, float(np.abs(np.asarray(lin).real).max(initial=0.0)), ctl, half
+        -curv.real, float(np.abs(np.asarray(lin).real).max(initial=0.0)), half
     )
 
 
 @pytest.mark.parametrize("seed, shape", enumerate([(), (0,), (1,), (101,), (7, 3)]))
-def test_kernel_matches_the_pair_loop_bitwise(seed, shape):
+def test_kernel_matches_the_pair_loop_bitwise(seed, shape, monkeypatch):
     rng = np.random.default_rng(seed)
+    # a raised cap, and a tolerance drawn per case, spread the pair counts
+    monkeypatch.setattr(theta_module, "_MAX_PAIRS", 1000)
     for _ in range(160):
         curv, lin, half, alternating = _kernel_case(rng, shape)
-        ctl = SeriesControl(tol=float(10.0 ** -rng.uniform(3.0, 15.0)), n_max=1000)
+        monkeypatch.setattr(theta_module, "_SERIES_TOL", float(10.0 ** -rng.uniform(3.0, 15.0)))
         try:
-            pairs = _pairs_of(curv, lin, half, ctl)
+            pairs = _pairs_of(curv, lin, half)
         except RangeOverflowError:
             continue
-        got = theta_module._lattice_sum(curv, lin, half, alternating, ctl)
+        got = theta_module._lattice_sum(curv, lin, half, alternating)
         assert _same_bits(got, _pair_loop(curv, lin, half, alternating, pairs))
 
 
@@ -550,25 +507,23 @@ def test_kernel_matches_the_pair_loop_across_blocks():
     # 7 pairs a point: 9362 points a block, so three blocks, the last one short
     rng = np.random.default_rng(11)
     lin = 1.5 * rng.standard_normal(20_000) + 0.5j * rng.standard_normal(20_000)
-    ctl = SeriesControl()
     for half in (False, True):
-        pairs = _pairs_of(-1.0 + 0j, lin, half, ctl)
+        pairs = _pairs_of(-1.0 + 0j, lin, half)
         assert pairs * lin.size > 2 * theta_module._BLOCK_TERMS
-        got = theta_module._lattice_sum(-1.0 + 0j, lin, half, False, ctl)
+        got = theta_module._lattice_sum(-1.0 + 0j, lin, half, False)
         assert _same_bits(got, _pair_loop(-1.0 + 0j, lin, half, False, pairs))
 
 
 @pytest.mark.parametrize("pairs", range(0, 33))
 def test_kernel_matches_the_pair_loop_at_every_pair_count(pairs, monkeypatch):
     rng = np.random.default_rng(pairs)
-    ctl = SeriesControl()  # built before _BLOCK_TERMS, which caps its n_max, shrinks
     monkeypatch.setattr(theta_module, "_pair_count", lambda *args: pairs)
     # a block of 3 points at most, so the 7 points take several blocks
     monkeypatch.setattr(theta_module, "_BLOCK_TERMS", 3 * max(pairs, 1))
     curv = complex(-0.02, 0.7)
     for half, alternating in ((False, False), (False, True), (True, False)):
         lin = 0.3 * rng.standard_normal(7) + 0.3j * rng.standard_normal(7)
-        got = theta_module._lattice_sum(curv, lin, half, alternating, ctl)
+        got = theta_module._lattice_sum(curv, lin, half, alternating)
         assert _same_bits(got, _pair_loop(curv, lin, half, alternating, pairs))
 
 

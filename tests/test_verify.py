@@ -232,8 +232,8 @@ def test_evenness_and_symmetry_checks_see_a_wrong_lattice_sum(monkeypatch):
     theta_module = importlib.import_module("circle_cs.theta")  # the package exports theta()
     lattice_sum = theta_module._lattice_sum
 
-    def skewed(curv, lin, half, alternating, ctl):
-        return lattice_sum(0.9 * curv, lin, half, alternating, ctl)
+    def skewed(curv, lin, half, alternating):
+        return lattice_sum(0.9 * curv, lin, half, alternating)
 
     monkeypatch.setattr(theta_module, "_lattice_sum", skewed)
     ctx = verify._Context(verify.load_config(None))
