@@ -188,32 +188,44 @@ def _coherent_coeffs(j: np.ndarray, p: PhasePoint) -> np.ndarray:
     return _exp(j * complex(p.l, -p.phi) - 0.5 * j * j, message)
 
 
-def overlap_closed(p1: PhasePoint, p2: PhasePoint, sector: Sector) -> complex:
+def overlap_closed(p1: PhasePoint, p2: PhasePoint, sector: Sector) -> complex | np.ndarray:
     """<xi_1|xi_2> = S(w) with w = log(conj(xi_1)*xi_2), lattice per sector.
 
     Equivalently theta_3 (boson) or theta_2 (fermion) at argument
     (i/2pi)*w with modulus i/pi, and as accurate as gaussian_lattice_sum
     states; w is assembled from the stored (l, phi) pairs, never from a
-    recomputed complex logarithm.  RangeOverflowError where the value
-    passes e^700 (from |l_1 + l_2| of about 52.9), or where |l_1| or
-    |l_2| exceeds 1e300.
+    recomputed complex logarithm.  p1 and p2 may be grids that broadcast
+    together: one lattice-sum call then gives a complex array of the
+    broadcast shape.  RangeOverflowError where a value passes e^700
+    (from |l_1 + l_2| of about 52.9), or where |l_1| or |l_2| exceeds
+    1e300.
     """
-    _single(p1, p2)
     _require_reach(p1.l)
     _require_reach(p2.l)
-    w = complex(-(p1.l + p2.l), p2.phi - p1.phi)
-    return complex(gaussian_lattice_sum(w, half=_half(sector)))
+    if p1.shape == p2.shape == ():
+        shape, w = (), complex(-(p1.l + p2.l), p2.phi - p1.phi)
+    else:  # each element as complex() makes it
+        try:
+            shape = np.broadcast_shapes(p1.shape, p2.shape)
+        except ValueError:
+            raise DomainError(
+                f"grids of shape {p1.shape} and {p2.shape} do not broadcast"
+            ) from None
+        w = np.empty(shape, np.complex128)
+        w.real = -(p1.l + p2.l)
+        w.imag = p2.phi - p1.phi
+    return _shaped(gaussian_lattice_sum(w, half=_half(sector)), shape, complex)
 
 
-def norm_sq(p: PhasePoint, sector: Sector) -> float:
+def norm_sq(p: PhasePoint, sector: Sector) -> float | np.ndarray:
     """<xi|xi> = S(2l); positive, independent of phi.
 
-    RangeOverflowError past |l| of about 26.45, where S(2l) ~ e^(l^2)
-    passes e^700.
+    A grid point takes one lattice-sum call and gives a float array of
+    its shape.  RangeOverflowError past |l| of about 26.45, where S(2l)
+    ~ e^(l^2) passes e^700.
     """
-    _single(p)
     _require_reach(p.l)
-    return complex(gaussian_lattice_sum(2.0 * p.l, half=_half(sector))).real
+    return _shaped(np.real(gaussian_lattice_sum(2.0 * p.l, half=_half(sector))), p.shape, float)
 
 
 def expect_J(p: PhasePoint, sector: Sector) -> float | np.ndarray:
@@ -280,8 +292,12 @@ def expect_U(p: PhasePoint, sector: Sector) -> complex | np.ndarray:
     return _shaped(math.exp(-0.25) * ratio * np.exp(1j * p.phi), p.shape, complex)
 
 
-def relative_expect_U(p: PhasePoint, ref: PhasePoint, sector: Sector) -> complex:
-    """expect_U(p)/expect_U(ref); with ref = (0, 0) approximately e^(i phi)."""
+def relative_expect_U(p: PhasePoint, ref: PhasePoint, sector: Sector) -> complex | np.ndarray:
+    """expect_U(p)/expect_U(ref); with ref = (0, 0) approximately e^(i phi).
+
+    p may be a grid, which gives a complex array of its shape; ref is
+    one point.
+    """
     _single(ref)
     reference = expect_U(ref, sector)
     if abs(reference) < 1e-12:
@@ -405,21 +421,32 @@ def heisenberg_approximation(
     return {"U_t": _shaped(u_t, shape, complex), "X_t": _shaped(x_t, shape, complex)}
 
 
-def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float]:
+def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float | np.ndarray]:
     """Spreads of Q = (X + Xdag)/2 and P = (X - Xdag)/2i, plus the bound.
 
     Both spreads equal (1/2) e^(-l) sqrt(e^2 - 1); the commutator bound
     (1/2)|<[Q,P]>|/<xi|xi> equals (1/4)(e^2 - 1) e^(-2l), so the
     product Delta Q * Delta P sits exactly on the bound --- for every
-    (l, phi) and in both sectors.  Raises RangeOverflowError for
-    l < -350, where e^(-2l) passes e^700.
+    (l, phi) and in both sectors.  A single point gives Python floats
+    from math.exp; a grid gives float arrays of its shape from np.exp,
+    which can differ from math.exp in the last place.  Raises
+    RangeOverflowError for l < -350, where e^(-2l) passes e^700.
     """
-    _single(p)
-    message = f"uncertainty bound at l = {p.l} exceeds the floating-point range"
-    growth = _exp(-2.0 * p.l, message, exp=math.exp)
-    spread = 0.5 * math.exp(-p.l) * math.sqrt(math.exp(2.0) - 1.0)
+    if p.shape == ():
+        l, exp = p.l, math.exp
+        message = f"uncertainty bound at l = {p.l} exceeds the floating-point range"
+    else:
+        # clipped, so -2l stays finite; past 1e300 the bound is 0 or out of range either way
+        l, exp = np.clip(p.l, -1e300, 1e300), np.exp
+        message = "uncertainty bound exp({peak:.3g}) on a grid exceeds the floating-point range"
+    growth = _exp(-2.0 * l, message, exp=exp)
+    spread = 0.5 * exp(-l) * math.sqrt(math.exp(2.0) - 1.0)
     bound = 0.25 * (math.exp(2.0) - 1.0) * growth
-    return {"dQ": spread, "dP": spread, "bound": bound}
+    return {
+        "dQ": _shaped(spread, p.shape, float),
+        "dP": _shaped(spread, p.shape, float),
+        "bound": _shaped(bound, p.shape, float),
+    }
 
 
 def energy_distribution(
@@ -458,15 +485,30 @@ def energy_distribution(
     return [(float(jv), float(pv)) for jv, pv in zip(j, probs)]
 
 
-def gaussian_energy_profile(j: float, l: float) -> float:
+def gaussian_energy_profile(
+    j: float | np.ndarray, l: float | np.ndarray
+) -> float | np.ndarray:
     """Continuous companion pi^(-1/2) e^(-(j-l)^2) of the distribution.
 
-    j and l must be finite real numbers.  (j - l)^2 overflows only
-    where the profile underflows to 0.0.
+    j and l must be finite real numbers, or arrays of them that
+    broadcast together.  Two scalars give a Python float from math.exp;
+    an array gives a float array of the broadcast shape from one np.exp,
+    which can differ from math.exp in the last place.  (j - l)^2
+    overflows only where the profile underflows to 0.0.
     """
     message = "j and l must be finite real numbers"
-    j, l = (_number(x, float, message, arrays=False) for x in (j, l))
+    j, l = (_number(x, float, message) for x in (j, l))
+    if type(j) is float and type(l) is float:
+        try:
+            return math.exp(-((j - l) ** 2)) / math.sqrt(math.pi)
+        except OverflowError:
+            return 0.0
     try:
-        return math.exp(-((j - l) ** 2)) / math.sqrt(math.pi)
-    except OverflowError:
-        return 0.0
+        shape = np.broadcast_shapes(np.shape(j), np.shape(l))
+    except ValueError:
+        raise DomainError(
+            f"j of shape {np.shape(j)} and l of shape {np.shape(l)} do not broadcast"
+        ) from None
+    with np.errstate(over="ignore"):  # an overflowed square is inf, whose profile is 0
+        square = np.square(np.subtract(j, l))
+    return _shaped(np.exp(-square) / math.sqrt(math.pi), shape, float)

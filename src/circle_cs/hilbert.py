@@ -260,21 +260,22 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
     """
     if isinstance(kind, np.ndarray) or kind not in OPERATOR_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
-    j = s.j_values()
     c = s.coeffs
     dropped = 0.0
-    if kind in ("J", "N"):
-        # a product past the range is not finite, which _adopt types
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = c * (j if kind == "J" else -j + N_CONST)
-    elif kind == "U":
+    if kind == "U":
         out, dropped = _shift_up(c)
     elif kind == "Udag":
         out, dropped = _shift_down(c)
-    elif kind == "X":
-        out, dropped = _shift_up(_exp(-j - 0.5, "X" + _COEFF_OVERFLOW, c))
-    else:  # Xdag
-        out, dropped = _shift_down(_exp(-j + 0.5, "Xdag" + _COEFF_OVERFLOW, c))
+    else:  # the weighted kinds read the window's j
+        j = s.j_values()
+        if kind in ("J", "N"):
+            # a product past the range is not finite, which _adopt types
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = c * (j if kind == "J" else -j + N_CONST)
+        elif kind == "X":
+            out, dropped = _shift_up(_exp(-j - 0.5, "X" + _COEFF_OVERFLOW, c))
+        else:  # Xdag
+            out, dropped = _shift_down(_exp(-j + 0.5, "Xdag" + _COEFF_OVERFLOW, c))
     return _adopt(s.sector, s.trunc, out, s.leakage + dropped)
 
 

@@ -103,7 +103,7 @@ DEFAULT_CONFIG = {
 
 # The battery's own upper bound on the config; the window and quadrature
 # bounds are those of Truncation and Quadrature.  The largest allowed
-# battery peaks near 90 MB.
+# battery peaks near 120 MB, the shared window basis (11.5 MB) included.
 CONFIG_CAPS = {"random_cases": 10_000}
 
 SECTORS = (Sector.BOSON, Sector.FERMION)
@@ -241,6 +241,11 @@ def _rel_gap(value, reference) -> float:
     return abs(value - reference) / abs(reference)
 
 
+def _modulus(z) -> np.ndarray:
+    """|z| elementwise by hypot, with the bits of Python's abs(complex); np.abs rounds otherwise."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
 def _sup(delta) -> float:
     return float(np.max(np.abs(delta)))
 
@@ -257,6 +262,19 @@ def _random_points(rng: np.random.Generator, l_max: float, n: int) -> tuple[np.n
     """(l, phi) arrays of the n points that n calls of _random_point draw, in one draw."""
     parts = rng.uniform([-l_max, 0.0], [l_max, 2.0 * math.pi], size=(n, 2))
     return parts[:, 0], parts[:, 1]
+
+
+def _random_pairs(rng: np.random.Generator, l_max: float, n: int) -> tuple[PhasePoint, PhasePoint]:
+    """Grids (p1, p2) of the n pairs that n rounds of two _random_point calls draw, in one draw."""
+    l, phi = _random_points(rng, l_max, 2 * n)
+    return PhasePoint(l[0::2], phi[0::2]), PhasePoint(l[1::2], phi[1::2])
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i im as an array, each element as complex(re, im) makes it."""
+    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), np.complex128)
+    z.real, z.imag = re, im
+    return z
 
 
 # --------------------------------------------------------------------------
@@ -330,15 +348,26 @@ def _theta2_half_period(v, tau) -> complex | np.ndarray:
 def _kernel_identity(p1: PhasePoint, p2: PhasePoint, sector: Sector, quad: Quadrature):
     """(K(xi_1*, xi_2) by overlap_closed, the Gram sum of K(xi_1*, xi) K(xi*, xi_2) over xi).
 
-    The two agree to the Hermite rule's accuracy, and no error marks its
-    loss.  Domain: at 40 x 64 the relative gap is below 1e-10 for |l_1|,
-    |l_2| <= 2, about 1.4e-8 at 3 and 6e-6 at 4 (at 100 x 128 below 2e-14
-    up to 4); the battery draws |l| <= 1.
+    p1 and p2 are two points, or 1-d grids of the pairs' points with l and
+    phi of one length; each side then holds one value per pair, the left
+    from one overlap_closed call, the right from one Gram sum a pair.  The
+    two agree to the Hermite rule's accuracy, and no error marks its loss.
+    Domain: at 40 x 64 the relative gap is below 1e-10 for |l_1|, |l_2|
+    <= 2, about 1.4e-8 at 3 and 6e-6 at 4 (at 100 x 128 below 2e-14 up to
+    4); the battery draws |l| <= 1.
     """
     lhs = overlap_closed(p1, p2, sector)
-    two_1, k1 = _kernel_coeffs(p1, sector, quad)
-    two_2, k2 = _kernel_coeffs(p2, sector, quad)
-    return lhs, _quadrature_sum(quad, sector, two_1, k1, sector, two_2, k2)
+    if p1.shape == ():
+        pairs = [(p1, p2)]
+    else:
+        coords = zip(p1.l.tolist(), p1.phi.tolist(), p2.l.tolist(), p2.phi.tolist())
+        pairs = [(PhasePoint(l1, phi1), PhasePoint(l2, phi2)) for l1, phi1, l2, phi2 in coords]
+    rhs = []
+    for q1, q2 in pairs:
+        two_1, k1 = _kernel_coeffs(q1, sector, quad)
+        two_2, k2 = _kernel_coeffs(q2, sector, quad)
+        rhs.append(_quadrature_sum(quad, sector, two_1, k1, sector, two_2, k2))
+    return lhs, (rhs[0] if p1.shape == () else np.array(rhs))
 
 
 def _check_theta_evenness(ctx: _Context):
@@ -372,31 +401,42 @@ def _check_logderiv_fd(ctx: _Context):
 # window-operator checks
 
 
+def _basis(ctx: _Context, sector: Sector) -> list[StateVector]:
+    """|j> for every j of the window, in ascending j; a shared fixture."""
+    return [basis_state(sector, j, ctx.trunc) for j in ctx.trunc.j_values(sector).tolist()]
+
+
+def _row_sups(rows) -> np.ndarray:
+    """The largest modulus of each residual row, from one reduction over the stacked rows."""
+    return np.max(np.abs(rows), axis=1)
+
+
 def _check_ju_commutator(ctx: _Context, sector: Sector):
-    errors = []
-    for j in ctx.trunc.j_values(sector)[:-1].tolist():
-        s = basis_state(sector, j, ctx.trunc)
+    rows = []
+    for s in ctx.shared(_basis, sector)[:-1]:
         u = apply_operator("U", s)
         uj = apply_operator("U", apply_operator("J", s))
-        errors.append(_sup(apply_operator("J", u).coeffs - uj.coeffs - u.coeffs))
-    return errors
+        rows.append(apply_operator("J", u).coeffs - uj.coeffs - u.coeffs)
+    return _row_sups(rows)
 
 
 def _check_x_factorization(ctx: _Context, sector: Sector):
-    errors = []
-    for j in ctx.trunc.j_values(sector)[:-1].tolist():
-        s = basis_state(sector, j, ctx.trunc)
-        factored = apply_operator("U", apply_exp_j(s, -1.0)).coeffs * math.exp(-0.5)
-        errors.append(np.max(_rel(apply_operator("X", s).coeffs - factored, math.exp(-j - 0.5))))
-    return errors
+    rows = [
+        apply_operator("X", s).coeffs
+        - apply_operator("U", apply_exp_j(s, -1.0)).coeffs * math.exp(-0.5)
+        for s in ctx.shared(_basis, sector)[:-1]
+    ]
+    scale = [math.exp(-j - 0.5) for j in ctx.trunc.j_values(sector)[:-1].tolist()]
+    return _row_sups(_rel(np.array(rows), np.array(scale)[:, None]))
 
 
 def _matrices(ctx: _Context, sector: Sector):
+    """The window matrices of X and Xdag; a shared fixture."""
     return operator_matrix("X", sector, ctx.trunc), operator_matrix("Xdag", sector, ctx.trunc)
 
 
 def _check_xxdag_ratio(ctx: _Context, sector: Sector):
-    x, xd = _matrices(ctx, sector)
+    x, xd = ctx.shared(_matrices, sector)
     lhs = np.diag(x @ xd)[1:-1]
     rhs = math.exp(2.0) * np.diag(xd @ x)[1:-1]
     return _rel(lhs - rhs, lhs)
@@ -404,7 +444,7 @@ def _check_xxdag_ratio(ctx: _Context, sector: Sector):
 
 def _check_deformed_algebra(ctx: _Context, sector: Sector):
     j = ctx.interior_j(sector)
-    x, xd = _matrices(ctx, sector)
+    x, xd = ctx.shared(_matrices, sector)
     n = operator_matrix("N", sector, ctx.trunc)
     comm = np.diag(x @ xd - xd @ x)[1:-1]
     target = 2.0 * math.sinh(1.0) * np.exp(-2.0 * j)
@@ -418,7 +458,7 @@ def _check_deformed_algebra(ctx: _Context, sector: Sector):
 
 def _check_qboson_relation(ctx: _Context, sector: Sector):
     q = math.exp(-2.0)
-    x, xd = _matrices(ctx, sector)
+    x, xd = ctx.shared(_matrices, sector)
     a = x / math.sqrt(1.0 + q)
     ad = xd / math.sqrt(1.0 + q)
     lhs = np.diag(a @ ad - q * (ad @ a))[1:-1]
@@ -427,12 +467,11 @@ def _check_qboson_relation(ctx: _Context, sector: Sector):
 
 
 def _check_time_reversal_conjugation(ctx: _Context, sector: Sector):
-    errors = []
-    for j in ctx.trunc.j_values(sector)[1:-1].tolist():
-        s = basis_state(sector, j, ctx.trunc)
-        lhs = apply_time_reversal(apply_operator("U", apply_time_reversal(s)))
-        errors.append(_sup(lhs.coeffs - apply_operator("Udag", s).coeffs))
-    return errors
+    return _row_sups([
+        apply_time_reversal(apply_operator("U", apply_time_reversal(s))).coeffs
+        - apply_operator("Udag", s).coeffs
+        for s in ctx.shared(_basis, sector)[1:-1]
+    ])
 
 
 def _check_u_unitarity(ctx: _Context, sector: Sector):
@@ -516,27 +555,25 @@ def _check_expectU_series(ctx: _Context, sector: Sector):
 
 
 def _check_relative_expectU(ctx: _Context, sector: Sector):
-    ref = PhasePoint(0.0, 0.0)
-    return [
-        abs(abs(relative_expect_U(PhasePoint(l, phi), ref, sector)) - 1.0)
-        for l, phi in ((0.5, 1.0), (-0.8, 2.2), (1.0, 4.0))
-    ]
+    p = PhasePoint(np.array([0.5, -0.8, 1.0]), np.array([1.0, 2.2, 4.0]))
+    return np.abs(_modulus(relative_expect_U(p, PhasePoint(0.0, 0.0), sector)) - 1.0)
 
 
 def _check_uncertainty_equality(ctx: _Context):
-    rng = ctx.rng(22)
+    # per case: l and phi as _random_point(rng, 2.0) draws them, then the
+    # uniform draw that puts the case in the boson sector below 0.5
+    draws = ctx.rng(22).uniform([-2.0, 0.0, 0.0], [2.0, 2.0 * math.pi, 1.0], size=(ctx.cases, 3))
+    l, phi, pick = draws.T
     errors = []
-    for _ in range(ctx.cases):
-        p = _random_point(rng, 2.0)
-        sector = Sector.BOSON if rng.uniform() < 0.5 else Sector.FERMION
-        result = uncertainty_QP(p, sector)
-        errors.append(abs(result["dQ"] * result["dP"] - result["bound"]))
+    for sector, drawn in zip(SECTORS, (pick < 0.5, pick >= 0.5)):
+        result = uncertainty_QP(PhasePoint(l[drawn], phi[drawn]), sector)
+        errors.append(np.abs(result["dQ"] * result["dP"] - result["bound"]))
     return errors
 
 
 def _check_uncertainty_basis_gap(ctx: _Context, sector: Sector):
     j = ctx.interior_j(sector)
-    x, xd = _matrices(ctx, sector)
+    x, xd = ctx.shared(_matrices, sector)
     qq = 0.25 * np.diag(x @ xd + xd @ x)[1:-1]
     pp = qq  # <j|P^2|j> has the same diagonal; cross terms vanish
     # [Q, P] = (i/2) [X, Xdag], so the bound is |<[X, Xdag]>| / 4
@@ -568,7 +605,9 @@ def _boson_distributions(ctx: _Context):
 
 def _check_energy_distribution_gaussian(ctx: _Context):
     dists = ctx.shared(_boson_distributions)
-    return [abs(prob - gaussian_energy_profile(j, l)) for l, dist in dists for j, prob in dist]
+    table = np.array([dist for _, dist in dists])  # (point, level, (j, prob))
+    l = np.array([[l] for l, _ in dists])
+    return np.abs(table[..., 1] - gaussian_energy_profile(table[..., 0], l))
 
 
 def _check_energy_distribution_normalization(ctx: _Context):
@@ -672,11 +711,9 @@ def _check_freerotor_conservation(ctx: _Context, sector: Sector):
 
 
 def _small_basis(ctx: _Context, sector: Sector, bound: float) -> list[StateVector]:
-    """|j> for |j| <= bound, in ascending j."""
-    return [
-        basis_state(sector, float(j), ctx.trunc)
-        for j in Truncation(int(2 * bound)).j_values(sector)
-    ]
+    """|j> for |j| <= bound, in ascending j, from the shared basis."""
+    j = ctx.trunc.j_values(sector).tolist()
+    return [s for jv, s in zip(j, ctx.shared(_basis, sector)) if abs(jv) <= bound]
 
 
 def _check_quadrature_orthonormality(ctx: _Context, sector: Sector):
@@ -714,13 +751,13 @@ def _check_bargmann_intertwining(ctx: _Context, sector: Sector):
     """
     rng = ctx.rng(38)
     kinds = ("J", "U", "Udag", "X", "Xdag")
+    dense = [operator_matrix(kind, sector, ctx.trunc) for kind in kinds]
+    exchange = np.eye(ctx.trunc.size(sector))[::-1]
     errors = []
     for _ in range(5):
         s = _random_state(ctx, sector, rng)
-        dense = [operator_matrix(kind, sector, ctx.trunc) @ s.coeffs for kind in kinds]
-        exchanged = np.conj(np.eye(s.coeffs.size)[::-1] @ s.coeffs)
-        errors += [_sup(apply_operator(kind, s).coeffs - d) for kind, d in zip(kinds, dense)]
-        errors.append(_sup(apply_time_reversal(s).coeffs - exchanged))
+        errors += [_sup(apply_operator(k, s).coeffs - m @ s.coeffs) for k, m in zip(kinds, dense)]
+        errors.append(_sup(apply_time_reversal(s).coeffs - np.conj(exchange @ s.coeffs)))
     return errors
 
 
@@ -759,9 +796,8 @@ def _check_kernel_identity_fixed(ctx: _Context, sector: Sector):
 
 
 def _check_kernel_identity_random(ctx: _Context, sector: Sector):
-    rng = ctx.rng(41)
-    points = [(_random_point(rng, 1.0), _random_point(rng, 1.0)) for _ in range(10)]
-    return [abs(rhs - lhs) for lhs, rhs in (_kernel_identity(*p, sector, ctx.quad) for p in points)]
+    lhs, rhs = _kernel_identity(*_random_pairs(ctx.rng(41), 1.0, 10), sector, ctx.quad)
+    return _modulus(rhs - lhs)
 
 
 def _check_kernel_reproducing(ctx: _Context, sector: Sector):
@@ -829,18 +865,13 @@ def _check_kernel_parity_projection(ctx: _Context):
 
 
 def _check_kernel_symmetry(ctx: _Context, sector: Sector):
-    rng = ctx.rng(46)
+    p1, p2 = _random_pairs(ctx.rng(46), 1.0, 10)
     half = sector is Sector.FERMION
-    errors = []
-    for _ in range(10):
-        p1 = _random_point(rng, 1.0)
-        p2 = _random_point(rng, 1.0)
-        w12 = complex(-(p1.l + p2.l), p2.phi - p1.phi)
-        w21 = complex(-(p1.l + p2.l), p1.phi - p2.phi)
-        k12 = complex(gaussian_lattice_sum(w12, half=half))
-        k21 = complex(_unpaired_lattice_sum(-1.0 + 0.0j, w21, half))
-        errors.append(_rel_gap(k21.conjugate(), k12))
-    return errors
+    w12 = _complex(-(p1.l + p2.l), p2.phi - p1.phi)
+    w21 = _complex(-(p1.l + p2.l), p1.phi - p2.phi)
+    k12 = gaussian_lattice_sum(w12, half=half)
+    k21 = _unpaired_lattice_sum(-1.0 + 0.0j, w21, half)
+    return _modulus(np.conj(k21) - k12) / _modulus(k12)
 
 
 def _check_covariant_symbol(ctx: _Context):
@@ -861,7 +892,7 @@ def _check_covariant_symbol(ctx: _Context):
 
 def _check_quadrature_refinement(ctx: _Context):
     # the finest order counts while the errors shrink monotonically in n_l
-    s = basis_state(Sector.BOSON, 0.0, ctx.trunc)
+    [s] = _small_basis(ctx, Sector.BOSON, 0.0)
     errors = [abs(inner_quadrature(s, s, Quadrature(n_l, 8)) - 1.0) for n_l in (2, 4, 8, 16)]
     monotone = all(finer < coarser for coarser, finer in zip(errors, errors[1:]))
     return (errors[-1] if monotone else errors), len(errors)

@@ -673,14 +673,130 @@ def test_single_point_functions_reject_grids():
     grid = PhasePoint(np.array([0.1, 0.2]), 0.0)
     for call in (
         lambda: coherent_state(grid, Sector.BOSON, TR),
-        lambda: norm_sq(grid, Sector.BOSON),
-        lambda: overlap_closed(grid, PhasePoint(0.0, 0.0), Sector.BOSON),
-        lambda: uncertainty_QP(grid, Sector.BOSON),
         lambda: energy_distribution(grid, Sector.BOSON),
         lambda: relative_expect_U(PhasePoint(0.0, 0.0), grid, Sector.BOSON),
     ):
         with pytest.raises(DomainError, match="single phase-space point"):
             call()
+
+
+# ------------------------------------------------ pointwise closed forms on grids
+
+_GRID_RNG = np.random.default_rng(26)
+GRID_L = _GRID_RNG.uniform(-3.0, 3.0, size=(6, 1))
+GRID_PHI = _GRID_RNG.uniform(-7.0, 7.0, size=(1, 5))
+GRID_L2 = _GRID_RNG.uniform(-3.0, 3.0, size=(6, 5))
+GRID_PHI2 = _GRID_RNG.uniform(-7.0, 7.0, size=(6, 1))
+REF = PhasePoint(0.3, 1.1)
+
+
+def _grid_calls(sector):
+    """name -> (the call, from coordinate arrays, and the arrays of one grid)."""
+    return {
+        "overlap_closed": (
+            lambda l, phi, l2, phi2: overlap_closed(
+                PhasePoint(l, phi), PhasePoint(l2, phi2), sector
+            ),
+            (GRID_L, GRID_PHI, GRID_L2, GRID_PHI2),
+        ),
+        "norm_sq": (lambda l, phi: norm_sq(PhasePoint(l, phi), sector), (GRID_L, GRID_PHI)),
+        "relative_expect_U": (
+            lambda l, phi: relative_expect_U(PhasePoint(l, phi), REF, sector), (GRID_L, GRID_PHI)
+        ),
+        "uncertainty_QP": (
+            lambda l, phi: uncertainty_QP(PhasePoint(l, phi), sector), (GRID_L, GRID_PHI)
+        ),
+        # j down the rows, l across: the energy profile takes no sector
+        "gaussian_energy_profile": (
+            gaussian_energy_profile, (np.arange(-6.0, 6.5, 1.0)[:, None], GRID_L2[0])
+        ),
+    }
+
+
+def _values(result):
+    return [result[k] for k in ("dQ", "dP", "bound")] if isinstance(result, dict) else [result]
+
+
+def _profile_gap_bound(j, l):
+    """The grid profile's relative distance from the scalar call's, at most.
+
+    Besides np.exp against math.exp, the scalar call squares with Python's
+    ** (libm pow, which can miss the rounded square by an ulp) and the
+    grid with an exact-rounded product: eps (j - l)^2 relative in e^(-(j - l)^2).
+    """
+    return 4.0 * np.finfo(float).eps * (1.0 + np.square(j - l))
+
+
+@pytest.mark.parametrize("name", sorted(_grid_calls(Sector.BOSON)))
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_pointwise_closed_forms_on_a_grid_have_the_scalar_bits(name, sector):
+    fn, args = _grid_calls(sector)[name]
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    batch = _values(fn(*args))
+    cases = list(np.broadcast(*args))
+    scalars = [_values(fn(*map(float, case))) for case in cases]
+    for k, part in enumerate(batch):
+        assert isinstance(part, np.ndarray) and part.shape == shape
+        complex_valued = name in ("overlap_closed", "relative_expect_U")
+        assert part.dtype == (np.complex128 if complex_valued else np.float64)
+        expected = np.reshape([s[k] for s in scalars], shape)
+        assert {type(s[k]) for s in scalars} <= {float, complex}
+        if name == "gaussian_energy_profile":
+            assert np.all(np.abs(part - expected) <= _profile_gap_bound(*args) * expected)
+        elif name == "uncertainty_QP":
+            # math.exp on a single point, np.exp on a grid: they may differ in the last place
+            assert _within_ulps(part, expected)
+        elif name == "relative_expect_U":
+            # expect_U's grid keeps to 2 ulps of its scalar calls, and one division follows
+            assert _within_ulps(part, expected, ulps=4.0)
+        else:
+            assert np.array_equal(part, expected)
+
+
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_pointwise_closed_forms_on_an_empty_grid(sector):
+    empty = PhasePoint(np.zeros((0, 3)), 0.0)
+    assert overlap_closed(empty, PhasePoint(0.0, 1.0), sector).shape == (0, 3)
+    assert norm_sq(empty, sector).shape == (0, 3)
+    assert relative_expect_U(empty, REF, sector).shape == (0, 3)
+    assert {v.shape for v in uncertainty_QP(empty, sector).values()} == {(0, 3)}
+    assert gaussian_energy_profile(np.zeros((0, 3)), 0.5).shape == (0, 3)
+
+
+def test_pointwise_closed_forms_refuse_a_grid_with_a_nan():
+    grid = np.array([0.1, math.nan])
+    with pytest.raises(DomainError, match="finite real numbers"):
+        PhasePoint(grid, 0.0)  # every point function then has no grid to take
+    for j, l in ((grid, 0.0), (0.0, grid), (np.array([0.1, math.inf]), 0.0)):
+        with pytest.raises(DomainError, match="finite real numbers"):
+            gaussian_energy_profile(j, l)
+    with pytest.raises(DomainError, match="broadcast"):
+        gaussian_energy_profile(np.zeros(3), np.zeros(4))
+    with pytest.raises(DomainError, match="broadcast"):
+        overlap_closed(PhasePoint(np.zeros(3), 0.0), PhasePoint(np.zeros(4), 0.0), Sector.BOSON)
+
+
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_a_grid_with_one_point_past_the_range_is_typed(sector):
+    # pyproject turns a numpy RuntimeWarning into an error, so none comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = PhasePoint(np.array([0.0, 1.0, 27.0]), 0.0)
+        with pytest.raises(RangeOverflowError):
+            norm_sq(edge, sector)
+        with pytest.raises(RangeOverflowError):
+            overlap_closed(edge, PhasePoint(27.0, 0.3), sector)  # S(-54) passes e^700
+        with pytest.raises(RangeOverflowError, match="uncertainty bound"):
+            uncertainty_QP(PhasePoint(np.array([0.0, -351.0]), 0.0), sector)
+        with pytest.raises(RangeOverflowError):
+            overlap_closed(PhasePoint(np.array([0.0, 1e301]), 0.0), REF, sector)
+        # past the reach of l, or of the double range: typed, or 0 where the value underflows
+        far = np.array([0.0, 1e300, 1.7e308])
+        assert uncertainty_QP(PhasePoint(far, 0.0), sector)["bound"].tolist()[1:] == [0.0, 0.0]
+        with pytest.raises(RangeOverflowError):
+            uncertainty_QP(PhasePoint(-far, 0.0), sector)
+        profile = gaussian_energy_profile(far, -far)
+        assert profile[1:].tolist() == [0.0, 0.0] and profile[0] == 1.0 / math.sqrt(math.pi)
 
 
 # ------------------------------------------------ finite inputs, typed overflow

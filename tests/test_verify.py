@@ -180,30 +180,103 @@ def test_batched_point_checks_draw_the_per_case_sample(monkeypatch):
         assert all(p.l.tolist() == l for p in points)
         assert all(p.phi.tolist() == [q.phi for q in scalar] for p in [grid, *points])
 
+    # uncertainty-equality draws a point, then its sector, per case; it makes
+    # one call per sector with that sector's points in the order drawn
+    calls = _recorder(monkeypatch, "uncertainty_QP")
+    _only_check("uncertainty-equality")(ctx)
+    rng = np.random.default_rng([seed, 22])
+    drawn = {sector: [] for sector in verify.SECTORS}
+    for _ in range(ctx.cases):
+        p = verify._random_point(rng, 2.0)
+        drawn[verify.Sector.BOSON if rng.uniform() < 0.5 else verify.Sector.FERMION].append(p)
+    assert [sector for _, sector in calls] == list(verify.SECTORS)
+    for p, sector in calls:
+        assert p.l.tolist() == [q.l for q in drawn[sector]]
+        assert p.phi.tolist() == [q.phi for q in drawn[sector]]
+
+    # kernel-identity-random and kernel-symmetry draw ten pairs of points a
+    # sector; each sum then takes all ten pairs in one call
+    def scalar_pairs(index):
+        rng = np.random.default_rng([seed, index])
+        return [
+            [(verify._random_point(rng, 1.0), verify._random_point(rng, 1.0)) for _ in range(10)]
+            for _ in verify.SECTORS
+        ]
+
+    calls = _recorder(monkeypatch, "overlap_closed")
+    _only_check("kernel-identity-random")(ctx)
+    assert len(calls) == 2
+    for (p1, p2, sector), pairs, expected in zip(calls, scalar_pairs(41), verify.SECTORS):
+        assert sector is expected
+        for grid, k in ((p1, 0), (p2, 1)):
+            assert grid.l.tolist() == [pair[k].l for pair in pairs]
+            assert grid.phi.tolist() == [pair[k].phi for pair in pairs]
+
+    library = _recorder(monkeypatch, "gaussian_lattice_sum")
+    reference = _recorder(monkeypatch, "_unpaired_lattice_sum")
+    _only_check("kernel-symmetry")(ctx)
+    assert len(library) == len(reference) == 2
+    for (w12,), (_, w21, _), pairs in zip(library, reference, scalar_pairs(46)):
+        assert w12.tolist() == [complex(-(a.l + b.l), b.phi - a.phi) for a, b in pairs]
+        assert w21.tolist() == [complex(-(a.l + b.l), a.phi - b.phi) for a, b in pairs]
+
+
+# Library calls of one default battery.  The heisenberg grid per sector
+# serves three checks (plus one reference point per sector), the 21 energy
+# distributions two checks, and the window basis, 41 boson and 40 fermion
+# states, every operator loop and small basis.  The pointwise closed forms
+# take one grid call per check and sector; gaussian_lattice_sum counts the
+# calls verify makes itself, all of them in kernel-symmetry.  operator_matrix:
+# X and Xdag once per sector for four checks, N for deformed-algebra, the five
+# window matrices of bargmann-intertwining and the three of covariant-symbol.
+BATTERY_CALLS = {
+    "heisenberg_expectations": 4,
+    "energy_distribution": 21,
+    "basis_state": 81,
+    "gaussian_energy_profile": 1,
+    "uncertainty_QP": 2,
+    "relative_expect_U": 2,
+    "gaussian_lattice_sum": 2,
+    "overlap_closed": 4,
+    "operator_matrix": 2 * 2 + 2 + 2 * 5 + 3,
+}
+
 
 def test_a_battery_builds_each_shared_fixture_once(monkeypatch):
-    # the heisenberg grid per sector serves three checks (plus one reference
-    # point per sector), the 21 energy distributions two checks
-    heisenberg = _recorder(monkeypatch, "heisenberg_expectations")
-    distributions = _recorder(monkeypatch, "energy_distribution")
+    calls = {name: _recorder(monkeypatch, name) for name in BATTERY_CALLS}
     verify.run_verify(verify.load_config(None))
-    assert len(heisenberg) == 4
-    assert len(distributions) == 21
+    assert {name: len(args) for name, args in calls.items()} == BATTERY_CALLS
 
 
 CHANGED_CHECKS = (
     "algebra-JU-commutator",
+    "X-factorization",
+    "XXdag-ratio",
+    "deformed-algebra",
+    "q-boson-relation",
+    "time-reversal-conjugation",
     "expectJ-lattice-exact",
     "expectJ-series-agreement",
     "expectJ-approx-residual",
     "expectJ-amplitude-window",
     "expectU-series-agreement",
+    "relative-expectU-modulus",
+    "uncertainty-equality",
+    "uncertainty-basis-gap",
     "energy-distribution-gaussian",
     "energy-distribution-normalization",
     "heisenberg-approx-U",
     "heisenberg-approx-X",
     "heisenberg-relative-phase",
+    "quadrature-orthonormality",
+    "bargmann-intertwining",
     "bargmann-functional-actions",
+    "kernel-identity-fixed",
+    "kernel-identity-random",
+    "kernel-reproducing",
+    "kernel-cross-sector",
+    "kernel-symmetry",
+    "quadrature-refinement",
 )
 
 
