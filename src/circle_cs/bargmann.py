@@ -23,16 +23,15 @@ sector orthogonality and the cross-sector projector identities hold to
 quadrature precision.  Weights carry a factor 1/2 so integer-harmonic
 integrands keep their single-cover value.
 
-Function values on the node grid factor as
+The radial factor of the monomial j at the Hermite node l_i is
 
-    f(l_i, phi_k) = sum_j c_j E_l[i, j] e^(i*j*phi_k),
     E_l[i, j] = e^(j*l_i - j^2/2),
 
-and on the uniform double-cover nodes e^(i*j*phi_k) =
-e^(2*pi*i*(2j mod n_phi)*k/n_phi) is an exact DFT, so the angular sum is
-one inverse FFT per l node.  The nodes, weights, E_l, the DFT bins and
-G (below) are built on first use and held read-only in bounded caches
-keyed by the quadrature orders (and sectors and windows for the rest).
+and its angular factor e^(i*j*phi_k) on the uniform double-cover nodes
+depends on j only through the bin 2j mod n_phi.  The nodes, weights,
+E_l, the bins and G (below) are built on first use and held read-only in
+bounded caches keyed by the quadrature orders (and sectors and windows
+for the rest).
 
 Operators act on f through the state: hilbert.apply_operator and
 apply_time_reversal realize J, U, Udag, X, Xdag and T, whose functional
@@ -81,7 +80,7 @@ __all__ = [
 ]
 
 # Largest quadrature orders: numpy's hermgauss gives NaN weights from 371
-# nodes on, and node grids and their kernel sums grow as n_l * n_phi.
+# nodes on, and the weights and the battery's node grids grow as n_l * n_phi.
 MAX_N_L = 300
 MAX_N_PHI = 1024
 
@@ -113,69 +112,6 @@ class Quadrature:
         measure (1/(2 pi^(3/2))) Int_0^{2pi} dphi Int dl e^(-l^2) h.
         """
         return _rule(self.n_l, self.n_phi)
-
-    def factors(self, sector: Sector, two_jmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """(E_l, bins) for the window |2j| <= two_jmax, cached and read-only.
-
-        E_l[i, j] = e^(j*l_i - j^2/2) is the radial factor of the monomial
-        j; its angular factor e^(i*j*phi_k) is DFT bin (2j mod n_phi).
-        """
-        return _factors(self.n_l, self.n_phi, sector, two_jmax)
-
-    def grid_values(self, sector: Sector, two_jmax: int, coeffs: np.ndarray) -> np.ndarray:
-        """sum_j c_j e^(-j^2/2) xi*^(-j) on the node grid, shape (n_l, n_phi).
-
-        The terms c_j E_l[:, j] are folded into their DFT bins, chunk by
-        chunk rather than scattered one by one (_spectrum), and the angular
-        sum is one inverse FFT per l node.  RangeOverflowError where a node
-        value leaves the double range.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):  # typed below
-            spectrum = self._spectrum(sector, two_jmax, coeffs)
-            values = np.fft.ifft(spectrum, axis=1)
-            values *= self.n_phi
-        if not np.isfinite(values).all():
-            raise RangeOverflowError("quadrature node values leave the floating-point range")
-        return values
-
-    def _spectrum(self, sector: Sector, two_jmax: int, coeffs: np.ndarray) -> np.ndarray:
-        """The DFT bins of grid_values: c_j E_l[:, j] summed into bin 2j mod n_phi, in slot order.
-
-        The window's 2j step by 2, so slots s and s + n_phi/2 share a bin
-        and the first width = min(n_slots, n_phi/2) slots take distinct
-        ones, bins b_0, b_0 + 2, ... mod n_phi.  The terms, zero-padded to
-        whole chunks of width slots, are added chunk by chunk from +0.0,
-        which folds them with the bits of a scatter-add (np.add.at) in slot
-        order, and the sums fill the distinct bins of the first width
-        slots.  The caller sets np.errstate for an overflowing product.
-        """
-        e_l, bins = self.factors(sector, two_jmax)
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape != e_l.shape[1:]:
-            raise DomainError(f"expected {e_l.shape[1]} coefficients, got shape {coeffs.shape}")
-        # the products are written into a complex array: an object array converts first
-        coeffs = coeffs.astype(np.complex128, copy=False)
-        n_slots = e_l.shape[1]
-        width = min(n_slots, self.n_phi // 2)
-        pad = -n_slots % width
-        terms = np.zeros((self.n_l, n_slots + pad), dtype=np.complex128)
-        np.multiply(e_l, coeffs, out=terms[:, :n_slots])
-        sums = np.add.reduce(terms.reshape(self.n_l, -1, width), axis=-2, initial=0.0)
-        spectrum = np.zeros((self.n_l, self.n_phi), dtype=np.complex128)
-        spectrum[:, bins[:width]] = sums
-        return spectrum
-
-    def integrate(self, a: np.ndarray, b: np.ndarray) -> complex:
-        """sum_{i,k} W[i,k] a[i,k] b[i,k], the quadrature of a*b over node-grid values.
-
-        RangeOverflowError where a product or the sum leaves the double range.
-        """
-        _, _, weights = self.nodes()
-        with np.errstate(over="ignore", invalid="ignore"):  # typed below
-            total = np.sum(weights * a * b)
-        if not np.isfinite(total):
-            raise RangeOverflowError("quadrature sum leaves the floating-point range")
-        return complex(total)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -261,7 +197,7 @@ def inner_quadrature(f: StateVector, g: StateVector, quad: Quadrature) -> comple
 
 
 def _kernel_coeffs(p: PhasePoint, sector: Sector, quad: Quadrature) -> tuple[int, np.ndarray]:
-    """(2P, c): K(xi*, gamma) = grid_values(sector, 2P, c) at the nodes xi, gamma = p.
+    """(2P, c): K(xi*, gamma) = sum_j c_j e^(-j^2/2) xi*^(-j) on |2j| <= 2P, gamma = p.
 
     P bounds every omitted term by the series tolerance over the whole node
     span; c are the coherent coefficients at p on |2j| <= 2P.

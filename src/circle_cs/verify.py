@@ -22,6 +22,12 @@ All randomness is drawn from generators seeded by (config seed, check
 index), one generator per index for the whole battery, so reports are
 deterministic for a given configuration.
 
+quadrature-orthonormality, kernel-idempotency and kernel-parity-projection
+certify the quadrature rule, Quadrature.nodes() and bargmann._factors, on
+node values: _node_values forms them with one inverse FFT per l node, a
+route that shares no code with the Gram matrix (bargmann._gram) behind
+every library quadrature sum.
+
 Four checks measure the gap between exact expectation values and their
 closed-form approximations against ambitious tolerances:
 expectJ-approx-residual (1e-8) and the three heisenberg-approx checks
@@ -44,6 +50,7 @@ import numpy as np
 from . import __version__
 from .bargmann import (
     Quadrature,
+    _factors,
     _kernel_coeffs,
     _quadrature_sum,
     evaluate,
@@ -69,7 +76,7 @@ from .coherent import (
     relative_expect_U,
     uncertainty_QP,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, RangeOverflowError
 from .hilbert import (
     N_CONST,
     Sector,
@@ -717,13 +724,15 @@ def _small_basis(ctx: _Context, sector: Sector, bound: float) -> list[StateVecto
 
 
 def _check_quadrature_orthonormality(ctx: _Context, sector: Sector):
-    # each basis state's node values once, then every pair against the exact delta
+    # each basis state's node values once, then every pair against the exact delta;
+    # |j| <= 3 keeps every node value below e^68 (300 nodes), so the sums need no range guard
+    _, _, weights = ctx.quad.nodes()
     values = [
-        ctx.quad.grid_values(sector, ctx.trunc.two_jmax, s.coeffs)
+        _node_values(ctx.quad, sector, ctx.trunc.two_jmax, s.coeffs)
         for s in _small_basis(ctx, sector, 3.0)
     ]
     return [
-        abs(ctx.quad.integrate(np.conj(a), b) - (1.0 if a is b else 0.0))
+        abs(complex(np.sum(weights * np.conj(a) * b)) - (1.0 if a is b else 0.0))
         for a in values
         for b in values
     ]
@@ -817,6 +826,26 @@ def _check_kernel_cross_sector(ctx: _Context, sector: Sector):
     ]
 
 
+def _node_values(quad: Quadrature, sector: Sector, two_jmax: int, coeffs) -> np.ndarray:
+    """sum_j c_j e^(-j^2/2) xi*^(-j) on the node grid, shape (n_l, n_phi).
+
+    The values factor as f(l_i, phi_k) = sum_j c_j E_l[i, j] e^(i*j*phi_k),
+    and on the uniform double-cover nodes e^(i*j*phi_k) =
+    e^(2*pi*i*(2j mod n_phi)*k/n_phi) is an exact DFT: the terms
+    c_j E_l[:, j] are scattered into their bins in slot order and the
+    angular sum is one inverse FFT per l node.  RangeOverflowError where a
+    node value leaves the double range.
+    """
+    e_l, bins = _factors(quad.n_l, quad.n_phi, sector, two_jmax)
+    spectrum = np.zeros((quad.n_l, quad.n_phi), np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # typed below
+        np.add.at(spectrum, (slice(None), bins), e_l * coeffs)
+        values = quad.n_phi * np.fft.ifft(spectrum, axis=1)
+    if not np.isfinite(values).all():
+        raise RangeOverflowError("quadrature node values leave the floating-point range")
+    return values
+
+
 def _apply_kernel_grid(quad: Quadrature, sector: Sector, values: np.ndarray) -> np.ndarray:
     """Kernel action on node values through its lattice expansion.
 
@@ -828,9 +857,9 @@ def _apply_kernel_grid(quad: Quadrature, sector: Sector, values: np.ndarray) -> 
     """
     lv, _, weights = quad.nodes()
     two_cut = 2 * (int(math.ceil(float(np.max(np.abs(lv))))) + 12)
-    e_l, bins = quad.factors(sector, two_cut)
+    e_l, bins = _factors(quad.n_l, quad.n_phi, sector, two_cut)
     projected = np.sum(e_l * np.fft.fft(weights * values, axis=1)[:, bins], axis=0)
-    return quad.grid_values(sector, two_cut, projected)
+    return _node_values(quad, sector, two_cut, projected)
 
 
 def _band_limited_values(ctx: _Context, sector: Sector, rng, j_bound: float) -> np.ndarray:
@@ -843,7 +872,7 @@ def _band_limited_values(ctx: _Context, sector: Sector, rng, j_bound: float) -> 
     j = ctx.trunc.j_values(sector)
     coeffs = _random_coeffs(rng, j.size)
     coeffs[np.abs(j) > j_bound] = 0.0
-    return ctx.quad.grid_values(sector, ctx.trunc.two_jmax, coeffs)
+    return _node_values(ctx.quad, sector, ctx.trunc.two_jmax, coeffs)
 
 
 def _check_kernel_idempotency(ctx: _Context, sector: Sector):

@@ -15,6 +15,7 @@ from circle_cs.bargmann import (
     MAX_N_L,
     MAX_N_PHI,
     Quadrature,
+    _factors,
     _kernel_coeffs,
     covariant_symbol,
     evaluate,
@@ -34,7 +35,7 @@ from circle_cs.hilbert import (
     operator_matrix,
 )
 from circle_cs.theta import _pair_count, gaussian_lattice_sum
-from circle_cs.verify import _kernel_identity
+from circle_cs.verify import _kernel_identity, _node_values
 
 TR = Truncation(40)
 QUAD = Quadrature(40, 64)
@@ -110,10 +111,6 @@ def test_quadrature_validation():
         Quadrature(40, MAX_N_PHI + 2)
     assert (MAX_N_L, MAX_N_PHI) == (300, 1024)
     Quadrature(MAX_N_L, MAX_N_PHI)  # construction is lazy: no nodes are built
-    with pytest.raises(DomainError):
-        QUAD.grid_values(Sector.BOSON, 40, np.ones(40))
-    with pytest.raises(DomainError):
-        QUAD.factors(Sector.BOSON, 1)
 
 
 @pytest.mark.parametrize(
@@ -129,38 +126,9 @@ def test_engine_grid_values_match_direct_tensor(quad, sector):
     z = lv[:, None] + 1j * phi[None, :]
     monomials = np.exp(np.multiply.outer(j, z) - 0.5 * (j * j)[:, None, None])
     direct = np.tensordot(coeffs, monomials, axes=(0, 0))
-    got = quad.grid_values(sector, TR.two_jmax, coeffs)
+    got = _node_values(quad, sector, TR.two_jmax, coeffs)
     assert got.shape == (quad.n_l, quad.n_phi)
     assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
-
-
-def _scattered_spectrum(quad, sector, two_jmax, coeffs):
-    """The DFT bins by np.add.at, the scatter that the engine's fold replaced."""
-    e_l, bins = quad.factors(sector, two_jmax)
-    spectrum = np.zeros((quad.n_l, quad.n_phi), dtype=np.complex128)
-    np.add.at(spectrum, (slice(None), bins), e_l * coeffs)
-    return spectrum
-
-
-@pytest.mark.parametrize("n_phi", [4, 6, 8, 10, 64, 1024])
-@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
-def test_folded_bins_have_the_bits_of_a_scatter_add(n_phi, sector):
-    # terms spread over e^+-40, and signed zeros: the cases pin +0.0 in a
-    # bin whose terms are all -0.0, which the fold's initial=0.0 guarantees
-    # on every NumPy version (numpy 2's add.reduce gives +0.0 without it too)
-    rng = np.random.default_rng([n_phi, sector.parity])
-    for n_l, two_jmax in itertools.product((2, 40), (2, 3, 24, 40, 60, 599, 600)):
-        quad = Quadrature(n_l, n_phi)
-        size = Truncation(two_jmax).size(sector)
-        coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
-        coeffs *= np.exp(rng.uniform(-40.0, 40.0, size))
-        coeffs[rng.random(size) < 0.3] = -0.0
-        coeffs[rng.random(size) < 0.2] = complex(-0.0, -0.0)
-        expected = _scattered_spectrum(quad, sector, two_jmax, coeffs)
-        case = (n_l, two_jmax)
-        assert quad._spectrum(sector, two_jmax, coeffs).tobytes() == expected.tobytes(), case
-        values = quad.grid_values(sector, two_jmax, coeffs)
-        assert values.tobytes() == (n_phi * np.fft.ifft(expected, axis=1)).tobytes(), case
 
 
 def test_nodes_are_cached_read_only_hermite_rule():
@@ -170,7 +138,7 @@ def test_nodes_are_cached_read_only_hermite_rule():
     assert np.array_equal(phi, 4.0 * math.pi * np.arange(QUAD.n_phi) / QUAD.n_phi)
     assert np.array_equal(weights, np.outer(ref_w, np.full(64, 1.0 / (64 * math.sqrt(math.pi)))))
     assert Quadrature(40, 64).nodes() is QUAD.nodes()
-    for array in (lv, phi, weights, *QUAD.factors(Sector.FERMION, TR.two_jmax)):
+    for array in (lv, phi, weights, *_factors(QUAD.n_l, QUAD.n_phi, Sector.FERMION, TR.two_jmax)):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -188,10 +156,11 @@ def test_orthonormality_small_indices():
 
 
 def _node_route(quad, sector_a, two_a, a, sector_b, two_b, b):
-    """The same quadrature over node values, integrate(conj(grid of a), grid of b),
+    """The same quadrature over node values, sum W conj(grid of a) grid of b,
     and its rounding scale, the same sum over |grid of a| |grid of b|."""
-    va, vb = quad.grid_values(sector_a, two_a, a), quad.grid_values(sector_b, two_b, b)
-    return quad.integrate(np.conj(va), vb), quad.integrate(np.abs(va), np.abs(vb)).real
+    va, vb = _node_values(quad, sector_a, two_a, a), _node_values(quad, sector_b, two_b, b)
+    _, _, weights = quad.nodes()
+    return np.sum(weights * np.conj(va) * vb), np.sum(weights * np.abs(va) * np.abs(vb))
 
 
 @pytest.mark.parametrize("n_l, n_phi, two_jmax", [(40, 64, 40), (100, 128, 40), (8, 8, 60)])
@@ -396,7 +365,7 @@ def _kernel_on_grid_reference(p, quad, sector, conjugate_point):
 
 
 def _engine_kernel(p, quad, sector, conjugate_point):
-    values = quad.grid_values(sector, *_kernel_coeffs(p, sector, quad))
+    values = _node_values(quad, sector, *_kernel_coeffs(p, sector, quad))
     return np.conj(values) if conjugate_point else values
 
 

@@ -4,6 +4,7 @@ the one series policy are each named in one layer."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -81,6 +82,27 @@ def test_the_public_surface_is_pinned():
         "theta_log_derivative",
         "uncertainty_QP",
     ]
+
+
+def test_quadrature_exposes_its_rule_alone():
+    # node values are a private route of the verify battery
+    public = sorted(name for name in dir(circle_cs.Quadrature) if not name.startswith("_"))
+    assert public == ["n_l", "n_phi", "nodes"]
+
+
+def test_no_library_layer_calls_an_fft():
+    # every library quadrature sum is a^H G b over coefficients, with no node grid
+    source = pathlib.Path(circle_cs.__file__).parent
+    for layer in ("theta", "hilbert", "coherent", "bargmann"):
+        tree = ast.parse((source / f"{layer}.py").read_text("utf-8"))
+        # attributes (np.fft), imported modules and imported names
+        names = [
+            getattr(node, field) or ""
+            for node in ast.walk(tree)
+            for field in ("attr", "module", "name")
+            if hasattr(node, field)
+        ]
+        assert not [name for name in names if "fft" in name], layer
 
 
 def _readers(name: str) -> list[str]:

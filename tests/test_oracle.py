@@ -46,6 +46,7 @@ from circle_cs.theta import (
     theta,
     theta_log_derivative,
 )
+from circle_cs.verify import _node_values
 
 mp.mp.dps = 50
 
@@ -455,7 +456,7 @@ def test_kernel_node_values_match_nsum(sector):
     # K(xi*, gamma) = sum_j exp(j w - j^2), w = l_gamma + l_xi + i (phi_xi - phi_gamma)
     quad, p = Quadrature(40, 64), PhasePoint(0.4, 1.1)
     offset = mp.mpf(0.5) if sector is Sector.FERMION else 0
-    values = quad.grid_values(sector, *_kernel_coeffs(p, sector, quad))
+    values = _node_values(quad, sector, *_kernel_coeffs(p, sector, quad))
     l_nodes, phi_nodes, _ = quad.nodes()
     for i, k in ((27, 13), (39, 3)):  # an inner node and the outermost one, l = 8.1
         w = mp.mpf(p.l) + mp.mpf(l_nodes[i]) + 1j * (mp.mpf(phi_nodes[k]) - mp.mpf(p.phi))

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from circle_cs import verify
+from circle_cs.bargmann import Quadrature
+from circle_cs.errors import RangeOverflowError
+from circle_cs.hilbert import Sector
 
 EXPECTED_CASES = (
     ("theta3-inversion", 81),
@@ -363,3 +366,14 @@ def test_kernel_projector_checks_alias_from_a_pinned_n_l(name, onset):
         return max_err <= tolerance
 
     assert [passes(n_l) for n_l in (26, 27, onset - 1, onset)] == [False, True, True, False]
+
+
+def test_node_values_past_the_range_are_typed():
+    # |10> at 1e308: E_l reaches e^31 at the outer nodes of 40 x 64, so the
+    # scatter overflows; typed, with no numpy RuntimeWarning first
+    coeffs = np.zeros(41, np.complex128)
+    coeffs[30] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeOverflowError, match="quadrature node values leave the"):
+            verify._node_values(Quadrature(40, 64), Sector.BOSON, 40, coeffs)
