@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeOverflowError, SingularityError, TruncationError
-from .hilbert import Sector, StateVector, Truncation, _adopt
+from .hilbert import Sector, StateVector, Truncation, _adopt, _require_finite
 from .theta import ThetaArg, _exp, _number, _recentre, gaussian_lattice_sum, theta_log_derivative
 
 __all__ = [
@@ -356,8 +356,9 @@ def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
         phases = np.exp(-1j * t * hamiltonian.omega * j)
     else:
         raise DomainError(f"unsupported hamiltonian {hamiltonian!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # _adopt types a product past the range
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the range is typed below
         evolved = state.coeffs * phases
+    _require_finite(evolved)
     return _adopt(state.sector, state.trunc, evolved, state.leakage)
 
 
@@ -499,10 +500,8 @@ def gaussian_energy_profile(
     message = "j and l must be finite real numbers"
     j, l = (_number(x, float, message) for x in (j, l))
     if type(j) is float and type(l) is float:
-        try:
-            return math.exp(-((j - l) ** 2)) / math.sqrt(math.pi)
-        except OverflowError:
-            return 0.0
+        d = j - l  # d * d, not d ** 2: libm pow can miss the rounded square; inf gives 0.0
+        return math.exp(-(d * d)) / math.sqrt(math.pi)
     try:
         shape = np.broadcast_shapes(np.shape(j), np.shape(l))
     except ValueError:

@@ -78,13 +78,17 @@ def _lowest_two_j(two_jmax: int, parity: int) -> int:
 
 
 @functools.lru_cache(maxsize=32)
-def _window(two_jmax: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """(2j, j) over one window, built once and handed read-only to every caller."""
+def _window(two_jmax: int, parity: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(2j, j, 2j as a list) over one window, built once and handed to every caller.
+
+    The arrays are read-only; the list, which state_from_json compares a
+    document's keys against, is never mutated.
+    """
     two_j = np.arange(_lowest_two_j(two_jmax, parity), two_jmax + 1, 2)
     j = two_j / 2.0
     two_j.flags.writeable = False
     j.flags.writeable = False
-    return two_j, j
+    return two_j, j, two_j.tolist()
 
 
 # Largest window.  Dense window matrices grow as two_jmax^2 and their
@@ -145,6 +149,14 @@ _COEFFS_MESSAGE = "state coefficients must be finite"
 _LEAKAGE_MESSAGE = "leakage must be a finite real number >= 0, got {value!r}"
 
 
+def _leakage(value) -> float:
+    """value as a Python float >= 0, or DomainError in StateVector's words."""
+    leakage = _number(value, float, _LEAKAGE_MESSAGE, arrays=False)
+    if leakage < 0.0:
+        raise DomainError(_LEAKAGE_MESSAGE.format(value=value))
+    return leakage
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Immutable coefficient vector c_j over a sector window.
@@ -165,10 +177,7 @@ class StateVector:
             raise DomainError(f"expected {size} coefficients, got shape {coeffs.shape}")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        leakage = _number(self.leakage, float, _LEAKAGE_MESSAGE, arrays=False)
-        if leakage < 0.0:
-            raise DomainError(_LEAKAGE_MESSAGE.format(value=self.leakage))
-        object.__setattr__(self, "leakage", leakage)
+        object.__setattr__(self, "leakage", _leakage(self.leakage))
 
     def two_j_values(self) -> np.ndarray:
         return self.trunc.two_j_values(self.sector)
@@ -200,16 +209,26 @@ class StateVector:
         return mass
 
 
-def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float) -> StateVector:
-    """A StateVector around the library's own result, checked for what arithmetic can break.
-
-    coeffs is frozen in place, not copied: a complex128 array of the window's
-    shape that the caller has just made, never a caller's array or a view of
-    one.  leakage is a Python float.  Both must be finite, as StateVector says.
-    """
+def _require_finite(coeffs: np.ndarray) -> None:
+    """DomainError unless every coefficient is finite, as StateVector says."""
     # count_nonzero: the cheapest "every entry is finite" on a window-sized array
     if np.count_nonzero(np.isfinite(coeffs)) != len(coeffs):
         raise DomainError(_COEFFS_MESSAGE)
+
+
+def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float) -> StateVector:
+    """A StateVector around the library's own result; only the leakage is checked here.
+
+    coeffs is frozen in place, not copied: a complex128 array of the window's
+    shape that the caller has just made, never a caller's array or a view of
+    one, and already finite.  leakage is a Python float, a sum that can pass
+    the range.  A producer whose product can overflow without raising (J, N,
+    evolve) calls _require_finite itself.  The others are finite by
+    construction: U, Udag and time reversal move or conjugate the entries of
+    a finite state; X, Xdag, exp_j and coherent_state take their values from
+    theta._exp, which bounds every modulus by e^700, on its log-space path
+    too; basis_state writes 0 and 1; state_from_json checks what it read.
+    """
     if not 0.0 <= leakage < math.inf:
         raise DomainError(_LEAKAGE_MESSAGE.format(value=leakage))
     coeffs.flags.writeable = False
@@ -269,9 +288,10 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
     else:  # the weighted kinds read the window's j
         j = s.j_values()
         if kind in ("J", "N"):
-            # a product past the range is not finite, which _adopt types
+            # a product past the range is not finite, which is typed here
             with np.errstate(over="ignore", invalid="ignore"):
                 out = c * (j if kind == "J" else -j + N_CONST)
+            _require_finite(out)
         elif kind == "X":
             out, dropped = _shift_up(_exp(-j - 0.5, "X" + _COEFF_OVERFLOW, c))
         else:  # Xdag
@@ -363,11 +383,17 @@ def state_to_json(s: StateVector) -> str:
 
 
 def state_from_json(text: str) -> StateVector:
+    """The state a JSON document describes, gated as StateVector gates its arguments.
+
+    A document whose two_j run through the window in ascending order, as
+    state_to_json writes them, is read straight into the window; any other
+    is scattered slot by slot, a repeated 2j keeping its last value.
+    """
     try:
         payload = json.loads(text)
         sector = Sector.from_name(payload["sector"])
         two_jmax = payload["two_jmax"]
-        leakage = payload.get("leakage", 0.0)  # StateVector checks it
+        leakage = payload.get("leakage", 0.0)  # checked below, as StateVector checks it
         entries = payload["coeffs"]
         keys = [e["two_j"] for e in entries]
         # JSON gives an int only for an integer literal: 2.0, 1e3 and true are refused
@@ -377,12 +403,16 @@ def state_from_json(text: str) -> StateVector:
     except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc
     trunc = Truncation(two_jmax)
-    try:
-        keys = np.array(keys, dtype=np.int64)
-    except OverflowError:  # a 2j beyond int64 lies outside every window
-        keys = np.array(keys, dtype=object)
-    slots = trunc.index_of(sector, keys)
-    coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
-    # a repeated 2j is assigned in document order, so its last value stays
-    coeffs[slots] = values
-    return StateVector(sector, trunc, coeffs, leakage)
+    if keys == _window(trunc.two_jmax, sector.parity)[2]:
+        coeffs = np.array(values, dtype=np.complex128)
+    else:
+        try:
+            keys = np.array(keys, dtype=np.int64)
+        except OverflowError:  # a 2j beyond int64 lies outside every window
+            keys = np.array(keys, dtype=object)
+        slots = trunc.index_of(sector, keys)
+        coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
+        # a repeated 2j is assigned in document order, so its last value stays
+        coeffs[slots] = values
+    _require_finite(coeffs)
+    return _adopt(sector, trunc, coeffs, _leakage(leakage))

@@ -465,12 +465,21 @@ def _loop_from_json(text: str) -> StateVector:
     coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
     for two_j, value in entries.items():
         coeffs[trunc.index_of(sector, two_j)] = value
-    return StateVector(sector, trunc, coeffs, float(payload.get("leakage", 0.0)))
+    # the leakage as the document holds it, so StateVector words any refusal
+    return StateVector(sector, trunc, coeffs, payload.get("leakage", 0.0))
 
 
-def _state_text(sector: str, two_jmax: int, entries) -> str:
+def _state_text(sector: str, two_jmax: int, entries, **leakage) -> str:
     coeffs = [{"two_j": t, "re": re, "im": im} for t, re, im in entries]
-    return json.dumps({"sector": sector, "two_jmax": two_jmax, "coeffs": coeffs})
+    return json.dumps({"sector": sector, "two_jmax": two_jmax, "coeffs": coeffs, **leakage})
+
+
+def _window_order(sector: str, two_jmax: int, **leakage) -> str:
+    """A document with every 2j of the window, ascending, as state_to_json writes it."""
+    two_j = Truncation(two_jmax).two_j_values(Sector.from_name(sector)).tolist()
+    rng = np.random.default_rng(two_jmax)
+    entries = [(k, float(rng.normal()), float(rng.normal())) for k in two_j]
+    return _state_text(sector, two_jmax, entries, **leakage)
 
 
 @pytest.mark.parametrize("text", [
@@ -484,19 +493,47 @@ def _state_text(sector: str, two_jmax: int, entries) -> str:
     _state_text("fermion", 4, [(-5, 1.0, 0.0), (4, 1.0, 0.0)]),
     _state_text("boson", 4, [(2, 1.0, 0.0), (2**63 + 1, 1.0, 0.0), (-1, 1.0, 1.0)]),
     _state_text("boson", 4, [(-1, 1.0, 1.0), (10**30, 1.0, 0.0)]),
+    _window_order("boson", 12, leakage=0.375),
+    _window_order("fermion", 11, leakage=2.5e-7),
+    '{"sector": "boson", "two_jmax": 2, "coeffs": [{"two_j": -2, "re": 1e400, "im": 0}, '
+    '{"two_j": 0, "re": 1, "im": 0}, {"two_j": 2, "re": 1, "im": 0}]}',
+    _window_order("boson", 4, leakage=-1),
+    _window_order("fermion", 5, leakage=math.nan),
+    _window_order("boson", 4, leakage="x"),
 ], ids=["plain", "repeat-boson", "repeat-fermion", "empty", "parity-first", "window-first",
-        "parity-then-window", "fermion-window", "beyond-int64", "parity-before-huge"])
+        "parity-then-window", "fermion-window", "beyond-int64", "parity-before-huge",
+        "window-order-boson", "window-order-fermion", "window-order-overflow",
+        "window-order-negative-leakage", "window-order-nan-leakage", "window-order-text-leakage"])
 def test_json_decoding_matches_the_per_entry_loop(text):
     try:
         expected = _loop_from_json(text)
-    except (ParityError, WindowError) as exc:
+    except (ParityError, WindowError, DomainError) as exc:
         with pytest.raises(type(exc)) as info:
             state_from_json(text)
         assert str(info.value) == str(exc)
     else:
         back = state_from_json(text)
         assert back.sector is expected.sector and back.trunc == expected.trunc
-        assert np.array_equal(back.coeffs, expected.coeffs)
+        assert back.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert repr(back.leakage) == repr(expected.leakage)
+
+
+def test_a_document_in_window_order_is_read_without_index_of(monkeypatch):
+    # what state_to_json writes never takes the scatter, which would call index_of
+    rng = np.random.default_rng(28)
+    states = []
+    for sector in Sector:
+        size = TR.size(sector)
+        coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+        states.append(StateVector(sector, TR, coeffs, 0.125))
+
+    def refuse(*args):
+        raise AssertionError("index_of was called")
+
+    monkeypatch.setattr(Truncation, "index_of", refuse)
+    for s in states:
+        back = state_from_json(state_to_json(s))
+        assert back.coeffs.tobytes() == s.coeffs.tobytes() and back.leakage == s.leakage
 
 
 def test_json_non_finite_index_is_domain_error():
@@ -575,6 +612,12 @@ def _top(sector, value, trunc=Truncation(4)):
             DomainError,
             "^state coefficients must be finite$",
         ),
+        # 1.7e308 * (-2 + N_CONST) = -2.7e308 at j = 2
+        (
+            lambda: apply_operator("N", _top(Sector.BOSON, 1.7e308)),
+            DomainError,
+            "^state coefficients must be finite$",
+        ),
         # |c| = 1.7e308 sqrt(2) passes the range while both parts are finite; the phase
         # e^(-i pi/4) at j = 2 makes the real part 2.4e308
         (
@@ -599,7 +642,7 @@ def _top(sector, value, trunc=Truncation(4)):
             "^state tail mass passes the floating-point range$",
         ),
     ],
-    ids=["J", "evolve", "leakage", "norm", "tail_mass"],
+    ids=["J", "N", "evolve", "leakage", "norm", "tail_mass"],
 )
 def test_a_library_state_past_the_double_range_is_typed(make, error, message):
     # pyproject turns numpy's overflow warnings into errors: none may come first

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from circle_cs import (
+    OPERATOR_KINDS,
     CircleError,
     DomainError,
     FreeRotor,
@@ -39,6 +40,7 @@ from circle_cs import (
     Truncation,
     apply_exp_j,
     apply_operator,
+    apply_time_reversal,
     approx_expect_J,
     basis_state,
     coherent_state,
@@ -375,3 +377,50 @@ def test_finite_inputs_give_finite_values_or_typed_errors(name, x):
         return
     flat = np.concatenate([np.ravel(np.asarray(part, dtype=complex)) for part in _parts(result)])
     assert np.isfinite(flat).all()
+
+
+# each part up to 1.7e308, so a modulus (up to 1.7e308 sqrt(2)) can pass the double range
+huge = st.one_of(
+    st.floats(-1.7e308, 1.7e308, allow_subnormal=True),
+    st.sampled_from([0.0, 1.7e308, -1.7e308, 1e308]),
+    st.floats(-10.0, 10.0),
+)
+
+# every function that builds its state through hilbert._adopt from a finite state
+PRODUCERS = {
+    **{kind: lambda s, x, kind=kind: apply_operator(kind, s) for kind in OPERATOR_KINDS},
+    "exp_j": lambda s, x: apply_exp_j(s, x.eta),
+    "time_reversal": lambda s, x: apply_time_reversal(s),
+    "evolve_free": lambda s, x: evolve(s, FreeRotor(), x.t),
+    "evolve_linear": lambda s, x: evolve(s, Linear(1.3), x.t),
+    "coherent_state": lambda s, x: coherent_state(
+        PhasePoint(x.t, x.t), s.sector, Truncation(min(required_two_jmax(x.t), MAX_TWO_JMAX))
+    ),
+}
+
+
+@st.composite
+def huge_states(draw):
+    sector = draw(st.sampled_from([BOSON, FERMION]))
+    trunc = Truncation(draw(st.integers(2, 12)))
+    size = trunc.size(sector)
+    re, im = (np.array(draw(st.lists(huge, min_size=size, max_size=size))) for _ in "ri")
+    leakage = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.7e308)))
+    return StateVector(sector, trunc, re + 1j * im, leakage)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    s=huge_states(),
+    x=st.builds(SimpleNamespace, eta=st.builds(complex, reals, reals), t=reals),
+)
+def test_a_state_the_library_builds_from_a_finite_state_is_finite(s, x):
+    # _adopt checks only the leakage: J, N and evolve check their products, and every
+    # other producer must be finite by construction
+    for make in PRODUCERS.values():
+        try:
+            out = make(s, x)
+        except CircleError:
+            continue
+        assert np.count_nonzero(np.isfinite(out.coeffs)) == out.coeffs.size
+        assert math.isfinite(out.leakage)
