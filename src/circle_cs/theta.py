@@ -39,6 +39,7 @@ __all__ = [
 # Largest log-magnitude of a computed exponential, with headroom below the
 # double range (e^709.78): _exp checks it, _pair_count bounds lattice terms by it.
 _EXP_LIMIT = 700.0
+_LN2 = math.log(2.0)
 
 # _amax(a, None, initial=x) is a.max(initial=x) without numpy's Python-level wrapper
 _amax = np.maximum.reduce
@@ -137,7 +138,9 @@ def _exp(exponent, message: str, scale=None, exp=np.exp):
     log-magnitude, Re(exponent) + log|scale| over nonzero scale, passes
     _EXP_LIMIT or is NaN.  Else the bits of scale * exp(exponent), unless a
     factor overflows alone: 0 where its scale is 0, log space elsewhere.
-    exp is np.exp, or math.exp for a caller that has always used it.
+    A complex scale whose modulus alone passes the range counts at its
+    true log-magnitude (_unwiden).  exp is np.exp, or math.exp for a
+    caller that has always used it.
     """
     real = exponent.real
     top = float(_amax(real, None, initial=-math.inf) if isinstance(real, np.ndarray) else real)
@@ -147,18 +150,37 @@ def _exp(exponent, message: str, scale=None, exp=np.exp):
         largest = float(_amax(size, None, initial=0.0))
         peak = -math.inf if largest == 0.0 else top + math.log(largest)
         if not peak <= _EXP_LIMIT:  # that bound fails: the exact peak
+            real, _, size = _unwiden(real, scale)
             log_size = np.log(size, out=np.full(size.shape, -math.inf), where=size > 0.0)
             peak = float(_amax(real + log_size, None, initial=-math.inf))
     if not peak <= _EXP_LIMIT:
         raise RangeOverflowError(message.format(peak=peak))
     if top <= _EXP_LIMIT:
         return exp(exponent) if scale is None else scale * exp(exponent)
-    exponent, scale = np.broadcast_arrays(exponent, scale)
-    size = np.abs(scale)
+    exponent, scale, size = _unwiden(*np.broadcast_arrays(exponent, scale))
     kept = size > 0.0
     value = np.zeros(exponent.shape, np.result_type(exponent, scale))
     value[kept] = scale[kept] / size[kept] * np.exp(exponent[kept] + np.log(size[kept]))
     return value
+
+
+def _unwiden(exponent, scale):
+    """(exponent, scale, |scale|) with scale * exp(exponent) kept and each |scale| finite.
+
+    A complex scale with finite parts can have a modulus past the double
+    range (1.7e308 (1 + i)), which np.abs reads as inf.  Such an entry
+    is halved, exactly, and ln 2 added to its exponent, so that
+    scale * exp(exponent) and Re(exponent) + log|scale| keep their values
+    while the modulus and its log come out finite.  Every other entry
+    keeps its bits.
+    """
+    size = np.abs(scale)
+    wide = np.isinf(size) & np.isfinite(scale)
+    if wide.any():
+        exponent = np.where(wide, exponent + _LN2, exponent)
+        scale = np.where(wide, scale * 0.5, scale)
+        size = np.abs(scale)
+    return exponent, scale, size
 
 
 def _as_complex(value) -> complex | np.ndarray:

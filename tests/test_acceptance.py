@@ -24,6 +24,12 @@ import time
 import numpy as np
 import pytest
 
+from circle_cs._reference import (
+    _apply_kernel_grid,
+    _inversion_image,
+    _kernel_identity,
+    _theta2_half_period,
+)
 from circle_cs.bargmann import (
     Quadrature,
     inner_quadrature,
@@ -57,12 +63,6 @@ from circle_cs.hilbert import (
     operator_matrix,
 )
 from circle_cs.theta import ThetaArg, theta
-from circle_cs.verify import (
-    _apply_kernel_grid,
-    _inversion_image,
-    _kernel_identity,
-    _theta2_half_period,
-)
 
 TR = Truncation(40)
 QUAD = Quadrature(40, 64)

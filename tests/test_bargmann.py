@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from circle_cs._reference import _kernel_identity, _node_values
 from circle_cs.bargmann import (
     MAX_N_L,
     MAX_N_PHI,
@@ -35,7 +36,6 @@ from circle_cs.hilbert import (
     operator_matrix,
 )
 from circle_cs.theta import _pair_count, gaussian_lattice_sum
-from circle_cs.verify import _kernel_identity, _node_values
 
 TR = Truncation(40)
 QUAD = Quadrature(40, 64)

@@ -1,13 +1,16 @@
 """The package namespace is the union of the five layers' __all__ lists,
 and the one overflow limit, the one window cap, the one number gate and
-the one series policy are each named in one layer."""
+the one series policy are each named in one layer; every module stays
+below the parser's token step."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import io
 import pathlib
+import tokenize
 
 import circle_cs
 
@@ -103,6 +106,37 @@ def test_no_library_layer_calls_an_fft():
             if hasattr(node, field)
         ]
         assert not [name for name in names if "fft" in name], layer
+
+
+# CPython 3.11's parser doubles its token buffer past this many tokens
+PARSER_TOKEN_STEP = 8192
+
+
+def _parser_tokens(text: str) -> int:
+    """Tokens the parser reads: every tokenize token but comments and blank-line NLs."""
+    skipped = (tokenize.COMMENT, tokenize.NL)
+    lines = io.StringIO(text).readline
+    return sum(1 for token in tokenize.generate_tokens(lines) if token.type not in skipped)
+
+
+def test_every_module_compiles_below_the_parser_token_step():
+    """Each module of the package has at most 8192 parser tokens.
+
+    Every process that imports the package without cached bytecode
+    compiles each module, and the compile peak jumps once a module passes
+    the step: under tracemalloc, "x = 1\\n" * 2047 (8189 tokens) peaks at
+    2945 KiB and * 2048 (8193 tokens) at 3393 KiB.  verify.py at 8651
+    tokens peaked at 3326 KiB, and at 7814 tokens, with its reference
+    routes moved to _reference.py, at 2645 KiB; the perfbench workers'
+    peak RSS fell with it (BENCH_29.json).  The failure names each module
+    over the step and its count; a passing module's margin is the step
+    minus its count.
+    """
+    source = pathlib.Path(circle_cs.__file__).parent
+    counts = {path.name: _parser_tokens(path.read_text("utf-8")) for path in source.glob("*.py")}
+    assert "verify.py" in counts
+    over = {name: count for name, count in counts.items() if count > PARSER_TOKEN_STEP}
+    assert not over, f"modules past the {PARSER_TOKEN_STEP}-token parser step: {over}"
 
 
 def _readers(name: str) -> list[str]:

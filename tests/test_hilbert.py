@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -654,3 +656,65 @@ def test_the_norm_of_a_state_past_the_square_range_is_finite():
     # each |c_j|^2 passes the double range, the norm does not
     state = _top(Sector.BOSON, 1e200)
     assert state.norm() == pytest.approx(1e200) and state.tail_mass() == 1e200
+
+
+# one coefficient 1.7e308 (1 + i) at j = 19 of a boson window of 40: its
+# modulus passes the double range while both parts are finite
+WIDE = 1.7e308 * (1 + 1j)
+
+
+def _wide_state(j):
+    trunc = Truncation(40)
+    c = np.zeros(trunc.size(Sector.BOSON), np.complex128)
+    c[trunc.index_of(Sector.BOSON, round(2 * j))] = WIDE
+    return StateVector(Sector.BOSON, trunc, c)
+
+
+@pytest.mark.parametrize(
+    "make, j_out, log_factor, ulps",
+    [
+        # the fast path: scale * exp(exponent), a few ulps of the exact value
+        (lambda s: apply_operator("X", s), 20, -19.5, 4),
+        (lambda s: apply_operator("Xdag", s), 18, -18.5, 4),
+        (lambda s: apply_exp_j(s, -30.0), 19, -570.0, 4),
+        # the log-space path (e^(-40 j) passes the range at j = -20): the
+        # exponent -760 + log|c| rounds at eps * 760 absolute, up to about
+        # 1520 ulps of the value (366 here; 192 for a real 1.7e308)
+        (lambda s: apply_exp_j(s, -40.0), 19, -760.0, 2000),
+    ],
+    ids=["X", "Xdag", "exp_j", "exp_j-log-space"],
+)
+def test_a_coefficient_past_the_modulus_range_gives_its_representable_image(
+    make, j_out, log_factor, ulps
+):
+    # the true value is 1.7e308 e^log_factor (1 + i) at j_out, with no warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = make(_wide_state(19))
+    trunc = out.trunc
+    got = out.coeffs[trunc.index_of(Sector.BOSON, 2 * j_out)]
+    want = float(mp.mpf(WIDE.real) * mp.exp(log_factor))
+    for part in (got.real, got.imag):
+        assert abs(part - want) <= ulps * np.spacing(want)
+    assert np.count_nonzero(out.coeffs) == 1
+
+
+@pytest.mark.parametrize(
+    "make, j, re_exponent",
+    [
+        (lambda s: apply_exp_j(s, 1j), 19, 0.0),  # a pure phase
+        (lambda s: apply_exp_j(s, 0.5), 19, 9.5),
+        (lambda s: apply_operator("X", s), -20, 19.5),
+        (lambda s: apply_operator("Xdag", s), -20, 20.5),
+    ],
+    ids=["exp_j-phase", "exp_j", "X", "Xdag"],
+)
+def test_a_coefficient_past_the_modulus_range_reports_a_finite_peak(make, j, re_exponent):
+    # the figure is log|c| = 710.07 plus Re of the exponent, where numpy's |c| reads inf
+    peak = float(mp.log(abs(mp.mpc(WIDE.real, WIDE.imag)))) + re_exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeOverflowError, match="magnitude exp") as caught:
+            make(_wide_state(j))
+    figure = re.search(r"magnitude exp\(([^)]*)\)", str(caught.value)).group(1)
+    assert figure == f"{peak:.3g}"

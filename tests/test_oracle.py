@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from circle_cs import cli
+from circle_cs._reference import _node_values
 from circle_cs.bargmann import Quadrature, _kernel_coeffs
 from circle_cs.errors import RangeOverflowError, SingularityError
 from circle_cs.coherent import (
@@ -46,7 +47,6 @@ from circle_cs.theta import (
     theta,
     theta_log_derivative,
 )
-from circle_cs.verify import _node_values
 
 mp.mp.dps = 50
 

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from circle_cs import verify
+from circle_cs import _reference, verify
 from circle_cs.bargmann import Quadrature
 from circle_cs.errors import RangeOverflowError
 from circle_cs.hilbert import Sector
@@ -126,16 +126,26 @@ def test_batched_theta_checks_draw_the_scalar_sample():
         assert batch.ravel().tolist() == scalar
 
 
+# The battery's two modules: the checks, and the reference routes they import
+BATTERY_MODULES = (verify, _reference)
+
+
 def _recorder(monkeypatch, name):
-    """Replace verify's name by a wrapper that records its arguments; the list of them."""
+    """Wrap name in each battery module that binds it; the list of the calls' arguments.
+
+    A call the battery makes counts, whichever of its modules makes it; a
+    call the library makes inside its own layers does not.
+    """
     calls = []
-    function = getattr(verify, name)
+    [function] = {getattr(module, name) for module in BATTERY_MODULES if hasattr(module, name)}
 
     def record(*args, **kwargs):
         calls.append(args)
         return function(*args, **kwargs)
 
-    monkeypatch.setattr(verify, name, record)
+    for module in BATTERY_MODULES:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, record)
     return calls
 
 
@@ -376,4 +386,4 @@ def test_node_values_past_the_range_are_typed():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RangeOverflowError, match="quadrature node values leave the"):
-            verify._node_values(Quadrature(40, 64), Sector.BOSON, 40, coeffs)
+            _reference._node_values(Quadrature(40, 64), Sector.BOSON, 40, coeffs)
