@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RangeOverflowError, SingularityError, TruncationError
+from .errors import DomainError, RangeOverflowError, TruncationError
 from .hilbert import Sector, StateVector, Truncation, _adopt, _require_finite
 from .theta import ThetaArg, _exp, _number, _recentre, gaussian_lattice_sum, theta_log_derivative
 
@@ -296,13 +296,12 @@ def relative_expect_U(p: PhasePoint, ref: PhasePoint, sector: Sector) -> complex
     """expect_U(p)/expect_U(ref); with ref = (0, 0) approximately e^(i phi).
 
     p may be a grid, which gives a complex array of its shape; ref is
-    one point.
+    one point.  The reference cannot vanish: expect_U re-centres, so
+    |expect_U| = e^(-1/4) S_opp(r)/S(r) with |r| <= 1, which stays
+    within 2.1e-4 relative of e^(-1/4) (0.778640 to 0.778962) at every l.
     """
     _single(ref)
-    reference = expect_U(ref, sector)
-    if abs(reference) < 1e-12:
-        raise SingularityError("reference expectation of U is too close to zero")
-    return expect_U(p, sector) / reference
+    return expect_U(p, sector) / expect_U(ref, sector)
 
 
 def expect_expJ(

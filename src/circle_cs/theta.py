@@ -119,8 +119,8 @@ class ThetaArg:
 
 
 # Points per block of _lattice_sum times its term pairs stays at or
-# below this, so one block's temporaries (two arrays of terms, three with
-# the moment, 16 bytes a term) take 2 to 3 MB whatever the input's size.
+# below this, so one block's temporaries (two arrays of terms, up to four
+# with the moment, 16 bytes a term) take 2 to 4 MB whatever the input's size.
 _BLOCK_TERMS = 1 << 16
 
 # The series policy: every omitted term of a lattice sum is below
@@ -256,18 +256,19 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
     The lattice is Z (half=False) or Z+1/2 (half=True); alternating
     applies (-1)^m on the integer lattice.  ``lin`` may be a complex
     scalar or an ndarray; the return type matches.  moment=True returns
-    (sum, first moment), the moment being the sum of sign(m) * m *
-    exp(curv*m^2 + lin*m); the sum keeps its bits.
+    (sum, first moment, moduli), the moment being the sum of sign(m) *
+    m * exp(curv*m^2 + lin*m) and moduli (float) the sum of the terms'
+    moduli |t_m|, all three from one pass; the sum keeps its bits.
 
     Each term pair is sign * (exp(curv*m^2 + lin*m) + exp(curv*m^2 -
-    lin*m)), its moment sign * m * (their difference), formed for all
-    pairs of a block of points by one broadcast over the _ladder
-    columns.  The pairs are added in a fixed order: from 0, then from
-    the largest |m| inward.  np.add.accumulate along the pair axis is
-    sequential (np.sum would add pairwise, in another order).  1, the
-    m = 0 term, is added last to the sum on Z.  The points go through in
-    blocks of _BLOCK_TERMS // pairs, so the temporaries stay bounded
-    whatever the size of ``lin``.
+    lin*m)), its moment sign * m * (their difference), its moduli the
+    sum of their moduli, formed for all pairs of a block of points by
+    one broadcast over the _ladder columns.  The pairs are added in a
+    fixed order: from 0, then from the largest |m| inward.
+    np.add.accumulate along the pair axis is sequential (np.sum would
+    add pairwise, in another order).  1, the m = 0 term, is added last
+    on Z.  The points go through in blocks of _BLOCK_TERMS // pairs, so
+    the temporaries stay bounded whatever the size of ``lin``.
     """
     lin_arr = np.asarray(lin, dtype=np.complex128)
     decay = -complex(curv).real
@@ -278,7 +279,8 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
     base = np.multiply(curv, m_sq)
     flat = lin_arr.reshape(-1)
     acc = np.empty(flat.shape, dtype=np.complex128)
-    acc_moment = np.empty_like(acc) if moment else None
+    if moment:
+        acc_moment, acc_moduli = np.empty_like(acc), np.empty(flat.shape)
     block = _BLOCK_TERMS // max(pairs, 1)
     for start in range(0, flat.size, block):
         step = np.multiply(m, flat[start : start + block])
@@ -291,13 +293,20 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
             moments = np.zeros_like(terms)
             np.multiply(np.subtract(pair, step, out=moments[1:]), m * sign, out=moments[1:])
             acc_moment[start : start + block] = np.add.accumulate(moments, axis=0, out=moments)[-1]
+            moduli = np.abs(terms)
+            moduli[1:] += np.abs(step)
+            acc_moduli[start : start + block] = np.add.accumulate(moduli, axis=0, out=moduli)[-1]
         pair += step
         pair *= sign
         acc[start : start + block] = np.add.accumulate(terms, axis=0, out=terms)[-1]
     if not half:
         acc += 1.0
     value = _as_complex(acc.reshape(lin_arr.shape))
-    return (value, _as_complex(acc_moment.reshape(lin_arr.shape))) if moment else value
+    if not moment:
+        return value
+    # on Z the m = 0 term's modulus, 1, comes last, as the sum's 1 does
+    moduli = acc_moduli.reshape(lin_arr.shape) + (not half)
+    return value, _as_complex(acc_moment.reshape(lin_arr.shape)), moduli
 
 
 def theta(kind: int, arg: ThetaArg) -> complex | np.ndarray:
@@ -425,12 +434,6 @@ def _shift_back(c, curv, lin, reduced, message: str, alternating: bool = False):
     return _as_complex(_exp(exponent, message, scale))
 
 
-@functools.lru_cache(maxsize=32)
-def _origin_modulus(imag_tau: float) -> float:
-    """theta_3(0 | i Im tau), the sum of the theta terms' moduli at a real reduced argument."""
-    return abs(theta(3, ThetaArg(0.0 + 0.0j, 1j * imag_tau)))
-
-
 def theta_log_derivative(kind: int, arg: ThetaArg) -> complex | np.ndarray:
     """(d/dv) log theta_kind(v | tau) for kind in {3, 4}, as R - 2 pi i k, R = 2 pi i M / Theta.
 
@@ -452,21 +455,16 @@ def theta_log_derivative(kind: int, arg: ThetaArg) -> complex | np.ndarray:
     at most 8*eps*2*pi*|k|, the rounding of 2 pi k and, past 2^53, of k
     itself.  Where Re tau != 0, Re r also carries the rounding of k Re
     tau, up to eps |k Re tau|.  Raises SingularityError where
-    |Theta| < 1e-10 theta_3(i Im r | i Im tau), the sum of the terms'
-    moduli: near a zero, where the derivative diverges, or where the
+    |Theta| < 1e-10 sum_m |t_m|, the moduli of the terms that same pass
+    sums: near a zero, where the derivative diverges, or where the
     terms cancel to rounding (theta_4 at small Im tau).  Otherwise what
     theta raises, and RangeOverflowError where 2 pi k passes the range.
     """
     if isinstance(kind, np.ndarray) or kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
     _, k, curv, lin = _reduce(arg)
-    value, moment = _lattice_sum(curv, lin, half=False, alternating=(kind == 4), moment=True)
-    # below 1e-10 of theta_3(i Im r | i Im tau), the sum of the moduli of
-    # Theta's terms, Theta is near a zero or lost to cancellation
-    if np.any(lin.real):
-        moduli = _lattice_sum(curv.real, lin.real, False, False).real
-    else:
-        moduli = _origin_modulus(arg.tau.imag)
+    value, moment, moduli = _lattice_sum(curv, lin, False, alternating=(kind == 4), moment=True)
+    # below 1e-10 of the sum of its terms' moduli, Theta is near a zero or lost to cancellation
     near_zero = np.abs(value) < 1e-10 * moduli
     if near_zero.any():
         v = complex(np.ravel(arg.v)[np.argmax(near_zero)])

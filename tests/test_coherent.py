@@ -264,6 +264,15 @@ def test_expect_U_series_agreement():
         assert abs(series - expect_U(p, sector)) < 1e-12
 
 
+def test_expect_U_modulus_stays_near_exp_minus_quarter():
+    # re-centred at |r| <= 1, |<U>| = e^(-1/4) S_opp(r)/S(r) whatever l is,
+    # so relative_expect_U's reference never nears zero
+    l = np.concatenate([np.linspace(-3.0, 3.0, 601), [-1e300, -1e6, -20.5, 20.5, 1e6, 1e300]])
+    for sector in (Sector.BOSON, Sector.FERMION):
+        modulus = np.abs(expect_U(PhasePoint(l, 0.7), sector))
+        assert np.all(np.abs(modulus / math.exp(-0.25) - 1.0) < 2.1e-4), sector
+
+
 def test_relative_expect_U_reference_cancels():
     p = PhasePoint(0.5, 1.0)
     rel = relative_expect_U(p, p, Sector.BOSON)

@@ -1,7 +1,7 @@
 """The package namespace is the union of the five layers' __all__ lists,
 and the one overflow limit, the one window cap, the one number gate and
 the one series policy are each named in one layer; every module stays
-below the parser's token step."""
+below the parser's token step, and every cache has a bound."""
 
 from __future__ import annotations
 
@@ -137,6 +137,72 @@ def test_every_module_compiles_below_the_parser_token_step():
     assert "verify.py" in counts
     over = {name: count for name, count in counts.items() if count > PARSER_TOKEN_STEP}
     assert not over, f"modules past the {PARSER_TOKEN_STEP}-token parser step: {over}"
+
+
+# each functools cache in the package and the most entries it can hold: the
+# package keeps no unbounded memory, so a new cache is a reviewed edit here
+CACHE_BOUNDS = {
+    "bargmann._factors": 16,
+    "bargmann._gram": 16,
+    "bargmann._rule": 16,
+    "cli._shared_parser": 1,
+    "hilbert._window": 32,
+    "theta._ladder": 32,
+}
+
+
+def _is_cache(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+        and node.attr in ("cache", "lru_cache")
+    )
+
+
+def _callee(node: ast.AST) -> ast.AST:
+    """What a chain of calls starts from: functools.lru_cache of functools.lru_cache(maxsize=16)(f)."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return node
+
+
+def _library_caches() -> dict:
+    """{"module.name": the cached callable} for every functools cache in the package's source.
+
+    A cache is a decorator of a function or the value of an assignment;
+    any other use of functools.cache or functools.lru_cache, or importing
+    either by name, fails.
+    """
+    source = pathlib.Path(circle_cs.__file__).parent
+    caches = {}
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert not {"cache", "lru_cache"} & {alias.name for alias in node.names}, path.name
+            if isinstance(node, ast.FunctionDef):
+                found += [node.name for head in node.decorator_list if _is_cache(_callee(head))]
+            elif isinstance(node, ast.Assign) and _is_cache(_callee(node.value)):
+                found += [target.id for target in node.targets]
+        uses = sum(_is_cache(node) for node in ast.walk(tree))
+        assert uses == len(found), f"{path.name}: a functools cache outside a decorator or assignment"
+        if found:  # only then import: __main__ runs the command line
+            module = importlib.import_module(f"circle_cs.{path.stem}")
+            caches.update({f"{path.stem}.{name}": getattr(module, name) for name in found})
+    return caches
+
+
+def test_every_library_cache_is_bounded():
+    bounds = {}
+    for name, cached in _library_caches().items():
+        maxsize = cached.cache_parameters()["maxsize"]
+        # an unbounded cache of a function without arguments holds one entry
+        if maxsize is None and not inspect.signature(cached.__wrapped__).parameters:
+            maxsize = 1
+        bounds[name] = maxsize
+    assert bounds == CACHE_BOUNDS
 
 
 def _readers(name: str) -> list[str]:

@@ -11,6 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from circle_cs._reference import _unpaired_lattice_sum
 from circle_cs.bargmann import Quadrature
 from circle_cs.errors import (
     ConvergenceError,
@@ -29,6 +30,7 @@ from circle_cs.theta import (
 
 I_PI = 1j * math.pi
 I_OVER_PI = 1j / math.pi
+EPS = np.finfo(float).eps
 # the package binds the name `theta` to the function of that name
 theta_module = importlib.import_module("circle_cs.theta")
 
@@ -436,14 +438,43 @@ def test_log_derivative_at_the_top_of_the_double_range():
             assert value == -sign * 4j * math.pi
 
 
-def test_log_derivative_computes_the_origin_value_once():
-    theta_module._origin_modulus.cache_clear()
+def test_log_derivative_makes_one_lattice_sum_pass(monkeypatch):
+    # the sum, its moment and the moduli of its terms all come from one pass
+    calls = []
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return call
+
+    for name in ("_lattice_sum", "theta"):
+        monkeypatch.setattr(theta_module, name, counted(name, getattr(theta_module, name)))
+    points = (0.3, 0.3 + 0.2j, np.array([0.1, 0.3]), np.array([0.1, 0.3 + 0.2j]))
+    for kind in (3, 4):
+        for v in points:
+            calls.clear()
+            theta_log_derivative(kind, ThetaArg(v, I_PI))
+            assert calls == ["_lattice_sum"], (kind, v)
+    # a grid of real v keeps its scalar calls' bits
     first = theta_log_derivative(4, ThetaArg(np.array([0.1, 0.3]), I_PI))
     again = theta_log_derivative(4, ThetaArg(0.3, I_PI))
     assert again == first[1]
-    info = theta_module._origin_modulus.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert theta_module._origin_modulus(math.pi) == abs(theta(3, ThetaArg(0.0, I_PI)))
+
+
+@pytest.mark.parametrize("tau", [I_PI, I_OVER_PI, 0.3 + 0.8j], ids=["i*pi", "i/pi", "0.3+0.8i"])
+def test_log_derivative_moduli_match_the_unpaired_sum(tau):
+    # the in-pass sum of |t_m|, against every term of the lattice by one exp
+    rng = np.random.default_rng(5)
+    grid = np.linspace(-3.0, 3.0, 101)
+    for v in (0.3, -1.7, 0.3 + 0.2j, 2.5 - 1.1j, grid, grid + 0.4j * rng.standard_normal(101)):
+        for kind in (3, 4):
+            _, _, curv, lin = theta_module._reduce(ThetaArg(v, tau))
+            got = theta_module._lattice_sum(curv, lin, False, kind == 4, moment=True)[2]
+            want = _unpaired_lattice_sum(curv.real, lin.real, False).real
+            assert np.shape(got) == np.shape(v)
+            assert np.all(np.abs(got - want) <= 4.0 * EPS * want), (kind, v)
 
 
 # ------------------------------------------------------ the broadcast kernel
