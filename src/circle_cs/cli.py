@@ -45,7 +45,6 @@ from .coherent import (
 from .errors import CircleError, ConfigError
 from .hilbert import Sector, Truncation, apply_operator, state_to_json
 from .theta import ThetaArg, _integer, _number, theta
-from .verify import load_config, run_verify
 
 __all__ = ["main"]
 
@@ -164,13 +163,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _windowed_expectations(state) -> tuple[float, complex]:
-    j = state.j_values()
+def _mean_j(state) -> tuple[float, float]:
+    """(<J>, <state|state>) over the window."""
     weights = np.abs(state.coeffs) ** 2
     norm_sq = float(np.sum(weights))
-    mean_j = float(np.sum(j * weights) / norm_sq)
-    mean_u = complex(np.vdot(state.coeffs, apply_operator("U", state).coeffs) / norm_sq)
-    return mean_j, mean_u
+    return float(np.sum(state.j_values() * weights) / norm_sq), norm_sq
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -180,13 +177,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     state = coherent_state(p, sector, trunc)
     hamiltonian = FreeRotor() if args.hamiltonian == "free" else Linear(args.omega)
     evolved = evolve(state, hamiltonian, args.t)
-    j_before, _ = _windowed_expectations(state)
-    j_after, u_after = _windowed_expectations(evolved)
+    j_after, norm_sq = _mean_j(evolved)
+    u_after = complex(np.vdot(evolved.coeffs, apply_operator("U", evolved).coeffs) / norm_sq)
     if args.hamiltonian == "linear":
         target = coherent_state(PhasePoint(args.l, args.phi + args.omega * args.t), sector, trunc)
         residual = float(np.max(np.abs(evolved.coeffs - target.coeffs)))
     else:
-        residual = abs(j_after - j_before)
+        residual = abs(j_after - _mean_j(state)[0])
     payload = {
         "expect_J": j_after,
         "expect_U_im": u_after.imag,
@@ -216,15 +213,17 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
     sector = Sector.from_name(args.sector)
     p = PhasePoint(args.l, 0.0)
     dist = energy_distribution(p, sector, jmax=args.jmax, allow_fermion=args.allow_fermion)
-    j, prob = zip(*dist)
-    approx = [gaussian_energy_profile(jv, args.l) for jv in j]
-    deviation = [abs(pv - av) for pv, av in zip(prob, approx)]
+    j, prob = np.array(dist).T
+    approx = gaussian_energy_profile(j, args.l)
+    deviation = np.abs(prob - approx)
     columns = (j, prob, approx, deviation)
     _write_text(args.out, _csv("j,prob,approx,deviation", columns, args.digits))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import load_config, run_verify  # here, so no other command compiles the battery
+
     path = args.config or os.environ.get(CONFIG_ENV) or None
     config = load_config(path)
     report = run_verify(config)

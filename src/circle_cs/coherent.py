@@ -202,18 +202,13 @@ def overlap_closed(p1: PhasePoint, p2: PhasePoint, sector: Sector) -> complex | 
     """
     _require_reach(p1.l)
     _require_reach(p2.l)
-    if p1.shape == p2.shape == ():
-        shape, w = (), complex(-(p1.l + p2.l), p2.phi - p1.phi)
-    else:  # each element as complex() makes it
-        try:
-            shape = np.broadcast_shapes(p1.shape, p2.shape)
-        except ValueError:
-            raise DomainError(
-                f"grids of shape {p1.shape} and {p2.shape} do not broadcast"
-            ) from None
-        w = np.empty(shape, np.complex128)
-        w.real = -(p1.l + p2.l)
-        w.imag = p2.phi - p1.phi
+    try:
+        shape = np.broadcast_shapes(p1.shape, p2.shape)
+    except ValueError:
+        raise DomainError(f"grids of shape {p1.shape} and {p2.shape} do not broadcast") from None
+    w = np.empty(shape, np.complex128)  # each element as complex() makes it
+    w.real = -(p1.l + p2.l)
+    w.imag = p2.phi - p1.phi
     return _shaped(gaussian_lattice_sum(w, half=_half(sector)), shape, complex)
 
 
@@ -427,20 +422,19 @@ def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float | np.ndarra
     Both spreads equal (1/2) e^(-l) sqrt(e^2 - 1); the commutator bound
     (1/2)|<[Q,P]>|/<xi|xi> equals (1/4)(e^2 - 1) e^(-2l), so the
     product Delta Q * Delta P sits exactly on the bound --- for every
-    (l, phi) and in both sectors.  A single point gives Python floats
-    from math.exp; a grid gives float arrays of its shape from np.exp,
-    which can differ from math.exp in the last place.  Raises
-    RangeOverflowError for l < -350, where e^(-2l) passes e^700.
+    (l, phi) and in both sectors.  A single point gives Python floats, a
+    grid float arrays of its shape; a single point is the 0-d case of
+    the grid and has its bits.  Raises RangeOverflowError for l < -350,
+    where e^(-2l) passes e^700.
     """
     if p.shape == ():
-        l, exp = p.l, math.exp
         message = f"uncertainty bound at l = {p.l} exceeds the floating-point range"
     else:
-        # clipped, so -2l stays finite; past 1e300 the bound is 0 or out of range either way
-        l, exp = np.clip(p.l, -1e300, 1e300), np.exp
         message = "uncertainty bound exp({peak:.3g}) on a grid exceeds the floating-point range"
-    growth = _exp(-2.0 * l, message, exp=exp)
-    spread = 0.5 * exp(-l) * math.sqrt(math.exp(2.0) - 1.0)
+    # clipped, so -2l stays finite; past 1e300 the bound is 0 or out of range either way
+    l = np.clip(p.l, -1e300, 1e300)
+    growth = _exp(-2.0 * l, message)
+    spread = 0.5 * np.exp(-l) * math.sqrt(math.exp(2.0) - 1.0)
     bound = 0.25 * (math.exp(2.0) - 1.0) * growth
     return {
         "dQ": _shaped(spread, p.shape, float),
@@ -491,16 +485,13 @@ def gaussian_energy_profile(
     """Continuous companion pi^(-1/2) e^(-(j-l)^2) of the distribution.
 
     j and l must be finite real numbers, or arrays of them that
-    broadcast together.  Two scalars give a Python float from math.exp;
-    an array gives a float array of the broadcast shape from one np.exp,
-    which can differ from math.exp in the last place.  (j - l)^2
-    overflows only where the profile underflows to 0.0.
+    broadcast together.  Two scalars give a Python float, an array a
+    float array of the broadcast shape from one np.exp; a single point
+    is the 0-d case of the grid and has its bits.  (j - l)^2 overflows
+    only where the profile underflows to 0.0.
     """
     message = "j and l must be finite real numbers"
     j, l = (_number(x, float, message) for x in (j, l))
-    if type(j) is float and type(l) is float:
-        d = j - l  # d * d, not d ** 2: libm pow can miss the rounded square; inf gives 0.0
-        return math.exp(-(d * d)) / math.sqrt(math.pi)
     try:
         shape = np.broadcast_shapes(np.shape(j), np.shape(l))
     except ValueError:

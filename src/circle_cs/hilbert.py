@@ -68,7 +68,7 @@ class Sector(enum.Enum):
     def from_name(cls, name: str) -> "Sector":
         try:
             return cls(name.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # not a string, or no sector's name
             raise DomainError(f"unknown sector {name!r}; expected 'boson' or 'fermion'") from None
 
 
@@ -117,32 +117,19 @@ class Truncation:
     def size(self, sector: Sector) -> int:
         return len(self.two_j_values(sector))
 
-    def index_of(self, sector: Sector, two_j):
-        """Slot of 2j in the window, or an array of slots for an array of 2j.
+    def index_of(self, sector: Sector, two_j) -> int:
+        """Slot of 2j in the window; two_j is one Python or NumPy integer.
 
-        Raises ParityError or WindowError for the first offending entry,
-        the parity test first.  A Python int takes scalar math; anything
-        else (a bool, a NumPy integer, an array) goes through numpy.
+        Raises DomainError for anything else (a bool, a float, an array),
+        then ParityError or WindowError, the parity test first.
         """
+        two_j = _integer(two_j, -math.inf, math.inf, "2j must be an integer, got {value!r}")
+        if two_j % 2 != sector.parity:
+            raise ParityError(f"2j = {two_j} does not match the {sector.value} sector")
         start = _lowest_two_j(self.two_jmax, sector.parity)
-        if type(two_j) is int:
-            if two_j % 2 != sector.parity:
-                raise ParityError(f"2j = {two_j} does not match the {sector.value} sector")
-            if not start <= two_j <= -start:
-                raise WindowError(f"2j = {two_j} outside window |2j| <= {self.two_jmax}")
-            return (two_j - start) // 2
-        # 1-d, since on a 0-d object array (a 2j past int64) the tests give Python bools
-        keys = np.array(two_j, ndmin=1)
-        wrong_parity = keys % 2 != sector.parity
-        bad = wrong_parity | (keys < start) | (keys > -start)
-        if bad.any():
-            first = int(np.argmax(bad))
-            key = int(keys.flat[first])
-            if wrong_parity.flat[first]:
-                raise ParityError(f"2j = {key} does not match the {sector.value} sector")
-            raise WindowError(f"2j = {key} outside window |2j| <= {self.two_jmax}")
-        slots = (keys - start) // 2
-        return int(slots[0]) if np.ndim(two_j) == 0 else slots.astype(np.intp)
+        if not start <= two_j <= -start:
+            raise WindowError(f"2j = {two_j} outside window |2j| <= {self.two_jmax}")
+        return (two_j - start) // 2
 
 
 _COEFFS_MESSAGE = "state coefficients must be finite"
@@ -387,7 +374,10 @@ def state_from_json(text: str) -> StateVector:
 
     A document whose two_j run through the window in ascending order, as
     state_to_json writes them, is read straight into the window; any other
-    is scattered slot by slot, a repeated 2j keeping its last value.
+    is scattered one index_of call per entry, in document order, so the
+    first offending 2j raises and a repeated 2j keeps its last value.
+    DomainError("malformed state JSON: ...") for text that is not such a
+    document, nesting too deep to parse included.
     """
     try:
         payload = json.loads(text)
@@ -400,19 +390,15 @@ def state_from_json(text: str) -> StateVector:
         if not {*map(type, keys)} <= {int}:
             raise DomainError("two_j must be an integer")
         values = [complex(e["re"], e["im"]) for e in entries]
-    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError; RecursionError is nesting past the parser's depth
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc
     trunc = Truncation(two_jmax)
     if keys == _window(trunc.two_jmax, sector.parity)[2]:
         coeffs = np.array(values, dtype=np.complex128)
     else:
-        try:
-            keys = np.array(keys, dtype=np.int64)
-        except OverflowError:  # a 2j beyond int64 lies outside every window
-            keys = np.array(keys, dtype=object)
-        slots = trunc.index_of(sector, keys)
         coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
-        # a repeated 2j is assigned in document order, so its last value stays
-        coeffs[slots] = values
+        for key, value in zip(keys, values):
+            coeffs[trunc.index_of(sector, key)] = value
     _require_finite(coeffs)
     return _adopt(sector, trunc, coeffs, _leakage(leakage))

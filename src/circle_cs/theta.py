@@ -20,7 +20,6 @@ a fixed order, so repeated evaluations are bit-for-bit reproducible.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -43,8 +42,6 @@ _LN2 = math.log(2.0)
 
 # _amax(a, None, initial=x) is a.max(initial=x) without numpy's Python-level wrapper
 _amax = np.maximum.reduce
-
-_AS_IS = contextlib.nullcontext()  # a with that needs no np.errstate
 
 # Python and NumPy numbers, which _number checks with cmath.isfinite
 _SCALARS = (complex, float, int, np.number)
@@ -131,16 +128,16 @@ _SERIES_TOL = 1e-14
 _MAX_PAIRS = 200
 
 
-def _exp(exponent, message: str, scale=None, exp=np.exp):
-    """scale * exp(exponent) elementwise, or exp(exponent): the package's one overflow check.
+def _exp(exponent, message: str, scale=None):
+    """scale * np.exp(exponent) elementwise, or np.exp(exponent): the package's one overflow check.
 
     RangeOverflowError(message.format(peak=...)) where the result's largest
     log-magnitude, Re(exponent) + log|scale| over nonzero scale, passes
-    _EXP_LIMIT or is NaN.  Else the bits of scale * exp(exponent), unless a
-    factor overflows alone: 0 where its scale is 0, log space elsewhere.
+    _EXP_LIMIT or is NaN.  Else the bits of scale * np.exp(exponent), unless
+    a factor overflows alone: 0 where its scale is 0, log space elsewhere.
     A complex scale whose modulus alone passes the range counts at its
-    true log-magnitude (_unwiden).  exp is np.exp, or math.exp for a
-    caller that has always used it.
+    true log-magnitude (_unwiden).  A scalar exponent gives the bits of
+    its one-element array.
     """
     real = exponent.real
     top = float(_amax(real, None, initial=-math.inf) if isinstance(real, np.ndarray) else real)
@@ -156,7 +153,7 @@ def _exp(exponent, message: str, scale=None, exp=np.exp):
     if not peak <= _EXP_LIMIT:
         raise RangeOverflowError(message.format(peak=peak))
     if top <= _EXP_LIMIT:
-        return exp(exponent) if scale is None else scale * exp(exponent)
+        return np.exp(exponent) if scale is None else scale * np.exp(exponent)
     exponent, scale, size = _unwiden(*np.broadcast_arrays(exponent, scale))
     kept = size > 0.0
     value = np.zeros(exponent.shape, np.result_type(exponent, scale))
@@ -217,12 +214,8 @@ def _drift(lin) -> float:
 
     m * lin then stays finite for every m up to the pair cap.
     """
-    if isinstance(lin, np.ndarray):
-        drift = float(_amax(np.abs(lin.real), None, initial=0.0))
-        bounded = (np.abs(lin.imag) <= 1e300).all()
-    else:  # scalar math, µs faster than numpy's reductions on a 0-d array
-        drift, bounded = float(abs(lin.real)), abs(lin.imag) <= 1e300
-    if math.isnan(drift) or not bounded:
+    drift = float(_amax(np.abs(lin.real), None, initial=0.0))
+    if math.isnan(drift) or not (np.abs(lin.imag) <= 1e300).all():
         raise DomainError(
             "lattice-sum argument is not finite (NaN, or overflowed from a huge input)"
             " or has an imaginary part past 1e300"
@@ -273,7 +266,7 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
     lin_arr = np.asarray(lin, dtype=np.complex128)
     decay = -complex(curv).real
     # an infinite real part is an overflow, caught by the pair count
-    pairs = _pair_count(decay, _drift(lin), half)
+    pairs = _pair_count(decay, _drift(lin_arr), half)
 
     m, m_sq, sign = _ladder(pairs, half, alternating)
     base = np.multiply(curv, m_sq)
@@ -397,14 +390,11 @@ def _reduce(arg: ThetaArg):
     keeps its modulus (0, 1 or an overflow) and the value stays the same.
     """
     c, t = _recentre(arg.tau)
-    # _lattice_sum types an overflowed r; a Python scalar v warns of nothing, and skips µs
-    array = isinstance(arg.v, np.ndarray)
-    with np.errstate(over="ignore", invalid="ignore") if array else _AS_IS:
+    with np.errstate(over="ignore", invalid="ignore"):  # _lattice_sum types an overflowed r
         _, r = _recentre(arg.v)
         k = 0.0
         if np.count_nonzero(r.imag):  # a real v needs no k, and skips µs of array steps
-            # math's fmod on a scalar: 1.5 µs less a call
-            rem = (np.fmod if isinstance(r, np.ndarray) else math.fmod)(r.imag, t.imag)
+            rem = np.fmod(r.imag, t.imag)
             turn, im_r = _recentre(rem, t.imag)
             k = _recentre(r.imag - rem, t.imag)[0] + turn  # rem has Im v's sign: no overflow
             r = r.real - k * t.real + 1j * im_r

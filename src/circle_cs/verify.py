@@ -202,7 +202,8 @@ def load_config(path: str | None) -> dict:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: bad JSON, bytes that are not UTF-8, an int past the digit limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(raw)
 

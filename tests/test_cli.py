@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from circle_cs.bargmann import MAX_N_L, MAX_N_PHI
 from circle_cs.coherent import FreeRotor, PhasePoint, coherent_state, evolve
 from circle_cs.errors import ConfigError
 from circle_cs.hilbert import MAX_TWO_JMAX, Sector, Truncation, state_from_json, state_to_json
-from circle_cs.verify import CONFIG_CAPS, DEFAULT_CONFIG, validate_config
+from circle_cs.verify import CONFIG_CAPS, DEFAULT_CONFIG, load_config, validate_config
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -262,6 +263,29 @@ def test_wide_scans_match_golden_hashes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, key
 
 
+ONLY_VERIFY_IMPORTS_THE_BATTERY = """
+import contextlib, io, sys
+from circle_cs import cli
+commands = [
+    ["theta", "--kind", "3"],
+    ["expect", "--l", "0.3", "--obs", "QP"],
+    ["scan", "--obs", "J", "--l-min", "0", "--l-max", "1", "--n", "3", "--out", "-"],
+    ["evolve", "--l", "0.3", "--t", "1"],
+    ["distribution", "--l", "0.3"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in commands]
+print(codes, [name for name in ("circle_cs.verify", "circle_cs._reference") if name in sys.modules])
+"""
+
+
+def test_only_verify_imports_the_battery():
+    # only verify needs verify.py and _reference.py, a third of the package's source
+    res = subprocess.run([sys.executable, "-c", ONLY_VERIFY_IMPORTS_THE_BATTERY],
+                         capture_output=True, text=True)
+    assert (res.stdout, res.stderr) == ("[0, 0, 0, 0, 0] []\n", "")
+
+
 def test_main_builds_its_parser_once():
     cli._shared_parser.cache_clear()
     for _ in range(2):
@@ -358,12 +382,13 @@ def test_evolve_free_conserves_j(run):
     assert payload["hamiltonian"] == "free"
 
 
-@pytest.mark.parametrize("argv, expected", [
+@pytest.mark.parametrize("argv, expected, digest", [
     (
         ["--l", "0.5", "--phi", "0.0", "--hamiltonian", "linear", "--omega", "0.3", "--t", "2.0"],
         '{"expect_J": 0.5, "expect_U_im": 0.439834989691203, "expect_U_re": 0.6429050218147704, '
         '"hamiltonian": "linear", "l": 0.5, "leakage": 0.0, "norm": 1.5085225763553423, '
         '"omega": 0.3, "phi": 0.0, "residual": 0.0, "sector": "boson", "t": 2.0, "two_jmax": 40}\n',
+        "4d2a077ccbf996986aebd0705316579d10158bf81a344c29b9e6898efdd6b8d9",
     ),
     (
         ["--l", "-0.7", "--phi", "2.5", "--sector", "fermion", "--t", "1.3"],
@@ -371,12 +396,17 @@ def test_evolve_free_conserves_j(run):
         '"expect_U_re": -0.008301533935735956, "hamiltonian": "free", "l": -0.7, "leakage": 0.0, '
         '"norm": 1.700969622344789, "phi": 2.5, "residual": 0.0, "sector": "fermion", "t": 1.3, '
         '"two_jmax": 40}\n',
+        "8ff04a9269f75aa5102e7c195556e16470c3e66a7a7ffef2915526f69bf7a3b1",
     ),
 ], ids=["linear", "free"])
-def test_evolve_summary_is_pinned_to_17_digits(argv, expected, run):
+def test_evolve_summary_is_pinned_to_17_digits(argv, expected, digest, run):
     res = run("evolve", *argv, "--digits", "17")
     assert res.returncode == 0
     assert res.stdout == expected
+    # with --out -, the summary and then the evolved state: pinned by its sha256
+    res = run("evolve", *argv, "--digits", "17", "--out", "-")
+    assert res.returncode == 0 and res.stdout.startswith(expected)
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
 def test_evolve_window_too_small_is_domain_error(run):
@@ -518,6 +548,33 @@ def test_verify_honors_environment_config(tmp_path, run, monkeypatch):
     res = run("verify")
     assert res.returncode == 2
     assert "two_jmax" in res.stderr
+
+
+UNREADABLE_CONFIGS = {
+    "not-utf8": b"\xff\xfe{}",
+    "past-the-digit-limit": b'{"seed": ' + b"1" * 5000 + b"}",
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("via", ["--config", "env"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE_CONFIGS))
+def test_unreadable_config_exits_2_without_traceback(name, via, tmp_path):
+    # each once left json.load untyped: a traceback and exit 1, verify's failing-check code
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(UNREADABLE_CONFIGS[name])
+    argv, env = ["verify"], dict(os.environ)
+    if via == "env":
+        env["CIRCLE_CS_CONFIG"] = str(cfg)
+    else:
+        argv += ["--config", str(cfg)]
+    res = subprocess.run([sys.executable, "-m", "circle_cs", *argv],
+                         capture_output=True, text=True, env=env)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.startswith(f"error: config {cfg} is not valid JSON: ")
+    assert res.stderr.count("\n") == 1
+    with pytest.raises(ConfigError):
+        load_config(str(cfg))
 
 
 def test_verify_small_config_report(tmp_path):

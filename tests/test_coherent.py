@@ -740,12 +740,7 @@ def test_pointwise_closed_forms_on_a_grid_have_the_scalar_bits(name, sector):
         assert part.dtype == (np.complex128 if complex_valued else np.float64)
         expected = np.reshape([s[k] for s in scalars], shape)
         assert {type(s[k]) for s in scalars} <= {float, complex}
-        if name in ("gaussian_energy_profile", "uncertainty_QP"):
-            # math.exp on a single point, np.exp on a grid: they may differ in the last place,
-            # which a division can make 2 ulps of the quotient (the profile's largest gap
-            # over 1.2e6 random points with |j| <= 27 and |l| <= 3 is 2.0 ulps)
-            assert _within_ulps(part, expected)
-        elif name == "relative_expect_U":
+        if name == "relative_expect_U":
             # expect_U's grid keeps to 2 ulps of its scalar calls, and one division follows
             assert _within_ulps(part, expected, ulps=4.0)
         else:
@@ -818,11 +813,11 @@ def test_energy_profile_underflows_where_the_square_overflows(j, l):
 
 def test_scalar_energy_profile_squares_with_the_rounded_product():
     # libm pow gives (-4.959072484506665) ** 2 = 24.592399906591105, one ulp below
-    # the rounded square 24.59239990659111 that the grid path's np.square forms
+    # the rounded square 24.59239990659111 that np.square forms
     d = -4.959072484506665
     square = float(np.square(d))
     assert square == 24.59239990659111
-    assert gaussian_energy_profile(d, 0.0) == math.exp(-square) / math.sqrt(math.pi)
+    assert gaussian_energy_profile(d, 0.0) == float(np.exp(-square)) / math.sqrt(math.pi)
 
 
 @pytest.mark.parametrize("s, l", [

@@ -42,8 +42,9 @@ TR = Truncation(10)
 def test_sector_from_name():
     assert Sector.from_name("boson") is Sector.BOSON
     assert Sector.from_name("fermion") is Sector.FERMION
-    with pytest.raises(DomainError):
-        Sector.from_name("anyon")
+    for name in ("anyon", 5, None):
+        with pytest.raises(DomainError, match="^unknown sector"):
+            Sector.from_name(name)
 
 
 def test_window_grids():
@@ -67,45 +68,30 @@ def test_window_past_the_cap_is_refused_before_it_is_built(two_jmax, no_window):
 
 
 def test_index_parity_and_window_errors():
+    for two_jmax in (6, 7):
+        t = Truncation(two_jmax)
+        edges = (two_jmax + 1, 2**63 + 1, 10**30)
+        for sector in Sector:
+            window = t.two_j_values(sector).tolist()
+            for key in [*range(-two_jmax, two_jmax + 1), *edges, *(-k for k in edges)]:
+                # the parity test comes before the window test
+                if key % 2 != sector.parity:
+                    with pytest.raises(ParityError, match=rf"^2j = {key} does not match"):
+                        t.index_of(sector, key)
+                elif key not in window:
+                    with pytest.raises(WindowError, match=rf"^2j = {key} outside"):
+                        t.index_of(sector, key)
+                else:
+                    slot = t.index_of(sector, key)
+                    assert type(slot) is int and slot == window.index(key)
+                    assert t.index_of(sector, np.int64(key)) == slot
     t = Truncation(6)
-    with pytest.raises(ParityError):
-        t.index_of(Sector.BOSON, 1)
-    with pytest.raises(WindowError):
-        t.index_of(Sector.BOSON, 10)
-    assert t.index_of(Sector.FERMION, 1) == 3
+    assert t.index_of(Sector.FERMION, 1) == t.index_of(Sector.FERMION, np.uint8(1)) == 3
+    for key in (np.array([0, 2]), np.array(0), 0.0, 2.0, True, np.bool_(False)):
+        with pytest.raises(DomainError, match="^2j must be an integer"):
+            t.index_of(Sector.BOSON, key)
     with pytest.raises(ParityError):
         basis_state(Sector.BOSON, 0.25, t)
-
-
-def test_index_of_an_array_matches_the_scalar_slots():
-    t = Truncation(7)
-    for sector in Sector:
-        two_j = t.two_j_values(sector)
-        slots = t.index_of(sector, two_j[::-1])
-        assert slots.tolist() == [t.index_of(sector, int(k)) for k in two_j[::-1]]
-        assert slots.tolist() == list(range(len(two_j)))[::-1]
-    # the first offending entry raises, parity before window
-    with pytest.raises(ParityError, match="2j = 3 does"):
-        t.index_of(Sector.BOSON, np.array([0, 3, 10]))
-    with pytest.raises(WindowError, match="2j = 10 outside"):
-        t.index_of(Sector.BOSON, np.array([0, 10, 3]))
-
-
-@pytest.mark.parametrize("sector", list(Sector), ids=lambda s: s.value)
-@pytest.mark.parametrize("two_jmax", [6, 7])
-def test_index_of_a_python_int_matches_the_array_path(sector, two_jmax):
-    t = Truncation(two_jmax)
-    edges = (two_jmax + 1, 2**63 + 1, 10**30)
-    for key in [*range(-two_jmax, two_jmax + 1), *edges, *(-k for k in edges)]:
-        try:
-            expected = t.index_of(sector, np.array([key]))[0]
-        except (ParityError, WindowError) as exc:
-            with pytest.raises(type(exc)) as info:
-                t.index_of(sector, key)
-            assert str(info.value) == str(exc)
-        else:
-            slot = t.index_of(sector, key)
-            assert type(slot) is int and slot == expected
 
 
 def test_basis_state_is_unit():
@@ -456,6 +442,13 @@ def test_json_rejects_malformed_payloads():
     good = state_to_json(basis_state(Sector.BOSON, 0.0, Truncation(2)))
     with pytest.raises(DomainError):
         state_from_json(good.replace('"boson"', '"anyon"'))
+    # a sector that is not a string once left a bare AttributeError
+    for sector in ("5", "null", "[]"):
+        with pytest.raises(DomainError, match="^malformed state JSON: unknown sector"):
+            state_from_json(good.replace('"boson"', sector))
+    # nesting past the parser's depth once left a bare RecursionError
+    with pytest.raises(DomainError, match="^malformed state JSON: maximum recursion depth"):
+        state_from_json("[" * 100_000 + "]" * 100_000)
 
 
 def _loop_from_json(text: str) -> StateVector:
