@@ -68,23 +68,6 @@ def test_window_past_the_cap_is_refused_before_it_is_built(two_jmax, no_window):
 
 
 def test_index_parity_and_window_errors():
-    for two_jmax in (6, 7):
-        t = Truncation(two_jmax)
-        edges = (two_jmax + 1, 2**63 + 1, 10**30)
-        for sector in Sector:
-            window = t.two_j_values(sector).tolist()
-            for key in [*range(-two_jmax, two_jmax + 1), *edges, *(-k for k in edges)]:
-                # the parity test comes before the window test
-                if key % 2 != sector.parity:
-                    with pytest.raises(ParityError, match=rf"^2j = {key} does not match"):
-                        t.index_of(sector, key)
-                elif key not in window:
-                    with pytest.raises(WindowError, match=rf"^2j = {key} outside"):
-                        t.index_of(sector, key)
-                else:
-                    slot = t.index_of(sector, key)
-                    assert type(slot) is int and slot == window.index(key)
-                    assert t.index_of(sector, np.int64(key)) == slot
     t = Truncation(6)
     assert t.index_of(Sector.FERMION, 1) == t.index_of(Sector.FERMION, np.uint8(1)) == 3
     for key in (np.array([0, 2]), np.array(0), 0.0, 2.0, True, np.bool_(False)):
@@ -92,6 +75,27 @@ def test_index_parity_and_window_errors():
             t.index_of(Sector.BOSON, key)
     with pytest.raises(ParityError):
         basis_state(Sector.BOSON, 0.25, t)
+
+
+@pytest.mark.parametrize("sector", list(Sector), ids=lambda s: s.value)
+@pytest.mark.parametrize("two_jmax", [6, 7])
+def test_index_of_a_python_int_matches_the_array_path(sector, two_jmax):
+    # a Python int and a NumPy integer key give the same slot or the same
+    # typed refusal, and the parity test comes before the window test
+    t = Truncation(two_jmax)
+    window = t.two_j_values(sector).tolist()
+    edges = (two_jmax + 1, 2**63 + 1, 10**30)
+    for key in [*range(-two_jmax, two_jmax + 1), *edges, *(-k for k in edges)]:
+        if key % 2 != sector.parity:
+            with pytest.raises(ParityError, match=rf"^2j = {key} does not match"):
+                t.index_of(sector, key)
+        elif key not in window:
+            with pytest.raises(WindowError, match=rf"^2j = {key} outside"):
+                t.index_of(sector, key)
+        else:
+            slot = t.index_of(sector, key)
+            assert type(slot) is int and slot == window.index(key)
+            assert t.index_of(sector, np.int64(key)) == slot
 
 
 def test_basis_state_is_unit():
