@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -293,6 +294,50 @@ def test_main_builds_its_parser_once():
             cli.main(["--help"])
     assert cli._shared_parser.cache_info().misses == 1
     assert cli.build_parser() is not cli.build_parser()
+
+
+def _count_parses(monkeypatch):
+    """{parser name: parse_known_args calls} for the shared parser and each command's subparser."""
+    parser = cli._shared_parser()
+    calls = {}
+    for name, target in [("circle-cs", parser), *parser.commands.items()]:
+        def counted(*args, _name=name, _parse=target.parse_known_args, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _parse(*args, **kwargs)
+        monkeypatch.setattr(target, "parse_known_args", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, parses", [
+    # a named command: its subparser alone, extras and refusals included
+    (["theta", "--kind", "3"], {"theta": 1}),
+    (["scan", "--obs", "U", "--l-min=-1e-05", "--l-max", "1", "--n", "3", "--out", "-"], {"scan": 1}),
+    (["scan", "--obs", "J", "--l-min", "0", "--l-max", "1", "--n", "3", "--out", "-", "extra"],
+     {"scan": 1}),
+    (["expect", "--l", "0.3"], {"expect": 1}),
+    (["distribution", "-h"], {"distribution": 1}),
+    # any other line: the full parser, which hands a command's arguments to its subparser
+    ([], {"circle-cs": 1}),
+    (["-h"], {"circle-cs": 1}),
+    (["bogus", "--kind", "3"], {"circle-cs": 1}),
+    (["--", "theta", "--kind", "3"], {"circle-cs": 1}),
+    (["--bogus", "theta", "--kind", "3"], {"circle-cs": 1, "theta": 1}),
+])
+def test_a_named_command_parses_with_its_subparser_alone(argv, parses, monkeypatch, capsys):
+    calls = _count_parses(monkeypatch)
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert calls == parses
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["circle-cs", "theta", "--kind", "3", "--digits", "4"])
+    assert cli.main() == 0
+    from_sys_argv = capsys.readouterr().out
+    assert from_sys_argv == main_stdout(capsys, "theta", "--kind", "3", "--digits", "4")
 
 
 def test_importing_the_cli_builds_no_parser():
@@ -617,6 +662,20 @@ def test_csv_matches_per_value_format(digits):
     assert cli._csv("a,b", columns[:2], digits) == _per_value_csv("a,b", columns[:2], digits)
 
 
+@pytest.mark.parametrize("digits", range(1, 18))
+def test_csv_formats_a_float_column_as_its_repeated_array(digits):
+    rows = np.linspace(-3.0, 3.0, 7)
+    for value in (math.exp(-0.25), -0.0, 5e-324, 1e300, -1.7976931348623157e308):
+        repeated = np.full_like(rows, value)
+        for k in range(4):
+            floats = [rows, -rows, rows * 1e-300]
+            arrays = list(floats)
+            floats.insert(k, value)
+            arrays.insert(k, repeated)
+            assert cli._csv("a,b,c,d", floats, digits) == cli._csv("a,b,c,d", arrays, digits)
+        assert cli._csv("a,b", (rows, value), digits) == _per_value_csv("a,b", (rows, repeated), digits)
+
+
 class _Allocated(Exception):
     pass
 
@@ -675,12 +734,10 @@ def _fuzz_argv(data) -> list[str]:
     Required options always come, the others half the time; a value is
     drawn from the option's choices, else by its type.
     """
-    (commands,) = (
-        a for a in cli._shared_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    name = data.draw(st.sampled_from(sorted(set(commands.choices) - {"verify"})))
+    commands = cli._shared_parser().commands
+    name = data.draw(st.sampled_from(sorted(set(commands) - {"verify"})))
     argv = [name]
-    for action in commands.choices[name]._actions:
+    for action in commands[name]._actions:
         if not action.option_strings or action.dest == "help":
             continue
         if not action.required and not data.draw(st.booleans()):
@@ -716,3 +773,83 @@ def test_every_command_the_parser_builds_exits_0_2_or_3(data, tmp_path, monkeypa
             code = exc.code
     capsys.readouterr()
     assert code in (0, 2, 3), argv
+
+
+# ------------------------------------------------------------ argv captures
+
+# Command lines besides the drawn ones, most of which argparse refuses or answers itself
+MALFORMED_ARGV = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["scan", "--bogus"],
+    ["scan", "--obs", "J", "--l-min", "0", "--l-max", "1", "--n", "3", "--out", "-", "extra"],
+    ["theta", "--kind", "3", "--", "x"],
+    ["expect", "--l", "0.3"],
+    ["expect", "--l", "0.3", "--obs", "X"],
+    ["scan", "--obs", "V", "--l-min", "0", "--l-max", "1", "--n", "3", "--out", "-"],
+    ["verify", "--config"],
+    *[[name, "-h"] for name in ("theta", "expect", "scan", "evolve", "distribution", "verify")],
+    ["theta", "--kin", "3"],
+    ["theta", "--he"],
+    ["--bogus", "scan"],
+    ["--", "theta", "--kind", "3"],
+    ["theta", "--kind", "3", "-h", "--bogus"],
+    ["theta", "--kind", "3", "--bogus", "x", "--v=-1e-05"],
+    ["expect", "--l=-1e-05", "--obs=U", "--sector=fermion", "--digits=17"],
+    ["distribution", "--l", "0.7", "--sector", "fermion"],
+]
+# the first distinct command lines _fuzz_argv draws, derandomized
+FUZZ_CAPTURES = 80
+CAPTURES = DATA / "cli_argv_captures.json"
+
+
+def _capture(argv: list[str]) -> dict:
+    """cli.main(argv) in the working directory: its exit code and the sha256 of stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a value, or prints help
+            code = exc.code
+    digest = {name: hashlib.sha256(buf.getvalue().encode()).hexdigest()
+              for name, buf in (("stdout", out), ("stderr", err))}
+    return {"argv": argv, "code": code, **digest}
+
+
+def _drawn_argv(count: int) -> list[list[str]]:
+    drawn = []
+
+    @settings(derandomize=True, database=None, max_examples=count, deadline=None)
+    @given(data=st.data())
+    def draw(data):
+        argv = _fuzz_argv(data)
+        if argv not in drawn:
+            drawn.append(argv)
+
+    draw()
+    return drawn
+
+
+def test_argv_captures_match(tmp_path, monkeypatch):
+    # help and usage lines wrap at the terminal width argparse reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    captures = json.loads(CAPTURES.read_text("utf-8"))
+    assert len(captures) > len(MALFORMED_ARGV)
+    assert [c["argv"] for c in captures[: len(MALFORMED_ARGV)]] == MALFORMED_ARGV
+    for expected in captures:
+        assert _capture(expected["argv"]) == expected
+
+
+if __name__ == "__main__":
+    # Rewrites the captures from the cli on the path: run it on the tree whose bytes they pin
+    # (PYTHONPATH=src python tests/test_cli.py)
+    os.environ["COLUMNS"] = "80"
+    argvs = MALFORMED_ARGV + _drawn_argv(FUZZ_CAPTURES)
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        captures = [_capture(argv) for argv in argvs]
+    CAPTURES.write_text(json.dumps(captures, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(captures)} captures to {CAPTURES}")
