@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
-from .coherent import PhasePoint, _coherent_coeffs, _require_reach, _single, norm_sq
+from .coherent import PhasePoint, _coherent_coeffs, _complex, _require_reach, _single, norm_sq
 from .theta import _as_complex, _exp, _integer, _pair_count
 
 __all__ = [
@@ -167,9 +167,7 @@ def evaluate(f: StateVector, p: PhasePoint) -> complex | np.ndarray:
     """
     _require_reach(p.l)
     j = f.j_values()
-    point = np.empty(p.shape, np.complex128)
-    point.real, point.imag = p.l, p.phi
-    exponents = j * point[..., None] - 0.5 * j * j
+    exponents = j * _complex(p.l, p.phi)[..., None] - 0.5 * j * j
     if p.shape == ():
         message = f"evaluation at l = {p.l} overflows the basis monomials"
     else:  # printing the array of l would cost more than the evaluation

@@ -217,7 +217,7 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
     sector = Sector.from_name(args.sector)
     p = PhasePoint(args.l, 0.0)
     dist = energy_distribution(p, sector, jmax=args.jmax, allow_fermion=args.allow_fermion)
-    j, prob = np.array(dist).T
+    j, prob = dist.T
     approx = gaussian_energy_profile(j, args.l)
     deviation = np.abs(prob - approx)
     columns = (j, prob, approx, deviation)

@@ -140,6 +140,13 @@ def _shaped(value, shape: tuple[int, ...], kind: type):
     return kind(value) if shape == () else np.broadcast_to(value, shape).astype(kind)
 
 
+def _complex(re, im) -> np.ndarray:
+    """re + i im as an array of their broadcast shape, each element as complex(re, im) makes it."""
+    z = np.empty(np.broadcast(re, im).shape, np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
 def _single(*points: PhasePoint) -> None:
     """Raise DomainError unless every point is one point, not a grid."""
     for p in points:
@@ -206,9 +213,7 @@ def overlap_closed(p1: PhasePoint, p2: PhasePoint, sector: Sector) -> complex | 
         shape = np.broadcast_shapes(p1.shape, p2.shape)
     except ValueError:
         raise DomainError(f"grids of shape {p1.shape} and {p2.shape} do not broadcast") from None
-    w = np.empty(shape, np.complex128)  # each element as complex() makes it
-    w.real = -(p1.l + p2.l)
-    w.imag = p2.phi - p1.phi
+    w = _complex(-(p1.l + p2.l), p2.phi - p1.phi)
     return _shaped(gaussian_lattice_sum(w, half=_half(sector)), shape, complex)
 
 
@@ -445,17 +450,22 @@ def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float | np.ndarra
 
 def energy_distribution(
     p: PhasePoint, sector: Sector, jmax: float = 12, allow_fermion: bool = False
-) -> list[tuple[float, float]]:
-    """Occupation probabilities prob(j) = e^(2lj - j^2)/S(2l), |j| <= jmax.
+) -> np.ndarray:
+    """Occupation probabilities prob(j) = e^(2lj - j^2)/S(2l), |j| <= jmax, as a table.
 
     Defined for the boson sector; pass allow_fermion=True to evaluate
-    the same formula on the half-integer lattice.  The returned
-    probabilities sum to 1 up to the mass beyond |j| > jmax.  The levels
-    form the window |2j| <= floor(2 jmax), so Truncation caps jmax.
-    Each is computed re-centred, as exp(d (r - d)) / S(r) with c =
-    round(l), d = j - c and r = 2l - 2c, so no term of size e^(l^2) is
-    formed: within 2 eps (1 + |d (r - d)|) relative for every |l| <=
-    1e300 (RangeOverflowError beyond).
+    the same formula on the half-integer lattice.  The probabilities sum
+    to 1 up to the mass beyond |j| > jmax.  The n levels form the window
+    |2j| <= floor(2 jmax), so Truncation caps jmax (n <= 601).  The
+    result is a float array of shape (*p.shape, n, 2) whose last axis is
+    (j, prob(j)): a single point gives n rows that iterate as (j, prob)
+    pairs, and a grid point holds p.size * n * 16 bytes, from one
+    lattice-sum call and one exp over (*p.shape, n); each row has the
+    bits of the single-point call at its point.  Each probability is
+    computed re-centred, as exp(d (r - d)) / S(r) with c = round(l),
+    d = j - c and r = 2l - 2c, so no term of size e^(l^2) is formed:
+    within 2 eps (1 + |d (r - d)|) relative for every |l| <= 1e300
+    (RangeOverflowError beyond).
     """
     if not isinstance(allow_fermion, (bool, np.bool_)):
         raise DomainError(f"allow_fermion must be True or False, got {allow_fermion!r}")
@@ -467,16 +477,18 @@ def energy_distribution(
         raise DomainError(message.format(value=jmax))
     two_jmax = 2 * jmax  # inf past jmax = 8.9e307, which Truncation refuses as it is
     trunc = Truncation(math.floor(two_jmax) if two_jmax < math.inf else two_jmax)
-    _single(p)
     _require_reach(p.l)
     c, r = _recentre(2.0 * p.l)
-    norm = complex(gaussian_lattice_sum(r, half=_half(sector))).real
+    norm = np.real(gaussian_lattice_sum(r, half=_half(sector)))
+    c, r, norm = (np.asarray(x)[..., None] for x in (c, r, norm))  # a level axis last
     j = trunc.j_values(sector)
     d = j - c
+    table = np.empty((*p.shape, j.size, 2))
+    table[..., 0] = j
     # d (r - d) <= r^2/4; a product past the range is -inf, whose exp is the underflowed 0
     with np.errstate(over="ignore"):
-        probs = np.exp(d * (r.real - d)) / norm
-    return [(float(jv), float(pv)) for jv, pv in zip(j, probs)]
+        table[..., 1] = np.exp(d * (r - d)) / norm
+    return table
 
 
 def gaussian_energy_profile(

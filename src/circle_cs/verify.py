@@ -76,6 +76,7 @@ from .coherent import (
     FreeRotor,
     Linear,
     PhasePoint,
+    _complex,
     approx_expect_J,
     coherent_state,
     energy_distribution,
@@ -288,13 +289,6 @@ def _random_pairs(rng: np.random.Generator, l_max: float, n: int) -> tuple[Phase
     """Grids (p1, p2) of the n pairs that n rounds of two _random_point calls draw, in one draw."""
     l, phi = _random_points(rng, l_max, 2 * n)
     return PhasePoint(l[0::2], phi[0::2]), PhasePoint(l[1::2], phi[1::2])
-
-
-def _complex(re, im) -> np.ndarray:
-    """re + i im as an array, each element as complex(re, im) makes it."""
-    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), np.complex128)
-    z.real, z.imag = re, im
-    return z
 
 
 # --------------------------------------------------------------------------
@@ -550,21 +544,22 @@ def _check_momentgen_ratio(ctx: _Context, sector: Sector):
 
 
 def _boson_distributions(ctx: _Context):
-    """(l, energy_distribution) for 21 boson points l in [0, 1]; a shared fixture."""
-    ls = [float(l) for l in np.linspace(0.0, 1.0, 21)]
-    return [(l, energy_distribution(PhasePoint(l, 0.0), Sector.BOSON, jmax=12)) for l in ls]
+    """(l, table) for 21 boson points l in [0, 1] from one energy_distribution grid; shared.
+
+    The table's axes are (point, level, (j, prob)).
+    """
+    l = np.linspace(0.0, 1.0, 21)
+    return l, energy_distribution(PhasePoint(l, 0.0), Sector.BOSON, jmax=12)
 
 
 def _check_energy_distribution_gaussian(ctx: _Context):
-    dists = ctx.shared(_boson_distributions)
-    table = np.array([dist for _, dist in dists])  # (point, level, (j, prob))
-    l = np.array([[l] for l, _ in dists])
-    return np.abs(table[..., 1] - gaussian_energy_profile(table[..., 0], l))
+    l, table = ctx.shared(_boson_distributions)
+    return np.abs(table[..., 1] - gaussian_energy_profile(table[..., 0], l[:, None]))
 
 
 def _check_energy_distribution_normalization(ctx: _Context):
-    dists = ctx.shared(_boson_distributions)
-    return [abs(sum(prob for _, prob in dist) - 1.0) for _, dist in dists]
+    _, table = ctx.shared(_boson_distributions)
+    return np.abs(np.sum(table[..., 1], axis=-1) - 1.0)
 
 
 def _check_linear_evolution(ctx: _Context, sector: Sector):

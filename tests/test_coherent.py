@@ -462,7 +462,7 @@ def test_energy_distribution_allow_fermion_is_a_bool(sector, allow_fermion):
         energy_distribution(PhasePoint(0.0, 0.0), sector, allow_fermion=allow_fermion)
 
 
-@pytest.mark.parametrize("jmax, message", [
+JMAX_REFUSALS = [
     (0.5, "^jmax must be finite and at least 1"),
     (math.inf, "^jmax must be finite and at least 1"),
     (math.nan, "^jmax must be finite and at least 1"),
@@ -472,15 +472,60 @@ def test_energy_distribution_allow_fermion_is_a_bool(sector, allow_fermion):
     (10**400, "^jmax must be finite and at least 1"),
     ("3", "^jmax must be finite and at least 1"),
     (None, "^jmax must be finite and at least 1"),
-])
+]
+
+
+@pytest.mark.parametrize("jmax, message", JMAX_REFUSALS)
 def test_energy_distribution_refuses_a_window_it_cannot_build(jmax, message, no_window):
     with pytest.raises(DomainError, match=message):
         energy_distribution(PhasePoint(0.0, 0.0), Sector.BOSON, jmax=jmax)
 
 
+@pytest.mark.parametrize("jmax, message", JMAX_REFUSALS)
+def test_energy_distribution_refuses_a_window_it_cannot_build_for_a_grid(
+    jmax, message, no_window
+):
+    with pytest.raises(DomainError, match=message):
+        energy_distribution(PhasePoint(np.array([[0.0], [0.5]]), 0.0), Sector.BOSON, jmax=jmax)
+
+
 def test_energy_distribution_at_the_window_cap():
     dist = energy_distribution(PhasePoint(0.0, 0.0), Sector.BOSON, jmax=300)
     assert len(dist) == 601 and dist[0][0] == -300.0
+
+
+_TIES = np.arange(-20.0, 20.5, 0.5)  # c = round(l) is a tie at every half-integer l
+DISTRIBUTION_L = np.concatenate([
+    np.arange(-30.0, 30.25, 0.25),
+    np.nextafter(_TIES, -np.inf),
+    np.nextafter(_TIES, np.inf),
+    [1000.3, -1e6, 1e300, -1e300],
+])
+
+
+@pytest.mark.parametrize("jmax", [1, 12, 300])
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_energy_distribution_grid_rows_have_the_single_point_bits(sector, jmax):
+    table = energy_distribution(PhasePoint(DISTRIBUTION_L, 0.3), sector, jmax, allow_fermion=True)
+    assert table.shape == (DISTRIBUTION_L.size, Truncation(2 * jmax).size(sector), 2)
+    for l, rows in zip(DISTRIBUTION_L.tolist(), table):
+        single = energy_distribution(PhasePoint(l, 0.3), sector, jmax, allow_fermion=True)
+        assert np.array_equal(rows, single)
+
+
+def test_energy_distribution_broadcasts_an_l_grid_with_a_phi_grid():
+    l = np.array([[0.1], [0.7]])
+    table = energy_distribution(PhasePoint(l, np.array([[0.0, 1.0, 2.0]])), Sector.BOSON)
+    assert table.shape == (2, 3, 25, 2)
+    for row, l_row in zip(table, l[:, 0].tolist()):
+        single = energy_distribution(PhasePoint(l_row, 0.0), Sector.BOSON)
+        assert all(np.array_equal(rows, single) for rows in row)  # phi does not enter
+
+
+def test_energy_distribution_refuses_a_grid_past_the_reach():
+    l = np.array([0.5, 1e300, -np.nextafter(1e300, np.inf)])
+    with pytest.raises(RangeOverflowError, match="out of range"):
+        energy_distribution(PhasePoint(l, 0.0), Sector.BOSON)
 
 
 def test_gaussian_energy_profile_normalization():
@@ -682,7 +727,6 @@ def test_single_point_functions_reject_grids():
     grid = PhasePoint(np.array([0.1, 0.2]), 0.0)
     for call in (
         lambda: coherent_state(grid, Sector.BOSON, TR),
-        lambda: energy_distribution(grid, Sector.BOSON),
         lambda: relative_expect_U(PhasePoint(0.0, 0.0), grid, Sector.BOSON),
     ):
         with pytest.raises(DomainError, match="single phase-space point"):

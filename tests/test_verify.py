@@ -235,8 +235,8 @@ def test_batched_point_checks_draw_the_per_case_sample(monkeypatch):
 
 
 # Library calls of one default battery.  The heisenberg grid per sector
-# serves three checks (plus one reference point per sector), the 21 energy
-# distributions two checks, and the window basis, 41 boson and 40 fermion
+# serves three checks (plus one reference point per sector), the one grid of 21
+# energy distributions two checks, and the window basis, 41 boson and 40 fermion
 # states, every operator loop and small basis.  The pointwise closed forms
 # take one grid call per check and sector; gaussian_lattice_sum counts the
 # calls verify makes itself, all of them in kernel-symmetry.  operator_matrix:
@@ -244,7 +244,7 @@ def test_batched_point_checks_draw_the_per_case_sample(monkeypatch):
 # window matrices of bargmann-intertwining and the three of covariant-symbol.
 BATTERY_CALLS = {
     "heisenberg_expectations": 4,
-    "energy_distribution": 21,
+    "energy_distribution": 1,
     "basis_state": 81,
     "gaussian_energy_profile": 1,
     "uncertainty_QP": 2,
