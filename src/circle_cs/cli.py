@@ -146,7 +146,9 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     _integer(args.n, 2, MAX_SCAN_POINTS, "--n must lie in {low}..{high}, got {value!r}")
-    _number((args.l_min, args.l_max), float, "--l-min and --l-max must be finite")
+    message = "--l-min and --l-max must be finite"
+    _number(args.l_min, float, message, arrays=False)
+    _number(args.l_max, float, message, arrays=False)
     if not args.l_max > args.l_min:
         raise ConfigError("--l-max must exceed --l-min")
     if not math.isfinite(args.l_max - args.l_min):

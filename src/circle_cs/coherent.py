@@ -32,7 +32,15 @@ import numpy as np
 
 from .errors import DomainError, RangeOverflowError, TruncationError
 from .hilbert import Sector, StateVector, Truncation, _adopt, _require_finite
-from .theta import ThetaArg, _exp, _number, _recentre, gaussian_lattice_sum, theta_log_derivative
+from .theta import (
+    ThetaArg,
+    _amax,
+    _exp,
+    _number,
+    _recentre,
+    gaussian_lattice_sum,
+    theta_log_derivative,
+)
 
 __all__ = [
     "J_DEVIATION_AMPLITUDE",
@@ -136,8 +144,23 @@ def _half(sector: Sector) -> bool:
 
 
 def _shaped(value, shape: tuple[int, ...], kind: type):
-    """value as a Python kind for shape (), else broadcast to shape as a new array."""
-    return kind(value) if shape == () else np.broadcast_to(value, shape).astype(kind)
+    """value as a Python kind for shape (), else an array of shape and kind that no caller shares.
+
+    value is a fresh result of its caller's arithmetic, never an input or
+    another result: a C-contiguous array of that shape and kind is returned
+    as it is, anything else (a scalar, a smaller shape, a strided view such
+    as np.real of a complex array) is broadcast to shape and copied.
+    """
+    if shape == ():
+        return kind(value)
+    if (
+        type(value) is np.ndarray
+        and value.shape == shape
+        and value.dtype == kind
+        and value.flags.c_contiguous
+    ):
+        return value
+    return np.broadcast_to(value, shape).astype(kind)
 
 
 def _complex(re, im) -> np.ndarray:
@@ -262,7 +285,8 @@ def _require_reach(l, shift=0.0):
     shift = _number(shift, float, "the shift s or t must be finite real numbers")
     # a Python float skips numpy's reduction, several µs a call
     l_max, shift_max = (
-        abs(x) if type(x) is float else float(np.max(np.abs(x), initial=0.0)) for x in (l, shift)
+        abs(x) if type(x) is float else float(_amax(np.abs(x), None, initial=0.0))
+        for x in (l, shift)
     )
     if l_max > 1e300 or shift_max * (l_max + shift_max + 1.0) > 1e300:
         raise RangeOverflowError(
@@ -443,7 +467,7 @@ def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float | np.ndarra
     bound = 0.25 * (math.exp(2.0) - 1.0) * growth
     return {
         "dQ": _shaped(spread, p.shape, float),
-        "dP": _shaped(spread, p.shape, float),
+        "dP": _shaped(np.copy(spread), p.shape, float),  # its own array, not dQ's
         "bound": _shaped(bound, p.shape, float),
     }
 

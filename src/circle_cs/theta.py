@@ -116,8 +116,10 @@ class ThetaArg:
 
 
 # Points per block of _lattice_sum times its term pairs stays at or
-# below this, so one block's temporaries (two arrays of terms, up to four
-# with the moment, 16 bytes a term) take 2 to 4 MB whatever the input's size.
+# below this, so one block's temporaries take 2 to 4 MiB whatever the
+# input's size: the stacked buffer of 2*pairs + 1 complex rows (16 bytes a
+# term); with the moment, pairs + 1 complex rows more and the buffer's
+# float moduli (8 bytes a term).
 _BLOCK_TERMS = 1 << 16
 
 # The series policy: every omitted term of a lattice sum is below
@@ -215,7 +217,7 @@ def _drift(lin) -> float:
     m * lin then stays finite for every m up to the pair cap.
     """
     drift = float(_amax(np.abs(lin.real), None, initial=0.0))
-    if math.isnan(drift) or not (np.abs(lin.imag) <= 1e300).all():
+    if math.isnan(drift) or not _amax(np.abs(lin.imag), None, initial=0.0) <= 1e300:
         raise DomainError(
             "lattice-sum argument is not finite (NaN, or overflowed from a huge input)"
             " or has an imaginary part past 1e300"
@@ -253,11 +255,14 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
     m * exp(curv*m^2 + lin*m) and moduli (float) the sum of the terms'
     moduli |t_m|, all three from one pass; the sum keeps its bits.
 
-    Each term pair is sign * (exp(curv*m^2 + lin*m) + exp(curv*m^2 -
-    lin*m)), its moment sign * m * (their difference), its moduli the
-    sum of their moduli, formed for all pairs of a block of points by
-    one broadcast over the _ladder columns.  The pairs are added in a
-    fixed order: from 0, then from the largest |m| inward.
+    A block of points fills one stacked buffer of 2*pairs + 1 rows: a
+    row of zeros, then curv*m^2 + lin*m and curv*m^2 - lin*m for each
+    _ladder m, largest |m| first; one broadcast exp turns the last
+    2*pairs rows into terms.  Each term pair is sign * (the sum of its
+    two terms), sign applied only on the alternating integer lattice, its
+    moment sign * m * (their difference), its moduli the sum of their
+    moduli, taken by one abs of the buffer.  The pairs are added in a
+    fixed order: from the zero row, then from the largest |m| inward.
     np.add.accumulate along the pair axis is sequential (np.sum would
     add pairwise, in another order).  1, the m = 0 term, is added last
     on Z.  The points go through in blocks of _BLOCK_TERMS // pairs, so
@@ -269,29 +274,36 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
     pairs = _pair_count(decay, _drift(lin_arr), half)
 
     m, m_sq, sign = _ladder(pairs, half, alternating)
+    signed = alternating and not half
     base = np.multiply(curv, m_sq)
     flat = lin_arr.reshape(-1)
     acc = np.empty(flat.shape, dtype=np.complex128)
     if moment:
         acc_moment, acc_moduli = np.empty_like(acc), np.empty(flat.shape)
+        weight = m * sign
     block = _BLOCK_TERMS // max(pairs, 1)
     for start in range(0, flat.size, block):
-        step = np.multiply(m, flat[start : start + block])
-        # row 0 stays 0, where the sum starts
-        terms = np.zeros((pairs + 1, step.shape[1]), dtype=np.complex128)
-        pair = terms[1:]
-        np.exp(np.add(base, step, out=pair), out=pair)
-        np.exp(np.subtract(base, step, out=step), out=step)
+        points = flat[start : start + block]
+        # row 0 stays 0, where each sum starts; then the + and the - terms
+        terms = np.zeros((2 * pairs + 1, points.size), dtype=np.complex128)
+        pair, minus = terms[1 : pairs + 1], terms[pairs + 1 :]
+        np.multiply(m, points, out=minus)
+        np.add(base, minus, out=pair)
+        np.subtract(base, minus, out=minus)
+        np.exp(terms[1:], out=terms[1:])
         if moment:
-            moments = np.zeros_like(terms)
-            np.multiply(np.subtract(pair, step, out=moments[1:]), m * sign, out=moments[1:])
+            moments = np.zeros((pairs + 1, points.size), dtype=np.complex128)
+            np.multiply(np.subtract(pair, minus, out=moments[1:]), weight, out=moments[1:])
             acc_moment[start : start + block] = np.add.accumulate(moments, axis=0, out=moments)[-1]
             moduli = np.abs(terms)
-            moduli[1:] += np.abs(step)
-            acc_moduli[start : start + block] = np.add.accumulate(moduli, axis=0, out=moduli)[-1]
-        pair += step
-        pair *= sign
-        acc[start : start + block] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+            summed = moduli[: pairs + 1]
+            summed[1:] += moduli[pairs + 1 :]
+            acc_moduli[start : start + block] = np.add.accumulate(summed, axis=0, out=summed)[-1]
+        pair += minus
+        if signed:
+            pair *= sign
+        summed = terms[: pairs + 1]
+        acc[start : start + block] = np.add.accumulate(summed, axis=0, out=summed)[-1]
     if not half:
         acc += 1.0
     value = _as_complex(acc.reshape(lin_arr.shape))
@@ -345,13 +357,13 @@ def gaussian_lattice_sum(w, half: bool = False):
     w = _number(w, complex, "lattice-sum argument w must be finite complex numbers, got {value!r}")
     if not isinstance(half, (bool, np.bool_)):
         raise DomainError(f"half must be True or False, got {half!r}")
-    c, r = _recentre(w)
+    c, r = _recentre(w, signless=True)
     reduced = _lattice_sum(-1.0 + 0.0j, r, half=bool(half), alternating=False)
     message = "lattice sum S(w) = exp({peak:.3g}) exceeds the floating-point range"
     return _shift_back(c, -1.0, r, reduced, message)
 
 
-def _recentre(x, period=2.0):
+def _recentre(x, period=2.0, signless=False):
     """(c, x - c*period), c = round(Re x / period) half to even per element.
 
     The package's one shift of a lattice-sum argument (_reduce shifts
@@ -366,9 +378,20 @@ def _recentre(x, period=2.0):
     prefactors as exponents before any exp (Deconinck et al., "Computing
     Riemann theta functions", Math. Comp. 73 (2004); DLMF 20.2).  c is
     an integer-valued float, or float array of x's shape.
+
+    With signless=True, an array x itself where every c is 0 (an x
+    re-centred already).  x - c*period would differ from it only where a
+    real part is -0, which the subtraction turns to +0.  S(x) cannot see
+    that sign: each term's exponent keeps its bits but for the sign of a
+    zero, which the sum's zero start washes out.  theta's route through
+    _reduce and _shift_back has not been shown blind to it, so _reduce
+    keeps the default.  A scalar's subtraction costs less than the test.
     """
     c = np.rint(x.real / period)  # rint: np.round's bare ufunc, µs faster
-    c = c if isinstance(c, np.ndarray) else float(c)  # a scalar leaves numpy's types, µs a call
+    if not isinstance(c, np.ndarray):
+        c = float(c)  # a scalar leaves numpy's types, µs a call
+    elif signless and not np.count_nonzero(c):
+        return c, x
     return c, x - c * period
 
 
@@ -393,14 +416,17 @@ def _reduce(arg: ThetaArg):
     with np.errstate(over="ignore", invalid="ignore"):  # _lattice_sum types an overflowed r
         _, r = _recentre(arg.v)
         k = 0.0
-        if np.count_nonzero(r.imag):  # a real v needs no k, and skips µs of array steps
+        moved = np.count_nonzero(r.imag)  # a real v needs no k, and skips µs of array steps
+        if moved:
             rem = np.fmod(r.imag, t.imag)
             turn, im_r = _recentre(rem, t.imag)
             k = _recentre(r.imag - rem, t.imag)[0] + turn  # rem has Im v's sign: no overflow
             r = r.real - k * t.real + 1j * im_r
         if t.imag > 1e306:
+            moved = True
             t, r = complex(t.real, t.imag / 64.0), r.real + 1j * (r.imag / 64.0)
-        return c, k, 1j * math.pi * t, 2j * math.pi * _recentre(r)[1]
+        # a real v stays as the first _recentre left it, where the second is the identity
+        return c, k, 1j * math.pi * t, 2j * math.pi * (_recentre(r)[1] if moved else r)
 
 
 def _quarter_turns(c: float, value):
@@ -456,7 +482,7 @@ def theta_log_derivative(kind: int, arg: ThetaArg) -> complex | np.ndarray:
     value, moment, moduli = _lattice_sum(curv, lin, False, alternating=(kind == 4), moment=True)
     # below 1e-10 of the sum of its terms' moduli, Theta is near a zero or lost to cancellation
     near_zero = np.abs(value) < 1e-10 * moduli
-    if near_zero.any():
+    if np.count_nonzero(near_zero):
         v = complex(np.ravel(arg.v)[np.argmax(near_zero)])
         raise SingularityError(f"theta_{kind}({v!r} | {arg.tau!r}) is within 1e-10 of a zero")
     # numpy divides a scalar as it divides an array (Python's complex division differs)

@@ -607,6 +607,54 @@ def test_batched_expectations_match_scalar_calls(name, sector):
         assert _within_ulps(part, np.reshape([s[k] for s in scalars], shape))
 
 
+# (l, phi) grids whose results take the point's shape as they are formed,
+# or only once broadcast, or along l alone
+ALIAS_LAYOUTS = {
+    "same-shape": (
+        np.linspace(-3.0, 3.0, 15).reshape(5, 3),
+        np.linspace(0.1, 6.0, 15).reshape(5, 3),
+    ),
+    "broadcast": (np.linspace(-3.0, 3.0, 5)[:, None], np.linspace(0.1, 6.0, 3)),
+    "l-only": (np.linspace(-3.0, 3.0, 7), 0.4),
+}
+
+
+def _grid_results(p, extra, sector):
+    """function -> the arrays one call returns, for every coherent function that takes a grid."""
+    return {
+        "uncertainty_QP": list(uncertainty_QP(p, sector).values()),
+        "heisenberg_expectations": list(heisenberg_expectations(p, extra, sector).values()),
+        "heisenberg_approximation": list(heisenberg_approximation(p, extra).values()),
+        "expect_expJ": list(expect_expJ(extra, p, sector)),
+        "expect_J": [expect_J(p, sector)],
+        "approx_expect_J": [approx_expect_J(p.l, sector)],
+        "expect_U": [expect_U(p, sector)],
+        "relative_expect_U": [relative_expect_U(p, PhasePoint(0.2, 0.1), sector)],
+        "norm_sq": [norm_sq(p, sector)],
+        "overlap_closed": [overlap_closed(p, p, sector)],
+        "energy_distribution": [energy_distribution(p, sector, 3, allow_fermion=True)],
+        "gaussian_energy_profile": [gaussian_energy_profile(extra, p.l)],
+        "xi": [p.xi],
+        "log_xi": [p.log_xi],
+    }
+
+
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+@pytest.mark.parametrize("layout", sorted(ALIAS_LAYOUTS))
+def test_grid_results_share_no_memory(layout, sector):
+    # a result handed back without a copy must still be an array of its
+    # own: apart from the call's other results and from what went in
+    l, phi = ALIAS_LAYOUTS[layout]
+    p = PhasePoint(l, phi)
+    extra = np.linspace(-1.0, 1.0, math.prod(p.shape)).reshape(p.shape)
+    inputs = [x for x in (l, phi, p.l, p.phi, extra) if isinstance(x, np.ndarray)]
+    for name, results in _grid_results(p, extra, sector).items():
+        for k, result in enumerate(results):
+            assert isinstance(result, np.ndarray), name
+            for other in results[k + 1 :] + inputs:
+                assert not np.shares_memory(result, other), name
+
+
 def test_scalar_expectations_return_python_numbers():
     p = PhasePoint(0.3, 1.2)
     assert type(p.l) is float and type(p.phi) is float

@@ -558,6 +558,65 @@ def test_kernel_matches_the_pair_loop_at_every_pair_count(pairs, monkeypatch):
         assert _same_bits(got, _pair_loop(curv, lin, half, alternating, pairs))
 
 
+def _two_exp_kernel(curv, lin, half, alternating, moment):
+    """The kernel as it was before the stacked buffer, on every point at once (the reference).
+
+    Two exps (the + and the - terms), sign multiplied on every lattice,
+    a zero start row and a sequential np.add.accumulate over the pairs.
+    """
+    lin_arr = np.asarray(lin, dtype=np.complex128)
+    drift = float(np.abs(lin_arr.real).max(initial=0.0))
+    pairs = theta_module._pair_count(-complex(curv).real, drift, half)
+    k = np.arange(pairs, 0, -1, dtype=np.float64)
+    index = k - 0.5 if half else k
+    odd = (k % 2.0 == 1.0) & (alternating and not half)
+    m, m_sq, sign = (
+        column.astype(np.complex128)[:, None]
+        for column in (index, index * index, np.where(odd, -1.0, 1.0))
+    )
+    flat = lin_arr.reshape(-1)
+    step = m * flat
+    base = np.multiply(curv, m_sq)
+    terms = np.zeros((pairs + 1, flat.size), dtype=np.complex128)
+    terms[1:] = np.exp(base + step)
+    minus = np.exp(base - step)
+    moments = np.zeros_like(terms)
+    moments[1:] = (terms[1:] - minus) * (m * sign)
+    moduli = np.abs(terms)
+    moduli[1:] += np.abs(minus)
+    terms[1:] = (terms[1:] + minus) * sign
+    value = np.add.accumulate(terms, axis=0)[-1]
+    if not half:
+        value += 1.0
+    value = value.reshape(lin_arr.shape)
+    if not moment:
+        return value
+    moment_sum = np.add.accumulate(moments, axis=0)[-1].reshape(lin_arr.shape)
+    moduli_sum = np.add.accumulate(moduli, axis=0)[-1].reshape(lin_arr.shape) + (not half)
+    return value, moment_sum, moduli_sum
+
+
+@pytest.mark.parametrize("moment", [False, True], ids=["value", "moment"])
+@pytest.mark.parametrize(
+    "half, alternating", [(False, False), (False, True), (True, False), (True, True)]
+)
+@pytest.mark.parametrize("tau", [I_OVER_PI, I_PI, 0.3 + 0.8j], ids=["i/pi", "i*pi", "0.3+0.8i"])
+def test_stacked_kernel_has_the_two_exp_kernels_bits(tau, half, alternating, moment):
+    rng = np.random.default_rng(17)
+    curv = 1j * math.pi * tau
+    # the fewest pairs any lin below takes, so the largest grid spans two blocks for each
+    fewest = theta_module._pair_count(-curv.real, 0.0, half)
+    # real, imaginary (theta at real v) and complex lin, from one point to past one block
+    for size in (1, 101, theta_module._BLOCK_TERMS // fewest + 5):
+        re, im = rng.uniform(-1.0, 1.0, size), rng.uniform(-3.0, 3.0, size)
+        for lin in (re, 1j * im, re + 1j * im):
+            got = theta_module._lattice_sum(curv, lin, half, alternating, moment)
+            want = _two_exp_kernel(curv, lin, half, alternating, moment)
+            for part, reference in zip(got, want) if moment else [(got, want)]:
+                assert np.array_equal(part, reference), (size, lin.dtype)
+                assert part.tobytes() == reference.tobytes(), (size, lin.dtype)
+
+
 def test_kernel_ladder_is_cached_and_read_only():
     m, m_sq, sign = theta_module._ladder(4, False, True)
     assert theta_module._ladder(4, False, True)[0] is m
