@@ -235,7 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verify(config)
     text = report.to_json()
     sys.stdout.write(text)
-    if args.out is not None:
+    if args.out not in (None, "-"):  # - is stdout, which has the report already
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     return 0 if report.all_passed else 1

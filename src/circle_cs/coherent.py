@@ -96,15 +96,7 @@ class PhasePoint:
     def __post_init__(self) -> None:
         l = _number(self.l, float, _NOT_FINITE)
         phi = _number(self.phi, float, _NOT_FINITE)
-        if type(l) is float and type(phi) is float:  # _number's scalars: one point
-            shape = ()
-        else:
-            try:
-                shape = np.broadcast(l, phi).shape
-            except ValueError:
-                raise DomainError(
-                    f"l of shape {np.shape(l)} and phi of shape {np.shape(phi)} do not broadcast"
-                ) from None
+        shape = () if type(l) is float and type(phi) is float else _grid_shape(l=l, phi=phi)
         # float % and np.remainder round alike.  The remainder of a negative phi
         # above -4.4e-16 rounds up to 2*pi; the second maps it to 0, the nearest
         # angle in [0, 2*pi), and keeps every other remainder bit for bit
@@ -170,6 +162,18 @@ def _complex(re, im) -> np.ndarray:
     return z
 
 
+def _grid_shape(**operands) -> tuple[int, ...]:
+    """Broadcast shape of the named floats, arrays and PhasePoints; else DomainError naming each."""
+    arrays = []
+    for x in operands.values():
+        arrays += (x.l, x.phi) if isinstance(x, PhasePoint) else (x,)
+    try:
+        return np.broadcast(*arrays).shape
+    except ValueError:
+        shapes = (f"{name} of shape {getattr(x, 'shape', ())}" for name, x in operands.items())
+        raise DomainError(" and ".join(shapes) + " do not broadcast") from None
+
+
 def _single(*points: PhasePoint) -> None:
     """Raise DomainError unless every point is one point, not a grid."""
     for p in points:
@@ -232,10 +236,7 @@ def overlap_closed(p1: PhasePoint, p2: PhasePoint, sector: Sector) -> complex | 
     """
     _require_reach(p1.l)
     _require_reach(p2.l)
-    try:
-        shape = np.broadcast_shapes(p1.shape, p2.shape)
-    except ValueError:
-        raise DomainError(f"grids of shape {p1.shape} and {p2.shape} do not broadcast") from None
+    shape = _grid_shape(p1=p1, p2=p2)
     w = _complex(-(p1.l + p2.l), p2.phi - p1.phi)
     return _shaped(gaussian_lattice_sum(w, half=_half(sector)), shape, complex)
 
@@ -324,6 +325,7 @@ def relative_expect_U(p: PhasePoint, ref: PhasePoint, sector: Sector) -> complex
     |expect_U| = e^(-1/4) S_opp(r)/S(r) with |r| <= 1, which stays
     within 2.1e-4 relative of e^(-1/4) (0.778640 to 0.778962) at every l.
     """
+    _grid_shape(p=p, ref=ref)
     _single(ref)
     return expect_U(p, sector) / expect_U(ref, sector)
 
@@ -347,7 +349,7 @@ def expect_expJ(
     """
     s = _require_reach(p.l, s)
     half = _half(sector)
-    shape = np.broadcast_shapes(np.shape(s), p.shape)
+    shape = _grid_shape(s=s, p=p)
     w0 = 2.0 * p.l
     w1 = w0 + s
     r0, r1 = (_recentre(w)[1].real for w in (w0, w1))
@@ -413,7 +415,7 @@ def heisenberg_expectations(
     """
     t = _require_reach(p.l, t)
     half = _half(sector)
-    shape = np.broadcast_shapes(np.shape(t), p.shape)
+    shape = _grid_shape(p=p, t=t)
     w = 2.0 * p.l + 1j * t
     c, r = _recentre(2.0 * p.l)
     _, r_t = _recentre(w)
@@ -437,7 +439,7 @@ def heisenberg_approximation(
     |l| or |t|(|l| + |t| + 1) exceeds 1e300, or <X(t)> passes e^700.
     """
     t = _require_reach(p.l, t)
-    shape = np.broadcast_shapes(np.shape(t), p.shape)
+    shape = _grid_shape(p=p, t=t)
     damp = -0.25 * t * t
     u_t = np.exp((damp - 0.25) + 1j * (p.phi + t * p.l))
     message = "X(t) approximation exp({peak:.3g}) exceeds the floating-point range"
@@ -528,12 +530,7 @@ def gaussian_energy_profile(
     """
     message = "j and l must be finite real numbers"
     j, l = (_number(x, float, message) for x in (j, l))
-    try:
-        shape = np.broadcast_shapes(np.shape(j), np.shape(l))
-    except ValueError:
-        raise DomainError(
-            f"j of shape {np.shape(j)} and l of shape {np.shape(l)} do not broadcast"
-        ) from None
+    shape = _grid_shape(j=j, l=l)
     with np.errstate(over="ignore"):  # an overflowed square is inf, whose profile is 0
         square = np.square(np.subtract(j, l))
     return _shaped(np.exp(-square) / math.sqrt(math.pi), shape, float)

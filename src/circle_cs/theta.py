@@ -130,16 +130,18 @@ _SERIES_TOL = 1e-14
 _MAX_PAIRS = 200
 
 
-def _exp(exponent, message: str, scale=None):
+def _exp(exponent, message: str, scale=None, unit=1.0):
     """scale * np.exp(exponent) elementwise, or np.exp(exponent): the package's one overflow check.
 
     RangeOverflowError(message.format(peak=...)) where the result's largest
     log-magnitude, Re(exponent) + log|scale| over nonzero scale, passes
-    _EXP_LIMIT or is NaN.  Else the bits of scale * np.exp(exponent), unless
-    a factor overflows alone: 0 where its scale is 0, log space elsewhere.
-    A complex scale whose modulus alone passes the range counts at its
-    true log-magnitude (_unwiden).  A scalar exponent gives the bits of
-    its one-element array.
+    _EXP_LIMIT or is NaN; its figure is unit * peak for an exponent at
+    1/unit of its size (_reduce), or peak, said to be scaled, past the
+    range.  Else the bits of scale * np.exp(exponent), unless a factor
+    overflows alone: 0 where its scale is 0, log space elsewhere.  A
+    complex scale whose modulus alone passes the range counts at its true
+    log-magnitude (_unwiden).  A scalar exponent gives the bits of its
+    one-element array.
     """
     real = exponent.real
     top = float(_amax(real, None, initial=-math.inf) if isinstance(real, np.ndarray) else real)
@@ -153,7 +155,10 @@ def _exp(exponent, message: str, scale=None):
             log_size = np.log(size, out=np.full(size.shape, -math.inf), where=size > 0.0)
             peak = float(_amax(real + log_size, None, initial=-math.inf))
     if not peak <= _EXP_LIMIT:
-        raise RangeOverflowError(message.format(peak=peak))
+        if math.isinf(unit * peak) and not math.isinf(peak):
+            scaled = f"; the exponent shown is 1/{unit:g} of the true one"
+            raise RangeOverflowError(message.format(peak=peak) + scaled)
+        raise RangeOverflowError(message.format(peak=unit * peak))
     if top <= _EXP_LIMIT:
         return np.exp(exponent) if scale is None else scale * np.exp(exponent)
     exponent, scale, size = _unwiden(*np.broadcast_arrays(exponent, scale))
@@ -333,10 +338,10 @@ def theta(kind: int, arg: ThetaArg) -> complex | np.ndarray:
     """
     if isinstance(kind, np.ndarray) or kind not in (2, 3, 4):
         raise DomainError(f"theta kind must be 2, 3 or 4, got {kind!r}")
-    c, k, curv, lin = _reduce(arg)
+    c, k, curv, lin, unit = _reduce(arg)
     value = _lattice_sum(curv, lin, half=(kind == 2), alternating=(kind == 4))
     message = f"theta_{kind} = exp({{peak:.3g}}) exceeds the floating-point range"
-    value = _shift_back(-k, curv, lin, value, message, alternating=(kind == 4))
+    value = _shift_back(-k, curv, lin, value, message, alternating=(kind == 4), unit=unit)
     return _quarter_turns(c, value) if kind == 2 else value
 
 
@@ -357,13 +362,13 @@ def gaussian_lattice_sum(w, half: bool = False):
     w = _number(w, complex, "lattice-sum argument w must be finite complex numbers, got {value!r}")
     if not isinstance(half, (bool, np.bool_)):
         raise DomainError(f"half must be True or False, got {half!r}")
-    c, r = _recentre(w, signless=True)
+    c, r = _recentre(w)
     reduced = _lattice_sum(-1.0 + 0.0j, r, half=bool(half), alternating=False)
     message = "lattice sum S(w) = exp({peak:.3g}) exceeds the floating-point range"
     return _shift_back(c, -1.0, r, reduced, message)
 
 
-def _recentre(x, period=2.0, signless=False):
+def _recentre(x, period=2.0):
     """(c, x - c*period), c = round(Re x / period) half to even per element.
 
     The package's one shift of a lattice-sum argument (_reduce shifts
@@ -379,24 +384,21 @@ def _recentre(x, period=2.0, signless=False):
     Riemann theta functions", Math. Comp. 73 (2004); DLMF 20.2).  c is
     an integer-valued float, or float array of x's shape.
 
-    With signless=True, an array x itself where every c is 0 (an x
-    re-centred already).  x - c*period would differ from it only where a
-    real part is -0, which the subtraction turns to +0.  S(x) cannot see
-    that sign: each term's exponent keeps its bits but for the sign of a
-    zero, which the sum's zero start washes out.  theta's route through
-    _reduce and _shift_back has not been shown blind to it, so _reduce
-    keeps the default.  A scalar's subtraction costs less than the test.
+    An array x whose every c is 0 comes back as itself, -0 real parts that
+    x - c*period would make +0 and all: no lattice sum sees the sign of a
+    zero (tests/test_theta.py::test_lattice_sums_are_blind_to_the_sign_of_zero).
+    A scalar's subtraction costs less than the test.
     """
     c = np.rint(x.real / period)  # rint: np.round's bare ufunc, µs faster
     if not isinstance(c, np.ndarray):
         c = float(c)  # a scalar leaves numpy's types, µs a call
-    elif signless and not np.count_nonzero(c):
+    elif not np.count_nonzero(c):
         return c, x
     return c, x - c * period
 
 
 def _reduce(arg: ThetaArg):
-    """(c, k, curv = i pi t, lin = 2 pi i r): tau = t + 2c, v = r + k*t + 2j per element.
+    """(c, k, curv = i pi t, lin = 2 pi i r, unit): tau = t + 2c, v = r + k*t + 2j per element.
 
     c, j and k are integers.  c = round(Re tau / 2), so |Re t| <= 1
     exactly; theta_3 and theta_4 have period 2 in tau and theta_2 gains
@@ -407,15 +409,15 @@ def _reduce(arg: ThetaArg):
     k*t: |Re r| <= 1, up to the rounding of k Re t.  Where c = k = 0 and
     |Re v| <= 1, curv and lin have the bits of i pi tau and 2 pi i v.
     Past Im tau = 1e306, where i pi t or a kept term could pass the
-    double range, Im t and Im r are divided by 64.  The real part of
-    each term's exponent, and of F's, is 0 or past +-1e287 in exact
-    arithmetic there, before and after the division, so every term
-    keeps its modulus (0, 1 or an overflow) and the value stays the same.
+    double range, Im t and Im r are divided by unit = 64 (else 1).  The
+    real part of each term's exponent, and of F's, is 0 or past +-1e287 in
+    exact arithmetic there, before and after the division, so every term
+    keeps its modulus (0, 1 or an overflow): the value stays the same.
     """
     c, t = _recentre(arg.tau)
     with np.errstate(over="ignore", invalid="ignore"):  # _lattice_sum types an overflowed r
         _, r = _recentre(arg.v)
-        k = 0.0
+        k, unit = 0.0, 1.0
         moved = np.count_nonzero(r.imag)  # a real v needs no k, and skips µs of array steps
         if moved:
             rem = np.fmod(r.imag, t.imag)
@@ -423,10 +425,10 @@ def _reduce(arg: ThetaArg):
             k = _recentre(r.imag - rem, t.imag)[0] + turn  # rem has Im v's sign: no overflow
             r = r.real - k * t.real + 1j * im_r
         if t.imag > 1e306:
-            moved = True
-            t, r = complex(t.real, t.imag / 64.0), r.real + 1j * (r.imag / 64.0)
+            moved, unit = True, 64.0
+            t, r = complex(t.real, t.imag / unit), r.real + 1j * (r.imag / unit)
         # a real v stays as the first _recentre left it, where the second is the identity
-        return c, k, 1j * math.pi * t, 2j * math.pi * (_recentre(r)[1] if moved else r)
+        return c, k, 1j * math.pi * t, 2j * math.pi * (_recentre(r)[1] if moved else r), unit
 
 
 def _quarter_turns(c: float, value):
@@ -434,12 +436,12 @@ def _quarter_turns(c: float, value):
     return value * (1, 1j, -1, -1j)[int(c % 4.0)] if c % 4.0 else value
 
 
-def _shift_back(c, curv, lin, reduced, message: str, alternating: bool = False):
+def _shift_back(c, curv, lin, reduced, message: str, alternating: bool = False, unit=1.0):
     """The lattice sum at lin - 2c*curv, (-1)^c e^(c*(lin - c*curv)) times reduced, the one at lin.
 
     The shift m -> m + c maps Z and Z + 1/2 onto themselves and (-1)^m,
-    if alternating, to (-1)^(m+c).  _exp judges the value; reduced, bits
-    and all, where every c is 0.
+    if alternating, to (-1)^(m+c).  _exp judges the value, for exponents
+    at 1/unit of their size; reduced, bits and all, where every c is 0.
     """
     if not np.count_nonzero(c):
         return reduced
@@ -447,7 +449,7 @@ def _shift_back(c, curv, lin, reduced, message: str, alternating: bool = False):
         exponent = c * (lin - c * curv)
     # a 0-d operand takes numpy's array product, which rounds as an array's elements do
     scale = np.where(c % 2.0, -reduced, reduced) if alternating else np.asarray(reduced)
-    return _as_complex(_exp(exponent, message, scale))
+    return _as_complex(_exp(exponent, message, scale, unit))
 
 
 def theta_log_derivative(kind: int, arg: ThetaArg) -> complex | np.ndarray:
@@ -478,7 +480,7 @@ def theta_log_derivative(kind: int, arg: ThetaArg) -> complex | np.ndarray:
     """
     if isinstance(kind, np.ndarray) or kind not in (3, 4):
         raise DomainError(f"log-derivative is provided for kinds 3 and 4, got {kind!r}")
-    _, k, curv, lin = _reduce(arg)
+    _, k, curv, lin, _ = _reduce(arg)
     value, moment, moduli = _lattice_sum(curv, lin, False, alternating=(kind == 4), moment=True)
     # below 1e-10 of the sum of its terms' moduli, Theta is near a zero or lost to cancellation
     near_zero = np.abs(value) < 1e-10 * moduli

@@ -638,6 +638,18 @@ def test_verify_small_config_report(tmp_path):
         assert check["passed"] == (check["max_abs_error"] <= check["tolerance"])
 
 
+def test_verify_out_dash_prints_the_report_once_and_writes_no_file(run, tmp_path, monkeypatch):
+    # - is stdout, as for scan, distribution and evolve, not a file named -
+    cfg = tmp_path / "small.json"
+    cfg.write_text('{"two_jmax": 24, "n_l": 12, "n_phi": 16, "random_cases": 3, "seed": 5}')
+    monkeypatch.chdir(tmp_path)
+    res = run("verify", "--config", str(cfg), "--out", "-")
+    assert res.returncode in (0, 1) and res.stderr == ""
+    assert res.stdout == run("verify", "--config", str(cfg)).stdout
+    json.loads(res.stdout)  # one report: a second copy would be extra data
+    assert [path.name for path in tmp_path.iterdir()] == ["small.json"]
+
+
 def test_missing_subcommand_exits_2(run):
     res = run()
     assert res.returncode == 2

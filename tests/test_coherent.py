@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import circle_cs
 from circle_cs.coherent import (
     FreeRotor,
     J_DEVIATION_AMPLITUDE,
@@ -860,6 +862,51 @@ def test_pointwise_closed_forms_refuse_a_grid_with_a_nan():
         gaussian_energy_profile(np.zeros(3), np.zeros(4))
     with pytest.raises(DomainError, match="broadcast"):
         overlap_closed(PhasePoint(np.zeros(3), 0.0), PhasePoint(np.zeros(4), 0.0), Sector.BOSON)
+
+
+def _grid_operands(function) -> list[str]:
+    """The parameters of function that take a grid: a PhasePoint, or a number or an array.
+
+    An annotation that admits np.ndarray alone (covariant_symbol's
+    operator matrix) is not a grid of points, so it is not counted.
+    """
+    annotations = {x.name: str(x.annotation) for x in inspect.signature(function).parameters.values()}
+    return [
+        name
+        for name, annotation in annotations.items()
+        if annotation == "PhasePoint" or ("np.ndarray" in annotation and "|" in annotation)
+    ]
+
+
+# every public callable with two or more grid operands, found by signature
+GRID_CALLABLES = {
+    name: function
+    for name, function in ((name, getattr(circle_cs, name)) for name in circle_cs.__all__)
+    if callable(function)
+    and not (isinstance(function, type) and issubclass(function, BaseException))
+    and len(_grid_operands(function)) >= 2
+}
+
+
+@pytest.mark.parametrize("function", GRID_CALLABLES.values(), ids=GRID_CALLABLES.keys())
+def test_grid_operands_that_do_not_broadcast_are_a_domain_error(function):
+    # the first two grid operands get shapes (2,) and (3,), any others a scalar,
+    # and a parameter without a default the value its annotation names
+    grids = _grid_operands(function)
+    sizes = dict(zip(grids, (2, 3)))
+    values = {"Sector": Sector.BOSON}
+    arguments = {}
+    for x in inspect.signature(function).parameters.values():
+        if x.name in grids:
+            grid = np.linspace(0.1, 0.5, sizes[x.name]) if x.name in sizes else 0.3
+            arguments[x.name] = PhasePoint(grid, 0.7) if x.annotation == "PhasePoint" else grid
+        elif x.default is inspect.Parameter.empty:
+            arguments[x.name] = values[x.annotation]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="do not broadcast") as caught:
+            function(**arguments)
+    assert "(2,)" in str(caught.value) and "(3,)" in str(caught.value)
 
 
 @pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])

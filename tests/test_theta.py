@@ -438,6 +438,21 @@ def test_log_derivative_at_the_top_of_the_double_range():
             assert value == -sign * 4j * math.pi
 
 
+def test_overflow_past_im_tau_1e306_reports_the_true_exponent():
+    # _reduce sums there at 1/64 of every exponent; the figure is 64 times the
+    # computed one, 25 pi Im tau here, or, past the double range, marked as scaled
+    for kind in (3, 4):
+        with pytest.raises(RangeOverflowError) as caught:
+            theta(kind, ThetaArg(1e307j, 2e306j))
+        assert str(caught.value) == f"theta_{kind} = exp(1.57e+308) exceeds the floating-point range"
+        with pytest.raises(RangeOverflowError) as caught:
+            theta(kind, ThetaArg(1.79e308j, 1e308j))
+        assert str(caught.value) == (
+            f"theta_{kind} = exp(1.55e+307) exceeds the floating-point range;"
+            " the exponent shown is 1/64 of the true one"
+        )
+
+
 def test_log_derivative_makes_one_lattice_sum_pass(monkeypatch):
     # the sum, its moment and the moduli of its terms all come from one pass
     calls = []
@@ -470,7 +485,7 @@ def test_log_derivative_moduli_match_the_unpaired_sum(tau):
     grid = np.linspace(-3.0, 3.0, 101)
     for v in (0.3, -1.7, 0.3 + 0.2j, 2.5 - 1.1j, grid, grid + 0.4j * rng.standard_normal(101)):
         for kind in (3, 4):
-            _, _, curv, lin = theta_module._reduce(ThetaArg(v, tau))
+            _, _, curv, lin, _ = theta_module._reduce(ThetaArg(v, tau))
             got = theta_module._lattice_sum(curv, lin, False, kind == 4, moment=True)[2]
             want = _unpaired_lattice_sum(curv.real, lin.real, False).real
             assert np.shape(got) == np.shape(v)
@@ -615,6 +630,51 @@ def test_stacked_kernel_has_the_two_exp_kernels_bits(tau, half, alternating, mom
             for part, reference in zip(got, want) if moment else [(got, want)]:
                 assert np.array_equal(part, reference), (size, lin.dtype)
                 assert part.tobytes() == reference.tobytes(), (size, lin.dtype)
+
+
+# Real parts with -0 and every re-centring integer 0 (|Re v| < 1); imaginary
+# parts in units of Im tau, inside Im tau / 2, so _reduce moves no quasi-period
+ZERO_SIGN_RE = np.array([-0.0, 0.0, -0.25, 0.5, -0.75, 0.9, -5e-324, 5e-324])
+ZERO_SIGN_IM = np.array([0.3, -0.0, 0.0, -0.45, 0.1, -0.2, 0.45, -0.3])
+ZERO_SIGN_TAUS = {"i/pi": I_OVER_PI, "i*pi": I_PI, "0.3+0.8i": 0.3 + 0.8j}
+# each call with the scale of its imaginary parts
+ZERO_SIGN_CALLS = {
+    **{
+        f"theta{kind}-{name}": (lambda v, kind=kind, tau=tau: theta(kind, ThetaArg(v, tau)), tau.imag)
+        for kind in (2, 3, 4)
+        for name, tau in ZERO_SIGN_TAUS.items()
+    },
+    **{
+        f"log-derivative{kind}-{name}": (
+            lambda v, kind=kind, tau=tau: theta_log_derivative(kind, ThetaArg(v, tau)),
+            tau.imag,
+        )
+        for kind in (3, 4)
+        for name, tau in ZERO_SIGN_TAUS.items()
+    },
+    **{
+        f"S-{lattice}": (lambda w, half=half: gaussian_lattice_sum(w, half=half), 2.0)
+        for lattice, half in (("integer", False), ("half-integer", True))
+    },
+}
+
+
+@pytest.mark.parametrize("call", ZERO_SIGN_CALLS.values(), ids=ZERO_SIGN_CALLS.keys())
+def test_lattice_sums_are_blind_to_the_sign_of_zero(call):
+    # _recentre hands back an array whose every c is 0 as it is, -0 real parts
+    # and all, where x - c*period would make them +0: no sum may see the sign
+    f, im_scale = call
+    longer_than_a_block = theta_module._BLOCK_TERMS + 7
+    complex_v = ZERO_SIGN_RE.astype(np.complex128)  # a sum would make each -0 real part +0
+    complex_v.imag = im_scale * ZERO_SIGN_IM
+    for v in (ZERO_SIGN_RE, complex_v):
+        for grid in (v[:1], np.resize(v, longer_than_a_block)):
+            signless = grid + 0.0  # every zero part +0
+            assert np.signbit(grid.real).any()
+            assert not np.signbit(signless.real[grid.real == 0]).any()
+            got, want = f(grid), f(signless)
+            assert got.shape == want.shape == grid.shape
+            assert got.tobytes() == want.tobytes(), grid.size
 
 
 def test_kernel_ladder_is_cached_and_read_only():
