@@ -21,15 +21,15 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError, WindowError
-from .theta import _exp, _integer, _number
+from .theta import _exp, _exp_column, _integer, _number
 
 __all__ = [
     "Sector",
@@ -77,18 +77,46 @@ def _lowest_two_j(two_jmax: int, parity: int) -> int:
     return -two_jmax + ((two_jmax + parity) % 2)
 
 
-@functools.lru_cache(maxsize=32)
-def _window(two_jmax: int, parity: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(2j, j, 2j as a list) over one window, built once and handed to every caller.
+class _Window(NamedTuple):
+    """What depends on a window alone, built once by _window and handed to every caller."""
 
-    The arrays are read-only; the list, which state_from_json compares a
-    document's keys against, is never mutated.
+    two_j: np.ndarray  # ascending
+    j: np.ndarray
+    keys: list[int]  # 2j as a list, which state_from_json compares a document's keys against
+    x: tuple  # (exponent, e^exponent, largest exponent) for theta._exp_column: X's, -j - 1/2
+    xdag: tuple  # and Xdag's, -j + 1/2
+    n_band: np.ndarray  # -j + N_CONST
+    json: str  # state_to_json's text, with a %r for each im, re and the leakage
+
+
+# json.dumps with sorted keys writes each float with float.__repr__, as %r does
+_JSON_SLOT = '{"im": %%r, "re": %%r, "two_j": %d}'
+_JSON_TAIL = '], "leakage": %%r, "sector": "%s", "two_jmax": %d}'
+
+
+def _column(exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    weight = np.exp(exponent)
+    exponent.flags.writeable = weight.flags.writeable = False
+    return exponent, weight, float(exponent.max())
+
+
+@functools.lru_cache(maxsize=32)
+def _window(two_jmax: int, parity: int) -> _Window:
+    """One window's _Window: every array read-only, the list never mutated.
+
+    An entry of the widest window, 601 slots, holds 7 arrays of 4.9 KB,
+    the 2j list (22 KB) and the JSON text (22 KB): 78 KB in all
+    (sys.getsizeof), so the 32 entries stay within 2.5 MB.
     """
     two_j = np.arange(_lowest_two_j(two_jmax, parity), two_jmax + 1, 2)
     j = two_j / 2.0
-    two_j.flags.writeable = False
-    j.flags.writeable = False
-    return two_j, j, two_j.tolist()
+    n_band = -j + N_CONST
+    two_j.flags.writeable = j.flags.writeable = n_band.flags.writeable = False
+    keys = two_j.tolist()
+    sector = (Sector.BOSON, Sector.FERMION)[parity].value
+    slots = ", ".join([_JSON_SLOT % key for key in keys])
+    json_text = '{"coeffs": [' + slots + _JSON_TAIL % (sector, two_jmax)
+    return _Window(two_j, j, keys, _column(-j - 0.5), _column(-j + 0.5), n_band, json_text)
 
 
 # Largest window.  Dense window matrices grow as two_jmax^2 and their
@@ -108,11 +136,11 @@ class Truncation:
 
     def two_j_values(self, sector: Sector) -> np.ndarray:
         """The 2j of the window in ascending order: a shared, read-only array."""
-        return _window(self.two_jmax, sector.parity)[0]
+        return _window(self.two_jmax, sector.parity).two_j
 
     def j_values(self, sector: Sector) -> np.ndarray:
         """The j of the window in ascending order: a shared, read-only array."""
-        return _window(self.two_jmax, sector.parity)[1]
+        return _window(self.two_jmax, sector.parity).j
 
     def size(self, sector: Sector) -> int:
         return len(self.two_j_values(sector))
@@ -212,9 +240,11 @@ def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float
     the range.  A producer whose product can overflow without raising (J, N,
     evolve) calls _require_finite itself.  The others are finite by
     construction: U, Udag and time reversal move or conjugate the entries of
-    a finite state; X, Xdag, exp_j and coherent_state take their values from
-    theta._exp, which bounds every modulus by e^700, on its log-space path
-    too; basis_state writes 0 and 1; state_from_json checks what it read.
+    a finite state; exp_j and coherent_state take their values from
+    theta._exp, and X and Xdag theirs from theta._exp_column, which passes
+    _exp's first test or hands the state to _exp: either bounds every
+    modulus by e^700, on the log-space path too; basis_state writes 0 and
+    1; state_from_json checks what it read.
     """
     if not 0.0 <= leakage < math.inf:
         raise DomainError(_LEAKAGE_MESSAGE.format(value=leakage))
@@ -241,6 +271,8 @@ def basis_state(sector: Sector, j: float, trunc: Truncation) -> StateVector:
 _COEFF_OVERFLOW = (
     " produces a coefficient of magnitude exp({peak:.3g}), outside the floating-point range"
 )
+_X_OVERFLOW = "X" + _COEFF_OVERFLOW
+_XDAG_OVERFLOW = "Xdag" + _COEFF_OVERFLOW
 
 
 def _shift_up(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -260,9 +292,11 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
 
     Shift operators (U, Udag, X, Xdag) drop the coefficient pushed past
     the window edge and add its magnitude to the returned state's
-    leakage.  X and Xdag raise RangeOverflowError where a weighted
-    coefficient would pass e^700; a weight past the range on a zero
-    coefficient gives 0.
+    leakage.  J, N, X and Xdag multiply by a column the window built once:
+    j, -j + N_CONST, e^(-j-1/2) and e^(-j+1/2).  X and Xdag go through
+    theta._exp_column, so they give the bits of c * np.exp(-j -+ 1/2)
+    and raise RangeOverflowError where a weighted coefficient would pass
+    e^700, as theta._exp does.
     """
     if isinstance(kind, np.ndarray) or kind not in OPERATOR_KINDS:
         raise DomainError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
@@ -272,17 +306,17 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
         out, dropped = _shift_up(c)
     elif kind == "Udag":
         out, dropped = _shift_down(c)
-    else:  # the weighted kinds read the window's j
-        j = s.j_values()
+    else:  # the weighted kinds read the window's columns
+        window = _window(s.trunc.two_jmax, s.sector.parity)
         if kind in ("J", "N"):
             # a product past the range is not finite, which is typed here
             with np.errstate(over="ignore", invalid="ignore"):
-                out = c * (j if kind == "J" else -j + N_CONST)
+                out = c * (window.j if kind == "J" else window.n_band)
             _require_finite(out)
         elif kind == "X":
-            out, dropped = _shift_up(_exp(-j - 0.5, "X" + _COEFF_OVERFLOW, c))
+            out, dropped = _shift_up(_exp_column(window.x, _X_OVERFLOW, c))
         else:  # Xdag
-            out, dropped = _shift_down(_exp(-j + 0.5, "Xdag" + _COEFF_OVERFLOW, c))
+            out, dropped = _shift_down(_exp_column(window.xdag, _XDAG_OVERFLOW, c))
     return _adopt(s.sector, s.trunc, out, s.leakage + dropped)
 
 
@@ -351,22 +385,19 @@ def operator_matrix(kind: str, sector: Sector, trunc: Truncation) -> np.ndarray:
     return m
 
 
-# json.dumps with sorted keys writes each float with float.__repr__, as %r does
-_JSON_SLOT = '{"im": %r, "re": %r, "two_j": %d}'
-_JSON_TAIL = '], "leakage": %r, "sector": "%s", "two_jmax": %d}'
-
-
 def state_to_json(s: StateVector) -> str:
     """Serialize to JSON: sector tag, window, leakage, {two_j, re, im} array.
 
-    The text is that of json.dumps with sorted keys, written with one %:
-    the slot template once per slot, inside the outer object.
+    The text is that of json.dumps with sorted keys: the window's
+    template, every 2j, the sector and two_jmax written in, takes each
+    im, re and the leakage through one %.
     """
     c = s.coeffs
-    slots = zip(c.imag.tolist(), c.real.tolist(), s.two_j_values().tolist())
-    template = '{"coeffs": [' + ", ".join([_JSON_SLOT] * len(c)) + _JSON_TAIL
-    values = (*itertools.chain.from_iterable(slots), s.leakage, s.sector.value, s.trunc.two_jmax)
-    return template % values
+    # im and re of each slot, then the leakage
+    values = [s.leakage] * (2 * len(c) + 1)
+    values[0:-1:2] = c.imag.tolist()
+    values[1:-1:2] = c.real.tolist()
+    return _window(s.trunc.two_jmax, s.sector.parity).json % tuple(values)
 
 
 def state_from_json(text: str) -> StateVector:
@@ -394,7 +425,7 @@ def state_from_json(text: str) -> StateVector:
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise DomainError(f"malformed state JSON: {exc}") from exc
     trunc = Truncation(two_jmax)
-    if keys == _window(trunc.two_jmax, sector.parity)[2]:
+    if keys == _window(trunc.two_jmax, sector.parity).keys:
         coeffs = np.array(values, dtype=np.complex128)
     else:
         coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)

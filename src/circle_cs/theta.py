@@ -168,6 +168,22 @@ def _exp(exponent, message: str, scale=None, unit=1.0):
     return value
 
 
+def _exp_column(column, message: str, scale):
+    """_exp(exponent, message, scale), column = (exponent, np.exp(exponent), its largest Re, top).
+
+    A column built once for many scales: where _exp's first test passes,
+    top <= _EXP_LIMIT and top + log(max|scale|) <= _EXP_LIMIT (or scale
+    is 0), its product with the stored exponentials has the bits _exp
+    gives; every other scale goes to _exp unchanged, for its exact peak,
+    its message or its log-space value.
+    """
+    exponent, weight, top = column
+    largest = float(_amax(np.abs(scale), None, initial=0.0))
+    if top <= _EXP_LIMIT and (largest == 0.0 or top + math.log(largest) <= _EXP_LIMIT):
+        return scale * weight
+    return _exp(exponent, message, scale)
+
+
 def _unwiden(exponent, scale):
     """(exponent, scale, |scale|) with scale * exp(exponent) kept and each |scale| finite.
 
@@ -250,6 +266,24 @@ def _ladder(pairs: int, half: bool, alternating: bool):
     return columns
 
 
+def _sum_rows(rows, acc, start: int) -> None:
+    """acc[start : start + n] = rows[0] + rows[1] + ... + rows[-1], added in that order.
+
+    rows is a C-contiguous block of n columns.  Across two or more
+    columns np.add.reduce along axis 0 adds row after row, as
+    np.add.accumulate does, in one inner loop per row rather than one
+    per column; on one column the axis is contiguous and reduce adds
+    pairwise, so that column is accumulated (overwriting rows).
+    tests/test_theta.py::test_block_sums_add_row_after_row pins the two
+    to the same bits, so a numpy whose reduce order differs fails there.
+    """
+    n = rows.shape[1]
+    if n > 1:
+        np.add.reduce(rows, axis=0, out=acc[start : start + n])
+    else:
+        acc[start] = np.add.accumulate(rows, axis=0, out=rows)[-1, 0]
+
+
 def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
     """sum over the index lattice of sign(m) * exp(curv*m^2 + lin*m).
 
@@ -267,11 +301,10 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
     two terms), sign applied only on the alternating integer lattice, its
     moment sign * m * (their difference), its moduli the sum of their
     moduli, taken by one abs of the buffer.  The pairs are added in a
-    fixed order: from the zero row, then from the largest |m| inward.
-    np.add.accumulate along the pair axis is sequential (np.sum would
-    add pairwise, in another order).  1, the m = 0 term, is added last
-    on Z.  The points go through in blocks of _BLOCK_TERMS // pairs, so
-    the temporaries stay bounded whatever the size of ``lin``.
+    fixed order: from the zero row, then from the largest |m| inward
+    (_sum_rows).  1, the m = 0 term, is added last on Z.  The points go
+    through in blocks of _BLOCK_TERMS // pairs, so the temporaries stay
+    bounded whatever the size of ``lin``.
     """
     lin_arr = np.asarray(lin, dtype=np.complex128)
     decay = -complex(curv).real
@@ -299,16 +332,15 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
         if moment:
             moments = np.zeros((pairs + 1, points.size), dtype=np.complex128)
             np.multiply(np.subtract(pair, minus, out=moments[1:]), weight, out=moments[1:])
-            acc_moment[start : start + block] = np.add.accumulate(moments, axis=0, out=moments)[-1]
+            _sum_rows(moments, acc_moment, start)
             moduli = np.abs(terms)
             summed = moduli[: pairs + 1]
             summed[1:] += moduli[pairs + 1 :]
-            acc_moduli[start : start + block] = np.add.accumulate(summed, axis=0, out=summed)[-1]
+            _sum_rows(summed, acc_moduli, start)
         pair += minus
         if signed:
             pair *= sign
-        summed = terms[: pairs + 1]
-        acc[start : start + block] = np.add.accumulate(summed, axis=0, out=summed)[-1]
+        _sum_rows(terms[: pairs + 1], acc, start)
     if not half:
         acc += 1.0
     value = _as_complex(acc.reshape(lin_arr.shape))

@@ -9,7 +9,11 @@ from circle_cs import hilbert
 
 @pytest.fixture
 def no_window(monkeypatch):
-    """Make building any window array fail the test, so a cap is checked before allocation."""
+    """Make building any window fail the test, so a cap is checked before allocation.
+
+    hilbert._window builds every constant of a window, the operator columns
+    and the JSON text too, up to 78 KB an entry at the widest window.
+    """
 
     def refuse(*args):
         raise AssertionError("a window was built")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import re
@@ -12,7 +13,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from circle_cs.coherent import FreeRotor, Linear, PhasePoint, coherent_state, evolve
+from circle_cs import hilbert
+from circle_cs.coherent import (
+    FreeRotor,
+    Linear,
+    PhasePoint,
+    coherent_state,
+    evolve,
+    required_two_jmax,
+)
 from circle_cs.errors import (
     DomainError,
     ParityError,
@@ -37,6 +46,8 @@ from circle_cs.hilbert import (
 )
 
 TR = Truncation(10)
+# the package binds the name `theta` to the function of that name
+theta_module = importlib.import_module("circle_cs.theta")
 
 
 def test_sector_from_name():
@@ -715,3 +726,104 @@ def test_a_coefficient_past_the_modulus_range_reports_a_finite_peak(make, j, re_
             make(_wide_state(j))
     figure = re.search(r"magnitude exp\(([^)]*)\)", str(caught.value)).group(1)
     assert figure == f"{peak:.3g}"
+
+
+def _payload(s: StateVector) -> dict:
+    """What state_to_json writes, as json.dumps would take it."""
+    coeffs = [
+        {"im": z.imag, "re": z.real, "two_j": k}
+        for z, k in zip(s.coeffs.tolist(), s.two_j_values().tolist())
+    ]
+    window = {"sector": s.sector.value, "two_jmax": s.trunc.two_jmax}
+    return {"coeffs": coeffs, "leakage": s.leakage, **window}
+
+
+def test_every_window_caches_its_operator_columns_and_json_text():
+    # X, Xdag and N multiply by columns _window builds once, and state_to_json
+    # fills its template: each keeps the bits of the product it replaced
+    rng = np.random.default_rng(36)
+    parts = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.0]
+    for two_jmax in range(2, MAX_TWO_JMAX + 1):
+        trunc = Truncation(two_jmax)
+        for sector in Sector:
+            j = trunc.j_values(sector)
+            c = rng.normal(size=j.size) + 1j * rng.normal(size=j.size)
+            s = StateVector(sector, trunc, c, 0.125)
+            up, down = c * np.exp(-j - 0.5), c * np.exp(-j + 0.5)
+            x, xdag = apply_operator("X", s), apply_operator("Xdag", s)
+            assert x.coeffs[1:].tobytes() == up[:-1].tobytes() and x.coeffs[0] == 0.0
+            assert xdag.coeffs[:-1].tobytes() == down[1:].tobytes() and xdag.coeffs[-1] == 0.0
+            assert (x.leakage, xdag.leakage) == (0.125 + abs(up[-1]), 0.125 + abs(down[0]))
+            assert apply_operator("N", s).coeffs.tobytes() == (c * (-j + N_CONST)).tobytes()
+            # parts of few digits keep json.dumps quick; the template is what varies
+            c = [1.0, 1j] @ (rng.integers(-99, 99, (2, j.size)) / 8.0)
+            c[0], c[-1] = complex(*rng.choice(parts, 2)), complex(*rng.choice(parts, 2))
+            c[j.size // 2] = complex(*rng.normal(size=2))
+            s = StateVector(sector, trunc, c, float(rng.uniform(1e-9, 1.0)))
+            assert state_to_json(s) == json.dumps(_payload(s), sort_keys=True)
+            window = hilbert._window(two_jmax, sector.parity)
+            for column in (window.two_j, window.j, window.n_band, *window.x[:2], *window.xdag[:2]):
+                assert not column.flags.writeable
+
+
+@pytest.mark.parametrize("sector", list(Sector), ids=lambda sector: sector.value)
+@pytest.mark.parametrize(
+    "kind, sign, slot", [("X", -1, 0), ("X", -1, 9), ("Xdag", 1, 0), ("Xdag", 1, 9)]
+)
+def test_the_cached_columns_raise_exactly_where_exp_does(kind, sign, slot, sector):
+    # moduli a few ulps of 700 either side of the one where top + log|c| = 700,
+    # in the slot of the largest weight (0) and elsewhere, where _exp's exact peak passes
+    trunc = Truncation(40)
+    j = trunc.j_values(sector)
+    exponent = -j + 0.5 * sign
+    message = f"{kind}{hilbert._COEFF_OVERFLOW}"
+    edge = math.exp(700.0 - float(exponent.max()))
+    raised = []
+    for k in range(-12, 13):
+        c = np.ones(j.size, np.complex128)
+        c[slot] = edge * (1.0 + k * 2.0**-44)
+        try:
+            want = theta_module._exp(exponent, message, c)
+        except RangeOverflowError as error:
+            with pytest.raises(RangeOverflowError, match=f"^{re.escape(str(error))}$"):
+                apply_operator(kind, StateVector(sector, trunc, c))
+            raised.append(k)
+            continue
+        got = apply_operator(kind, StateVector(sector, trunc, c)).coeffs
+        shifted = got[1:] if kind == "X" else got[:-1]
+        assert shifted.tobytes() == (want[:-1] if kind == "X" else want[1:]).tobytes()
+    # the moduli cross the limit in the largest weight's slot, and nowhere else
+    assert (0 < len(raised) < 25) if slot == 0 else raised == []
+
+
+def test_a_state_pipeline_on_warm_windows_builds_no_window_constant(monkeypatch):
+    # work counts, not clocks: coherent_state makes one theta._exp call, and
+    # X, Xdag, N and the JSON round trip read what the window built, so a
+    # change that rebuilds a window constant per call fails here
+    rng = np.random.default_rng(36)
+    points = [
+        (PhasePoint(rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0 * math.pi)), sector)
+        for sector in Sector
+        for _ in range(3)
+    ]
+
+    def pipelines():
+        for p, sector in points:
+            state = coherent_state(p, sector, Truncation(required_two_jmax(p.l)))
+            for kind in ("X", "Xdag", "N"):
+                state = apply_operator(kind, state)
+            state_from_json(state_to_json(state))
+
+    pipelines()  # warm the windows
+    exp, calls = theta_module._exp, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return exp(*args, **kwargs)
+
+    for name in ("theta", "hilbert", "coherent"):
+        monkeypatch.setattr(importlib.import_module(f"circle_cs.{name}"), "_exp", counted)
+    misses = hilbert._window.cache_info().misses
+    pipelines()
+    assert len(calls) == len(points)
+    assert hilbert._window.cache_info().misses == misses

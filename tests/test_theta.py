@@ -632,6 +632,26 @@ def test_stacked_kernel_has_the_two_exp_kernels_bits(tau, half, alternating, mom
                 assert part.tobytes() == reference.tobytes(), (size, lin.dtype)
 
 
+def test_block_sums_add_row_after_row():
+    # _sum_rows takes np.add.reduce for the order of np.add.accumulate: a
+    # property of numpy's loops, not of its documented API, pinned here on
+    # the (pairs + 1, points) blocks _lattice_sum forms, complex and float
+    rng = np.random.default_rng(36)
+    most = theta_module._MAX_PAIRS
+    shapes = [(pairs, points) for pairs in (1, 2, 7, most) for points in (1, 2, 3, 101)]
+    shapes += [(1, theta_module._BLOCK_TERMS), (most, theta_module._BLOCK_TERMS // most)]
+    shapes += zip(rng.integers(1, most, 40).tolist(), rng.integers(1, 400, 40).tolist())
+    for pairs, points in shapes:
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, (2 * pairs + 1, points))
+        buffer = scale * (rng.normal(size=scale.shape) + 1j * rng.normal(size=scale.shape))
+        for block in (buffer[: pairs + 1], np.abs(buffer)[: pairs + 1]):
+            want = np.add.accumulate(block, axis=0)[-1]
+            got = np.empty(points + 1, block.dtype)
+            theta_module._sum_rows(block.copy(), got, 1)
+            got = got[1:]
+            assert got.tobytes() == want.tobytes(), (pairs, points, block.dtype)
+
+
 # Real parts with -0 and every re-centring integer 0 (|Re v| < 1); imaginary
 # parts in units of Im tau, inside Im tau / 2, so _reduce moves no quasi-period
 ZERO_SIGN_RE = np.array([-0.0, 0.0, -0.25, 0.5, -0.75, 0.9, -5e-324, 5e-324])

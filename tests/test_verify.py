@@ -361,9 +361,12 @@ def test_each_reference_route_decides_its_checks(monkeypatch, route):
 
 
 # At n_phi = 64 both projector checks pass from n_l = 27, where the node
-# range first resolves the band-limited states, until n_l outruns the phi
-# grid and the kernel lattice aliases: idempotency from n_l = 83, parity
-# projection from n_l = 91 (README, verify).
+# range first resolves the band-limited states, until the outer l nodes
+# reach far enough that the weight e^(n l - n^2/2) of _apply_kernel_grid's
+# outer monomials lifts rounding noise past the tolerance: idempotency
+# from n_l = 83, parity projection from n_l = 91.  It is not aliasing in
+# phi: at n_l = 83 idempotency reads 1.3e-6, 1.2e-6 and 1.3e-6 at n_phi
+# 64, 256 and 1024 (README, verify).
 @pytest.mark.parametrize(
     "name, onset", [("kernel-idempotency", 83), ("kernel-parity-projection", 91)]
 )
