@@ -218,7 +218,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 def _cmd_distribution(args: argparse.Namespace) -> int:
     sector = Sector.from_name(args.sector)
     p = PhasePoint(args.l, 0.0)
-    dist = energy_distribution(p, sector, jmax=args.jmax, allow_fermion=args.allow_fermion)
+    dist = energy_distribution(p, sector, jmax=args.jmax)
     j, prob = dist.T
     approx = gaussian_energy_profile(j, args.l)
     deviation = np.abs(prob - approx)
@@ -314,11 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=float, required=True)
     sp.add_argument("--sector", choices=("boson", "fermion"), default="boson")
     sp.add_argument("--jmax", type=int, default=12)
-    sp.add_argument(
-        "--allow-fermion",
-        action="store_true",
-        help="permit the half-integer sector (levels are then half-integers)",
-    )
     sp.add_argument("--out", default="-", help="output path, or - for stdout")
     add_digits(sp)
     sp.set_defaults(func=_cmd_distribution)

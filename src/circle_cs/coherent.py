@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeOverflowError, TruncationError
-from .hilbert import Sector, StateVector, Truncation, _adopt, _require_finite
+from .hilbert import Sector, StateVector, Truncation, _adopt, _product
 from .theta import (
     ThetaArg,
     _amax,
@@ -381,10 +381,7 @@ def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
         phases = np.exp(-1j * t * hamiltonian.omega * j)
     else:
         raise DomainError(f"unsupported hamiltonian {hamiltonian!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # a product past the range is typed below
-        evolved = state.coeffs * phases
-    _require_finite(evolved)
-    return _adopt(state.sector, state.trunc, evolved, state.leakage)
+    return _adopt(state.sector, state.trunc, _product(state.coeffs, phases), state.leakage)
 
 
 def _require_finite_phase(t: float, edge_phase: float, j_edge: float) -> None:
@@ -474,29 +471,23 @@ def uncertainty_QP(p: PhasePoint, sector: Sector) -> dict[str, float | np.ndarra
     }
 
 
-def energy_distribution(
-    p: PhasePoint, sector: Sector, jmax: float = 12, allow_fermion: bool = False
-) -> np.ndarray:
+def energy_distribution(p: PhasePoint, sector: Sector, jmax: float = 12) -> np.ndarray:
     """Occupation probabilities prob(j) = e^(2lj - j^2)/S(2l), |j| <= jmax, as a table.
 
-    Defined for the boson sector; pass allow_fermion=True to evaluate
-    the same formula on the half-integer lattice.  The probabilities sum
-    to 1 up to the mass beyond |j| > jmax.  The n levels form the window
-    |2j| <= floor(2 jmax), so Truncation caps jmax (n <= 601).  The
-    result is a float array of shape (*p.shape, n, 2) whose last axis is
-    (j, prob(j)): a single point gives n rows that iterate as (j, prob)
-    pairs, and a grid point holds p.size * n * 16 bytes, from one
-    lattice-sum call and one exp over (*p.shape, n); each row has the
-    bits of the single-point call at its point.  Each probability is
+    j runs over the sector's lattice: integers for bosons, half-integers
+    for fermions.  The probabilities sum to 1 up to the mass beyond
+    |j| > jmax.  The n levels form the window |2j| <= floor(2 jmax), so
+    Truncation caps jmax (n <= 601).  The result is a float array of
+    shape (*p.shape, n, 2) whose last axis is (j, prob(j)): a single
+    point gives n rows that iterate as (j, prob) pairs, and a grid point
+    holds p.size * n * 16 bytes, from one lattice-sum call and one exp
+    over (*p.shape, n); each row has the bits of the single-point call
+    at its point.  Each probability is
     computed re-centred, as exp(d (r - d)) / S(r) with c = round(l),
     d = j - c and r = 2l - 2c, so no term of size e^(l^2) is formed:
     within 2 eps (1 + |d (r - d)|) relative for every |l| <= 1e300
     (RangeOverflowError beyond).
     """
-    if not isinstance(allow_fermion, (bool, np.bool_)):
-        raise DomainError(f"allow_fermion must be True or False, got {allow_fermion!r}")
-    if sector is Sector.FERMION and not allow_fermion:
-        raise DomainError("energy_distribution defaults to bosons; pass allow_fermion=True")
     message = "jmax must be finite and at least 1, got {value!r}"
     jmax = _number(jmax, float, message, arrays=False)
     if jmax < 1.0:

@@ -51,6 +51,8 @@ __all__ = [
 N_CONST = 0.5 * math.log(2.0 * math.sinh(1.0))
 
 OPERATOR_KINDS = ("J", "U", "Udag", "X", "Xdag", "N")
+# row - col of each kind's one nonzero band: the shift kinds move a slot up or down
+_BAND_OFFSETS = dict(zip(OPERATOR_KINDS, (0, 1, -1, 1, -1, 0)))
 
 
 class Sector(enum.Enum):
@@ -216,9 +218,8 @@ class StateVector:
 
         RangeOverflowError where that modulus passes the floating-point range.
         """
-        c = np.abs(self.coeffs)
-        edge = min(2, len(c))
-        mass = float(max(c[:edge].max(), c[-edge:].max()))
+        c = np.abs(self.coeffs)  # Truncation gives every window at least 2 slots
+        mass = float(max(c[:2].max(), c[-2:].max()))
         if mass == math.inf:
             raise RangeOverflowError("state tail mass passes the floating-point range")
         return mass
@@ -238,13 +239,13 @@ def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float
     shape that the caller has just made, never a caller's array or a view of
     one, and already finite.  leakage is a Python float, a sum that can pass
     the range.  A producer whose product can overflow without raising (J, N,
-    evolve) calls _require_finite itself.  The others are finite by
-    construction: U, Udag and time reversal move or conjugate the entries of
-    a finite state; exp_j and coherent_state take their values from
-    theta._exp, and X and Xdag theirs from theta._exp_column, which passes
-    _exp's first test or hands the state to _exp: either bounds every
-    modulus by e^700, on the log-space path too; basis_state writes 0 and
-    1; state_from_json checks what it read.
+    evolve) forms it through _product, which types it.  The others are
+    finite by construction: U, Udag and time reversal move or conjugate
+    the entries of a finite state; exp_j and coherent_state take their
+    values from theta._exp, and X and Xdag theirs from theta._exp_column,
+    which passes _exp's first test or hands the state to _exp: either
+    bounds every modulus by e^700, on the log-space path too; basis_state
+    writes 0 and 1; state_from_json checks what it read.
     """
     if not 0.0 <= leakage < math.inf:
         raise DomainError(_LEAKAGE_MESSAGE.format(value=leakage))
@@ -275,16 +276,32 @@ _X_OVERFLOW = "X" + _COEFF_OVERFLOW
 _XDAG_OVERFLOW = "Xdag" + _COEFF_OVERFLOW
 
 
-def _shift_up(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-    out = np.zeros(coeffs.shape, coeffs.dtype)
-    out[1:] = coeffs[:-1]
-    return out, float(abs(coeffs[-1]))
+def _band_offset(kind) -> int:
+    """row - col of kind's one nonzero band; DomainError unless kind is one of OPERATOR_KINDS."""
+    try:
+        return _BAND_OFFSETS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind, such as an array
+        raise DomainError(
+            f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}"
+        ) from None
 
 
-def _shift_down(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+def _shift(coeffs: np.ndarray, offset: int) -> tuple[np.ndarray, float]:
+    """coeffs moved one slot up (offset 1) or down (-1), and |the coefficient pushed off|."""
     out = np.zeros(coeffs.shape, coeffs.dtype)
-    out[:-1] = coeffs[1:]
-    return out, float(abs(coeffs[0]))
+    if offset > 0:
+        out[1:], edge = coeffs[:-1], coeffs[-1]
+    else:
+        out[:-1], edge = coeffs[1:], coeffs[0]
+    return out, float(abs(edge))
+
+
+def _product(coeffs: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """coeffs * column, typed as StateVector types it where a product passes the range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the range is not finite
+        out = coeffs * column
+    _require_finite(out)
+    return out
 
 
 def apply_operator(kind: str, s: StateVector) -> StateVector:
@@ -298,26 +315,20 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
     and raise RangeOverflowError where a weighted coefficient would pass
     e^700, as theta._exp does.
     """
-    if isinstance(kind, np.ndarray) or kind not in OPERATOR_KINDS:
-        raise DomainError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
+    offset = _band_offset(kind)
     c = s.coeffs
-    dropped = 0.0
-    if kind == "U":
-        out, dropped = _shift_up(c)
-    elif kind == "Udag":
-        out, dropped = _shift_down(c)
-    else:  # the weighted kinds read the window's columns
+    if kind != "U" and kind != "Udag":  # the weighted kinds read the window's columns
         window = _window(s.trunc.two_jmax, s.sector.parity)
-        if kind in ("J", "N"):
-            # a product past the range is not finite, which is typed here
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = c * (window.j if kind == "J" else window.n_band)
-            _require_finite(out)
-        elif kind == "X":
-            out, dropped = _shift_up(_exp_column(window.x, _X_OVERFLOW, c))
-        else:  # Xdag
-            out, dropped = _shift_down(_exp_column(window.xdag, _XDAG_OVERFLOW, c))
-    return _adopt(s.sector, s.trunc, out, s.leakage + dropped)
+        if kind == "X":
+            c = _exp_column(window.x, _X_OVERFLOW, c)
+        elif kind == "Xdag":
+            c = _exp_column(window.xdag, _XDAG_OVERFLOW, c)
+        else:
+            c = _product(c, window.j if kind == "J" else window.n_band)
+    dropped = 0.0
+    if offset:
+        c, dropped = _shift(c, offset)
+    return _adopt(s.sector, s.trunc, c, s.leakage + dropped)
 
 
 def apply_exp_j(s: StateVector, eta: complex) -> StateVector:
@@ -362,23 +373,20 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 def operator_matrix(kind: str, sector: Sector, trunc: Truncation) -> np.ndarray:
     """Dense window matrix M with M[row, col] = <j_row| Op |j_col>."""
-    if isinstance(kind, np.ndarray) or kind not in OPERATOR_KINDS:
-        raise DomainError(f"unknown operator kind {kind!r}; expected one of {OPERATOR_KINDS}")
+    offset = _band_offset(kind)
     j = trunc.j_values(sector)
     n = len(j)
     # the one nonzero band: row - col = offset
     if kind == "J":
-        offset, band = 0, j
+        band = j
     elif kind == "N":
-        offset, band = 0, -j + N_CONST
-    elif kind == "U":
-        offset, band = 1, 1.0
-    elif kind == "Udag":
-        offset, band = -1, 1.0
+        band = -j + N_CONST
     elif kind == "X":  # weights at most e^300.5 inside MAX_TWO_JMAX
-        offset, band = 1, np.exp(-j[:-1] - 0.5)
-    else:  # Xdag
-        offset, band = -1, np.exp(-j[1:] + 0.5)
+        band = np.exp(-j[:-1] - 0.5)
+    elif kind == "Xdag":
+        band = np.exp(-j[1:] + 0.5)
+    else:  # U, Udag
+        band = 1.0
     m = np.zeros((n, n), dtype=np.complex128)
     k = np.arange(n - abs(offset))
     m[k + max(offset, 0), k + max(-offset, 0)] = band

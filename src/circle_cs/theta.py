@@ -319,7 +319,7 @@ def _lattice_sum(curv, lin, half: bool, alternating: bool, moment=False):
     if moment:
         acc_moment, acc_moduli = np.empty_like(acc), np.empty(flat.shape)
         weight = m * sign
-    block = _BLOCK_TERMS // max(pairs, 1)
+    block = _BLOCK_TERMS // pairs
     for start in range(0, flat.size, block):
         points = flat[start : start + block]
         # row 0 stays 0, where each sum starts; then the + and the - terms

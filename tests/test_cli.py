@@ -505,14 +505,12 @@ def test_distribution_stdout(run):
     assert len(lines) == 8
 
 
-def test_distribution_fermion_needs_flag(run):
-    # energy_distribution owns the rule; the command reports its one-line error
-    res = run("distribution", "--l", "0.0", "--sector", "fermion")
-    assert res.returncode == 2
-    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
-    res = run("distribution", "--l", "0.0", "--sector", "fermion", "--allow-fermion", "--jmax", "4")
-    assert res.returncode == 0
-    assert res.stdout.splitlines()[1].startswith("-3.5,")
+def test_distribution_fermion_prints_half_integer_levels(run):
+    # --sector alone picks the lattice
+    res = run("distribution", "--l", "0.0", "--sector", "fermion", "--jmax", "4")
+    assert res.returncode == 0 and res.stderr == ""
+    levels = [line.split(",")[0] for line in res.stdout.splitlines()[1:]]
+    assert levels == ["-3.5", "-2.5", "-1.5", "-0.5", "0.5", "1.5", "2.5", "3.5"]
 
 
 def test_verify_rejects_unknown_config_key(tmp_path, run):

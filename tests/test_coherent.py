@@ -450,18 +450,10 @@ def test_energy_distribution_tracks_gaussian_profile():
 
 
 def test_energy_distribution_fermion_gate():
-    with pytest.raises(DomainError):
-        energy_distribution(PhasePoint(0.0, 0.0), Sector.FERMION)
-    dist = energy_distribution(PhasePoint(0.0, 0.0), Sector.FERMION, allow_fermion=True)
-    js = [j for j, _ in dist]
-    assert 0.5 in js and 0.0 not in js
-
-
-@pytest.mark.parametrize("allow_fermion", ["no", "", 1, 0, None, np.array(True)], ids=repr)
-@pytest.mark.parametrize("sector", list(Sector), ids=lambda sector: sector.value)
-def test_energy_distribution_allow_fermion_is_a_bool(sector, allow_fermion):
-    with pytest.raises(DomainError, match=r"^allow_fermion must be True or False, got "):
-        energy_distribution(PhasePoint(0.0, 0.0), sector, allow_fermion=allow_fermion)
+    # the sector alone picks the lattice
+    dist = energy_distribution(PhasePoint(0.0, 0.0), Sector.FERMION)
+    assert [j for j, _ in dist] == np.arange(-11.5, 12.0).tolist()
+    assert sum(prob for _, prob in dist) == pytest.approx(1.0, abs=1e-12)
 
 
 JMAX_REFUSALS = [
@@ -508,10 +500,10 @@ DISTRIBUTION_L = np.concatenate([
 @pytest.mark.parametrize("jmax", [1, 12, 300])
 @pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
 def test_energy_distribution_grid_rows_have_the_single_point_bits(sector, jmax):
-    table = energy_distribution(PhasePoint(DISTRIBUTION_L, 0.3), sector, jmax, allow_fermion=True)
+    table = energy_distribution(PhasePoint(DISTRIBUTION_L, 0.3), sector, jmax)
     assert table.shape == (DISTRIBUTION_L.size, Truncation(2 * jmax).size(sector), 2)
     for l, rows in zip(DISTRIBUTION_L.tolist(), table):
-        single = energy_distribution(PhasePoint(l, 0.3), sector, jmax, allow_fermion=True)
+        single = energy_distribution(PhasePoint(l, 0.3), sector, jmax)
         assert np.array_equal(rows, single)
 
 
@@ -634,7 +626,7 @@ def _grid_results(p, extra, sector):
         "relative_expect_U": [relative_expect_U(p, PhasePoint(0.2, 0.1), sector)],
         "norm_sq": [norm_sq(p, sector)],
         "overlap_closed": [overlap_closed(p, p, sector)],
-        "energy_distribution": [energy_distribution(p, sector, 3, allow_fermion=True)],
+        "energy_distribution": [energy_distribution(p, sector, 3)],
         "gaussian_energy_profile": [gaussian_energy_profile(extra, p.l)],
         "xi": [p.xi],
         "log_xi": [p.log_xi],
@@ -706,7 +698,7 @@ def test_wide_grid_overflows_only_where_the_value_does():
             assert all(np.all(np.isfinite(v)) for v in moments.values())
             # <J> goes through theta_3/theta_4 at v = l, which stay in range
             assert np.all(np.isfinite(expect_J(p, sector)))
-            probs = [prob for _, prob in energy_distribution(edge, sector, allow_fermion=True)]
+            probs = [prob for _, prob in energy_distribution(edge, sector)]
             assert all(0.0 <= prob < 1.0 for prob in probs)
             for call in (
                 lambda: norm_sq(edge, sector),

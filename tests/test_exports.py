@@ -1,7 +1,8 @@
 """The package namespace is the union of the five layers' __all__ lists,
 and the one overflow limit, the one window cap, the one number gate and
 the one series policy are each named in one layer; every module stays
-below the parser's token step, and every cache has a bound."""
+below the parser's token step, every cache has a bound, and every
+private module-level name is read somewhere."""
 
 from __future__ import annotations
 
@@ -203,6 +204,36 @@ def test_every_library_cache_is_bounded():
             maxsize = 1
         bounds[name] = maxsize
     assert bounds == CACHE_BOUNDS
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private (_name, not __dunder__) functions, classes and constants a module defines."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_read_somewhere():
+    # a merge that leaves a helper behind fails here: a definition, an
+    # import or a docstring mention is no use, only a load or an attribute
+    source = pathlib.Path(circle_cs.__file__).parent
+    defined, read = [], set()
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        defined += [f"{path.stem}.{name}" for name in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert "hilbert._window" in defined
+    assert [name for name in defined if name.split(".")[1] not in read] == []
 
 
 def _readers(name: str) -> list[str]:

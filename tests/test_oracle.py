@@ -517,7 +517,7 @@ def test_gaussian_lattice_sum_within_its_reduced_bound(half):
 @pytest.mark.parametrize("sector", SECTORS, ids=["boson", "fermion"])
 def test_energy_distribution_within_its_exponent_conditioning(sector, l):
     half = sector is Sector.FERMION
-    dist = energy_distribution(PhasePoint(l, 0.0), sector, jmax=40, allow_fermion=True)
+    dist = energy_distribution(PhasePoint(l, 0.0), sector, jmax=40)
     norm = lattice_sum(2 * mp.mpf(l), half)
     c = round(l)
     for j, prob in dist:

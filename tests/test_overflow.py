@@ -338,7 +338,7 @@ CALLS = {
     "gaussian_lattice_sum": lambda x: gaussian_lattice_sum(x.v, half=x.sector is FERMION),
     "overlap_closed": lambda x: overlap_closed(_point(x), PhasePoint(x.eta, x.v.real), x.sector),
     "norm_sq": lambda x: norm_sq(_point(x), x.sector),
-    "energy_distribution": lambda x: energy_distribution(_point(x), x.sector, allow_fermion=True),
+    "energy_distribution": lambda x: energy_distribution(_point(x), x.sector),
     "evolve_free": lambda x: evolve(_two_slot_state(x.sector, x.l, x.v), FreeRotor(), x.eta),
     "evolve_linear": lambda x: evolve(_two_slot_state(x.sector, x.l, x.v), Linear(x.phi), x.eta),
     **{

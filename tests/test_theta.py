@@ -560,12 +560,23 @@ def test_kernel_matches_the_pair_loop_across_blocks():
         assert _same_bits(got, _pair_loop(-1.0 + 0j, lin, half, False, pairs))
 
 
-@pytest.mark.parametrize("pairs", range(0, 33))
+def test_a_pair_count_is_at_least_one_or_a_refusal():
+    # _lattice_sum divides its block budget by the count, with no guard
+    for decay in np.geomspace(5e-324, 1.7e308, 61).tolist():
+        for drift in [0.0, *np.geomspace(1e-300, 1e300, 31).tolist()]:
+            for half in (False, True):
+                try:
+                    assert theta_module._pair_count(decay, drift, half) >= 1
+                except (RangeOverflowError, ConvergenceError):
+                    pass
+
+
+@pytest.mark.parametrize("pairs", range(1, 33))
 def test_kernel_matches_the_pair_loop_at_every_pair_count(pairs, monkeypatch):
     rng = np.random.default_rng(pairs)
     monkeypatch.setattr(theta_module, "_pair_count", lambda *args: pairs)
     # a block of 3 points at most, so the 7 points take several blocks
-    monkeypatch.setattr(theta_module, "_BLOCK_TERMS", 3 * max(pairs, 1))
+    monkeypatch.setattr(theta_module, "_BLOCK_TERMS", 3 * pairs)
     curv = complex(-0.02, 0.7)
     for half, alternating in ((False, False), (False, True), (True, False)):
         lin = 0.3 * rng.standard_normal(7) + 0.3j * rng.standard_normal(7)

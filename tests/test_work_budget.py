@@ -1,0 +1,97 @@
+"""Counts, not clocks: the work a default battery and the seeded scans do, pinned.
+
+One fresh interpreter, so every cache starts cold, runs the default
+verify battery and then one 101-point scan over l in [-20, 20] per
+observable and sector.  Each count is taken from outside, by wrapping a
+name wherever a circle_cs module binds it:
+
+- lattice_sum_calls, lattice_sum_elements and lattice_sum_pair_elements:
+  theta._lattice_sum calls, the points they sum, and the sum over calls
+  of the term pairs (theta._pair_count on the call's arguments) times
+  the points;
+- exp_calls: theta._exp calls, from any layer;
+- states: StateVectors made through hilbert._adopt;
+- gram_misses: bargmann._gram cache misses.
+
+A change that moves a count rewrites tests/data/work_budget.json
+(PYTHONPATH=src python tests/test_work_budget.py) and says why.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import subprocess
+import sys
+
+BUDGET = pathlib.Path(__file__).parent / "data" / "work_budget.json"
+
+COUNT_WORK = """
+import contextlib, importlib, io, json, sys
+import numpy as np
+from circle_cs import cli, verify  # verify now, so that its bindings are wrapped too
+# import_module, because the package binds the name theta to the function
+bargmann, hilbert, theta = (
+    importlib.import_module(f"circle_cs.{name}") for name in ("bargmann", "hilbert", "theta")
+)
+counts = dict.fromkeys(
+    ("lattice_sum_calls", "lattice_sum_elements", "lattice_sum_pair_elements", "exp_calls",
+     "states"), 0)
+
+def wrap(owner, name, count):
+    original = getattr(owner, name)
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        count(*args, **kwargs)
+        return result
+    for module in [m for key, m in sys.modules.items() if key.startswith("circle_cs")]:
+        if getattr(module, name, None) is original:
+            setattr(module, name, counted)
+
+def lattice_sum(curv, lin, half, alternating, moment=False):
+    lin = np.asarray(lin, dtype=np.complex128)
+    pairs = theta._pair_count(-complex(curv).real, theta._drift(lin), half)
+    counts["lattice_sum_calls"] += 1
+    counts["lattice_sum_elements"] += lin.size
+    counts["lattice_sum_pair_elements"] += pairs * lin.size
+
+def tally(key):
+    def count(*args, **kwargs):
+        counts[key] += 1
+    return count
+
+wrap(theta, "_lattice_sum", lattice_sum)
+wrap(theta, "_exp", tally("exp_calls"))
+wrap(hilbert, "_adopt", tally("states"))
+commands = {"verify default battery": ["verify"]}
+for obs in ("J", "U"):
+    for sector in ("boson", "fermion"):
+        commands[f"scan {obs} {sector}"] = [
+            "scan", "--obs", obs, "--l-min", "-20", "--l-max", "20", "--n", "101",
+            "--sector", sector, "--out", "-",
+        ]
+budget = {}
+for label, argv in commands.items():
+    for key in counts:
+        counts[key] = 0
+    misses = bargmann._gram.cache_info().misses
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) in (0, 1), argv  # 1: a check of the battery fails
+    budget[label] = {**counts, "gram_misses": bargmann._gram.cache_info().misses - misses}
+print(json.dumps(budget, indent=1))
+"""
+
+
+def _count_work() -> dict:
+    res = subprocess.run([sys.executable, "-c", COUNT_WORK], capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    return json.loads(res.stdout)
+
+
+def test_the_battery_and_the_scans_do_the_pinned_work():
+    assert _count_work() == json.loads(BUDGET.read_text("utf-8"))
+
+
+if __name__ == "__main__":
+    BUDGET.write_text(json.dumps(_count_work(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {BUDGET}")
