@@ -68,7 +68,15 @@ import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError
 from .hilbert import Sector, StateVector, Truncation
-from .coherent import PhasePoint, _coherent_coeffs, _complex, _require_reach, _single, norm_sq
+from .coherent import (
+    PhasePoint,
+    _coherent_coeffs,
+    _complex,
+    _half,
+    _require_reach,
+    _single,
+    norm_sq,
+)
 from .theta import _as_complex, _exp, _integer, _pair_count
 
 __all__ = [
@@ -202,8 +210,8 @@ def _kernel_coeffs(p: PhasePoint, sector: Sector, quad: Quadrature) -> tuple[int
     """
     lv, _, _ = quad.nodes()
     drift = abs(p.l) + float(lv[-1])
-    trunc = Truncation(2 * _pair_count(1.0, drift, sector is Sector.FERMION))
-    return trunc.two_jmax, _coherent_coeffs(trunc.j_values(sector), p)
+    trunc = Truncation(2 * _pair_count(1.0, drift, _half(sector)))
+    return trunc.two_jmax, _coherent_coeffs(p, sector, trunc)
 
 
 def reproducing_apply(f: StateVector, p: PhasePoint, sector: Sector, quad: Quadrature) -> complex:
@@ -227,11 +235,10 @@ def _window_for_matrix(shape: tuple[int, ...], sector: Sector) -> Truncation:
     if len(shape) != 2 or shape[0] != shape[1]:
         raise DomainError(f"operator matrix must be square, got shape {shape}")
     n = shape[0]
-    if sector is Sector.BOSON and n % 2 == 0:
-        raise ParityError(f"boson windows have odd size, got {n}")
-    if sector is Sector.FERMION and n % 2 == 1:
-        raise ParityError(f"fermion windows have even size, got {n}")
-    return Truncation(n - 1 + sector.parity)
+    parity = sector.parity
+    if (n + parity) % 2 == 0:  # a window of 2j_max + 1 - parity slots
+        raise ParityError(f"{sector.value} windows have {('odd', 'even')[parity]} size, got {n}")
+    return Truncation(n - 1 + parity)
 
 
 def covariant_symbol(op_matrix: np.ndarray, p: PhasePoint, sector: Sector) -> dict[str, complex]:
@@ -247,6 +254,6 @@ def covariant_symbol(op_matrix: np.ndarray, p: PhasePoint, sector: Sector) -> di
     a = np.asarray(op_matrix, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise DomainError("operator matrix entries must be finite")
-    c = _coherent_coeffs(trunc.j_values(sector), p)
+    c = _coherent_coeffs(p, sector, trunc)
     kernel = complex(np.vdot(c, a @ c))
     return {"kernel": kernel, "symbol": kernel / norm}

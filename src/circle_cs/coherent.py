@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RangeOverflowError, TruncationError
-from .hilbert import Sector, StateVector, Truncation, _adopt, _product
+from .hilbert import Sector, StateVector, Truncation, _adopt, _product, _window
 from .theta import (
     ThetaArg,
     _amax,
@@ -132,7 +132,7 @@ class Linear:
 
 
 def _half(sector: Sector) -> bool:
-    return sector is Sector.FERMION
+    return sector.parity == 1
 
 
 def _shaped(value, shape: tuple[int, ...], kind: type):
@@ -209,17 +209,18 @@ def coherent_state(p: PhasePoint, sector: Sector, trunc: Truncation) -> StateVec
             f"two_jmax = {trunc.two_jmax} too small for l = {p.l}: "
             f"tails exceed {_WINDOW_TOL} (need two_jmax >= {needed})"
         )
-    return _adopt(sector, trunc, _coherent_coeffs(trunc.j_values(sector), p), 0.0)
+    return _adopt(sector, trunc, _coherent_coeffs(p, sector, trunc), 0.0)
 
 
-def _coherent_coeffs(j: np.ndarray, p: PhasePoint) -> np.ndarray:
-    """c_j = exp(j*(l - i*phi) - j^2/2) over a symmetric window, unnormalized.
+def _coherent_coeffs(p: PhasePoint, sector: Sector, trunc: Truncation) -> np.ndarray:
+    """c_j = exp(j*(l - i*phi) - j^2/2) over the sector's window, unnormalized.
 
     RangeOverflowError where a coefficient passes e^700, from |l| of
     about 37.42 on; j*l must be finite.
     """
+    window = _window(trunc.two_jmax, sector.parity)
     message = "coherent coefficients overflow: the largest is exp({peak:.3g})"
-    return _exp(j * complex(p.l, -p.phi) - 0.5 * j * j, message)
+    return _exp(window.j * complex(p.l, -p.phi) - window.gauss, message)
 
 
 def overlap_closed(p1: PhasePoint, p2: PhasePoint, sector: Sector) -> complex | np.ndarray:
@@ -260,7 +261,7 @@ def expect_J(p: PhasePoint, sector: Sector) -> float | np.ndarray:
     (fermion) integer; elsewhere within half the theta_log_derivative bound,
     plus one rounding of <J>.  A grid point gives an array of its shape.
     """
-    kind = 3 if sector is Sector.BOSON else 4
+    kind = 3 + sector.parity
     derivative = theta_log_derivative(kind, ThetaArg(p.l, 1j * math.pi))
     return _shaped(p.l + 0.5 * np.real(derivative), p.shape, float)
 
@@ -272,7 +273,7 @@ def approx_expect_J(l: float | np.ndarray, sector: Sector) -> float | np.ndarray
     """
     l = _number(l, float, _NOT_FINITE)
     _require_reach(l)
-    sign = -1.0 if sector is Sector.BOSON else 1.0
+    sign = (-1.0, 1.0)[sector.parity]
     return _shaped(l + sign * J_DEVIATION_AMPLITUDE * np.sin(_TWO_PI * l), np.shape(l), float)
 
 
@@ -381,7 +382,8 @@ def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
         phases = np.exp(-1j * t * hamiltonian.omega * j)
     else:
         raise DomainError(f"unsupported hamiltonian {hamiltonian!r}")
-    return _adopt(state.sector, state.trunc, _product(state.coeffs, phases), state.leakage)
+    coeffs = _product(state.coeffs, phases, 1.0)  # unit phases
+    return _adopt(state.sector, state.trunc, coeffs, state.leakage)
 
 
 def _require_finite_phase(t: float, edge_phase: float, j_edge: float) -> None:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError, WindowError
-from .theta import _exp, _exp_column, _integer, _number
+from .theta import _amax, _exp, _exp_column, _integer, _number
 
 __all__ = [
     "Sector",
@@ -56,15 +56,19 @@ _BAND_OFFSETS = dict(zip(OPERATOR_KINDS, (0, 1, -1, 1, -1, 0)))
 
 
 class Sector(enum.Enum):
-    """Boson (j integer) or fermion (j half-integer) representation."""
+    """Boson (j integer) or fermion (j half-integer) representation.
+
+    parity is the residue of 2j mod 2 for the sector: 0 or 1.
+    """
 
     BOSON = "boson"
     FERMION = "fermion"
 
-    @property
-    def parity(self) -> int:
-        """Residue of 2j mod 2 for this sector."""
-        return 0 if self is Sector.BOSON else 1
+    parity: int
+
+    def __init__(self, value: str) -> None:
+        # a plain attribute, not a property: the state operations read it on every call
+        self.parity = int(value == "fermion")
 
     @classmethod
     def from_name(cls, name: str) -> "Sector":
@@ -84,10 +88,13 @@ class _Window(NamedTuple):
 
     two_j: np.ndarray  # ascending
     j: np.ndarray
+    j_top: float  # the largest |j|, which bounds _product's J column
+    gauss: np.ndarray  # 0.5 * j * j, the Gaussian of the coherent coefficients
     keys: list[int]  # 2j as a list, which state_from_json compares a document's keys against
     x: tuple  # (exponent, e^exponent, largest exponent) for theta._exp_column: X's, -j - 1/2
     xdag: tuple  # and Xdag's, -j + 1/2
     n_band: np.ndarray  # -j + N_CONST
+    n_top: float  # its largest modulus
     json: str  # state_to_json's text, with a %r for each im, re and the leakage
 
 
@@ -106,19 +113,23 @@ def _column(exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def _window(two_jmax: int, parity: int) -> _Window:
     """One window's _Window: every array read-only, the list never mutated.
 
-    An entry of the widest window, 601 slots, holds 7 arrays of 4.9 KB,
-    the 2j list (22 KB) and the JSON text (22 KB): 78 KB in all
-    (sys.getsizeof), so the 32 entries stay within 2.5 MB.
+    An entry of the widest window, 601 slots, holds 8 arrays of 4.9 KB,
+    the 2j list (22 KB) and the JSON text (22 KB): 83 KB in all
+    (sys.getsizeof), so the 32 entries stay within 2.7 MB.
     """
     two_j = np.arange(_lowest_two_j(two_jmax, parity), two_jmax + 1, 2)
     j = two_j / 2.0
+    gauss = 0.5 * j * j
     n_band = -j + N_CONST
-    two_j.flags.writeable = j.flags.writeable = n_band.flags.writeable = False
+    for column in (two_j, j, gauss, n_band):
+        column.flags.writeable = False
     keys = two_j.tolist()
     sector = (Sector.BOSON, Sector.FERMION)[parity].value
     slots = ", ".join([_JSON_SLOT % key for key in keys])
     json_text = '{"coeffs": [' + slots + _JSON_TAIL % (sector, two_jmax)
-    return _Window(two_j, j, keys, _column(-j - 0.5), _column(-j + 0.5), n_band, json_text)
+    x, xdag = _column(-j - 0.5), _column(-j + 0.5)
+    n_top = float(np.abs(n_band).max())
+    return _Window(two_j, j, float(j[-1]), gauss, keys, x, xdag, n_band, n_top, json_text)
 
 
 # Largest window.  Dense window matrices grow as two_jmax^2 and their
@@ -249,9 +260,14 @@ def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float
     """
     if not 0.0 <= leakage < math.inf:
         raise DomainError(_LEAKAGE_MESSAGE.format(value=leakage))
-    coeffs.flags.writeable = False
+    coeffs.setflags(write=False)
     state = object.__new__(StateVector)
-    vars(state).update(sector=sector, trunc=trunc, coeffs=coeffs, leakage=leakage)
+    # item by item into the instance dict, the cheapest write past the frozen __setattr__
+    fields = state.__dict__
+    fields["sector"] = sector
+    fields["trunc"] = trunc
+    fields["coeffs"] = coeffs
+    fields["leakage"] = leakage
     return state
 
 
@@ -296,8 +312,20 @@ def _shift(coeffs: np.ndarray, offset: int) -> tuple[np.ndarray, float]:
     return out, float(abs(edge))
 
 
-def _product(coeffs: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """coeffs * column, typed as StateVector types it where a product passes the range."""
+# Moduli whose product stays below this leave every part of a complex product finite,
+# with a factor 2 to spare for the rounding of each part
+_PRODUCT_LIMIT = 2.0**1022
+
+
+def _product(coeffs: np.ndarray, column: np.ndarray, top: float) -> np.ndarray:
+    """coeffs * column, typed as StateVector types it where a product passes the range.
+
+    top bounds |column|.  Where max|coeffs| * top <= _PRODUCT_LIMIT the product
+    is finite as it stands; any other state (a modulus np.abs reads as inf
+    included) is multiplied under np.errstate and checked entry by entry.
+    """
+    if float(_amax(np.abs(coeffs), None, initial=0.0)) * top <= _PRODUCT_LIMIT:
+        return coeffs * column
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the range is not finite
         out = coeffs * column
     _require_finite(out)
@@ -323,8 +351,10 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
             c = _exp_column(window.x, _X_OVERFLOW, c)
         elif kind == "Xdag":
             c = _exp_column(window.xdag, _XDAG_OVERFLOW, c)
+        elif kind == "J":
+            c = _product(c, window.j, window.j_top)
         else:
-            c = _product(c, window.j if kind == "J" else window.n_band)
+            c = _product(c, window.n_band, window.n_top)
     dropped = 0.0
     if offset:
         c, dropped = _shift(c, offset)
@@ -363,7 +393,7 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
     RangeOverflowError where the sum leaves the floating-point range.
     """
-    if a.sector is not b.sector or a.trunc != b.trunc:
+    if a.sector is not b.sector or (a.trunc is not b.trunc and a.trunc != b.trunc):
         raise DomainError("inner product requires matching sector and window")
     value = complex(np.vdot(a.coeffs, b.coeffs))
     if not cmath.isfinite(value):

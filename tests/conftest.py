@@ -11,8 +11,9 @@ from circle_cs import hilbert
 def no_window(monkeypatch):
     """Make building any window fail the test, so a cap is checked before allocation.
 
-    hilbert._window builds every constant of a window, the operator columns
-    and the JSON text too, up to 78 KB an entry at the widest window.
+    hilbert._window builds every constant of a window, the operator columns,
+    the Gaussian column and the JSON text too: up to 83 KB an entry at the
+    widest window, and at most 32 entries, 2.7 MB.
     """
 
     def refuse(*args):

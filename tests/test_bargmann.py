@@ -322,9 +322,9 @@ def test_covariant_symbol_refuses_a_wide_matrix_before_copying_it():
 
 def test_covariant_symbol_window_parity():
     # boson windows have odd size; an even matrix cannot be boson
-    with pytest.raises(ParityError):
+    with pytest.raises(ParityError, match="^boson windows have odd size, got 4$"):
         covariant_symbol(np.eye(4), PhasePoint(0, 0), Sector.BOSON)
-    with pytest.raises(ParityError):
+    with pytest.raises(ParityError, match="^fermion windows have even size, got 5$"):
         covariant_symbol(np.eye(5), PhasePoint(0, 0), Sector.FERMION)
     with pytest.raises(DomainError):
         covariant_symbol(np.ones((3, 4)), PhasePoint(0, 0), Sector.BOSON)

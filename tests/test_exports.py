@@ -13,6 +13,9 @@ import io
 import pathlib
 import tokenize
 
+import numpy as np
+import pytest
+
 import circle_cs
 
 LAYERS = ("errors", "theta", "hilbert", "coherent", "bargmann")
@@ -269,3 +272,56 @@ def test_the_series_control_is_named_in_theta_alone():
     )
     assert takers == []
     assert _readers("SeriesControl") == []
+
+
+# uncertainty_QP's spreads and bound are the same in both sectors, so it never reads its sector
+SECTOR_BLIND = {"uncertainty_QP"}
+
+SECTOR_TAKERS = sorted(
+    name
+    for name in circle_cs.__all__
+    if callable(value := getattr(circle_cs, name))
+    and not (inspect.isclass(value) and issubclass(value, BaseException))
+    and "sector" in inspect.signature(value).parameters
+)
+
+
+def _arguments(function, sector) -> dict:
+    """Arguments for every parameter without a default, by name or annotation, and the sector."""
+    trunc = circle_cs.Truncation(40)  # 41 boson slots, enough for a coherent state at l = 0.3
+    values = {
+        "coeffs": np.ones(41),
+        "PhasePoint": circle_cs.PhasePoint(0.3, 0.7),
+        "Truncation": trunc,
+        "float": 0.0,
+        "float | np.ndarray": 0.3,
+        "str": "J",
+        "np.ndarray": circle_cs.operator_matrix("U", circle_cs.Sector.BOSON, trunc),
+        "StateVector": circle_cs.basis_state(circle_cs.Sector.BOSON, 1.0, trunc),
+        "Quadrature": circle_cs.Quadrature(8, 8),
+    }
+    arguments = {}
+    for x in inspect.signature(function).parameters.values():
+        if x.name == "sector":
+            arguments[x.name] = sector
+        elif x.default is inspect.Parameter.empty:
+            arguments[x.name] = values.get(x.name, values.get(x.annotation))
+    return arguments
+
+
+@pytest.mark.parametrize("name", SECTOR_TAKERS)
+def test_a_sector_parameter_takes_a_sector_alone(name):
+    # a sector's name, a parity or None is not a Sector: each call reads
+    # sector.parity, so a stand-in raises at once and never picks a lattice
+    function = getattr(circle_cs, name)
+    value = function(**_arguments(function, circle_cs.Sector.BOSON))
+    for standin in ("boson", "fermion", 0, 1, None):
+        if name in SECTOR_BLIND:
+            assert repr(function(**_arguments(function, standin))) == repr(value)
+            continue
+        with pytest.raises(AttributeError, match="parity"):
+            function(**_arguments(function, standin))
+
+
+def test_every_sector_taker_is_found():
+    assert len(SECTOR_TAKERS) == 16 and SECTOR_BLIND < set(SECTOR_TAKERS)

@@ -660,6 +660,54 @@ def test_a_library_state_past_the_double_range_is_typed(make, error, message):
         make()
 
 
+def _products(kind, sector, trunc):
+    """(the call, its column as the caller forms it, the column's largest modulus)."""
+    window = hilbert._window(trunc.two_jmax, sector.parity)
+    j, t, omega = window.j, 0.7, 1.3
+    return {
+        "J": (lambda s: apply_operator("J", s), window.j, window.j_top),
+        "N": (lambda s: apply_operator("N", s), window.n_band, window.n_top),
+        "FreeRotor": (lambda s: evolve(s, FreeRotor(), t), np.exp(-0.5j * t * j * j), 1.0),
+        "Linear": (lambda s: evolve(s, Linear(omega), t), np.exp(-1j * t * omega * j), 1.0),
+    }[kind]
+
+
+@pytest.mark.parametrize("sector", list(Sector), ids=lambda sector: sector.value)
+@pytest.mark.parametrize("kind", ["J", "N", "FreeRotor", "Linear"])
+def test_a_product_gives_its_bits_or_the_finite_error_either_side_of_its_bound(kind, sector):
+    # _product skips np.errstate and the finite check where max|c| * top <= 2**1022:
+    # moduli a few ulps either side of that edge, up to where the product passes the
+    # range, and a 1.7e308 (1 + i) whose np.abs is inf, in every slot, give the bits
+    # of c * column where those are finite and DomainError where they are not
+    trunc = Truncation(12)
+    make, column, top = _products(kind, sector, trunc)
+    # a computed unit phase can pass 1 by an ulp, which the bound's factor 2 absorbs
+    assert top <= float(np.abs(column).max()) <= top * (1.0 + 2.0**-50)
+    edge = 2.0**1022 / top
+    # and 2**1022 itself, which passes the range times any top above 4 unless the bound sees top
+    moduli = [edge * (1.0 + k * 2.0**-52) for k in range(-4, 5)] + [2.0 * edge, 2.0**1022, 1.7e308]
+    rng = np.random.default_rng(38)
+    outcomes = set()
+    for slot in range(column.size):
+        for value in [*moduli, 1.7e308 * (1 + 1j)]:
+            c = rng.normal(size=column.size) + 1j * rng.normal(size=column.size)
+            c[slot] = value
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = c * column
+            state = StateVector(sector, trunc, c, 0.25)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if np.isfinite(want).all():
+                    got = make(state)
+                    assert got.coeffs.tobytes() == want.tobytes() and got.leakage == 0.25
+                    outcomes.add("finite")
+                else:
+                    with pytest.raises(DomainError, match="^state coefficients must be finite$"):
+                        make(state)
+                    outcomes.add("past the range")
+    assert outcomes == {"finite", "past the range"}
+
+
 def test_the_norm_of_a_state_past_the_square_range_is_finite():
     # each |c_j|^2 passes the double range, the norm does not
     state = _top(Sector.BOSON, 1e200)

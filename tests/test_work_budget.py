@@ -1,17 +1,22 @@
-"""Counts, not clocks: the work a default battery and the seeded scans do, pinned.
+"""Counts, not clocks: the work a default battery, the seeded scans and a states batch do, pinned.
 
 One fresh interpreter, so every cache starts cold, runs the default
-verify battery and then one 101-point scan over l in [-20, 20] per
-observable and sector.  Each count is taken from outside, by wrapping a
-name wherever a circle_cs module binds it:
+verify battery, then one 101-point scan over l in [-20, 20] per
+observable and sector, then one batch of 16 seeded coherent-state
+pipelines (tests/test_state_pipelines.py's first 16).  Each count is
+taken from outside, by wrapping a name wherever a circle_cs module
+binds it:
 
 - lattice_sum_calls, lattice_sum_elements and lattice_sum_pair_elements:
   theta._lattice_sum calls, the points they sum, and the sum over calls
   of the term pairs (theta._pair_count on the call's arguments) times
   the points;
 - exp_calls: theta._exp calls, from any layer;
-- states: StateVectors made through hilbert._adopt;
-- gram_misses: bargmann._gram cache misses.
+- states: StateVectors made through hilbert._adopt, and public_states
+  those made through StateVector(...) (its __post_init__);
+- errstate_entries: np.errstate calls;
+- gram_misses and window_misses: bargmann._gram and hilbert._window
+  cache misses.
 
 A change that moves a count rewrites tests/data/work_budget.json
 (PYTHONPATH=src python tests/test_work_budget.py) and says why.
@@ -30,13 +35,15 @@ COUNT_WORK = """
 import contextlib, importlib, io, json, sys
 import numpy as np
 from circle_cs import cli, verify  # verify now, so that its bindings are wrapped too
+sys.path.insert(0, TESTS)
+import test_state_pipelines as pipelines
 # import_module, because the package binds the name theta to the function
 bargmann, hilbert, theta = (
     importlib.import_module(f"circle_cs.{name}") for name in ("bargmann", "hilbert", "theta")
 )
 counts = dict.fromkeys(
     ("lattice_sum_calls", "lattice_sum_elements", "lattice_sum_pair_elements", "exp_calls",
-     "states"), 0)
+     "states", "public_states", "errstate_entries"), 0)
 
 def wrap(owner, name, count):
     original = getattr(owner, name)
@@ -63,27 +70,46 @@ def tally(key):
 wrap(theta, "_lattice_sum", lattice_sum)
 wrap(theta, "_exp", tally("exp_calls"))
 wrap(hilbert, "_adopt", tally("states"))
-commands = {"verify default battery": ["verify"]}
+post_init = hilbert.StateVector.__post_init__
+def counted_post_init(self):
+    counts["public_states"] += 1
+    post_init(self)
+hilbert.StateVector.__post_init__ = counted_post_init
+errstate = np.errstate
+def counted_errstate(*args, **kwargs):
+    counts["errstate_entries"] += 1
+    return errstate(*args, **kwargs)
+np.errstate = counted_errstate
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) in (0, 1), argv  # 1: a check of the battery fails
+
+work = {"verify default battery": lambda: run(["verify"])}
 for obs in ("J", "U"):
     for sector in ("boson", "fermion"):
-        commands[f"scan {obs} {sector}"] = [
+        argv = [
             "scan", "--obs", obs, "--l-min", "-20", "--l-max", "20", "--n", "101",
             "--sector", sector, "--out", "-",
         ]
+        work[f"scan {obs} {sector}"] = lambda argv=argv: run(argv)
+work["states batch of 16"] = lambda: [pipelines._digest(pipelines._spec(i)) for i in range(16)]
 budget = {}
-for label, argv in commands.items():
+for label, do in work.items():
     for key in counts:
         counts[key] = 0
-    misses = bargmann._gram.cache_info().misses
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) in (0, 1), argv  # 1: a check of the battery fails
-    budget[label] = {**counts, "gram_misses": bargmann._gram.cache_info().misses - misses}
+    caches = (bargmann._gram, hilbert._window)
+    misses = [cache.cache_info().misses for cache in caches]
+    do()
+    gram, window = (cache.cache_info().misses - m for cache, m in zip(caches, misses))
+    budget[label] = {**counts, "gram_misses": gram, "window_misses": window}
 print(json.dumps(budget, indent=1))
 """
 
 
 def _count_work() -> dict:
-    res = subprocess.run([sys.executable, "-c", COUNT_WORK], capture_output=True, text=True)
+    code = f"TESTS = {str(BUDGET.parent.parent)!r}\n" + COUNT_WORK
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0 and res.stderr == "", res.stderr
     return json.loads(res.stdout)
 
