@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DomainError, RangeOverflowError, TruncationError
 from .hilbert import Sector, StateVector, Truncation, _adopt, _product, _window
 from .theta import (
+    _SLACK,
     ThetaArg,
     _amax,
     _exp,
@@ -209,18 +210,23 @@ def coherent_state(p: PhasePoint, sector: Sector, trunc: Truncation) -> StateVec
             f"two_jmax = {trunc.two_jmax} too small for l = {p.l}: "
             f"tails exceed {_WINDOW_TOL} (need two_jmax >= {needed})"
         )
-    return _adopt(sector, trunc, _coherent_coeffs(p, sector, trunc), 0.0)
+    c, bound = _coherent_coeffs(p, sector, trunc)
+    return _adopt(sector, trunc, c, 0.0, bound)
 
 
-def _coherent_coeffs(p: PhasePoint, sector: Sector, trunc: Truncation) -> np.ndarray:
-    """c_j = exp(j*(l - i*phi) - j^2/2) over the sector's window, unnormalized.
+def _coherent_coeffs(p: PhasePoint, sector: Sector, trunc: Truncation):
+    """(c, B): c_j = exp(j*(l - i*phi) - j^2/2) over the sector's window, unnormalized.
 
+    B = e^(l^2/2) * _SLACK bounds every |c_j|, since lj - j^2/2 <= l^2/2,
+    and e^709 * _SLACK past that, where _exp has held every |c_j| to e^700.
     RangeOverflowError where a coefficient passes e^700, from |l| of
     about 37.42 on; j*l must be finite.
     """
     window = _window(trunc.two_jmax, sector.parity)
     message = "coherent coefficients overflow: the largest is exp({peak:.3g})"
-    return _exp(window.j * complex(p.l, -p.phi) - window.gauss, message)
+    c = _exp(window.j * complex(p.l, -p.phi) - window.gauss, message)
+    half_sq = 0.5 * p.l * p.l
+    return c, math.exp(half_sq if half_sq < 709.0 else 709.0) * _SLACK
 
 
 def overlap_closed(p1: PhasePoint, p2: PhasePoint, sector: Sector) -> complex | np.ndarray:
@@ -382,8 +388,8 @@ def evolve(state: StateVector, hamiltonian, t: float) -> StateVector:
         phases = np.exp(-1j * t * hamiltonian.omega * j)
     else:
         raise DomainError(f"unsupported hamiltonian {hamiltonian!r}")
-    coeffs = _product(state.coeffs, phases, 1.0)  # unit phases
-    return _adopt(state.sector, state.trunc, coeffs, state.leakage)
+    coeffs, bound = _product(state.coeffs, phases, 1.0, state._bound)  # unit phases
+    return _adopt(state.sector, state.trunc, coeffs, state.leakage, bound)
 
 
 def _require_finite_phase(t: float, edge_phase: float, j_edge: float) -> None:

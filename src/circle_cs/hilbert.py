@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError, WindowError
-from .theta import _amax, _exp, _exp_column, _integer, _number
+from .theta import _SLACK, _exp, _exp_column, _integer, _modulus, _number
 
 __all__ = [
     "Sector",
@@ -91,7 +91,7 @@ class _Window(NamedTuple):
     j_top: float  # the largest |j|, which bounds _product's J column
     gauss: np.ndarray  # 0.5 * j * j, the Gaussian of the coherent coefficients
     keys: list[int]  # 2j as a list, which state_from_json compares a document's keys against
-    x: tuple  # (exponent, e^exponent, largest exponent) for theta._exp_column: X's, -j - 1/2
+    x: tuple  # (exponent, e^exponent, their largest) for theta._exp_column: X's, -j - 1/2
     xdag: tuple  # and Xdag's, -j + 1/2
     n_band: np.ndarray  # -j + N_CONST
     n_top: float  # its largest modulus
@@ -103,10 +103,10 @@ _JSON_SLOT = '{"im": %%r, "re": %%r, "two_j": %d}'
 _JSON_TAIL = '], "leakage": %%r, "sector": "%s", "two_jmax": %d}'
 
 
-def _column(exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _column(exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     weight = np.exp(exponent)
     exponent.flags.writeable = weight.flags.writeable = False
-    return exponent, weight, float(exponent.max())
+    return exponent, weight, float(exponent.max()), float(weight.max())
 
 
 @functools.lru_cache(maxsize=32)
@@ -191,6 +191,13 @@ class StateVector:
 
     leakage accumulates the magnitude (sum of |c_j|) dropped off the
     window by shift operators applied anywhere in the state's history.
+
+    Every state also holds _bound, not a field: an upper bound B on
+    max|c_j| as np.abs reads it, which the overflow guards of the
+    operations read in place of a scan of the coefficients.  A state the
+    library builds carries the bound its producer passed to _adopt; one
+    built here, or read by state_from_json, takes the exact max|c_j| when
+    an operation first reads it.
     """
 
     sector: Sector
@@ -206,6 +213,10 @@ class StateVector:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "leakage", _leakage(self.leakage))
+
+    @functools.cached_property
+    def _bound(self) -> float:
+        return _modulus(self.coeffs)
 
     def two_j_values(self) -> np.ndarray:
         return self.trunc.two_j_values(self.sector)
@@ -243,7 +254,9 @@ def _require_finite(coeffs: np.ndarray) -> None:
         raise DomainError(_COEFFS_MESSAGE)
 
 
-def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float) -> StateVector:
+def _adopt(
+    sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float, bound: float | None
+) -> StateVector:
     """A StateVector around the library's own result; only the leakage is checked here.
 
     coeffs is frozen in place, not copied: a complex128 array of the window's
@@ -257,6 +270,15 @@ def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float
     which passes _exp's first test or hands the state to _exp: either
     bounds every modulus by e^700, on the log-space path too; basis_state
     writes 0 and 1; state_from_json checks what it read.
+
+    bound is the state's _bound: B >= max|c_j| as np.abs reads it (inf
+    allowed), carried from the input by one scalar update.  basis_state
+    gives 1 and coherent_state e^(l^2/2) (max_j lj - j^2/2 <= l^2/2);
+    U, Udag and time reversal keep B; X and Xdag multiply it by their
+    column's largest weight, J and N by the window's j_top and n_top,
+    exp_j by e^(|Re eta| j_max) and evolve by 1, each product by
+    theta._SLACK, which covers its rounding.  None (state_from_json)
+    leaves the exact max|c_j| to the first operation that reads it.
     """
     if not 0.0 <= leakage < math.inf:
         raise DomainError(_LEAKAGE_MESSAGE.format(value=leakage))
@@ -268,6 +290,8 @@ def _adopt(sector: Sector, trunc: Truncation, coeffs: np.ndarray, leakage: float
     fields["trunc"] = trunc
     fields["coeffs"] = coeffs
     fields["leakage"] = leakage
+    if bound is not None:
+        fields["_bound"] = bound
     return state
 
 
@@ -281,7 +305,7 @@ def basis_state(sector: Sector, j: float, trunc: Truncation) -> StateVector:
     idx = trunc.index_of(sector, two_j)
     coeffs = np.zeros(trunc.size(sector), dtype=np.complex128)
     coeffs[idx] = 1.0
-    return _adopt(sector, trunc, coeffs, 0.0)
+    return _adopt(sector, trunc, coeffs, 0.0, 1.0)
 
 
 # _exp's message, after the operator's name
@@ -317,19 +341,23 @@ def _shift(coeffs: np.ndarray, offset: int) -> tuple[np.ndarray, float]:
 _PRODUCT_LIMIT = 2.0**1022
 
 
-def _product(coeffs: np.ndarray, column: np.ndarray, top: float) -> np.ndarray:
-    """coeffs * column, typed as StateVector types it where a product passes the range.
+def _product(coeffs: np.ndarray, column: np.ndarray, top: float, bound: float):
+    """(coeffs * column, a bound on its largest modulus), typed as StateVector types it.
 
-    top bounds |column|.  Where max|coeffs| * top <= _PRODUCT_LIMIT the product
-    is finite as it stands; any other state (a modulus np.abs reads as inf
-    included) is multiplied under np.errstate and checked entry by entry.
+    top bounds |column| and bound max|coeffs|.  Where bound * top <=
+    _PRODUCT_LIMIT, or failing that max|coeffs| * top, the product is
+    finite as it stands, and bound * top * _SLACK bounds it; any other
+    state (a modulus np.abs reads as inf included) is multiplied under
+    np.errstate and checked entry by entry, and its product's bound is exact.
     """
-    if float(_amax(np.abs(coeffs), None, initial=0.0)) * top <= _PRODUCT_LIMIT:
-        return coeffs * column
-    with np.errstate(over="ignore", invalid="ignore"):  # a product past the range is not finite
-        out = coeffs * column
-    _require_finite(out)
-    return out
+    if not bound * top <= _PRODUCT_LIMIT:  # the carried bound fails: the exact one decides
+        bound = _modulus(coeffs)
+        if not bound * top <= _PRODUCT_LIMIT:
+            with np.errstate(over="ignore", invalid="ignore"):  # past the range is not finite
+                out = coeffs * column
+            _require_finite(out)
+            return out, _modulus(out)
+    return coeffs * column, bound * top * _SLACK
 
 
 def apply_operator(kind: str, s: StateVector) -> StateVector:
@@ -344,21 +372,21 @@ def apply_operator(kind: str, s: StateVector) -> StateVector:
     e^700, as theta._exp does.
     """
     offset = _band_offset(kind)
-    c = s.coeffs
+    c, bound = s.coeffs, s._bound
     if kind != "U" and kind != "Udag":  # the weighted kinds read the window's columns
         window = _window(s.trunc.two_jmax, s.sector.parity)
         if kind == "X":
-            c = _exp_column(window.x, _X_OVERFLOW, c)
+            c, bound = _exp_column(window.x, _X_OVERFLOW, c, bound)
         elif kind == "Xdag":
-            c = _exp_column(window.xdag, _XDAG_OVERFLOW, c)
+            c, bound = _exp_column(window.xdag, _XDAG_OVERFLOW, c, bound)
         elif kind == "J":
-            c = _product(c, window.j, window.j_top)
+            c, bound = _product(c, window.j, window.j_top, bound)
         else:
-            c = _product(c, window.n_band, window.n_top)
+            c, bound = _product(c, window.n_band, window.n_top, bound)
     dropped = 0.0
     if offset:
         c, dropped = _shift(c, offset)
-    return _adopt(s.sector, s.trunc, c, s.leakage + dropped)
+    return _adopt(s.sector, s.trunc, c, s.leakage + dropped, bound)
 
 
 def apply_exp_j(s: StateVector, eta: complex) -> StateVector:
@@ -374,18 +402,23 @@ def apply_exp_j(s: StateVector, eta: complex) -> StateVector:
     j = s.j_values()
     # checked with scalar math, so _exp sees finite exponents
     checked = _number(eta, complex, "eta must be finite, got {value!r}", arrays=False)
-    if not cmath.isfinite(checked * float(j[-1])):
+    edge = checked * float(j[-1])
+    if not cmath.isfinite(edge):
         raise RangeOverflowError(
             f"exp_j with eta = {eta!r} leaves the floating-point range at |j| = {j[-1]}"
         )
-    out = _exp(np.asarray(eta) * j, "exp_j" + _COEFF_OVERFLOW, s.coeffs)
+    bound = s._bound
+    out = _exp(np.asarray(eta) * j, "exp_j" + _COEFF_OVERFLOW, s.coeffs, bound=bound)
+    # every |e^(eta j)| <= e^(|Re eta| j_max); past e^709 the bound is left to a scan
+    reach = abs(edge.real)
+    bound = bound * math.exp(reach) * _SLACK if reach < 709.0 else math.inf
     # a long double eta gives a wider product, rounded as StateVector rounds it
-    return _adopt(s.sector, s.trunc, out.astype(np.complex128, copy=False), s.leakage)
+    return _adopt(s.sector, s.trunc, out.astype(np.complex128, copy=False), s.leakage, bound)
 
 
 def apply_time_reversal(s: StateVector) -> StateVector:
     """Antiunitary time reversal: c_j -> conj(c_{-j})."""
-    return _adopt(s.sector, s.trunc, np.conj(s.coeffs[::-1]), s.leakage)
+    return _adopt(s.sector, s.trunc, np.conj(s.coeffs[::-1]), s.leakage, s._bound)
 
 
 def inner(a: StateVector, b: StateVector) -> complex:
@@ -470,4 +503,4 @@ def state_from_json(text: str) -> StateVector:
         for key, value in zip(keys, values):
             coeffs[trunc.index_of(sector, key)] = value
     _require_finite(coeffs)
-    return _adopt(sector, trunc, coeffs, _leakage(leakage))
+    return _adopt(sector, trunc, coeffs, _leakage(leakage), None)

@@ -43,6 +43,22 @@ _LN2 = math.log(2.0)
 # _amax(a, None, initial=x) is a.max(initial=x) without numpy's Python-level wrapper
 _amax = np.maximum.reduce
 
+# A bound B >= max|c_j| that a state carries (hilbert._adopt) grows by this factor with
+# each product that forms it: 2^17 u (u = 2^-53), where one complex product rounds by
+# at most sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).  The rest
+# covers np.abs's own rounding and an exponent up to 709 rounded (709 u relative).
+_SLACK = 1.0 + 2.0**-36
+
+
+def _modulus(a) -> float:
+    """max |a| as np.abs reads it, 0 for no entry: the exact scan behind every failed bound."""
+    return float(_amax(np.abs(a), None, initial=0.0))
+
+
+def _log_peak(top: float, size: float) -> float:
+    """top + log(size), the largest log-magnitude of a scale of modulus size times e^top; -inf at 0."""
+    return -math.inf if size == 0.0 else top + math.log(size)
+
 # Python and NumPy numbers, which _number checks with cmath.isfinite
 _SCALARS = (complex, float, int, np.number)
 # the dtype kinds _number converts: bool, integers, reals, Python objects, complex
@@ -130,7 +146,7 @@ _SERIES_TOL = 1e-14
 _MAX_PAIRS = 200
 
 
-def _exp(exponent, message: str, scale=None, unit=1.0):
+def _exp(exponent, message: str, scale=None, unit=1.0, bound=math.inf):
     """scale * np.exp(exponent) elementwise, or np.exp(exponent): the package's one overflow check.
 
     RangeOverflowError(message.format(peak=...)) where the result's largest
@@ -141,19 +157,21 @@ def _exp(exponent, message: str, scale=None, unit=1.0):
     overflows alone: 0 where its scale is 0, log space elsewhere.  A
     complex scale whose modulus alone passes the range counts at its true
     log-magnitude (_unwiden).  A scalar exponent gives the bits of its
-    one-element array.
+    one-element array.  bound >= max|scale| (a state's carried bound) is
+    tried first; where it fails, the exact max|scale| decides, so the
+    bound moves no value, message or exception.
     """
     real = exponent.real
     top = float(_amax(real, None, initial=-math.inf) if isinstance(real, np.ndarray) else real)
     peak = top
     if scale is not None:
-        size = np.abs(scale)
-        largest = float(_amax(size, None, initial=0.0))
-        peak = -math.inf if largest == 0.0 else top + math.log(largest)
-        if not peak <= _EXP_LIMIT:  # that bound fails: the exact peak
-            real, _, size = _unwiden(real, scale)
-            log_size = np.log(size, out=np.full(size.shape, -math.inf), where=size > 0.0)
-            peak = float(_amax(real + log_size, None, initial=-math.inf))
+        peak = _log_peak(top, bound)
+        if not peak <= _EXP_LIMIT:  # the carried bound fails (or there is none): the exact one
+            peak = _log_peak(top, _modulus(scale))
+            if not peak <= _EXP_LIMIT:  # that bound fails: the exact peak
+                real, _, size = _unwiden(real, scale)
+                log_size = np.log(size, out=np.full(size.shape, -math.inf), where=size > 0.0)
+                peak = float(_amax(real + log_size, None, initial=-math.inf))
     if not peak <= _EXP_LIMIT:
         if math.isinf(unit * peak) and not math.isinf(peak):
             scaled = f"; the exponent shown is 1/{unit:g} of the true one"
@@ -168,20 +186,26 @@ def _exp(exponent, message: str, scale=None, unit=1.0):
     return value
 
 
-def _exp_column(column, message: str, scale):
-    """_exp(exponent, message, scale), column = (exponent, np.exp(exponent), its largest Re, top).
+def _exp_column(column, message: str, scale, bound: float):
+    """(_exp(exponent, message, scale), a bound on its largest modulus).
 
-    A column built once for many scales: where _exp's first test passes,
-    top <= _EXP_LIMIT and top + log(max|scale|) <= _EXP_LIMIT (or scale
-    is 0), its product with the stored exponentials has the bits _exp
-    gives; every other scale goes to _exp unchanged, for its exact peak,
-    its message or its log-space value.
+    column = (exponent, np.exp(exponent), its largest Re top, the largest
+    weight), built once for many scales, and bound >= max|scale|.  Where
+    _exp's first test passes, top <= _EXP_LIMIT and top + log(bound) <=
+    _EXP_LIMIT, or failing that the same with the exact max|scale|, the
+    product with the stored exponentials has the bits _exp gives, and its
+    bound is the scale's times the largest weight; every other scale goes
+    to _exp unchanged, for its exact peak, its message or its log-space
+    value, and its result's exact largest modulus.
     """
-    exponent, weight, top = column
-    largest = float(_amax(np.abs(scale), None, initial=0.0))
-    if top <= _EXP_LIMIT and (largest == 0.0 or top + math.log(largest) <= _EXP_LIMIT):
-        return scale * weight
-    return _exp(exponent, message, scale)
+    exponent, weight, top, weight_top = column
+    if top <= _EXP_LIMIT:
+        if not _log_peak(top, bound) <= _EXP_LIMIT:  # the carried bound fails: the exact one
+            bound = _modulus(scale)
+        if _log_peak(top, bound) <= _EXP_LIMIT:
+            return scale * weight, bound * weight_top * _SLACK
+    out = _exp(exponent, message, scale)
+    return out, _modulus(out)
 
 
 def _unwiden(exponent, scale):

@@ -5,15 +5,21 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import pathlib
 import re
+import tempfile
 import warnings
 from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from circle_cs import hilbert
+from circle_cs.bargmann import evaluate
 from circle_cs.coherent import (
     FreeRotor,
     Linear,
@@ -23,6 +29,7 @@ from circle_cs.coherent import (
     required_two_jmax,
 )
 from circle_cs.errors import (
+    CircleError,
     DomainError,
     ParityError,
     RangeOverflowError,
@@ -44,6 +51,10 @@ from circle_cs.hilbert import (
     state_from_json,
     state_to_json,
 )
+from circle_cs.theta import _modulus
+
+# as in test_properties: keep hypothesis's constant cache out of the checkout
+set_hypothesis_home_dir(pathlib.Path(tempfile.gettempdir()) / "circle-cs-hypothesis")
 
 TR = Truncation(10)
 # the package binds the name `theta` to the function of that name
@@ -706,6 +717,129 @@ def test_a_product_gives_its_bits_or_the_finite_error_either_side_of_its_bound(k
                         make(state)
                     outcomes.add("past the range")
     assert outcomes == {"finite", "past the range"}
+
+
+# each producer of a state from a state, with a drawn complex number x
+_STEPS = {
+    **{kind: lambda s, x, kind=kind: apply_operator(kind, s) for kind in OPERATOR_KINDS},
+    "exp_j": lambda s, x: apply_exp_j(s, x),
+    "time_reversal": lambda s, x: apply_time_reversal(s),
+    "FreeRotor": lambda s, x: evolve(s, FreeRotor(), x.imag),
+    "Linear": lambda s, x: evolve(s, Linear(1.3), x.real),
+    "json": lambda s, x: state_from_json(state_to_json(s)),
+}
+
+
+@st.composite
+def _first_states(draw):
+    """A state from basis_state, coherent_state or StateVector(...): moderate
+    entries, one entry alone (its bound then meets it, which shows an ulp of
+    rounding past it), a wide 1.7e308 (1 + i), or a modulus within ulps of
+    2**1022 / top for the top of J, N or evolve's unit phases."""
+    sector = draw(st.sampled_from(list(Sector)))
+    trunc = Truncation(draw(st.integers(2, 12)))
+    size = trunc.size(sector)
+    # a lone entry most often: there an ulp of rounding shows
+    how = draw(st.sampled_from(["basis", "coherent", "moderate", "wide", "edge", *["alone"] * 3]))
+    # full-mantissa values, whose products round
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if how == "basis":
+        return basis_state(sector, draw(st.sampled_from(trunc.j_values(sector).tolist())), trunc)
+    if how == "coherent":
+        # at l on the sector's lattice the largest |c_j| meets e^(l^2/2) but for rounding
+        on_lattice = draw(st.integers(-37, 36)) + 0.5 * sector.parity
+        l = draw(st.sampled_from([on_lattice, float(rng.uniform(-37.0, 37.0))]))
+        trunc = Truncation(min(required_two_jmax(l), MAX_TWO_JMAX))
+        return coherent_state(PhasePoint(l, rng.uniform(0.0, 2.0 * math.pi)), sector, trunc)
+    c = rng.normal(size=size) + 1j * rng.normal(size=size)
+    slot = draw(st.integers(0, size - 1))
+    if how == "alone":  # at an end, where each column has its largest modulus
+        c[:] = 0.0
+        c[draw(st.sampled_from([0, size - 1]))] = complex(*rng.normal(size=2))
+    elif how == "wide":
+        c[slot] = 1.7e308 * (1 + 1j)
+    elif how == "edge":
+        window = hilbert._window(trunc.two_jmax, sector.parity)
+        top = draw(st.sampled_from([window.j_top, window.n_top, 1.0]))
+        unit = draw(st.sampled_from([1.0, -1j, (1 + 1j) * math.sqrt(0.5)]))
+        c[slot] = unit * 2.0**1022 / top * (1.0 + draw(st.integers(-4, 4)) * 2.0**-52)
+    return StateVector(sector, trunc, c)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    first=_first_states(),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(_STEPS)),
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_every_state_carries_a_bound_on_its_largest_modulus(first, steps):
+    # B >= max|c_j| as np.abs reads it, for what every producer makes of each state
+    # of a drawn chain; a library state carries B, a JSON one scans it on first use
+    assert first._bound >= float(np.abs(first.coeffs).max())
+    s = first
+    for name, x in steps:
+        made = {}
+        for step, make in _STEPS.items():
+            try:
+                made[step] = make(s, x)
+            except CircleError:
+                continue
+            assert ("_bound" in vars(made[step])) is (step != "json")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert made[step]._bound >= float(np.abs(made[step].coeffs).max()), step
+        s = made.get(name, s)
+
+
+def _outcome(make, state):
+    """The coefficient bytes and leakage of make(state), or its error's type and message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = make(state)
+        except CircleError as error:
+            return type(error), str(error)
+    if isinstance(out, StateVector):
+        return out.coeffs.tobytes(), out.leakage
+    return repr(out)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda s, kind=kind: apply_operator(kind, s) for kind in OPERATOR_KINDS),
+        lambda s: apply_exp_j(s, 0.75 - 0.5j),
+        lambda s: evolve(s, FreeRotor(), 0.7),
+        lambda s: evolve(s, Linear(1.3), 0.7),
+        lambda s: evaluate(s, PhasePoint(-2.5, 0.3)),
+    ],
+    ids=[*OPERATOR_KINDS, "exp_j", "FreeRotor", "Linear", "evaluate"],
+)
+def test_a_loose_bound_moves_no_bit_and_no_message(make):
+    # a carried bound decides only where it passes; where it fails, the exact max|c|
+    # decides.  So a state whose bound is exact, 2**8 or 2**1000 times too large, or
+    # inf gives the bits or the error of the state StateVector(...) builds, with
+    # moduli either side of the X and Xdag limit e^(700 - 19.5) and of J's 2**1022 / 20
+    trunc = Truncation(40)
+    rng = np.random.default_rng(39)
+    moduli = [1.0, 1.7e308, 1.7e308 * (1 + 1j)]
+    for edge in (math.exp(680.5), 2.0**1022 / 20.0):
+        moduli += [edge * (1.0 + k * 2.0**-44) for k in (-8, 0, 8)]
+    for slot in (0, 20, 40):
+        for value in moduli:
+            c = rng.normal(size=41) + 1j * rng.normal(size=41)
+            c[slot] = value
+            want = _outcome(make, StateVector(Sector.BOSON, trunc, c, 0.25))
+            exact = _modulus(c)
+            for bound in (exact, exact * 2.0**8, exact * 2.0**1000, math.inf):
+                loose = hilbert._adopt(Sector.BOSON, trunc, c.copy(), 0.25, bound)
+                assert _outcome(make, loose) == want
 
 
 def test_the_norm_of_a_state_past_the_square_range_is_finite():

@@ -15,6 +15,9 @@ binds it:
 - states: StateVectors made through hilbert._adopt, and public_states
   those made through StateVector(...) (its __post_init__);
 - errstate_entries: np.errstate calls;
+- modulus_scans: theta._modulus calls, the one exact scan of max|c| that
+  an overflow guard runs where a state's carried bound fails it (and a
+  state built through StateVector(...) takes on its first guarded use);
 - gram_misses and window_misses: bargmann._gram and hilbert._window
   cache misses.
 
@@ -43,7 +46,7 @@ bargmann, hilbert, theta = (
 )
 counts = dict.fromkeys(
     ("lattice_sum_calls", "lattice_sum_elements", "lattice_sum_pair_elements", "exp_calls",
-     "states", "public_states", "errstate_entries"), 0)
+     "states", "public_states", "errstate_entries", "modulus_scans"), 0)
 
 def wrap(owner, name, count):
     original = getattr(owner, name)
@@ -70,6 +73,7 @@ def tally(key):
 wrap(theta, "_lattice_sum", lattice_sum)
 wrap(theta, "_exp", tally("exp_calls"))
 wrap(hilbert, "_adopt", tally("states"))
+wrap(theta, "_modulus", tally("modulus_scans"))
 post_init = hilbert.StateVector.__post_init__
 def counted_post_init(self):
     counts["public_states"] += 1
