@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .bargmann import Quadrature, _factors, _kernel_coeffs, _quadrature_sum
-from .coherent import PhasePoint, _complex, overlap_closed
+from .coherent import PhasePoint, overlap_closed
 from .errors import RangeOverflowError
 from .hilbert import Sector, Truncation
 from .theta import ThetaArg, _pair_count, theta
@@ -95,8 +95,9 @@ def _kernel_identity(p1: PhasePoint, p2: PhasePoint, sector: Sector, quad: Quadr
         pairs = [(PhasePoint(l1, phi1), PhasePoint(l2, phi2)) for l1, phi1, l2, phi2 in coords]
     rhs = []
     for q1, q2 in pairs:
-        k1, k2 = ((sector, *_kernel_coeffs(q, sector, quad)) for q in (q1, q2))
-        rhs.append(_quadrature_sum(quad, k1, k2))
+        two_1, k1 = _kernel_coeffs(q1, sector, quad)
+        two_2, k2 = _kernel_coeffs(q2, sector, quad)
+        rhs.append(_quadrature_sum(quad, sector, two_1, k1, sector, two_2, k2))
     return lhs, (rhs[0] if p1.shape == () else np.array(rhs))
 
 
@@ -114,20 +115,14 @@ def _node_values(quad: Quadrature, sector: Sector, two_jmax: int, coeffs) -> np.
     and on the uniform double-cover nodes e^(i*j*phi_k) =
     e^(2*pi*i*(2j mod n_phi)*k/n_phi) is an exact DFT: the terms
     c_j E_l[:, j] are scattered into their bins in slot order and the
-    angular sum is one inverse FFT per l node.  The scatter is one
-    np.bincount over the flat bin row * n_phi + bin for the real parts and
-    one for the imaginary parts: each adds in input order from 0, as
-    np.add.at(spectrum, (slice(None), bins), terms) does, to the same bits.
-    RangeOverflowError where a node value leaves the double range.
+    angular sum is one inverse FFT per l node.  RangeOverflowError where a
+    node value leaves the double range.
     """
-    n_l, n_phi = quad.n_l, quad.n_phi
-    e_l, bins = _factors(n_l, n_phi, sector, two_jmax)
-    flat = (np.arange(n_l)[:, None] * n_phi + bins).ravel()
+    e_l, bins = _factors(quad.n_l, quad.n_phi, sector, two_jmax)
+    spectrum = np.zeros((quad.n_l, quad.n_phi), np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # typed below
-        terms = (e_l * coeffs).ravel()
-        parts = (np.bincount(flat, part, n_l * n_phi) for part in (terms.real, terms.imag))
-        spectrum = _complex(*parts).reshape(n_l, n_phi)
-        values = n_phi * np.fft.ifft(spectrum, axis=1)
+        np.add.at(spectrum, (slice(None), bins), e_l * coeffs)
+        values = quad.n_phi * np.fft.ifft(spectrum, axis=1)
     if not np.isfinite(values).all():
         raise RangeOverflowError("quadrature node values leave the floating-point range")
     return values

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParityError, RangeOverflowError
-from .hilbert import _PRODUCT_LIMIT, Sector, StateVector, Truncation
+from .hilbert import Sector, StateVector, Truncation
 from .coherent import (
     PhasePoint,
     _coherent_coeffs,
@@ -152,14 +152,13 @@ def _factors(
 @functools.lru_cache(maxsize=16)
 def _gram(
     n_l: int, n_phi: int, sector_a: Sector, two_a: int, sector_b: Sector, two_b: int
-) -> tuple[np.ndarray, float]:
-    """(G, max|G|) for a pair of windows; G is read-only."""
+) -> np.ndarray:
     _, _, weights = _rule(n_l, n_phi)
     e_a, bins_a = _factors(n_l, n_phi, sector_a, two_a)
     e_b, bins_b = _factors(n_l, n_phi, sector_b, two_b)
     gram = (n_phi * weights[:, 0] * e_a.T) @ e_b
     gram[bins_a[:, None] != bins_b] = 0.0
-    return _read_only(gram)[0], float(np.abs(gram).max())
+    return _read_only(gram)[0]
 
 
 def evaluate(f: StateVector, p: PhasePoint) -> complex | np.ndarray:
@@ -184,23 +183,9 @@ def evaluate(f: StateVector, p: PhasePoint) -> complex | np.ndarray:
     return _as_complex(np.sum(_exp(exponents, message, f.coeffs, bound=f._bound), axis=-1))
 
 
-def _side(s: StateVector) -> tuple:
-    return s.sector, s.trunc.two_jmax, s.coeffs, s._bound
-
-
-def _quadrature_sum(quad: Quadrature, side_a: tuple, side_b: tuple) -> complex:
-    """The quadrature of conj(grid of a) * grid of b as a^H G b; RangeOverflowError off range.
-
-    A side is (sector, two_jmax, coefficients, a bound on their largest
-    modulus).  No part of G b or of the sum can pass the range where n_b
-    max|G| B_b max(1, n_a B_a) <= hilbert._PRODUCT_LIMIT: each is at most
-    a sum of |G| |b| or of |a| |G b|.  There the sum is taken as it
-    stands; elsewhere under np.errstate, and typed.
-    """
-    (sector_a, two_a, a, bound_a), (sector_b, two_b, b, bound_b) = side_a, side_b
-    gram, top = _gram(quad.n_l, quad.n_phi, sector_a, two_a, sector_b, two_b)
-    if b.size * top * bound_b * max(1.0, a.size * bound_a) <= _PRODUCT_LIMIT:
-        return complex(np.vdot(a, gram @ b))
+def _quadrature_sum(quad: Quadrature, sector_a, two_a, a, sector_b, two_b, b) -> complex:
+    """The quadrature of conj(grid of a) * grid of b as a^H G b; RangeOverflowError off range."""
+    gram = _gram(quad.n_l, quad.n_phi, sector_a, two_a, sector_b, two_b)
     with np.errstate(over="ignore", invalid="ignore"):  # typed below
         total = np.vdot(a, gram @ b)
     if not np.isfinite(total):
@@ -212,20 +197,21 @@ def inner_quadrature(f: StateVector, g: StateVector, quad: Quadrature) -> comple
     """Quadrature realization of <f|g> (conjugate-linear in f)."""
     if f.sector is not g.sector:
         raise DomainError("inner product requires matching sectors")
-    return _quadrature_sum(quad, _side(f), _side(g))
+    return _quadrature_sum(
+        quad, f.sector, f.trunc.two_jmax, f.coeffs, g.sector, g.trunc.two_jmax, g.coeffs
+    )
 
 
-def _kernel_coeffs(p: PhasePoint, sector: Sector, quad: Quadrature) -> tuple:
-    """(2P, c, B): K(xi*, gamma) = sum_j c_j e^(-j^2/2) xi*^(-j) on |2j| <= 2P, gamma = p.
+def _kernel_coeffs(p: PhasePoint, sector: Sector, quad: Quadrature) -> tuple[int, np.ndarray]:
+    """(2P, c): K(xi*, gamma) = sum_j c_j e^(-j^2/2) xi*^(-j) on |2j| <= 2P, gamma = p.
 
     P bounds every omitted term by the series tolerance over the whole node
-    span; c are the coherent coefficients at p on |2j| <= 2P, and B >= max|c_j|
-    their bound (coherent._coherent_coeffs).
+    span; c are the coherent coefficients at p on |2j| <= 2P.
     """
     lv, _, _ = quad.nodes()
     drift = abs(p.l) + float(lv[-1])
     trunc = Truncation(2 * _pair_count(1.0, drift, _half(sector)))
-    return trunc.two_jmax, *_coherent_coeffs(p, sector, trunc)
+    return trunc.two_jmax, _coherent_coeffs(p, sector, trunc)
 
 
 def reproducing_apply(f: StateVector, p: PhasePoint, sector: Sector, quad: Quadrature) -> complex:
@@ -241,7 +227,8 @@ def reproducing_apply(f: StateVector, p: PhasePoint, sector: Sector, quad: Quadr
     l = 6, 8, 10 and 15.  RangeOverflowError past |l| ~ 37.42.
     """
     _single(p)
-    return _quadrature_sum(quad, (sector, *_kernel_coeffs(p, sector, quad)), _side(f))
+    two_k, kernel = _kernel_coeffs(p, sector, quad)
+    return _quadrature_sum(quad, sector, two_k, kernel, f.sector, f.trunc.two_jmax, f.coeffs)
 
 
 def _window_for_matrix(shape: tuple[int, ...], sector: Sector) -> Truncation:
@@ -267,6 +254,6 @@ def covariant_symbol(op_matrix: np.ndarray, p: PhasePoint, sector: Sector) -> di
     a = np.asarray(op_matrix, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise DomainError("operator matrix entries must be finite")
-    c, _ = _coherent_coeffs(p, sector, trunc)
+    c = _coherent_coeffs(p, sector, trunc)
     kernel = complex(np.vdot(c, a @ c))
     return {"kernel": kernel, "symbol": kernel / norm}

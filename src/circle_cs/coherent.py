@@ -210,23 +210,20 @@ def coherent_state(p: PhasePoint, sector: Sector, trunc: Truncation) -> StateVec
             f"two_jmax = {trunc.two_jmax} too small for l = {p.l}: "
             f"tails exceed {_WINDOW_TOL} (need two_jmax >= {needed})"
         )
-    c, bound = _coherent_coeffs(p, sector, trunc)
-    return _adopt(sector, trunc, c, 0.0, bound)
+    # every |c_j| <= e^(l^2/2), as lj - j^2/2 <= l^2/2; past e^709, _exp has held them to e^700
+    bound = math.exp(min(0.5 * p.l * p.l, 709.0)) * _SLACK
+    return _adopt(sector, trunc, _coherent_coeffs(p, sector, trunc), 0.0, bound)
 
 
-def _coherent_coeffs(p: PhasePoint, sector: Sector, trunc: Truncation):
-    """(c, B): c_j = exp(j*(l - i*phi) - j^2/2) over the sector's window, unnormalized.
+def _coherent_coeffs(p: PhasePoint, sector: Sector, trunc: Truncation) -> np.ndarray:
+    """c_j = exp(j*(l - i*phi) - j^2/2) over the sector's window, unnormalized.
 
-    B = e^(l^2/2) * _SLACK bounds every |c_j|, since lj - j^2/2 <= l^2/2,
-    and e^709 * _SLACK past that, where _exp has held every |c_j| to e^700.
     RangeOverflowError where a coefficient passes e^700, from |l| of
     about 37.42 on; j*l must be finite.
     """
     window = _window(trunc.two_jmax, sector.parity)
     message = "coherent coefficients overflow: the largest is exp({peak:.3g})"
-    c = _exp(window.j * complex(p.l, -p.phi) - window.gauss, message)
-    half_sq = 0.5 * p.l * p.l
-    return c, math.exp(half_sq if half_sq < 709.0 else 709.0) * _SLACK
+    return _exp(window.j * complex(p.l, -p.phi) - window.gauss, message)
 
 
 def overlap_closed(p1: PhasePoint, p2: PhasePoint, sector: Sector) -> complex | np.ndarray:

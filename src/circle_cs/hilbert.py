@@ -185,6 +185,11 @@ def _leakage(value) -> float:
     return leakage
 
 
+# The least bound a state carries, the smallest normal double: below it a product rounds
+# by an absolute step (2^-1074) that theta._SLACK, a relative slack, would not cover
+_BOUND_FLOOR = 2.0**-1022
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Immutable coefficient vector c_j over a sector window.
@@ -194,10 +199,11 @@ class StateVector:
 
     Every state also holds _bound, not a field: an upper bound B on
     max|c_j| as np.abs reads it, which the overflow guards of the
-    operations read in place of a scan of the coefficients.  A state the
-    library builds carries the bound its producer passed to _adopt; one
-    built here, or read by state_from_json, takes the exact max|c_j| when
-    an operation first reads it.
+    operations read in place of a scan of the coefficients; it is never
+    below the smallest normal double.  A state the library builds carries
+    the bound its producer passed to _adopt; one built here, or read by
+    state_from_json, takes the exact max|c_j| when an operation first
+    reads it.
     """
 
     sector: Sector
@@ -216,7 +222,7 @@ class StateVector:
 
     @functools.cached_property
     def _bound(self) -> float:
-        return _modulus(self.coeffs)
+        return max(_modulus(self.coeffs), _BOUND_FLOOR)
 
     def two_j_values(self) -> np.ndarray:
         return self.trunc.two_j_values(self.sector)
@@ -277,8 +283,10 @@ def _adopt(
     U, Udag and time reversal keep B; X and Xdag multiply it by their
     column's largest weight, J and N by the window's j_top and n_top,
     exp_j by e^(|Re eta| j_max) and evolve by 1, each product by
-    theta._SLACK, which covers its rounding.  None (state_from_json)
-    leaves the exact max|c_j| to the first operation that reads it.
+    theta._SLACK, which covers its rounding.  The bound kept is at least
+    _BOUND_FLOOR, so that a subnormal modulus, whose rounding is absolute,
+    stays covered.  None (state_from_json) leaves the exact max|c_j| to
+    the first operation that reads it.
     """
     if not 0.0 <= leakage < math.inf:
         raise DomainError(_LEAKAGE_MESSAGE.format(value=leakage))
@@ -291,7 +299,7 @@ def _adopt(
     fields["coeffs"] = coeffs
     fields["leakage"] = leakage
     if bound is not None:
-        fields["_bound"] = bound
+        fields["_bound"] = bound if bound > _BOUND_FLOOR else _BOUND_FLOOR
     return state
 
 
@@ -345,19 +353,17 @@ def _product(coeffs: np.ndarray, column: np.ndarray, top: float, bound: float):
     """(coeffs * column, a bound on its largest modulus), typed as StateVector types it.
 
     top bounds |column| and bound max|coeffs|.  Where bound * top <=
-    _PRODUCT_LIMIT, or failing that max|coeffs| * top, the product is
-    finite as it stands, and bound * top * _SLACK bounds it; any other
-    state (a modulus np.abs reads as inf included) is multiplied under
-    np.errstate and checked entry by entry, and its product's bound is exact.
+    _PRODUCT_LIMIT the product is finite as it stands, and bound * top *
+    _SLACK bounds it; any other state (a modulus np.abs reads as inf
+    included) is multiplied under np.errstate and checked entry by entry,
+    to the same bits, and its product's bound is exact.
     """
-    if not bound * top <= _PRODUCT_LIMIT:  # the carried bound fails: the exact one decides
-        bound = _modulus(coeffs)
-        if not bound * top <= _PRODUCT_LIMIT:
-            with np.errstate(over="ignore", invalid="ignore"):  # past the range is not finite
-                out = coeffs * column
-            _require_finite(out)
-            return out, _modulus(out)
-    return coeffs * column, bound * top * _SLACK
+    if bound * top <= _PRODUCT_LIMIT:
+        return coeffs * column, bound * top * _SLACK
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the range is not finite
+        out = coeffs * column
+    _require_finite(out)
+    return out, _modulus(out)
 
 
 def apply_operator(kind: str, s: StateVector) -> StateVector:

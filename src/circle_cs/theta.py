@@ -46,7 +46,8 @@ _amax = np.maximum.reduce
 # A bound B >= max|c_j| that a state carries (hilbert._adopt) grows by this factor with
 # each product that forms it: 2^17 u (u = 2^-53), where one complex product rounds by
 # at most sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 76, 2007).  The rest
-# covers np.abs's own rounding and an exponent up to 709 rounded (709 u relative).
+# covers np.abs's own rounding and an exponent up to 709 rounded (709 u relative).  A
+# relative slack covers no subnormal rounding, so B never drops below hilbert._BOUND_FLOOR.
 _SLACK = 1.0 + 2.0**-36
 
 
@@ -191,19 +192,16 @@ def _exp_column(column, message: str, scale, bound: float):
 
     column = (exponent, np.exp(exponent), its largest Re top, the largest
     weight), built once for many scales, and bound >= max|scale|.  Where
-    _exp's first test passes, top <= _EXP_LIMIT and top + log(bound) <=
-    _EXP_LIMIT, or failing that the same with the exact max|scale|, the
-    product with the stored exponentials has the bits _exp gives, and its
-    bound is the scale's times the largest weight; every other scale goes
-    to _exp unchanged, for its exact peak, its message or its log-space
-    value, and its result's exact largest modulus.
+    top <= _EXP_LIMIT and top + log(bound) <= _EXP_LIMIT, _exp's first test
+    passes, so the product with the stored exponentials has the bits _exp
+    gives, and its bound is the scale's times the largest weight; every
+    other scale goes to _exp unchanged, for its exact peak, its message or
+    its log-space value (the bits of the product where that peak passes),
+    and its result's exact largest modulus.
     """
     exponent, weight, top, weight_top = column
-    if top <= _EXP_LIMIT:
-        if not _log_peak(top, bound) <= _EXP_LIMIT:  # the carried bound fails: the exact one
-            bound = _modulus(scale)
-        if _log_peak(top, bound) <= _EXP_LIMIT:
-            return scale * weight, bound * weight_top * _SLACK
+    if top <= _EXP_LIMIT and _log_peak(top, bound) <= _EXP_LIMIT:
+        return scale * weight, bound * weight_top * _SLACK
     out = _exp(exponent, message, scale)
     return out, _modulus(out)
 

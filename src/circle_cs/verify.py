@@ -671,12 +671,10 @@ def _check_quadrature_orthonormality(ctx: _Context, sector: Sector):
         _node_values(ctx.quad, sector, ctx.trunc.two_jmax, s.coeffs)
         for s in _small_basis(ctx, sector, 3.0)
     ]
-    # weights * conj(a) once per state: the pair's product then rounds as before
-    weighted = [weights * np.conj(a) for a in values]
     return [
-        abs(complex(np.sum(wa * b)) - (1.0 if i == k else 0.0))
-        for i, wa in enumerate(weighted)
-        for k, b in enumerate(values)
+        abs(complex(np.sum(weights * np.conj(a) * b)) - (1.0 if a is b else 0.0))
+        for a in values
+        for b in values
     ]
 
 

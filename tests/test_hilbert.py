@@ -734,13 +734,16 @@ _STEPS = {
 def _first_states(draw):
     """A state from basis_state, coherent_state or StateVector(...): moderate
     entries, one entry alone (its bound then meets it, which shows an ulp of
-    rounding past it), a wide 1.7e308 (1 + i), or a modulus within ulps of
+    rounding past it), one tiny or subnormal entry alone (there rounding is
+    absolute), a wide 1.7e308 (1 + i), or a modulus within ulps of
     2**1022 / top for the top of J, N or evolve's unit phases."""
     sector = draw(st.sampled_from(list(Sector)))
     trunc = Truncation(draw(st.integers(2, 12)))
     size = trunc.size(sector)
     # a lone entry most often: there an ulp of rounding shows
-    how = draw(st.sampled_from(["basis", "coherent", "moderate", "wide", "edge", *["alone"] * 3]))
+    how = draw(
+        st.sampled_from(["basis", "coherent", "moderate", "wide", "edge", "tiny", *["alone"] * 3])
+    )
     # full-mantissa values, whose products round
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     if how == "basis":
@@ -753,9 +756,13 @@ def _first_states(draw):
         return coherent_state(PhasePoint(l, rng.uniform(0.0, 2.0 * math.pi)), sector, trunc)
     c = rng.normal(size=size) + 1j * rng.normal(size=size)
     slot = draw(st.integers(0, size - 1))
-    if how == "alone":  # at an end, where each column has its largest modulus
+    if how in ("alone", "tiny"):  # at an end, where each column has its largest modulus
         c[:] = 0.0
-        c[draw(st.sampled_from([0, size - 1]))] = complex(*rng.normal(size=2))
+        value = complex(*rng.normal(size=2))
+        if how == "tiny":  # from a few ulps of 0 to just past the smallest normal double
+            small = [(3 + 3j) * 5e-324, value * 2.0 ** draw(st.integers(-1080, -1018))]
+            value = draw(st.sampled_from(small))
+        c[draw(st.sampled_from([0, size - 1]))] = value
     elif how == "wide":
         c[slot] = 1.7e308 * (1 + 1j)
     elif how == "edge":
@@ -795,6 +802,20 @@ def test_every_state_carries_a_bound_on_its_largest_modulus(first, steps):
                 warnings.simplefilter("error")
                 assert made[step]._bound >= float(np.abs(made[step].coeffs).max()), step
         s = made.get(name, s)
+
+
+def test_a_subnormal_state_keeps_a_bound_and_its_overflow_error():
+    # |c| reads 4.24 ulps of 0 as 4; J halves it and rounds each part up, to 3 ulps.
+    # A relative slack on 4 ulps would give J's result a bound of 2 ulps, and exp_j
+    # would pass a peak of 700.16 as 699.75: the floor at the smallest normal double
+    # keeps the bound above it, and exp_j raises where the exact peak says
+    s = apply_operator("J", StateVector(Sector.FERMION, Truncation(2), [0, (3 + 3j) * 5e-324]))
+    assert float(np.abs(s.coeffs).max()) == 3 * 5e-324 <= s._bound
+    with pytest.raises(RangeOverflowError) as error:
+        apply_exp_j(s, 2887.0)
+    assert str(error.value) == (
+        "exp_j produces a coefficient of magnitude exp(700), outside the floating-point range"
+    )
 
 
 def _outcome(make, state):
