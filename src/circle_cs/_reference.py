@@ -115,13 +115,18 @@ def _node_values(quad: Quadrature, sector: Sector, two_jmax: int, coeffs) -> np.
     and on the uniform double-cover nodes e^(i*j*phi_k) =
     e^(2*pi*i*(2j mod n_phi)*k/n_phi) is an exact DFT: the terms
     c_j E_l[:, j] are scattered into their bins in slot order and the
-    angular sum is one inverse FFT per l node.  RangeOverflowError where a
-    node value leaves the double range.
+    angular sum is one inverse FFT per l node.  The scatter is two
+    np.bincount over the flat bin row * n_phi + bin, one per part: the
+    sums of np.add.at, in its order, bit for bit.  RangeOverflowError
+    where a node value leaves the double range.
     """
     e_l, bins = _factors(quad.n_l, quad.n_phi, sector, two_jmax)
-    spectrum = np.zeros((quad.n_l, quad.n_phi), np.complex128)
+    flat = (np.arange(0, quad.n_l * quad.n_phi, quad.n_phi)[:, None] + bins).ravel()
+    spectrum = np.empty((quad.n_l, quad.n_phi), np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # typed below
-        np.add.at(spectrum, (slice(None), bins), e_l * coeffs)
+        terms = (e_l * coeffs).ravel()
+        spectrum.real = np.bincount(flat, terms.real, spectrum.size).reshape(spectrum.shape)
+        spectrum.imag = np.bincount(flat, terms.imag, spectrum.size).reshape(spectrum.shape)
         values = quad.n_phi * np.fft.ifft(spectrum, axis=1)
     if not np.isfinite(values).all():
         raise RangeOverflowError("quadrature node values leave the floating-point range")

@@ -244,17 +244,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+# argparse reads only plain negative decimals such as -1 or -0.5 as values;
+# an exponent makes it take -1e-05 for an unknown flag.  _Parser and
+# _read_options share this pattern for a value that starts with -.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reads -1e-05 as a number, not as an option.
 
-    argparse only recognizes plain negative decimals such as -1 or -0.5
-    as values; an exponent makes it take the token for an unknown flag.
-    Subparsers inherit the class.
+    It keeps each option string's Action, as add_argument returns it, in
+    options: the table _read_options reads.  Subparsers inherit the class.
     """
 
     def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options.update(dict.fromkeys(action.option_strings, action))
+        return action
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,27 +342,86 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
+def _read_options(command: str, argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace command's subparser builds from argv, for a line it is sure of; else None.
+
+    It is sure of a line of --name value or --name=value pairs where
+    every name is one of the subparser's options that take one value,
+    spelled out in full; every value that starts with - is - or a
+    number (_NEGATIVE_NUMBER), which argparse also reads as a value;
+    type converts every value into the option's choices; and every
+    required option comes.  The last of a repeated option wins.  An
+    absent option takes its default, through type where the default is
+    a string, and func is the subparser's default, as argparse gives
+    them.  Anything else (help, an abbreviation, a stray word, --, a
+    value that argparse would refuse or read otherwise) is None, and
+    goes to argparse.
+    """
+    parser = _shared_parser().commands[command]
+    given, tokens = {}, iter(argv)
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        if not equals:
+            value = next(tokens, None)
+        action = parser.options.get(name)
+        if value is None or action is None or action.nargs is not None:
+            return None
+        if value[:1] == "-" and value != "-" and not _NEGATIVE_NUMBER.match(value):
+            return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action] = value
+    args = argparse.Namespace(command=command)
+    for action in parser.options.values():
+        if action.nargs is not None:  # -h, --help
+            continue
+        if action in given:
+            value = given[action]
+        elif action.required:
+            return None
+        else:  # argparse converts a string default, and holds no default to the choices
+            value = action.default
+            if isinstance(value, str) and action.type is not None:
+                value = action.type(value)
+        setattr(args, action.dest, value)
+    args.func = parser.get_default("func")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command line (sys.argv[1:] by default); returns the exit code.
 
-    A command line that starts with a command's name is parsed by that
+    A command line that starts with a command's name and goes on with
+    exact --name value pairs is read by _read_options, without argparse.
+    Any other line that starts with a command's name is parsed by that
     command's subparser alone, in about half the time of the full
     parser, which would hand it the same arguments.  Extra arguments go
     to the full parser's error, as the full parser sends them, with the
     usage line of circle-cs.  Any other line (none, -h, an unknown
-    command, an option first) goes through the full parser.  Either
-    way a line gives the same output and exit code.
+    command, an option first) goes through the full parser.  Every way
+    a line gives the same output and exit code.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _shared_parser()
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        args = parser.parse_args(argv)
-    else:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = None if command is None else _read_options(argv[0], argv[1:])
     try:
+        if args is None:
+            if command is None:
+                args = parser.parse_args(argv)
+            else:
+                namespace = argparse.Namespace(command=argv[0])
+                args, extras = command.parse_known_args(argv[1:], namespace)
+                if extras:
+                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            # argparse reads --name=-- as no value at all, which it stores as []
+            for dest, value in vars(args).items():
+                if isinstance(value, list):
+                    raise ConfigError(f"--{dest.replace('_', '-')} needs a value, got --")
         digits = getattr(args, "digits", None)
         if digits is not None and not 1 <= digits <= MAX_DIGITS:
             raise ConfigError(f"--digits must lie in 1..{MAX_DIGITS}, got {digits}")

@@ -467,22 +467,26 @@ def _reduce(arg: ThetaArg):
     real part of each term's exponent, and of F's, is 0 or past +-1e287 in
     exact arithmetic there, before and after the division, so every term
     keeps its modulus (0, 1 or an overflow): the value stays the same.
+    Only k Re t can overflow (to a Re r that _lattice_sum types), so only
+    an Im v != 0 enters np.errstate: on a finite v, |2 round(Re v / 2)| <=
+    |Re v| + 1, and the division by unit shrinks finite parts.
     """
     c, t = _recentre(arg.tau)
-    with np.errstate(over="ignore", invalid="ignore"):  # _lattice_sum types an overflowed r
-        _, r = _recentre(arg.v)
-        k, unit = 0.0, 1.0
-        moved = np.count_nonzero(r.imag)  # a real v needs no k, and skips µs of array steps
-        if moved:
+    _, r = _recentre(arg.v)
+    unit = 64.0 if t.imag > 1e306 else 1.0
+    if np.count_nonzero(r.imag):
+        with np.errstate(over="ignore", invalid="ignore"):  # _lattice_sum types an overflowed r
             rem = np.fmod(r.imag, t.imag)
             turn, im_r = _recentre(rem, t.imag)
             k = _recentre(r.imag - rem, t.imag)[0] + turn  # rem has Im v's sign: no overflow
-            r = r.real - k * t.real + 1j * im_r
-        if t.imag > 1e306:
-            moved, unit = True, 64.0
-            t, r = complex(t.real, t.imag / unit), r.real + 1j * (r.imag / unit)
-        # a real v stays as the first _recentre left it, where the second is the identity
-        return c, k, 1j * math.pi * t, 2j * math.pi * (_recentre(r)[1] if moved else r), unit
+            lin = 2j * math.pi * _recentre(r.real - k * t.real + 1j * (im_r / unit))[1]
+    else:  # a real v needs no k, and skips µs of array steps
+        k = 0.0
+        # it stays as the first _recentre left it, where the second is the identity
+        lin = 2j * math.pi * (r if unit == 1.0 else _recentre(r.real + 1j * (r.imag / unit))[1])
+    if unit > 1.0:
+        t = complex(t.real, t.imag / unit)
+    return c, k, 1j * math.pi * t, lin, unit
 
 
 def _quarter_turns(c: float, value):

@@ -671,9 +671,11 @@ def _check_quadrature_orthonormality(ctx: _Context, sector: Sector):
         _node_values(ctx.quad, sector, ctx.trunc.two_jmax, s.coeffs)
         for s in _small_basis(ctx, sector, 3.0)
     ]
+    # weights * conj(a) * b multiplies left to right, so weights * conj(a) is formed once
+    # per state; np.add.reduce is np.sum without its wrapper
     return [
-        abs(complex(np.sum(weights * np.conj(a) * b)) - (1.0 if a is b else 0.0))
-        for a in values
+        abs(complex(np.add.reduce(weighted * b, axis=None)) - (1.0 if a is b else 0.0))
+        for a, weighted in zip(values, [weights * np.conj(a) for a in values])
         for b in values
     ]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -309,9 +310,10 @@ def _count_parses(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, parses", [
-    # a named command: its subparser alone, extras and refusals included
-    (["theta", "--kind", "3"], {"theta": 1}),
-    (["scan", "--obs", "U", "--l-min=-1e-05", "--l-max", "1", "--n", "3", "--out", "-"], {"scan": 1}),
+    # exact --name value pairs: read without argparse
+    (["theta", "--kind", "3"], {}),
+    (["scan", "--obs", "U", "--l-min=-1e-05", "--l-max", "1", "--n", "3", "--out", "-"], {}),
+    # any other named command: its subparser alone, extras and refusals included
     (["scan", "--obs", "J", "--l-min", "0", "--l-max", "1", "--n", "3", "--out", "-", "extra"],
      {"scan": 1}),
     (["expect", "--l", "0.3"], {"expect": 1}),
@@ -322,6 +324,10 @@ def _count_parses(monkeypatch):
     (["bogus", "--kind", "3"], {"circle-cs": 1}),
     (["--", "theta", "--kind", "3"], {"circle-cs": 1}),
     (["--bogus", "theta", "--kind", "3"], {"circle-cs": 1, "theta": 1}),
+    # an abbreviation is argparse's to resolve (or to refuse, where it is ambiguous)
+    (["scan", "--obs", "U", "--l-mi=-1e-05", "--l-max", "1", "--n", "3", "--out", "-"],
+     {"scan": 1}),
+    (["scan", "--obs", "U", "--l-m=-1e-05", "--l-max", "1", "--n", "3", "--out", "-"], {"scan": 1}),
 ])
 def test_a_named_command_parses_with_its_subparser_alone(argv, parses, monkeypatch, capsys):
     calls = _count_parses(monkeypatch)
@@ -851,6 +857,113 @@ def test_argv_captures_match(tmp_path, monkeypatch):
     assert [c["argv"] for c in captures[: len(MALFORMED_ARGV)]] == MALFORMED_ARGV
     for expected in captures:
         assert _capture(expected["argv"]) == expected
+
+
+# ------------------------------------------------------------ the reader against argparse
+
+# Values that argparse reads in ways of its own, or refuses: --name=-- stores [],
+# a separate -x is taken for an option, 1_000 is an int and a float, 5000 digits
+# pass int's limit; bogus is outside every choice
+ODD_VALUES = ["-1e-05", "-.5", "-", "--", "--x", "-x", "nan", "inf", "1_000", "", "9" * 5000,
+              "bogus", "a=b", " 3"]
+
+
+def _argparse_vars(argv: list[str]) -> dict | None:
+    """vars of what argv[0]'s subparser builds from the rest of argv, or None where it refuses."""
+    namespace = argparse.Namespace(command=argv[0])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args, extras = cli._shared_parser().commands[argv[0]].parse_known_args(
+                argv[1:], namespace
+            )
+        except SystemExit:
+            return None
+    return None if extras else vars(args)
+
+
+def _same_vars(read: argparse.Namespace, parsed: dict | None) -> bool:
+    # type and repr: NaN is NaN, and -0.0 is not 0.0
+    strict = lambda values: {key: (type(v), repr(v)) for key, v in values.items()}
+    return parsed is not None and strict(vars(read)) == strict(parsed)
+
+
+def _option_line(data) -> list[str]:
+    """A command and a shuffled line of its options, each with a value of its type or its
+    choices (three times in four) or out of ODD_VALUES, in the = form or the separate one,
+    and at times an abbreviation, -h, --, an unknown name or a stray word."""
+    commands = cli._shared_parser().commands
+    name = data.draw(st.sampled_from(sorted(commands)))
+    options = commands[name].options
+    stores = [action for action in dict.fromkeys(options.values()) if action.nargs is None]
+    strays = ["-h", "--", "--bogus", "x", *[option[:-1] for option in options if len(option) > 3]]
+    items = [action for action in stores if action.required and data.draw(st.integers(0, 7))]
+    items += data.draw(st.lists(st.sampled_from(stores), max_size=3))
+    items += data.draw(st.lists(st.sampled_from(strays), max_size=1))
+    argv = [name]
+    for item in data.draw(st.permutations(items)):
+        if isinstance(item, str):
+            argv.append(item)
+            continue
+        if item.choices is not None:
+            values = [str(choice) for choice in item.choices]
+        else:
+            values = {int: ["3", "12", "-2"], float: ["0.3", "-4", "1e308"]}.get(item.type, ["o.txt"])
+        value = data.draw(st.sampled_from(values if data.draw(st.integers(0, 3)) else ODD_VALUES))
+        option = item.option_strings[0]
+        argv += [f"{option}={value}"] if data.draw(st.booleans()) else [option, value]
+    return argv
+
+
+def _check_reader(argv: list[str]) -> bool:
+    """The reader gives None or what argparse gives; True where it read the line."""
+    read = cli._read_options(argv[0], argv[1:])
+    assert read is None or _same_vars(read, _argparse_vars(argv)), argv
+    return read is not None
+
+
+# Lines the reader must leave to argparse, each for one of its rules
+LINES_FOR_ARGPARSE = [
+    ["theta", "--kind", "5", "--kind", "3"],  # every value of a repeated option is checked
+    ["theta", "--kind", "3", "--v", "-x"],  # argparse takes a separate -x for an option
+    ["theta", "--kind", "3", "--v"],  # no value
+    ["theta", "--kind=3", "--digits=--"],  # argparse stores [] for --
+    ["theta", "--kin", "3"],  # an abbreviation
+    ["theta", "--v", "0.3"],  # no --kind
+    ["theta", "--kind", "3", "x"],  # a stray word
+    ["verify", "-h"],
+]
+
+
+def test_the_reader_reads_well_formed_captures_as_argparse_does():
+    argvs = [c["argv"] for c in json.loads(CAPTURES.read_text("utf-8"))]
+    commands = cli._shared_parser().commands
+    read = [_check_reader(argv) for argv in argvs if argv and argv[0] in commands]
+    assert sum(read) >= 80  # the drawn lines, exact --name value pairs all
+    assert not any(_check_reader(argv) for argv in LINES_FOR_ARGPARSE)
+    # a line of the form perfbench's scan workload writes
+    scan = ["scan", "--obs", "U", "--l-min=-19.25", "--l-max=7.5", "--n", "101",
+            "--sector", "fermion", "--out", "-"]
+    assert _check_reader(scan)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_reader_reads_a_line_as_argparse_does_or_not_at_all(data):
+    _check_reader(_option_line(data))
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--obs", "J", "--l-min", "0", "--l-max", "1", "--n", "3", "--out=--"],
+    ["distribution", "--l", "0.3", "--out=--"],
+    ["evolve", "--l", "0.3", "--t", "1", "--out=--"],
+    ["verify", "--out=--"],
+    ["verify", "--config=--"],
+])
+def test_an_option_given_as_dashes_is_a_config_error(argv, run):
+    # argparse stores --out=-- as [], which no command may take for a path
+    res = run(*argv)
+    option = argv[-1].partition("=")[0]
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {option} needs a value, got --\n")
 
 
 if __name__ == "__main__":

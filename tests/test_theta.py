@@ -6,6 +6,7 @@ import cmath
 import importlib
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -436,6 +437,42 @@ def test_log_derivative_at_the_top_of_the_double_range():
         for sign in (1.0, -1.0):
             value = theta_log_derivative(kind, ThetaArg(sign * 1.79e308j, 1e308j))
             assert value == -sign * 4j * math.pi
+
+
+# Each v below is an even integer, so every value is the one at r = 0: real and
+# imaginary part as float.hex, or the message of the refusal (formatted with v)
+HUGE_REAL_V = {
+    (theta, 2, I_PI): ("0x1.5b5c75846aafbp-3", "0x0.0p+0"),
+    (theta, 3, I_PI): ("0x1.0006c78ac9504p+0", "0x0.0p+0"),
+    (theta, 4, I_PI): ("0x1.fff270ea6d5f9p-1", "0x0.0p+0"),
+    (theta_log_derivative, 3, I_PI): ("0x0.0p+0", "0x0.0p+0"),
+    (theta_log_derivative, 4, I_PI): ("0x0.0p+0", "0x0.0p+0"),
+    (theta, 2, 3 + 1e-3j): ("-0x1.65c55827df246p+4", "0x1.65c55827df155p+4"),
+    (theta, 3, 3 + 1e-3j): ("0x1.6000000000000p-48", "-0x1.84e043b3372ddp-44"),
+    (theta, 4, 3 + 1e-3j): ("0x1.f9f6e4990f225p+4", "0x1.a63c1af690fc6p-41"),
+    (theta_log_derivative, 3, 3 + 1e-3j): "theta_3({v!r} | (3+0.001j)) is within 1e-10 of a zero",
+    (theta_log_derivative, 4, 3 + 1e-3j): ("0x0.0p+0", "0x0.0p+0"),
+    (theta, 2, 2e306j): ("0x0.0p+0", "0x0.0p+0"),
+    (theta, 3, 2e306j): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    (theta, 4, 2e306j): ("0x1.0000000000000p+0", "0x0.0p+0"),
+    (theta_log_derivative, 3, 2e306j): ("0x0.0p+0", "0x0.0p+0"),
+    (theta_log_derivative, 4, 2e306j): ("0x0.0p+0", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("v", [1.7e308, -1.7e308, 1e300, -1e300])
+def test_a_huge_real_v_reduces_without_a_warning(v):
+    # a real v takes _reduce's route without np.errstate: nothing may overflow there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (f, kind, tau), expected in HUGE_REAL_V.items():
+            if isinstance(expected, str):
+                with pytest.raises(SingularityError) as caught:
+                    f(kind, ThetaArg(v, tau))
+                assert str(caught.value) == expected.format(v=complex(v))
+            else:
+                value = f(kind, ThetaArg(v, tau))
+                assert (value.real.hex(), value.imag.hex()) == expected, (f, kind, tau)
 
 
 def test_overflow_past_im_tau_1e306_reports_the_true_exponent():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import math
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from circle_cs import _reference, verify
+from circle_cs import _reference, bargmann, verify
 from circle_cs.bargmann import Quadrature
 from circle_cs.errors import RangeOverflowError
 from circle_cs.hilbert import Sector
@@ -390,3 +391,23 @@ def test_node_values_past_the_range_are_typed():
         warnings.simplefilter("error")
         with pytest.raises(RangeOverflowError, match="quadrature node values leave the"):
             _reference._node_values(Quadrature(40, 64), Sector.BOSON, 40, coeffs)
+
+
+@pytest.mark.parametrize("n_l, n_phi, two_jmax", [
+    (40, 64, 40), (100, 32, 40), (8, 8, 60), (2, 4, 2), (300, 1024, 600),
+])
+@pytest.mark.parametrize("sector", [Sector.BOSON, Sector.FERMION])
+def test_node_values_scatter_as_add_at_does(n_l, n_phi, two_jmax, sector, monkeypatch):
+    # the spectrum _node_values transforms has the bytes of np.add.at's scatter,
+    # bins colliding wherever the window is wider than n_phi
+    spectra = []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, **kw: spectra.append(a.copy()) or ifft(a, **kw))
+    e_l, bins = bargmann._factors(n_l, n_phi, sector, two_jmax)
+    rng = np.random.default_rng([n_l, n_phi, two_jmax, sector.parity])
+    coeffs = rng.normal(size=bins.size) + 1j * rng.normal(size=bins.size)
+    with contextlib.suppress(RangeOverflowError):  # the far nodes of 300 x 1024
+        _reference._node_values(Quadrature(n_l, n_phi), sector, two_jmax, coeffs)
+    expected = np.zeros((n_l, n_phi), np.complex128)
+    np.add.at(expected, (slice(None), bins), e_l * coeffs)
+    assert [spectrum.tobytes() for spectrum in spectra] == [expected.tobytes()]

@@ -19,7 +19,9 @@ binds it:
   an overflow guard runs where a state's carried bound fails it (and a
   state built through StateVector(...) takes on its first guarded use);
 - gram_misses and window_misses: bargmann._gram and hilbert._window
-  cache misses.
+  cache misses;
+- argparse_parses: argparse.ArgumentParser.parse_known_args calls, which
+  a line that cli._read_options reads does not make.
 
 A change that moves a count rewrites tests/data/work_budget.json
 (PYTHONPATH=src python tests/test_work_budget.py) and says why.
@@ -35,7 +37,7 @@ import sys
 BUDGET = pathlib.Path(__file__).parent / "data" / "work_budget.json"
 
 COUNT_WORK = """
-import contextlib, importlib, io, json, sys
+import argparse, contextlib, importlib, io, json, sys
 import numpy as np
 from circle_cs import cli, verify  # verify now, so that its bindings are wrapped too
 sys.path.insert(0, TESTS)
@@ -46,7 +48,7 @@ bargmann, hilbert, theta = (
 )
 counts = dict.fromkeys(
     ("lattice_sum_calls", "lattice_sum_elements", "lattice_sum_pair_elements", "exp_calls",
-     "states", "public_states", "errstate_entries", "modulus_scans"), 0)
+     "states", "public_states", "errstate_entries", "modulus_scans", "argparse_parses"), 0)
 
 def wrap(owner, name, count):
     original = getattr(owner, name)
@@ -84,6 +86,11 @@ def counted_errstate(*args, **kwargs):
     counts["errstate_entries"] += 1
     return errstate(*args, **kwargs)
 np.errstate = counted_errstate
+parse_known_args = argparse.ArgumentParser.parse_known_args
+def counted_parse_known_args(*args, **kwargs):
+    counts["argparse_parses"] += 1
+    return parse_known_args(*args, **kwargs)
+argparse.ArgumentParser.parse_known_args = counted_parse_known_args
 
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
